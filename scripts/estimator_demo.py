@@ -12,7 +12,7 @@ import numpy as np
 
 from bernsimplex import estimate as est
 from bernsimplex import spoly
-from bernsimplex.simplex import SimplexPoint, sample_dirichlet
+from bernsimplex.simplex import sample_dirichlet
 
 
 def run(n: int, degrees, seed: int) -> None:
@@ -21,7 +21,7 @@ def run(n: int, degrees, seed: int) -> None:
     fn = [est.empirical_cdf(samples, tuple(row)) for row in grid]
     print(f"n = {n}, grid of {len(grid)} interior points")
     for m in degrees:
-        fhat = [est.bernstein_cdf_simplex(samples, m, SimplexPoint(row)) for row in grid]
+        fhat = est.bernstein_cdf_simplex(samples, m, grid)
         print(f"  degree m = {m:4d}: sup |smoothed - empirical| = "
               f"{est.sup_error_on_grid(fhat, fn):.5f}")
 

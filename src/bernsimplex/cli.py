@@ -19,7 +19,7 @@ import numpy as np
 
 from . import estimate as est
 from . import ineq, monotone, spoly
-from .simplex import SampleSet, SimplexPoint, WeightVector, sample_dirichlet
+from .simplex import CapacityError, SampleSet, SimplexPoint, WeightVector, sample_dirichlet
 
 __all__ = ["main"]
 
@@ -241,15 +241,13 @@ def _cmd_estimate(args) -> int:
     d = samples.d
     if kind == "simplex-cdf":
         grid_pts = spoly.simplex_midpoint_grid(d, resolution)[:, :-1]
-        values = [
-            est.bernstein_cdf_simplex(samples, m, SimplexPoint(row)) for row in grid_pts
-        ]
+        values = est.bernstein_cdf_simplex(samples, m, grid_pts)
     else:
         axes = [np.linspace(0.0, 1.0, resolution) for _ in range(d)]
         mesh = np.meshgrid(*axes, indexing="ij")
         grid_pts = np.stack([g.ravel() for g in mesh], axis=1)
         fn = est.bernstein_cdf_hypercube if kind == "hypercube-cdf" else est.bernstein_density_hypercube
-        values = [fn(samples, m, row) for row in grid_pts]
+        values = fn(samples, m, grid_pts)
     header = ",".join(f"x{i + 1}" for i in range(d)) + ",value"
     lines = [header]
     for row, v in zip(grid_pts, values):
@@ -361,7 +359,7 @@ def main(argv=None) -> int:
             if getattr(args, key, None) is None:
                 setattr(args, key, value)
         return args.func(args)
-    except (UsageError, ValueError) as exc:
+    except (UsageError, ValueError, CapacityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -20,6 +20,7 @@ from .simplex import (
     SampleSet,
     SimplexPoint,
     lattice_array,
+    lattice_log_pmf,
     log_factorial_table,
 )
 
@@ -33,6 +34,8 @@ __all__ = [
 ]
 
 ESTIMATOR_KINDS = ("simplex-cdf", "hypercube-cdf", "hypercube-density")
+# float64 entries per block of the (points x lattice) pmf matrix
+_BLOCK_ELEMS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -61,10 +64,12 @@ def empirical_cdf(samples: SampleSet, y) -> float:
     return float(_empirical_cdf_many(samples, y[None, :])[0])
 
 
-def _binomial_log_pmf_rows(m: int, x: float) -> np.ndarray:
-    """ln C(m,k) + k ln x + (m-k) ln(1-x) for k = 0..m, boundary-safe."""
+def _binomial_log_pmf_rows(m: int, x: float, lf: np.ndarray) -> np.ndarray:
+    """ln C(m,k) + k ln x + (m-k) ln(1-x) for k = 0..m, boundary-safe.
+
+    lf is log_factorial_table(m) (or a longer table).
+    """
     k = np.arange(m + 1)
-    lf = log_factorial_table(m)
     out = lf[m] - lf[k] - lf[m - k]
     if x > 0.0:
         out = out + k * math.log(x)
@@ -77,83 +82,123 @@ def _binomial_log_pmf_rows(m: int, x: float) -> np.ndarray:
     return out
 
 
-def bernstein_cdf_simplex(samples: SampleSet, m: int, x: SimplexPoint,
-                          cap: int = LATTICE_CAP) -> float:
-    """sum_{||k|| <= m} F_n(k/m) P_{k,m}(x) on the simplex."""
+def _bin_counts(samples: SampleSet, m: int, cap: int) -> np.ndarray:
+    """Sample counts in an int64 (m+2)^d box of per-axis bins.
+
+    A coordinate y goes to bin j, the smallest j in 0..m with y <= j/m as a
+    float comparison (so bin j > 0 holds (j-1)/m < y <= j/m), or to bin m+1
+    if there is none (y > 1).  ceil(y*m) is off by at most one at float ties.
+    """
+    d = samples.d
+    if (m + 2) ** d > cap:
+        raise CapacityError(f"(m+2)^d = {(m + 2) ** d} bins exceed cap {cap}")
+    y = samples.points
+    j = np.clip(np.ceil(y * m), 0, m + 1).astype(np.int64)
+    j -= (j > 0) & (y <= (j - 1) / m)
+    j += (j <= m) & (y > j / m)
+    shape = (m + 2,) * d
+    flat = np.ravel_multi_index(tuple(j.T), shape)
+    return np.bincount(flat, minlength=(m + 2) ** d).reshape(shape)
+
+
+def _lattice_cdf_counts(samples: SampleSet, m: int, cap: int) -> np.ndarray:
+    """n F_n(k/m) for k in [0,m]^d as an int64 (m+1)^d array, in O(n + (m+2)^d)."""
+    box = _bin_counts(samples, m, cap)
+    for axis in range(samples.d):
+        np.cumsum(box, axis=axis, out=box)
+    return box[(slice(0, m + 1),) * samples.d]
+
+
+def _query_points(x, d: int):
+    """x as a (P, d) float array, and whether it was a single point."""
+    xs = np.asarray(x, dtype=float)
+    single = xs.ndim <= 1
+    xs = np.atleast_2d(xs)
+    if xs.ndim != 2 or xs.shape[1] != d:
+        raise ValueError(f"query point must have d={d} coordinates")
+    return xs, single
+
+
+def bernstein_cdf_simplex(samples: SampleSet, m: int, x, cap: int = LATTICE_CAP):
+    """sum_{||k|| <= m} F_n(k/m) P_{k,m}(x) on the simplex.
+
+    x is one SimplexPoint (returns a float) or a (P, d) array of points, each
+    row the first d barycentric coordinates (returns a (P,) array).  F_n on
+    the lattice is built once per call: O(n + (m+2)^d + P N), N = C(m+d, d).
+    """
     if samples.domain != "simplex":
         raise ValueError("samples must be tagged simplex")
-    if samples.d != x.d:
+    single = isinstance(x, SimplexPoint)
+    if single:
+        points = [x]
+    else:
+        xs = np.asarray(x, dtype=float)
+        if xs.ndim != 2:
+            raise ValueError("x must be a SimplexPoint or a (P, d) array of points")
+        points = [SimplexPoint(row) for row in xs]
+    if any(p.d != samples.d for p in points):
         raise ValueError("sample and point dimensions differ")
     if m < 1:
         raise ValueError("degree m must be >= 1")
-    lat = lattice_array(x.d, m, cap)
-    fn = _empirical_cdf_many(samples, lat[:, :-1] / m)
-    lf = log_factorial_table(m)
-    logp = np.full(lat.shape[0], lf[m])
-    xf = np.array(x.full)
-    for i in range(x.d + 1):
-        ki = lat[:, i]
-        logp -= lf[ki]
-        if xf[i] > 0.0:
-            logp += ki * math.log(xf[i])
-        else:
-            logp = np.where(ki > 0, -np.inf, logp)
-    return float(np.dot(fn, np.exp(logp)))
-
-
-def bernstein_cdf_hypercube(samples: SampleSet, m: int, x, cap: int = LATTICE_CAP) -> float:
-    """sum_{k in [0,m]^d} F_n(k/m) prod_i C(m,k_i) x_i^{k_i} (1-x_i)^{m-k_i}."""
-    if samples.domain != "hypercube":
-        raise ValueError("samples must be tagged hypercube")
-    x = np.atleast_1d(np.asarray(x, dtype=float))
     d = samples.d
-    if x.shape != (d,):
-        raise ValueError(f"query point must have d={d} coordinates")
-    if np.any(x < 0.0) or np.any(x > 1.0):
-        raise ValueError("query point must lie in [0,1]^d")
-    if m < 1:
-        raise ValueError("degree m must be >= 1")
-    if (m + 1) ** d > cap:
-        raise CapacityError(f"(m+1)^d = {(m + 1) ** d} exceeds cap {cap}")
-    # F_n over the full grid, then contract one axis at a time
-    axes = [np.arange(m + 1) / m for _ in range(d)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    grid_pts = np.stack([g.ravel() for g in mesh], axis=1)
-    fn = _empirical_cdf_many(samples, grid_pts).reshape((m + 1,) * d)
-    out = fn
-    for i in range(d):
-        w = np.exp(_binomial_log_pmf_rows(m, float(x[i])))
+    lat = lattice_array(d, m, cap)
+    fn = _lattice_cdf_counts(samples, m, cap)[tuple(lat[:, :-1].T)] / samples.n
+    lf = log_factorial_table(m)
+    full = np.array([p.full for p in points])
+    out = np.empty(len(points))
+    step = max(1, _BLOCK_ELEMS // lat.shape[0])
+    for lo in range(0, len(points), step):
+        pmf = np.exp(lattice_log_pmf(lat, full[lo:lo + step], lf))
+        out[lo:lo + step] = [np.dot(fn, row) for row in pmf]
+    return float(out[0]) if single else out
+
+
+def _contract_axes(box: np.ndarray, deg: int, x: np.ndarray, lf: np.ndarray):
+    """box contracted with the degree-deg binomial pmf of x_i along each axis."""
+    out = box
+    for xi in x:
+        w = np.exp(_binomial_log_pmf_rows(deg, float(xi), lf)) if deg > 0 else np.ones(1)
         out = np.tensordot(out, w, axes=([0], [0]))
-    return float(out)
+    return out
 
 
-def bernstein_density_hypercube(samples: SampleSet, m: int, x, cap: int = LATTICE_CAP) -> float:
-    """m^d sum_{k in [0,m-1]^d} P_n((k/m, (k+1)/m]) prod_i C(m-1,k_i) x^{k_i} (1-x)^{m-1-k_i}.
+def bernstein_cdf_hypercube(samples: SampleSet, m: int, x, cap: int = LATTICE_CAP):
+    """sum_{k in [0,m]^d} F_n(k/m) prod_i C(m,k_i) x_i^{k_i} (1-x_i)^{m-k_i}.
 
-    Cells are half-open on the left, so points with any coordinate equal to
-    0 belong to no cell and contribute nothing.
+    x is one point (returns a float) or a (P, d) array (returns a (P,) array);
+    F_n on the grid is built once per call.
     """
     if samples.domain != "hypercube":
         raise ValueError("samples must be tagged hypercube")
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    d = samples.d
-    if x.shape != (d,):
-        raise ValueError(f"query point must have d={d} coordinates")
+    xs, single = _query_points(x, samples.d)
+    if np.any(xs < 0.0) or np.any(xs > 1.0):
+        raise ValueError("query point must lie in [0,1]^d")
     if m < 1:
         raise ValueError("degree m must be >= 1")
-    if m**d > cap:
-        raise CapacityError(f"m^d = {m ** d} exceeds cap {cap}")
-    # cell index of y in (k/m, (k+1)/m] is ceil(y*m) - 1
-    idx = np.ceil(samples.points * m).astype(int) - 1
-    inside = np.all((idx >= 0) & (idx <= m - 1), axis=1)
-    counts = np.zeros((m,) * d)
-    if np.any(inside):
-        np.add.at(counts, tuple(idx[inside].T), 1.0)
-    out = counts / samples.n
-    for i in range(d):
-        w = np.exp(_binomial_log_pmf_rows(m - 1, float(x[i]))) if m > 1 else np.ones(1)
-        out = np.tensordot(out, w, axes=([0], [0]))
-    return float(m**d * out)
+    fn = _lattice_cdf_counts(samples, m, cap) / samples.n
+    lf = log_factorial_table(m)
+    out = np.array([float(_contract_axes(fn, m, row, lf)) for row in xs])
+    return float(out[0]) if single else out
+
+
+def bernstein_density_hypercube(samples: SampleSet, m: int, x, cap: int = LATTICE_CAP):
+    """m^d sum_{k in [0,m-1]^d} P_n((k/m, (k+1)/m]) prod_i C(m-1,k_i) x^{k_i} (1-x)^{m-1-k_i}.
+
+    Cells are half-open on the left, so points with any coordinate equal to
+    0 belong to no cell and contribute nothing.  x is one point (returns a
+    float) or a (P, d) array (returns a (P,) array); the cell counts are
+    built once per call.
+    """
+    if samples.domain != "hypercube":
+        raise ValueError("samples must be tagged hypercube")
+    xs, single = _query_points(x, samples.d)
+    if m < 1:
+        raise ValueError("degree m must be >= 1")
+    # cell k is bin k+1 of _bin_counts
+    counts = _bin_counts(samples, m, cap)[(slice(1, m + 1),) * samples.d] / samples.n
+    lf = log_factorial_table(m - 1)
+    out = np.array([float(m**samples.d * _contract_axes(counts, m - 1, row, lf)) for row in xs])
+    return float(out[0]) if single else out
 
 
 def sup_error_on_grid(values, reference) -> float:

@@ -25,6 +25,7 @@ __all__ = [
     "lattice_array",
     "lattice_size",
     "multinomial_log_pmf",
+    "lattice_log_pmf",
     "pmf_normalization_check",
     "sample_dirichlet",
     "log_factorial_table",
@@ -145,6 +146,8 @@ class SampleSet:
             raise ValueError("points must be a nonempty (n, d) array")
         if self.domain not in ("simplex", "hypercube"):
             raise ValueError(f"unknown domain tag {self.domain!r}")
+        if not np.all(np.isfinite(pts)):
+            raise ValueError("sample coordinates must be finite")
         if np.any(pts < -_TOL) or np.any(pts > 1.0 + _TOL):
             raise ValueError("sample coordinates outside [0, 1]")
         if self.domain == "simplex" and np.any(pts.sum(axis=1) > 1.0 + _TOL):
@@ -248,21 +251,33 @@ def multinomial_log_pmf(k: MultiIndex, x: SimplexPoint) -> float:
     return out
 
 
+def lattice_log_pmf(lat: np.ndarray, xs: np.ndarray, lf: np.ndarray) -> np.ndarray:
+    """ln P_{k,m}(x) for each query row x of xs (P, d+1 full coordinates) and
+    each lattice row k of lat (N, d+1); returns (P, N).
+
+    lf is log_factorial_table(m).  Uses 0 ln 0 = 0, and -inf where k_i > 0
+    meets x_i = 0.  Entries are accumulated coordinate by coordinate with
+    math.log, so a row does not depend on which other points share the call.
+    """
+    logp = np.full((xs.shape[0], lat.shape[0]), lf[int(lat[0].sum())])
+    for i in range(lat.shape[1]):
+        ki = lat[:, i]
+        logp -= lf[ki]
+        col = xs[:, i]
+        logx = np.array([math.log(v) if v > 0.0 else 0.0 for v in col])
+        logp += ki * logx[:, None]
+        zero = col <= 0.0
+        if np.any(zero):
+            logp[zero] = np.where(ki > 0, -np.inf, logp[zero])
+    return logp
+
+
 def pmf_normalization_check(d: int, m: int, x: SimplexPoint, cap: int = LATTICE_CAP) -> float:
     """sum_{||k||<=m} P_{k,m}(x); equals 1 within 1e-12 for interior x."""
     if x.d != d:
         raise ValueError("point dimension does not match d")
     lat = lattice_array(d, m, cap)
-    lf = log_factorial_table(m)
-    logp = np.full(lat.shape[0], lf[m])
-    xf = np.array(x.full)
-    for i in range(d + 1):
-        ki = lat[:, i]
-        logp -= lf[ki]
-        if xf[i] > 0.0:
-            logp += ki * math.log(xf[i])
-        else:
-            logp = np.where(ki > 0, -np.inf, logp)
+    logp = lattice_log_pmf(lat, np.array([x.full]), log_factorial_table(m))[0]
     return float(np.exp(logp).sum())
 
 

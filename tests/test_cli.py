@@ -93,6 +93,22 @@ class TestExitCodes:
         assert main(["estimate", "--samples", str(samples), "--kind", "wavelet",
                      "--out", str(tmp_path / "o.csv")]) == 2
 
+    def test_estimate_nan_sample(self, tmp_path):
+        samples = tmp_path / "s.csv"
+        samples.write_text("x1,x2\nnan,0.1\n0.2,0.3\n")
+        out = tmp_path / "o.csv"
+        assert main(["estimate", "--samples", str(samples), "--kind", "simplex-cdf",
+                     "--out", str(out)]) == 2
+        assert not out.exists()
+
+    def test_estimate_over_capacity(self, tmp_path):
+        samples = tmp_path / "s.csv"
+        main(["sample-gen", "--alpha", "1,1,1", "--n", "5", "--out", str(samples)])
+        out = tmp_path / "o.csv"
+        assert main(["estimate", "--samples", str(samples), "--kind", "hypercube-cdf",
+                     "--m", "20000", "--out", str(out)]) == 2
+        assert not out.exists()
+
 
 class TestDeterminism:
     def test_same_seed_byte_identical(self, tmp_path):

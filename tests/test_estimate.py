@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from bernsimplex import estimate as est
+from bernsimplex import spoly
 from bernsimplex.simplex import SampleSet, SimplexPoint, sample_dirichlet
 
 TWO_POINTS = SampleSet(np.array([[0.1, 0.2], [0.3, 0.4]]), "simplex")
@@ -93,6 +94,14 @@ class TestBernsteinDensityHypercube:
                 2.0 * (1.0 - x), rel=1e-12
             )
 
+    def test_float_tie_cell(self):
+        # 0.28 <= 7/25 holds in float although ceil(0.28 * 25) = 8, so the
+        # sample lies in cell (6/25, 7/25]
+        s = SampleSet(np.array([[0.28]]), "hypercube")
+        x = 0.25
+        want = 25 * math.comb(24, 6) * x**6 * (1 - x) ** 18
+        assert est.bernstein_density_hypercube(s, 25, (x,)) == pytest.approx(want, rel=1e-12)
+
     def test_empty_cells_zero(self):
         # all mass at coordinate 0 belongs to no half-open cell
         s = SampleSet(np.array([[0.0, 0.0]]), "hypercube")
@@ -110,6 +119,51 @@ class TestBernsteinDensityHypercube:
         grid = (np.arange(400) + 0.5) / 400
         total = np.mean([est.bernstein_density_hypercube(s, 6, (x,)) for x in grid])
         assert total == pytest.approx(1.0, abs=0.01)
+
+
+def _tie_samples(d):
+    """Rows whose coordinates sit on or next to a lattice point k/m, at the
+    vertices 0 and 1, and one just past 1 (allowed by the tolerance)."""
+    ties = [0.3, 0.28, np.nextafter(0.95, 2.0), 0.0, 1.0]
+    rows = [[t] * d for t in ties]
+    rows += [[0.3, 0.28, 0.95][:d], [1.0] * (d - 1) + [1.0 + 1e-13]]
+    return np.array(rows)
+
+
+class TestBinnedLatticeCdf:
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("m", [10, 25, 100])
+    def test_matches_oracle(self, d, m):
+        pts = np.vstack([sample_dirichlet([1.5] * (d + 1), 40, seed=d).points, _tie_samples(d)])
+        s = SampleSet(pts, "hypercube")
+        binned = est._lattice_cdf_counts(s, m, est.LATTICE_CAP) / s.n
+        grid = np.stack(np.meshgrid(*[np.arange(m + 1) / m] * d, indexing="ij"), axis=-1)
+        grid = grid.reshape(-1, d)
+        oracle = np.concatenate([est._empirical_cdf_many(s, grid[lo:lo + 4096])
+                                 for lo in range(0, len(grid), 4096)])
+        assert np.array_equal(binned.ravel(), oracle)
+        # the row just past 1 counts at no lattice point
+        assert binned[(m,) * d] == (s.n - 1) / s.n
+
+
+class TestBatchedCalls:
+    def test_simplex_cdf(self):
+        s = sample_dirichlet((1.0, 2.0, 1.5), 300, seed=3)
+        grid = np.vstack([[0.0, 0.0], [1.0, 0.0], [0.3, 0.7],
+                          spoly.simplex_midpoint_grid(2, 7)[:, :-1]])
+        batch = est.bernstein_cdf_simplex(s, 17, grid)
+        single = [est.bernstein_cdf_simplex(s, 17, SimplexPoint(row)) for row in grid]
+        assert np.array_equal(batch, single)
+
+    @pytest.mark.parametrize("fn", [est.bernstein_cdf_hypercube, est.bernstein_density_hypercube])
+    def test_hypercube(self, fn):
+        rng = np.random.Generator(np.random.PCG64(8))
+        s = SampleSet(np.vstack([rng.uniform(size=(200, 2)), _tie_samples(2)]), "hypercube")
+        axis = np.linspace(0.0, 1.0, 6)
+        grid = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
+        for m in (1, 12):
+            batch = fn(s, m, grid)
+            assert np.array_equal(batch, [fn(s, m, row) for row in grid])
 
 
 class TestSupError:

@@ -108,6 +108,16 @@ class TestMultinomialLogPmf:
             )
             assert lp == pytest.approx(base, rel=1e-12)
 
+    def test_lattice_kernel_matches_scalar(self):
+        d, m = 2, 6
+        points = [sx.SimplexPoint(x) for x in [(0.2, 0.5), (0.0, 0.4), (1.0, 0.0), (0.0, 0.0)]]
+        lat = sx.lattice_array(d, m)
+        logp = sx.lattice_log_pmf(lat, np.array([p.full for p in points]),
+                                  sx.log_factorial_table(m))
+        want = [[sx.multinomial_log_pmf(sx.MultiIndex(k[:-1], m), p) for k in lat]
+                for p in points]
+        assert np.array_equal(logp, want)
+
 
 class TestNormalization:
     @pytest.mark.parametrize(
