@@ -10,7 +10,6 @@ exponent m - k_i on (1 - x_i).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,7 +24,6 @@ from .simplex import (
 )
 
 __all__ = [
-    "EstimatorConfig",
     "empirical_cdf",
     "bernstein_cdf_simplex",
     "bernstein_cdf_hypercube",
@@ -36,18 +34,6 @@ __all__ = [
 ESTIMATOR_KINDS = ("simplex-cdf", "hypercube-cdf", "hypercube-density")
 # float64 entries per block of the (points x lattice) pmf matrix
 _BLOCK_ELEMS = 1 << 20
-
-
-@dataclass(frozen=True)
-class EstimatorConfig:
-    m: int
-    kind: str = "simplex-cdf"
-
-    def __post_init__(self):
-        if self.m < 1:
-            raise ValueError("degree m must be >= 1")
-        if self.kind not in ESTIMATOR_KINDS:
-            raise ValueError(f"kind must be one of {ESTIMATOR_KINDS}")
 
 
 def _empirical_cdf_many(samples: SampleSet, ys: np.ndarray) -> np.ndarray:

@@ -96,7 +96,7 @@ def fuzz_inequalities(
 
     Per trial: d uniform on {1..dmax}, gamma = M * Dirichlet(1,..,1),
     M log-uniform on [0.1, 50], a_j log-uniform on [0.05, 20]; rows are
-    (trial, check tag, margin, normalized margin).  Pass iff no margin is
+    (trial, d, M, check tag, margin).  Pass iff no margin is
     below -FUZZ_TOL.  corrupt=True flips margin signs (self-test hook).
     """
     if trials < 1:
@@ -104,7 +104,7 @@ def fuzz_inequalities(
     if dmax < 1:
         raise ValueError("need dmax >= 1")
     rng = np.random.Generator(np.random.PCG64(seed))
-    report = ScanReport(grid=[float(t) for t in range(trials)], order=0)
+    report = ScanReport()
     log_lo, log_hi = math.log(0.05), math.log(20.0)
     for t in range(trials):
         d = int(rng.integers(1, dmax + 1))

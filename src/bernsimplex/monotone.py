@@ -191,7 +191,7 @@ def cm_scan(
     if not 1 <= max_order <= MAX_H_ORDER:
         raise ValueError(f"max_order must be in [1, {MAX_H_ORDER}]")
 
-    report = ScanReport(grid=grid, order=max_order)
+    report = ScanReport()
     diff_order = min(max_order, MAX_DIFF_ORDER)
     for a in grid:
         # derivative route: q_n = (-1)^{n-1} h^{(n)}(a) > 0 for n = 1..max_order

@@ -3,22 +3,19 @@
 A scan accumulates rows of signed margins.  Each margin is normalized so
 that the requirement is simply ``margin >= 0``: for a check "value must
 exceed -tol", the stored margin is ``value + tol``.  max_violation is the
-most negative margin seen (0.0 if none), and merging reports is an
-associative min/and.
+most negative margin seen (0.0 if none).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Sequence, Tuple
+from typing import List, Tuple
 
 __all__ = ["ScanReport"]
 
 
 @dataclass
 class ScanReport:
-    grid: List[float] = field(default_factory=list)
-    order: int = 0
     max_violation: float = 0.0
     passed: bool = True
     # row layout is owner-defined; monotone scans use (a, order, value, margin),
@@ -31,20 +28,3 @@ class ScanReport:
             self.passed = False
         if margin < self.max_violation:
             self.max_violation = margin
-
-    def merge(self, other: "ScanReport") -> "ScanReport":
-        out = ScanReport(
-            grid=list(self.grid) + list(other.grid),
-            order=max(self.order, other.order),
-            max_violation=min(self.max_violation, other.max_violation),
-            passed=self.passed and other.passed,
-            rows=list(self.rows) + list(other.rows),
-        )
-        return out
-
-    def to_csv_lines(self, columns: Sequence[str] = ("a", "order", "value", "margin")):
-        yield ",".join(columns)
-        for row in self.rows:
-            yield ",".join(f"{v:.17g}" if isinstance(v, float) else str(v) for v in row)
-        status = "pass" if self.passed else "fail"
-        yield f"# summary: {status}, max_violation={self.max_violation:.17g}"

@@ -255,8 +255,8 @@ def lattice_log_pmf(lat: np.ndarray, xs: np.ndarray, lf: np.ndarray) -> np.ndarr
     """ln P_{k,m}(x) for each query row x of xs (P, d+1 full coordinates) and
     each lattice row k of lat (N, d+1); returns (P, N).
 
-    lf is log_factorial_table(m).  Uses 0 ln 0 = 0, and -inf where k_i > 0
-    meets x_i = 0.  Entries are accumulated coordinate by coordinate with
+    lf is log_factorial_table(n) for any n >= m.  Uses 0 ln 0 = 0, and -inf
+    where k_i > 0 meets x_i = 0.  Entries are accumulated coordinate by coordinate with
     math.log, so a row does not depend on which other points share the call.
     """
     logp = np.full((xs.shape[0], lat.shape[0]), lf[int(lat[0].sum())])

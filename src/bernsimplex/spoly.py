@@ -21,6 +21,7 @@ from .simplex import (
     LATTICE_CAP,
     SimplexPoint,
     lattice_array,
+    lattice_log_pmf,
     log_factorial_table,
 )
 from .specfun import log_gamma, _stirling_tail
@@ -58,37 +59,19 @@ class SPolyParams:
             raise ValueError("r, s, m, d must all be >= 1")
 
 
-def _log_pmf_matrix(lat: np.ndarray, scale: int, m: int, xs: np.ndarray) -> np.ndarray:
-    """ln P_{scale*k, scale*m} at each point (row of xs, (P, d+1)) and each
-    lattice row; returns (P, N)."""
-    lf = log_factorial_table(scale * m)
-    n_pts = xs.shape[0]
-    out = np.full((n_pts, lat.shape[0]), lf[scale * m])
-    kd = scale * lat  # (N, d+1)
-    for i in range(lat.shape[1]):
-        ki = kd[:, i]
-        out -= lf[ki][None, :]
-        xi = xs[:, i][:, None]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            term = ki[None, :] * np.log(xi)
-        # 0 * log 0 = 0; positive k at a zero coordinate kills the term
-        term = np.where(ki[None, :] == 0, 0.0, term)
-        out += np.where((xi == 0.0) & (ki[None, :] > 0), -np.inf, term)
-    return out
-
-
 def s_eval_grid(p: SPolyParams, xs: np.ndarray, cap: int = LATTICE_CAP) -> np.ndarray:
     """S_{r,s,m} at each row of xs (points given as all d+1 coordinates)."""
     xs = np.asarray(xs, dtype=float)
     if xs.ndim != 2 or xs.shape[1] != p.d + 1:
         raise ValueError("xs must be (P, d+1)")
     lat = lattice_array(p.d, p.m, cap)
+    lf = log_factorial_table(max(p.r, p.s) * p.m)
     out = np.empty(xs.shape[0])
     # chunk over points to bound the (P, N) temporaries
     chunk = max(1, int(4e7 // max(lat.shape[0], 1)))
     for lo in range(0, xs.shape[0], chunk):
         sub = xs[lo : lo + chunk]
-        logs = _log_pmf_matrix(lat, p.r, p.m, sub) + _log_pmf_matrix(lat, p.s, p.m, sub)
+        logs = lattice_log_pmf(p.r * lat, sub, lf) + lattice_log_pmf(p.s * lat, sub, lf)
         out[lo : lo + chunk] = np.exp(logs).sum(axis=1)
     return out
 

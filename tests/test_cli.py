@@ -10,6 +10,10 @@ def read(path):
         return fh.read()
 
 
+def tmp_leftovers(directory):
+    return [p for p in os.listdir(directory) if p.endswith(".tmp")]
+
+
 class TestExitCodes:
     def test_cm_scan_pass(self, tmp_path):
         out = tmp_path / "cm.csv"
@@ -39,8 +43,37 @@ class TestExitCodes:
         rc = main(["cm-scan", "--grid", "oops", "--out", str(tmp_path / "x.csv")])
         assert rc == 2
 
+    def test_grid_over_cap_not_built(self, tmp_path):
+        # 1e13 points: rejected from the spec alone, before any list is built
+        out = tmp_path / "cm.csv"
+        assert main(["cm-scan", "--grid", "0.1:1e12:0.1", "--out", str(out)]) == 2
+        assert not out.exists()
+
     def test_unknown_subcommand(self):
         assert main(["no-such-command"]) == 2
+
+    def test_seed_only_where_read(self, tmp_path):
+        out = tmp_path / "s.csv"
+        assert main(["s-table", "--seed", "3", "--out", str(out)]) == 2
+        assert not out.exists()
+
+    def test_s_table_other_rs_points_to_lclt(self, tmp_path, capsys):
+        out = tmp_path / "s.csv"
+        assert main(["s-table", "--r", "2", "--s", "3", "--out", str(out)]) == 2
+        assert "lclt-compare" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_samples_is_a_directory(self, tmp_path):
+        out = tmp_path / "o.csv"
+        assert main(["estimate", "--samples", str(tmp_path), "--out", str(out)]) == 2
+        assert not out.exists()
+        assert tmp_leftovers(tmp_path) == []
+
+    def test_out_in_missing_directory(self, tmp_path):
+        out = tmp_path / "no_such_dir" / "x.csv"
+        assert main(["s-table", "--out", str(out)]) == 2
+        assert not out.parent.exists()
+        assert tmp_leftovers(tmp_path) == []
 
     def test_ineq_fuzz_pass_and_corrupt(self, tmp_path):
         out = tmp_path / "fuzz.csv"
@@ -146,6 +179,29 @@ class TestConfigFile:
         assert main(["ineq-fuzz", "--config", str(tmp_path / "nope.cfg"),
                      "--out", str(tmp_path / "f.csv")]) == 2
 
+    def test_unknown_config_key(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("trails = 5\n")
+        out = tmp_path / "f.csv"
+        assert main(["ineq-fuzz", "--config", str(cfg), "--out", str(out)]) == 2
+        assert not out.exists()
+
+    def test_bad_config_value(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("trials = ten\n")
+        out = tmp_path / "f.csv"
+        assert main(["ineq-fuzz", "--config", str(cfg), "--out", str(out)]) == 2
+        assert not out.exists()
+
+    def test_config_key_with_underscore(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("max_order = 3\n")
+        out = tmp_path / "cm.csv"
+        assert main(["cm-scan", "--config", str(cfg), "--instances", "1",
+                     "--grid", "1:2:1", "--out", str(out)]) == 0
+        # two grid points, three derivative and three difference orders each
+        assert len(read(out).strip().splitlines()) == 2 * 6 + 2
+
     def test_bad_config_line(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("this is not key value\n")
@@ -173,5 +229,4 @@ class TestOutdirEnv:
     def test_no_tmp_leftovers(self, tmp_path):
         out = tmp_path / "s.csv"
         main(["sample-gen", "--alpha", "1,1", "--n", "5", "--out", str(out)])
-        leftovers = [p for p in os.listdir(tmp_path) if p.endswith(".tmp")]
-        assert leftovers == []
+        assert tmp_leftovers(tmp_path) == []

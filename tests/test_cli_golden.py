@@ -1,0 +1,118 @@
+"""Golden SHA-256 hashes of the bytes the CLI writes.
+
+Each case runs ``main(argv)`` in a fresh directory with relative output
+paths (so the paths echoed on stdout do not vary) and checks the exit code,
+the SHA-256 of the output CSV and the SHA-256 of stdout. The hashes were
+recorded from the CLI before its options were given argparse types and its
+CSV writing was folded into one writer; a change to any written byte shows
+here.
+"""
+
+import hashlib
+
+import pytest
+
+from bernsimplex.cli import main
+
+# written before every case that reads --samples
+SAMPLES_ARGV = ["sample-gen", "--alpha", "2,1,3", "--n", "400", "--seed", "4",
+                "--out", "samples.csv"]
+
+CONFIG = "# comment\n\ntrials = 30\ndmax=2\nseed = 9\n"
+
+# name: (argv, output file, exit code, csv sha256, stdout sha256)
+CASES = {
+    "cm-scan": (
+        ["cm-scan", "--instances", "3"], "cm_scan.csv", 0,
+        "14d2e12eae934810c1817107fcf34a4dfa07939ca5de904619d69b269e6e6f3d",
+        "77b49ade2e12f5eb487501e7617af3bcd747c33621f9ec10dd127f52243e09d0"),
+    "cm-scan-d3": (
+        ["cm-scan", "--d", "3", "--instances", "2", "--grid", "0.2:5:0.4",
+         "--max-order", "5", "--seed", "8", "--out", "cm.csv"], "cm.csv", 0,
+        "37407e25119ddfab6a109bc7e74713e10717c0c5ca4a70674145471c6d763f86",
+        "362b5f8b58e79aa20322fac36be9cb97b9ea9229c83452e19ea9f5369eba2eab"),
+    "cm-scan-corrupt": (
+        ["cm-scan", "--instances", "2", "--self-test-corrupt", "--seed", "3"],
+        "cm_scan.csv", 1,
+        "5562691d23d08087ec8b739d0869ae0523325f93c6d7e3e0f88178a8ee2f84f2",
+        "4ff9ad165e843d7c1b3f9b60ad67bf205c29b8703312cb861d97c2947bcf9587"),
+    "ineq-fuzz": (
+        ["ineq-fuzz"], "ineq_fuzz.csv", 0,
+        "c04fc3886e59fe66ea6c2af04d52f867afb146662d98e4ac9fac71006141ac7c",
+        "729474df12f9c5d1353feb039df8786d126d096b2eabf86c27ca93cf00744583"),
+    "ineq-fuzz-corrupt": (
+        ["ineq-fuzz", "--trials", "40", "--self-test-corrupt", "--out", "f.csv"], "f.csv", 1,
+        "ccb778686fb68be231f46e119ba3f4f4c405332560968057d00c18b28f8d9aff",
+        "27b40443e57d03abf263a15655c1829c6dfe27cbad189848fd1f2ba789634eec"),
+    "ineq-fuzz-config": (
+        ["ineq-fuzz", "--config", "run.cfg"], "ineq_fuzz.csv", 0,
+        "c6820545788845e6feb5ce75d7d282d7c4bc3a14cedf98697a6bb442e82429c9",
+        "64652883088142afe51d43eb37652565ae01d5e7113594dc74c599064a244d8f"),
+    "ineq-fuzz-config-flag": (
+        ["ineq-fuzz", "--config", "run.cfg", "--trials", "12"], "ineq_fuzz.csv", 0,
+        "a473298422479fa585c69636d64f72e7bf528582969fffa89b8911f16b96cc00",
+        "e53d57e39feefea2dace5044aca7395414b6c311a5c0287f65053e002b051263"),
+    "s-table": (
+        ["s-table"], "s_table.csv", 0,
+        "90089b44f0b6a5177f677a6e815eb3d2ebf445d18827b0e2c23f6680e0e6d9ee",
+        "6271f2e7380271ceae32e7ef37c4251ad52ddc23fa48b4a5a89f42d8980f4c44"),
+    "s-table-d2": (
+        ["s-table", "--d", "2", "--m-list", "4,8,16", "--out", "s.csv"], "s.csv", 0,
+        "32a77d26b5ab72a1e7e03b8b94be2e59441727e2762bce55b189cabbb38265f8",
+        "9dd8bc7d96f833b502e30ddfe80dbbe5e56ec8c7c029ea413111314ea10d22bd"),
+    "lclt-compare": (
+        ["lclt-compare"], "lclt_compare.csv", 0,
+        "ceafa4e2158e02fd4adf17d7ba30a9cbd67b8b0d5d5f6694346a1e960e45c4b8",
+        "4bde5a479333ee194b6bad0f839cd157f918f5f14da09af1f24ebd2e9d057601"),
+    "lclt-compare-d2": (
+        ["lclt-compare", "--d", "2", "--r", "2", "--s", "3", "--m-list", "16,64",
+         "--out", "l.csv"], "l.csv", 0,
+        "9aca9ac653c7769a7be9153448443632700c435b9c0892b0dbd9071eb0ba27a0",
+        "04f937c27049232ab79a1ad3a412fe4c59b6ee2d366656a8f818cb68e91826ce"),
+    "lclt-compare-d3": (
+        ["lclt-compare", "--d", "3", "--r", "1", "--s", "2", "--m-list", "8,16,32",
+         "--out", "l.csv"], "l.csv", 0,
+        "6625e78ea7e38e5f597ac9a2b1270465db948504871d7e157ce0875a165f1562",
+        "b7bf4d4c4467df89ca896f95948d845060b7e962de075b83221267aa2e9117ab"),
+    "identity-check": (
+        ["identity-check", "--d-max", "3", "--m-max", "20"], "identity_check.csv", 0,
+        "9d1ad8cdd21d5085ce74644c50966d2cc9718f5f37a412d9bc43cf9a8f83617c",
+        "5e338c2bcab8d6f75f38aecee5516268bd38562955fba32dfd803f12d108d349"),
+    "sample-gen": (
+        ["sample-gen"], "samples.csv", 0,
+        "a43a8fe056278a6cb0a66171e04867157e47347c4e183d9f5097fecbd8aa7a62",
+        "80cca9c54ad153637a3d393298e965b5a028d6a8db46db0281062445239cf87a"),
+    "estimate-simplex-cdf": (
+        ["estimate", "--samples", "samples.csv"], "estimate.csv", 0,
+        "4b496f31efbd1b68153d191658571920ecd7d97138a8c9d92e3cfd856b798a9d",
+        "f40e9efe3b0a112a05b80ff442f2300b76ec10d48c21a423b1838e84d9ef83ef"),
+    "estimate-hypercube-cdf": (
+        ["estimate", "--samples", "samples.csv", "--kind", "hypercube-cdf", "--m", "12",
+         "--grid", "9", "--out", "e.csv"], "e.csv", 0,
+        "9f28042ce1b0596c58faf26dba0a722763d7952527bda2c36d49a17d1ca398ca",
+        "8a7a87f20091a61fc735f6a3ec467e4e616a721a67b09993f541ea95ca56ec4b"),
+    "estimate-hypercube-density": (
+        ["estimate", "--samples", "samples.csv", "--kind", "hypercube-density",
+         "--m", "10", "--grid", "7", "--out", "e.csv"], "e.csv", 0,
+        "4028b93b47706f6949d4e725c2a4f43842066dffacea6af6ba22c10e6ae2dc67",
+        "1866f7742230259f32c21b6be2f52655cc6deed9065cf82afd94f896894c21fc"),
+}
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_golden(name, tmp_path, monkeypatch, capsys):
+    argv, out, rc, csv_sha, stdout_sha = CASES[name]
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("BERNSIMPLEX_OUTDIR", raising=False)
+    (tmp_path / "run.cfg").write_text(CONFIG)
+    if "--samples" in argv:
+        assert main(SAMPLES_ARGV) == 0
+    capsys.readouterr()
+    assert main(list(argv)) == rc
+    stdout = capsys.readouterr().out
+    assert _sha((tmp_path / out).read_bytes()) == csv_sha
+    assert _sha(stdout.encode()) == stdout_sha

@@ -178,10 +178,12 @@ class TestSupError:
             est.sup_error_on_grid([1.0], [1.0, 2.0])
 
 
-class TestConfig:
-    def test_validation(self):
+class TestDegreeValidation:
+    def test_degree_must_be_positive(self):
+        simplex = sample_dirichlet((1.0, 1.0), 5, seed=1)
+        cube = SampleSet(simplex.points, "hypercube")
         with pytest.raises(ValueError):
-            est.EstimatorConfig(m=0)
-        with pytest.raises(ValueError):
-            est.EstimatorConfig(m=3, kind="spline")
-        assert est.EstimatorConfig(m=3, kind="hypercube-cdf").kind == "hypercube-cdf"
+            est.bernstein_cdf_simplex(simplex, 0, SimplexPoint((0.5,)))
+        for fn in (est.bernstein_cdf_hypercube, est.bernstein_density_hypercube):
+            with pytest.raises(ValueError):
+                fn(cube, 0, (0.5,))

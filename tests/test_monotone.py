@@ -179,16 +179,3 @@ class TestCmScan:
         with pytest.raises(ValueError):
             mo.cm_scan(SYMMETRIC, [-1.0, 1.0], max_order=3)
 
-    def test_report_merge(self):
-        r1 = mo.cm_scan(SYMMETRIC, [0.5, 1.0], max_order=3)
-        r2 = mo.cm_scan(SKEWED, [2.0], max_order=3)
-        merged = r1.merge(r2)
-        assert merged.passed == (r1.passed and r2.passed)
-        assert merged.max_violation == min(r1.max_violation, r2.max_violation)
-        assert len(merged.rows) == len(r1.rows) + len(r2.rows)
-
-    def test_csv_lines(self):
-        report = mo.cm_scan(SYMMETRIC, [1.0], max_order=2)
-        lines = list(report.to_csv_lines())
-        assert lines[0] == "a,order,value,margin"
-        assert lines[-1].startswith("# summary: pass")

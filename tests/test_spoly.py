@@ -51,6 +51,15 @@ class TestSEval:
                 v = sp.s_eval_grid(sp.SPolyParams(r, s, 12, d), xs)
                 assert np.all(v <= base + 1e-12)
 
+    def test_grid_rows_match_single_points(self):
+        # a row of s_eval_grid does not depend on the other points in the call
+        rng = np.random.Generator(np.random.PCG64(9))
+        points = [SimplexPoint(x[:-1]) for x in rng.dirichlet(np.ones(3), size=40)]
+        points.append(SimplexPoint((0.0, 0.25)))
+        p = sp.SPolyParams(2, 3, 9, 2)
+        single = [sp.s_eval(p, x) for x in points]
+        assert np.array_equal(sp.s_eval_grid(p, np.array([x.full for x in points])), single)
+
 
 class TestPhiAndDet:
     def test_phi_hand_values(self):
