@@ -318,7 +318,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         # argparse exits 2 on usage errors already; normalize
         return 2 if exc.code else 0
-    except (UsageError, ValueError, CapacityError, OSError) as exc:
+    except (UsageError, ValueError, CapacityError, OSError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -14,10 +14,10 @@ import math
 import numpy as np
 
 from .simplex import (
-    LATTICE_CAP,
-    CapacityError,
+    PMF_BLOCK_ELEMS,
     SampleSet,
     SimplexPoint,
+    _check_capacity,
     lattice_array,
     lattice_log_pmf,
     log_factorial_table,
@@ -32,8 +32,6 @@ __all__ = [
 ]
 
 ESTIMATOR_KINDS = ("simplex-cdf", "hypercube-cdf", "hypercube-density")
-# float64 entries per block of the (points x lattice) pmf matrix
-_BLOCK_ELEMS = 1 << 20
 
 
 def _empirical_cdf_many(samples: SampleSet, ys: np.ndarray) -> np.ndarray:
@@ -68,7 +66,7 @@ def _binomial_log_pmf_rows(m: int, x: float, lf: np.ndarray) -> np.ndarray:
     return out
 
 
-def _bin_counts(samples: SampleSet, m: int, cap: int) -> np.ndarray:
+def _bin_counts(samples: SampleSet, m: int) -> np.ndarray:
     """Sample counts in an int64 (m+2)^d box of per-axis bins.
 
     A coordinate y goes to bin j, the smallest j in 0..m with y <= j/m as a
@@ -76,8 +74,7 @@ def _bin_counts(samples: SampleSet, m: int, cap: int) -> np.ndarray:
     if there is none (y > 1).  ceil(y*m) is off by at most one at float ties.
     """
     d = samples.d
-    if (m + 2) ** d > cap:
-        raise CapacityError(f"(m+2)^d = {(m + 2) ** d} bins exceed cap {cap}")
+    _check_capacity((m + 2) ** d, f"(m+2)^d bins for d={d}, m={m}")
     y = samples.points
     j = np.clip(np.ceil(y * m), 0, m + 1).astype(np.int64)
     j -= (j > 0) & (y <= (j - 1) / m)
@@ -87,9 +84,9 @@ def _bin_counts(samples: SampleSet, m: int, cap: int) -> np.ndarray:
     return np.bincount(flat, minlength=(m + 2) ** d).reshape(shape)
 
 
-def _lattice_cdf_counts(samples: SampleSet, m: int, cap: int) -> np.ndarray:
+def _lattice_cdf_counts(samples: SampleSet, m: int) -> np.ndarray:
     """n F_n(k/m) for k in [0,m]^d as an int64 (m+1)^d array, in O(n + (m+2)^d)."""
-    box = _bin_counts(samples, m, cap)
+    box = _bin_counts(samples, m)
     for axis in range(samples.d):
         np.cumsum(box, axis=axis, out=box)
     return box[(slice(0, m + 1),) * samples.d]
@@ -105,7 +102,7 @@ def _query_points(x, d: int):
     return xs, single
 
 
-def bernstein_cdf_simplex(samples: SampleSet, m: int, x, cap: int = LATTICE_CAP):
+def bernstein_cdf_simplex(samples: SampleSet, m: int, x):
     """sum_{||k|| <= m} F_n(k/m) P_{k,m}(x) on the simplex.
 
     x is one SimplexPoint (returns a float) or a (P, d) array of points, each
@@ -127,12 +124,12 @@ def bernstein_cdf_simplex(samples: SampleSet, m: int, x, cap: int = LATTICE_CAP)
     if m < 1:
         raise ValueError("degree m must be >= 1")
     d = samples.d
-    lat = lattice_array(d, m, cap)
-    fn = _lattice_cdf_counts(samples, m, cap)[tuple(lat[:, :-1].T)] / samples.n
+    lat = lattice_array(d, m)
+    fn = _lattice_cdf_counts(samples, m)[tuple(lat[:, :-1].T)] / samples.n
     lf = log_factorial_table(m)
     full = np.array([p.full for p in points])
     out = np.empty(len(points))
-    step = max(1, _BLOCK_ELEMS // lat.shape[0])
+    step = max(1, PMF_BLOCK_ELEMS // lat.shape[0])
     for lo in range(0, len(points), step):
         pmf = np.exp(lattice_log_pmf(lat, full[lo:lo + step], lf))
         out[lo:lo + step] = [np.dot(fn, row) for row in pmf]
@@ -148,7 +145,7 @@ def _contract_axes(box: np.ndarray, deg: int, x: np.ndarray, lf: np.ndarray):
     return out
 
 
-def bernstein_cdf_hypercube(samples: SampleSet, m: int, x, cap: int = LATTICE_CAP):
+def bernstein_cdf_hypercube(samples: SampleSet, m: int, x):
     """sum_{k in [0,m]^d} F_n(k/m) prod_i C(m,k_i) x_i^{k_i} (1-x_i)^{m-k_i}.
 
     x is one point (returns a float) or a (P, d) array (returns a (P,) array);
@@ -161,13 +158,13 @@ def bernstein_cdf_hypercube(samples: SampleSet, m: int, x, cap: int = LATTICE_CA
         raise ValueError("query point must lie in [0,1]^d")
     if m < 1:
         raise ValueError("degree m must be >= 1")
-    fn = _lattice_cdf_counts(samples, m, cap) / samples.n
+    fn = _lattice_cdf_counts(samples, m) / samples.n
     lf = log_factorial_table(m)
     out = np.array([float(_contract_axes(fn, m, row, lf)) for row in xs])
     return float(out[0]) if single else out
 
 
-def bernstein_density_hypercube(samples: SampleSet, m: int, x, cap: int = LATTICE_CAP):
+def bernstein_density_hypercube(samples: SampleSet, m: int, x):
     """m^d sum_{k in [0,m-1]^d} P_n((k/m, (k+1)/m]) prod_i C(m-1,k_i) x^{k_i} (1-x)^{m-1-k_i}.
 
     Cells are half-open on the left, so points with any coordinate equal to
@@ -181,7 +178,7 @@ def bernstein_density_hypercube(samples: SampleSet, m: int, x, cap: int = LATTIC
     if m < 1:
         raise ValueError("degree m must be >= 1")
     # cell k is bin k+1 of _bin_counts
-    counts = _bin_counts(samples, m, cap)[(slice(1, m + 1),) * samples.d] / samples.n
+    counts = _bin_counts(samples, m)[(slice(1, m + 1),) * samples.d] / samples.n
     lf = log_factorial_table(m - 1)
     out = np.array([float(m**samples.d * _contract_axes(counts, m - 1, row, lf)) for row in xs])
     return float(out[0]) if single else out

@@ -24,7 +24,7 @@ class ScanReport:
 
     def record(self, margin: float, row: Tuple) -> None:
         self.rows.append(row)
-        if margin < 0.0:
+        if not margin >= 0.0:  # a NaN margin fails too
             self.passed = False
         if margin < self.max_violation:
             self.max_violation = margin

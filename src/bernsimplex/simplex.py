@@ -26,19 +26,21 @@ __all__ = [
     "lattice_size",
     "multinomial_log_pmf",
     "lattice_log_pmf",
-    "pmf_normalization_check",
     "sample_dirichlet",
     "log_factorial_table",
     "CapacityError",
     "LATTICE_CAP",
+    "PMF_BLOCK_ELEMS",
 ]
 
 LATTICE_CAP = 10**8
+# float64 entries per block of a (points x lattice) pmf matrix
+PMF_BLOCK_ELEMS = 1 << 20
 _TOL = 1e-12
 
 
 class CapacityError(RuntimeError):
-    """Raised when an enumeration would exceed the configured lattice cap."""
+    """Raised when a lattice, a bin box or an integral would exceed LATTICE_CAP."""
 
 
 @dataclass(frozen=True)
@@ -186,18 +188,17 @@ def lattice_size(d: int, m: int) -> int:
     return math.comb(m + d, d)
 
 
-def _check_capacity(d: int, m: int, cap: int = LATTICE_CAP) -> None:
-    if lattice_size(d, m) > cap:
-        raise CapacityError(
-            f"lattice with d={d}, m={m} has {lattice_size(d, m)} points (cap {cap})"
-        )
+def _check_capacity(size: int, what: str) -> None:
+    """Raise CapacityError when size (rows, bins or operations) exceeds LATTICE_CAP."""
+    if size > LATTICE_CAP:
+        raise CapacityError(f"{what}: {size} exceeds the cap {LATTICE_CAP}")
 
 
-def enumerate_lattice(d: int, m: int, cap: int = LATTICE_CAP) -> Iterator[MultiIndex]:
+def enumerate_lattice(d: int, m: int) -> Iterator[MultiIndex]:
     """Yield every k in N_0^d with ||k|| <= m once, lexicographically."""
     if d < 1 or m < 0:
         raise ValueError(f"need d >= 1 and m >= 0, got d={d}, m={m}")
-    _check_capacity(d, m, cap)
+    _check_capacity(lattice_size(d, m), f"lattice rows for d={d}, m={m}")
 
     def rec(prefix, budget, depth):
         if depth == d:
@@ -209,20 +210,20 @@ def enumerate_lattice(d: int, m: int, cap: int = LATTICE_CAP) -> Iterator[MultiI
     yield from rec((), m, 0)
 
 
-def lattice_array(d: int, m: int, cap: int = LATTICE_CAP) -> np.ndarray:
+def lattice_array(d: int, m: int) -> np.ndarray:
     """The full lattice as an (N, d+1) int64 array (last column = m - ||k||).
 
     Rows follow the same lexicographic order as enumerate_lattice.
     """
     if d < 1 or m < 0:
         raise ValueError(f"need d >= 1 and m >= 0, got d={d}, m={m}")
-    _check_capacity(d, m, cap)
+    _check_capacity(lattice_size(d, m), f"lattice rows for d={d}, m={m}")
     if d == 1:
         k = np.arange(m + 1, dtype=np.int64)[:, None]
     else:
         blocks = []
         for v in range(m + 1):
-            sub = lattice_array(d - 1, m - v, cap)[:, :-1]
+            sub = lattice_array(d - 1, m - v)[:, :-1]
             first = np.full((sub.shape[0], 1), v, dtype=np.int64)
             blocks.append(np.hstack([first, sub]))
         k = np.vstack(blocks)
@@ -270,15 +271,6 @@ def lattice_log_pmf(lat: np.ndarray, xs: np.ndarray, lf: np.ndarray) -> np.ndarr
         if np.any(zero):
             logp[zero] = np.where(ki > 0, -np.inf, logp[zero])
     return logp
-
-
-def pmf_normalization_check(d: int, m: int, x: SimplexPoint, cap: int = LATTICE_CAP) -> float:
-    """sum_{||k||<=m} P_{k,m}(x); equals 1 within 1e-12 for interior x."""
-    if x.d != d:
-        raise ValueError("point dimension does not match d")
-    lat = lattice_array(d, m, cap)
-    logp = lattice_log_pmf(lat, np.array([x.full]), log_factorial_table(m))[0]
-    return float(np.exp(logp).sum())
 
 
 def sample_dirichlet(alpha: Sequence[float], n: int, seed: int) -> SampleSet:

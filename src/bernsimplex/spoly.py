@@ -18,8 +18,9 @@ from typing import Callable, Dict, Sequence
 import numpy as np
 
 from .simplex import (
-    LATTICE_CAP,
+    PMF_BLOCK_ELEMS,
     SimplexPoint,
+    _check_capacity,
     lattice_array,
     lattice_log_pmf,
     log_factorial_table,
@@ -35,6 +36,7 @@ __all__ = [
     "central_binomial_identity",
     "central_binomial_lhs",
     "central_binomial_rhs",
+    "composition_coefficient",
     "s_integral_exact",
     "s_integral_closed_form",
     "asymptotic_constant",
@@ -59,16 +61,15 @@ class SPolyParams:
             raise ValueError("r, s, m, d must all be >= 1")
 
 
-def s_eval_grid(p: SPolyParams, xs: np.ndarray, cap: int = LATTICE_CAP) -> np.ndarray:
+def s_eval_grid(p: SPolyParams, xs: np.ndarray) -> np.ndarray:
     """S_{r,s,m} at each row of xs (points given as all d+1 coordinates)."""
     xs = np.asarray(xs, dtype=float)
     if xs.ndim != 2 or xs.shape[1] != p.d + 1:
         raise ValueError("xs must be (P, d+1)")
-    lat = lattice_array(p.d, p.m, cap)
+    lat = lattice_array(p.d, p.m)
     lf = log_factorial_table(max(p.r, p.s) * p.m)
     out = np.empty(xs.shape[0])
-    # chunk over points to bound the (P, N) temporaries
-    chunk = max(1, int(4e7 // max(lat.shape[0], 1)))
+    chunk = max(1, PMF_BLOCK_ELEMS // lat.shape[0])
     for lo in range(0, xs.shape[0], chunk):
         sub = xs[lo : lo + chunk]
         logs = lattice_log_pmf(p.r * lat, sub, lf) + lattice_log_pmf(p.s * lat, sub, lf)
@@ -76,11 +77,11 @@ def s_eval_grid(p: SPolyParams, xs: np.ndarray, cap: int = LATTICE_CAP) -> np.nd
     return out
 
 
-def s_eval(p: SPolyParams, x: SimplexPoint, cap: int = LATTICE_CAP) -> float:
+def s_eval(p: SPolyParams, x: SimplexPoint) -> float:
     """S_{r,s,m}(x) in [0, 1]."""
     if x.d != p.d:
         raise ValueError("point dimension does not match params")
-    return float(s_eval_grid(p, np.array([x.full]), cap)[0])
+    return float(s_eval_grid(p, np.array([x.full]))[0])
 
 
 def det_covariance(r: int, s: int, x: SimplexPoint, route: str = "product") -> float:
@@ -109,24 +110,30 @@ def phi_eval(r: int, s: int, x: SimplexPoint) -> float:
     return math.gcd(r, s) ** x.d / ((2.0 * math.pi) ** (x.d / 2.0) * math.sqrt(det))
 
 
+def composition_coefficient(series: Sequence[np.ndarray], m: int):
+    """Coefficient of z^m in prod_i sum_j series[i][j] z^j, from at least two
+    factors of m+1 coefficients each: all but the last are convolved (cut at
+    degree m), then one dot product with the last reversed, so d+1 factors
+    cost O(d m^2) and two cost O(m).  Exact on dtype=object integer arrays.
+    """
+    if m < 0 or len(series) < 2 or any(len(c) != m + 1 for c in series):
+        raise ValueError(f"need m >= 0 and two or more factors of length {m + 1}")
+    acc = series[0]
+    for c in series[1:-1]:
+        acc = np.convolve(acc, c)[: m + 1]
+    return np.dot(acc, series[-1][::-1])
+
+
 def central_binomial_lhs(d: int, m: int) -> int:
     """sum over ||k|| <= m of prod_{i=1}^{d+1} C(2 k_i, k_i), exact.
 
     With k_{d+1} = m - ||k|| the sum runs over all compositions of m into
-    d+1 parts, i.e. the coefficient of z^m in (sum_j C(2j,j) z^j)^{d+1};
-    computed by exact integer polynomial convolution.
+    d+1 parts, i.e. the coefficient of z^m in (sum_j C(2j,j) z^j)^{d+1}.
     """
     if d < 1 or m < 0:
         raise ValueError("need d >= 1 and m >= 0")
-    c = [math.comb(2 * j, j) for j in range(m + 1)]
-    acc = list(c)
-    for _ in range(d):
-        nxt = [0] * (m + 1)
-        for i, ai in enumerate(acc):
-            for j in range(m + 1 - i):
-                nxt[i + j] += ai * c[j]
-        acc = nxt
-    return acc[m]
+    c = np.array([math.comb(2 * j, j) for j in range(m + 1)], dtype=object)
+    return int(composition_coefficient([c] * (d + 1), m))
 
 
 def central_binomial_rhs(d: int, m: int) -> Fraction:
@@ -146,22 +153,26 @@ def central_binomial_identity(d: int, m: int) -> dict:
     return {"d": d, "m": m, "lhs": lhs, "rhs": rhs, "equal": Fraction(lhs) == rhs}
 
 
-def s_integral_exact(p: SPolyParams, cap: int = LATTICE_CAP) -> float:
+def s_integral_exact(p: SPolyParams) -> float:
     """Integral of S_{r,s,m} over the simplex via the Dirichlet reduction.
 
     Each lattice term integrates in closed form:
         C_{rm,rk} C_{sm,sk} * prod_i Gamma((r+s)k_i + 1) / Gamma((r+s)m + d + 1)
-    so the result is exact in formula (floating-point evaluated).
+    so the sum is the k-free factor times the z^m coefficient of
+    (sum_j c_j z^j)^{d+1}, c_j = (tj)!/((rj)!(sj)!), t = r+s.  Tilting c_j by
+    q^j, q = r^r s^s / t^t, keeps the terms O(1) and, as sum k_i = m, scales
+    the coefficient by exactly q^m.
     """
     r, s, m, d = p.r, p.s, p.m, p.d
-    lat = lattice_array(d, m, cap)
     t = r + s
-    lf = np.asarray(log_factorial_table(t * m + d))
-    logs = np.full(lat.shape[0], lf[r * m] + lf[s * m] - lf[t * m + d])
-    for i in range(d + 1):
-        ki = lat[:, i]
-        logs += lf[t * ki] - lf[r * ki] - lf[s * ki]
-    return float(np.exp(logs).sum())
+    cost = (d - 1) * (m + 1) ** 2 + t * m  # the convolution, then the factorial table
+    _check_capacity(cost, f"integral operations for d={d}, m={m}, r+s={t}")
+    lf = log_factorial_table(t * m + d)
+    log_q = r * math.log(r) + s * math.log(s) - t * math.log(t)
+    j = np.arange(m + 1)
+    tilted = np.exp(lf[t * j] - lf[r * j] - lf[s * j] + j * log_q)
+    coef = composition_coefficient([tilted] * (d + 1), m)
+    return float(coef * math.exp(lf[r * m] + lf[s * m] - lf[t * m + d] - m * log_q))
 
 
 def s_integral_closed_form(d: int, m: int) -> float:
@@ -237,7 +248,6 @@ def weighted_integral_experiment(
     p: SPolyParams,
     h: str,
     resolution: int,
-    cap: int = LATTICE_CAP,
 ) -> float:
     """Midpoint-rule value of integral_S h(x) (m^{d/2} S_{r,s,m}(x) - phi_{r,s}(x)) dx.
 
@@ -253,7 +263,7 @@ def weighted_integral_experiment(
     if not np.any(hv):
         return 0.0
     scale = float(p.m) ** (p.d / 2.0)
-    sv = s_eval_grid(p, xs, cap)
+    sv = s_eval_grid(p, xs)
     det = (p.r * p.s * (p.r + p.s)) ** p.d * np.prod(xs, axis=1)
     phiv = math.gcd(p.r, p.s) ** p.d / ((2.0 * math.pi) ** (p.d / 2.0) * np.sqrt(det))
     integrand = hv * (scale * sv - phiv)

@@ -49,6 +49,14 @@ class TestExitCodes:
         assert main(["cm-scan", "--grid", "0.1:1e12:0.1", "--out", str(out)]) == 2
         assert not out.exists()
 
+    def test_overflowing_grid_point(self, tmp_path):
+        # polygamma's asymptotic series overflows at a = 1e200
+        out = tmp_path / "cm.csv"
+        assert main(["cm-scan", "--instances", "1", "--grid", "1e200:1e200:1",
+                     "--out", str(out)]) == 2
+        assert not out.exists()
+        assert tmp_leftovers(tmp_path) == []
+
     def test_unknown_subcommand(self):
         assert main(["no-such-command"]) == 2
 

@@ -5,11 +5,15 @@ paths (so the paths echoed on stdout do not vary) and checks the exit code,
 the SHA-256 of the output CSV and the SHA-256 of stdout. The hashes were
 recorded from the CLI before its options were given argparse types and its
 CSV writing was folded into one writer; a change to any written byte shows
-here.
+here. The two s-table CSV hashes were recorded again when the simplex
+integral moved to the convolution kernel, which moves its values by ulps;
+test_s_table_values_against_mpmath checks those values.
 """
 
 import hashlib
+import math
 
+import mpmath
 import pytest
 
 from bernsimplex.cli import main
@@ -54,11 +58,11 @@ CASES = {
         "e53d57e39feefea2dace5044aca7395414b6c311a5c0287f65053e002b051263"),
     "s-table": (
         ["s-table"], "s_table.csv", 0,
-        "90089b44f0b6a5177f677a6e815eb3d2ebf445d18827b0e2c23f6680e0e6d9ee",
+        "34ba0fe5c6542a2abdc36b8f3dd89dedc66b33cfd0b88b6d7a3edd17a008c550",
         "6271f2e7380271ceae32e7ef37c4251ad52ddc23fa48b4a5a89f42d8980f4c44"),
     "s-table-d2": (
         ["s-table", "--d", "2", "--m-list", "4,8,16", "--out", "s.csv"], "s.csv", 0,
-        "32a77d26b5ab72a1e7e03b8b94be2e59441727e2762bce55b189cabbb38265f8",
+        "70ecb4e4804f73be2715c1a03dab7db8cea4a9e9da5953c9d76a57ac68394cb8",
         "9dd8bc7d96f833b502e30ddfe80dbbe5e56ec8c7c029ea413111314ea10d22bd"),
     "lclt-compare": (
         ["lclt-compare"], "lclt_compare.csv", 0,
@@ -116,3 +120,24 @@ def test_golden(name, tmp_path, monkeypatch, capsys):
     stdout = capsys.readouterr().out
     assert _sha((tmp_path / out).read_bytes()) == csv_sha
     assert _sha(stdout.encode()) == stdout_sha
+
+
+@pytest.mark.parametrize("name", ["s-table", "s-table-d2"])
+def test_s_table_values_against_mpmath(name, tmp_path, monkeypatch):
+    # these two hashes were re-recorded when the integral moved from the
+    # lattice to the convolution kernel (values moved by ulps); this checks
+    # every value they pin against the 40-digit closed form
+    argv, out = CASES[name][:2]
+    monkeypatch.chdir(tmp_path)
+    assert main(list(argv)) == 0
+    lines = (tmp_path / out).read_text().splitlines()
+    rows = [line.split(",") for line in lines[1:] if not line.startswith("#")]
+    assert rows
+    for row in rows:
+        d, m, value = int(row[0]), int(row[3]), float(row[4])
+        with mpmath.workdps(40):
+            half_d = mpmath.mpf(d) / 2
+            want = float(mpmath.mpf(m) ** half_d * mpmath.sqrt(mpmath.pi) * mpmath.gamma(m + 1)
+                         / (2**d * mpmath.gamma(half_d + mpmath.mpf(1) / 2)
+                            * mpmath.gamma(m + half_d + 1)))
+        assert math.isclose(value, want, rel_tol=1e-12, abs_tol=0.0)

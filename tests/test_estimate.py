@@ -136,7 +136,7 @@ class TestBinnedLatticeCdf:
     def test_matches_oracle(self, d, m):
         pts = np.vstack([sample_dirichlet([1.5] * (d + 1), 40, seed=d).points, _tie_samples(d)])
         s = SampleSet(pts, "hypercube")
-        binned = est._lattice_cdf_counts(s, m, est.LATTICE_CAP) / s.n
+        binned = est._lattice_cdf_counts(s, m) / s.n
         grid = np.stack(np.meshgrid(*[np.arange(m + 1) / m] * d, indexing="ij"), axis=-1)
         grid = grid.reshape(-1, d)
         oracle = np.concatenate([est._empirical_cdf_many(s, grid[lo:lo + 4096])

@@ -2,13 +2,34 @@ import itertools
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
 from bernsimplex import spoly as sp
-from bernsimplex.simplex import SimplexPoint
+from bernsimplex.simplex import CapacityError, SimplexPoint, lattice_array, log_factorial_table
 
 HALF = SimplexPoint((0.5,))
+
+
+def s_integral_lattice(r, s, m, d):
+    """Oracle for s_integral_exact: one Dirichlet integral per lattice row, O(m^d)."""
+    lat = lattice_array(d, m)
+    t = r + s
+    lf = log_factorial_table(t * m + d)
+    logs = np.full(lat.shape[0], lf[r * m] + lf[s * m] - lf[t * m + d])
+    for i in range(d + 1):
+        ki = lat[:, i]
+        logs += lf[t * ki] - lf[r * ki] - lf[s * ki]
+    return float(np.exp(logs).sum())
+
+
+def s_integral_mpmath(d, m):
+    """The r = s = 1 integral from its closed form at 40 digits."""
+    with mpmath.workdps(40):
+        half_d = mpmath.mpf(d) / 2
+        return mpmath.sqrt(mpmath.pi) * mpmath.gamma(m + 1) / (
+            2**d * mpmath.gamma(half_d + mpmath.mpf(1) / 2) * mpmath.gamma(m + half_d + 1))
 
 
 class TestSEval:
@@ -111,6 +132,13 @@ class TestCentralBinomial:
                     brute += term
             assert sp.central_binomial_lhs(d, m) == brute
 
+    def test_kernel_rejects_short_factor(self):
+        c = np.ones(4, dtype=object)
+        with pytest.raises(ValueError):
+            sp.composition_coefficient([c, c[:3]], 3)
+        with pytest.raises(ValueError):
+            sp.composition_coefficient([c], 3)
+
     def test_exact_equality_sample(self):
         for d in range(1, 5):
             for m in (1, 7, 23, 60):
@@ -145,6 +173,39 @@ class TestIntegrals:
             assert sp.s_integral_exact(sp.SPolyParams(r, s, m, d)) == pytest.approx(
                 float(total), rel=1e-12
             )
+
+    @pytest.mark.parametrize("r,s,m,d", [(1, 2, 30, 2), (2, 3, 20, 3), (1, 1, 200, 3),
+                                         (2, 2, 60, 2), (3, 1, 40, 4), (2, 5, 300, 1)])
+    def test_convolution_matches_lattice(self, r, s, m, d):
+        want = s_integral_lattice(r, s, m, d)
+        got = sp.s_integral_exact(sp.SPolyParams(r, s, m, d))
+        assert abs(got - want) <= 1e-13 * want
+
+    @pytest.mark.parametrize("d,m", [(1, 1000), (4, 2000), (3, 5000)])
+    def test_large_m_against_mpmath(self, d, m):
+        # The exponent of the k-free factor adds four terms of size up to
+        # L = ln((2m+d)!), each good to about an ulp of L, so the relative
+        # error is about 4 eps L.  The worst seen on these cases is 0.92 eps L.
+        tol = 4 * np.finfo(float).eps * math.lgamma(2 * m + d + 1)
+        want = float(s_integral_mpmath(d, m))
+        got = sp.s_integral_exact(sp.SPolyParams(1, 1, m, d))
+        assert abs(got - want) <= tol * want
+
+    def test_capacity_guard_before_work(self, monkeypatch):
+        # cost (d-1)(m+1)^2 + (r+s)m at d = 2, r = s = 1:
+        # 99_999_997 at m = 9998 is within the 10^8 cap, 100_019_998 at m = 9999 is not
+        class WorkStarted(Exception):
+            pass
+
+        def work(*args):
+            raise WorkStarted
+
+        monkeypatch.setattr(sp, "log_factorial_table", work)
+        monkeypatch.setattr(sp, "composition_coefficient", work)
+        with pytest.raises(CapacityError):
+            sp.s_integral_exact(sp.SPolyParams(1, 1, 9999, 2))
+        with pytest.raises(WorkStarted):
+            sp.s_integral_exact(sp.SPolyParams(1, 1, 9998, 2))
 
     def test_closed_form_hand_values(self):
         assert sp.s_integral_closed_form(1, 1) == pytest.approx(2.0 / 3.0, rel=1e-12)
