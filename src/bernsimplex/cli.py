@@ -38,6 +38,12 @@ def _fmt(v) -> str:
     return f"{v:.17g}" if isinstance(v, float) else str(v)
 
 
+def _nan_min(values):
+    """min(values), or NaN if any value is NaN (min's answer then depends on the order)."""
+    values = list(values)
+    return math.nan if any(math.isnan(v) for v in values) else min(values)
+
+
 def _resolve_out(path: str) -> str:
     outdir = os.environ.get(OUTDIR_ENV)
     if outdir and not os.path.isabs(path):
@@ -127,13 +133,17 @@ def _cmd_cm_scan(args) -> int:
     if args.instances < 1:
         raise UsageError("need at least one instance")
     rng = np.random.Generator(np.random.PCG64(args.seed))
-    reports = [
-        monotone.cm_scan(_random_instance(rng, args.d), args.grid,
-                         max_order=args.max_order, corrupt=args.self_test_corrupt)
-        for _ in range(args.instances)
-    ]
+    try:
+        reports = [
+            monotone.cm_scan(_random_instance(rng, args.d), args.grid,
+                             max_order=args.max_order, corrupt=args.self_test_corrupt)
+            for _ in range(args.instances)
+        ]
+    except OverflowError:
+        raise UsageError(f"numerical overflow scanning an a-grid whose largest point is "
+                         f"{args.grid[-1]}; lower the grid's stop") from None
     ok = all(report.passed for report in reports)
-    worst = min(report.max_violation for report in reports)
+    worst = _nan_min(report.max_violation for report in reports)
     status = "pass" if ok else "fail"
     rows = ((i,) + row for i, report in enumerate(reports) for row in report.rows)
     _write_csv(args.out, "instance,a,order,value,margin", rows,
@@ -145,7 +155,7 @@ def _cmd_cm_scan(args) -> int:
 def _cmd_ineq_fuzz(args) -> int:
     report = ineq.fuzz_inequalities(args.trials, args.dmax, args.seed,
                                     corrupt=args.self_test_corrupt)
-    min_margin = min([math.inf] + [row[-1] for row in report.rows])
+    min_margin = _nan_min([math.inf] + [row[-1] for row in report.rows])
     status = "pass" if report.passed else "fail"
     _write_csv(args.out, "trial,d,M,check,margin", report.rows,
                f"# summary: {status}, min_margin={min_margin:.17g}")

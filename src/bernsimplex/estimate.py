@@ -24,28 +24,12 @@ from .simplex import (
 )
 
 __all__ = [
-    "empirical_cdf",
     "bernstein_cdf_simplex",
     "bernstein_cdf_hypercube",
     "bernstein_density_hypercube",
-    "sup_error_on_grid",
 ]
 
 ESTIMATOR_KINDS = ("simplex-cdf", "hypercube-cdf", "hypercube-density")
-
-
-def _empirical_cdf_many(samples: SampleSet, ys: np.ndarray) -> np.ndarray:
-    """F_n at each row of ys, vectorized: (P,) from (P, d) queries."""
-    dominated = np.all(samples.points[None, :, :] <= ys[:, None, :], axis=2)
-    return dominated.mean(axis=1)
-
-
-def empirical_cdf(samples: SampleSet, y) -> float:
-    """F_n(y) = fraction of sample points componentwise <= y."""
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    if y.shape != (samples.d,):
-        raise ValueError(f"query point must have d={samples.d} coordinates")
-    return float(_empirical_cdf_many(samples, y[None, :])[0])
 
 
 def _binomial_log_pmf_rows(m: int, x: float, lf: np.ndarray) -> np.ndarray:
@@ -182,12 +166,3 @@ def bernstein_density_hypercube(samples: SampleSet, m: int, x):
     lf = log_factorial_table(m - 1)
     out = np.array([float(m**samples.d * _contract_axes(counts, m - 1, row, lf)) for row in xs])
     return float(out[0]) if single else out
-
-
-def sup_error_on_grid(values, reference) -> float:
-    """max |values - reference| over matching grids."""
-    a = np.asarray(values, dtype=float)
-    b = np.asarray(reference, dtype=float)
-    if a.shape != b.shape:
-        raise ValueError(f"grid mismatch: {a.shape} vs {b.shape}")
-    return float(np.max(np.abs(a - b)))

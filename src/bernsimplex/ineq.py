@@ -11,7 +11,6 @@ huge coefficients.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,7 +19,6 @@ from .simplex import WeightVector
 from .specfun import log_gamma
 
 __all__ = [
-    "CoeffInstance",
     "log_coeff",
     "check_weighted_logconvexity",
     "check_superadditivity",
@@ -32,16 +30,10 @@ __all__ = [
 FUZZ_TOL = 1e-10
 
 
-@dataclass(frozen=True)
-class CoeffInstance:
-    weights: WeightVector
-
-
-def log_coeff(inst: CoeffInstance, a: float) -> float:
+def log_coeff(w: WeightVector, a: float) -> float:
     """ln C(a)."""
     if not (math.isfinite(a) and a > 0.0):
         raise ValueError(f"a must be positive, got {a!r}")
-    w = inst.weights
     out = log_gamma(a * w.M + 1.0)
     for g in w.gamma:
         if g > 0.0:
@@ -49,7 +41,7 @@ def log_coeff(inst: CoeffInstance, a: float) -> float:
     return out
 
 
-def check_weighted_logconvexity(inst: CoeffInstance, a, lam) -> float:
+def check_weighted_logconvexity(w: WeightVector, a, lam) -> float:
     """sum_j lam_j ln C(a_j) - ln C(sum_j lam_j a_j); >= 0, zero iff all a_j equal."""
     a = [float(v) for v in a]
     lam = [float(v) for v in lam]
@@ -60,29 +52,29 @@ def check_weighted_logconvexity(inst: CoeffInstance, a, lam) -> float:
     if any(not 0.0 < v < 1.0 for v in lam) or abs(sum(lam) - 1.0) > 1e-12:
         raise ValueError("lambda must lie in (0,1) and sum to 1")
     mix = sum(l * v for l, v in zip(lam, a))
-    return sum(l * log_coeff(inst, v) for l, v in zip(lam, a)) - log_coeff(inst, mix)
+    return sum(l * log_coeff(w, v) for l, v in zip(lam, a)) - log_coeff(w, mix)
 
 
-def check_superadditivity(inst: CoeffInstance, a) -> float:
+def check_superadditivity(w: WeightVector, a) -> float:
     """ln C(sum a_j) - sum_j ln C(a_j); strictly positive for non-degenerate gamma."""
     a = [float(v) for v in a]
     if len(a) < 2:
         raise ValueError("need k >= 2 values")
     if any(v <= 0.0 for v in a):
         raise ValueError("all a_j must be positive")
-    return log_coeff(inst, sum(a)) - sum(log_coeff(inst, v) for v in a)
+    return log_coeff(w, sum(a)) - sum(log_coeff(w, v) for v in a)
 
 
-def check_exchange(inst: CoeffInstance, a1: float, a2: float, a3: float) -> float:
+def check_exchange(w: WeightVector, a1: float, a2: float, a3: float) -> float:
     """[ln C(a1) + ln C(a2+a3)] - [ln C(a1+a2) + ln C(a3)] for a1 <= a3;
     >= 0, zero iff a1 = a3."""
     if a1 > a3:
         raise ValueError(f"precondition a1 <= a3 violated: {a1} > {a3}")
     return (
-        log_coeff(inst, a1)
-        + log_coeff(inst, a2 + a3)
-        - log_coeff(inst, a1 + a2)
-        - log_coeff(inst, a3)
+        log_coeff(w, a1)
+        + log_coeff(w, a2 + a3)
+        - log_coeff(w, a1 + a2)
+        - log_coeff(w, a3)
     )
 
 
@@ -110,17 +102,17 @@ def fuzz_inequalities(
         d = int(rng.integers(1, dmax + 1))
         M = float(np.exp(rng.uniform(math.log(0.1), math.log(50.0))))
         gamma = M * rng.dirichlet(np.ones(d + 1))
-        inst = CoeffInstance(WeightVector(gamma))
+        w = WeightVector(gamma)
         k = int(rng.integers(2, 6))
         a = np.exp(rng.uniform(log_lo, log_hi, size=k))
         lam = rng.dirichlet(np.ones(k))
 
         sgn = -1.0 if corrupt else 1.0
-        m_a = sgn * check_weighted_logconvexity(inst, a, lam)
-        m_b = sgn * check_superadditivity(inst, a)
+        m_a = sgn * check_weighted_logconvexity(w, a, lam)
+        m_b = sgn * check_superadditivity(w, a)
         a1, a3 = sorted(np.exp(rng.uniform(log_lo, log_hi, size=2)))
         a2 = float(np.exp(rng.uniform(log_lo, log_hi)))
-        m_c = sgn * check_exchange(inst, float(a1), a2, float(a3))
+        m_c = sgn * check_exchange(w, float(a1), a2, float(a3))
 
         for tag, margin in (("a", m_a), ("b", m_b), ("c", m_c)):
             report.record(margin + FUZZ_TOL, (t, d, M, tag, margin))

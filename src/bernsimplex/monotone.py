@@ -86,6 +86,19 @@ def g_eval(inst: MonotoneInstance, a: float, corrupt: bool = False) -> float:
     return math.exp(log_g_eval(inst, a, corrupt=corrupt))
 
 
+def _h_terms(inst: MonotoneInstance, a: float, n: int, corrupt: bool) -> list:
+    """The signed terms whose left-to-right sum is h^{(n)}(a): -M^n psi^{(n-1)}(aM+1),
+    then per active coordinate g^n psi^{(n-1)}(ag+1) and, for n = 1, -g ln x
+    (+g ln x with corrupt=True)."""
+    M = inst.weights.M
+    out = [-(M**n) * polygamma(n - 1, a * M + 1.0)]
+    for g, x in inst.active_terms():
+        out.append(g**n * polygamma(n - 1, a * g + 1.0))
+        if n == 1:
+            out.append((g if corrupt else -g) * math.log(x))
+    return out
+
+
 def h_derivative(inst: MonotoneInstance, a: float, n: int, corrupt: bool = False) -> float:
     """n-th derivative of h = -log g at a, via polygamma (1 <= n <= 7).
 
@@ -95,32 +108,13 @@ def h_derivative(inst: MonotoneInstance, a: float, n: int, corrupt: bool = False
     _check_a(a)
     if not isinstance(n, int) or n < 1 or n > MAX_H_ORDER:
         raise ValueError(f"order n must be an integer in [1, {MAX_H_ORDER}], got {n!r}")
-    M = inst.weights.M
-    terms = inst.active_terms()
-    if n == 1:
-        out = -M * polygamma(0, a * M + 1.0)
-        for g, x in terms:
-            out += g * polygamma(0, a * g + 1.0)
-            out += (g if corrupt else -g) * math.log(x)
-        return out
-    out = -(M**n) * polygamma(n - 1, a * M + 1.0)
-    for g, _ in terms:
-        out += g**n * polygamma(n - 1, a * g + 1.0)
-    return out
+    terms = _h_terms(inst, a, n, corrupt)
+    return sum(terms[1:], terms[0])
 
 
 def _h_derivative_scale(inst: MonotoneInstance, a: float, n: int) -> float:
     """Magnitude of the largest term in the alternating sum for h^{(n)}(a)."""
-    M = inst.weights.M
-    if n == 1:
-        s = abs(M * polygamma(0, a * M + 1.0))
-        for g, x in inst.active_terms():
-            s = max(s, abs(g * polygamma(0, a * g + 1.0)), abs(g * math.log(x)))
-        return s
-    s = abs(M**n * polygamma(n - 1, a * M + 1.0))
-    for g, _ in inst.active_terms():
-        s = max(s, abs(g**n * polygamma(n - 1, a * g + 1.0)))
-    return s
+    return max(abs(t) for t in _h_terms(inst, a, n, False))
 
 
 def j_eval(u, y: float) -> float:

@@ -3,11 +3,12 @@
 A scan accumulates rows of signed margins.  Each margin is normalized so
 that the requirement is simply ``margin >= 0``: for a check "value must
 exceed -tol", the stored margin is ``value + tol``.  max_violation is the
-most negative margin seen (0.0 if none).
+most negative margin seen (0.0 if none), or NaN from the first NaN margin on.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import List, Tuple
 
@@ -26,5 +27,5 @@ class ScanReport:
         self.rows.append(row)
         if not margin >= 0.0:  # a NaN margin fails too
             self.passed = False
-        if margin < self.max_violation:
-            self.max_violation = margin
+            if margin < self.max_violation or math.isnan(margin):
+                self.max_violation = margin

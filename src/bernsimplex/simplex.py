@@ -9,8 +9,8 @@ the hundreds overflow direct factorials).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Iterator, Optional, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -18,13 +18,10 @@ from .specfun import log_gamma
 
 __all__ = [
     "SimplexPoint",
-    "MultiIndex",
     "WeightVector",
     "SampleSet",
-    "enumerate_lattice",
     "lattice_array",
     "lattice_size",
-    "multinomial_log_pmf",
     "lattice_log_pmf",
     "sample_dirichlet",
     "log_factorial_table",
@@ -81,35 +78,6 @@ class SimplexPoint:
 
 
 @dataclass(frozen=True)
-class MultiIndex:
-    """Integer vector k with ||k|| <= m; k_{d+1} = m - ||k|| is derived."""
-
-    k: tuple
-    m: int
-
-    def __init__(self, k: Sequence[int], m: int):
-        k = tuple(int(v) for v in k)
-        if m < 0 or any(v < 0 for v in k):
-            raise ValueError("multi-index entries and degree must be nonnegative")
-        if sum(k) > m:
-            raise ValueError(f"||k|| = {sum(k)} exceeds degree m = {m}")
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "m", m)
-
-    @property
-    def d(self) -> int:
-        return len(self.k)
-
-    @property
-    def last(self) -> int:
-        return self.m - sum(self.k)
-
-    @property
-    def full(self) -> tuple:
-        return self.k + (self.last,)
-
-
-@dataclass(frozen=True)
 class WeightVector:
     """Nonnegative weights gamma (d+1 entries) with total mass M."""
 
@@ -135,12 +103,10 @@ class WeightVector:
 
 @dataclass
 class SampleSet:
-    """n observations on the simplex or hypercube, with provenance."""
+    """n observations on the simplex or hypercube."""
 
     points: np.ndarray
     domain: str = "simplex"
-    seed: Optional[int] = None
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=float)
@@ -194,27 +160,9 @@ def _check_capacity(size: int, what: str) -> None:
         raise CapacityError(f"{what}: {size} exceeds the cap {LATTICE_CAP}")
 
 
-def enumerate_lattice(d: int, m: int) -> Iterator[MultiIndex]:
-    """Yield every k in N_0^d with ||k|| <= m once, lexicographically."""
-    if d < 1 or m < 0:
-        raise ValueError(f"need d >= 1 and m >= 0, got d={d}, m={m}")
-    _check_capacity(lattice_size(d, m), f"lattice rows for d={d}, m={m}")
-
-    def rec(prefix, budget, depth):
-        if depth == d:
-            yield MultiIndex(prefix, m)
-            return
-        for v in range(budget + 1):
-            yield from rec(prefix + (v,), budget - v, depth + 1)
-
-    yield from rec((), m, 0)
-
-
 def lattice_array(d: int, m: int) -> np.ndarray:
-    """The full lattice as an (N, d+1) int64 array (last column = m - ||k||).
-
-    Rows follow the same lexicographic order as enumerate_lattice.
-    """
+    """Every k in N_0^d with ||k|| <= m, once and in lexicographic order, as
+    the rows of an (N, d+1) int64 array (last column = m - ||k||)."""
     if d < 1 or m < 0:
         raise ValueError(f"need d >= 1 and m >= 0, got d={d}, m={m}")
     _check_capacity(lattice_size(d, m), f"lattice rows for d={d}, m={m}")
@@ -234,22 +182,6 @@ def lattice_array(d: int, m: int) -> np.ndarray:
 def log_factorial_table(n: int) -> np.ndarray:
     """lf[j] = ln(j!) for j = 0..n, each entry from log_gamma."""
     return np.array([log_gamma(j + 1.0) for j in range(n + 1)])
-
-
-def multinomial_log_pmf(k: MultiIndex, x: SimplexPoint) -> float:
-    """ln P_{k,m}(x) with the 0*ln 0 = 0 convention; -inf on excluded boundary."""
-    if k.d != x.d:
-        raise ValueError(f"dimension mismatch: k has d={k.d}, x has d={x.d}")
-    kf = k.full
-    xf = x.full
-    out = log_gamma(k.m + 1.0)
-    for ki, xi in zip(kf, xf):
-        out -= log_gamma(ki + 1.0)
-        if ki > 0:
-            if xi == 0.0:
-                return -math.inf
-            out += ki * math.log(xi)
-    return out
 
 
 def lattice_log_pmf(lat: np.ndarray, xs: np.ndarray, lf: np.ndarray) -> np.ndarray:
@@ -289,4 +221,4 @@ def sample_dirichlet(alpha: Sequence[float], n: int, seed: int) -> SampleSet:
     rng = np.random.Generator(np.random.PCG64(seed))
     g = rng.gamma(shape=np.array(alpha), size=(n, len(alpha)))
     g /= g.sum(axis=1, keepdims=True)
-    return SampleSet(points=g[:, :-1], domain="simplex", seed=seed, meta={"alpha": alpha})
+    return SampleSet(points=g[:, :-1], domain="simplex")

@@ -14,7 +14,6 @@ import math
 __all__ = [
     "log_gamma",
     "polygamma",
-    "log_dirichlet_beta",
     "duplication_residual",
     "MAX_POLY_ORDER",
 ]
@@ -112,16 +111,6 @@ def polygamma(order: int, z: float) -> float:
         shift -= sign * fac / z ** (n + 1)
         z += 1.0
     return _polygamma_asymptotic(n, z) + shift
-
-
-def log_dirichlet_beta(alpha) -> float:
-    """ln( prod Gamma(alpha_i) / Gamma(sum alpha_i) )."""
-    alpha = [float(a) for a in alpha]
-    if not alpha:
-        raise ValueError("alpha must be non-empty")
-    for a in alpha:
-        _check_positive(a, "alpha_i")
-    return sum(log_gamma(a) for a in alpha) - log_gamma(sum(alpha))
 
 
 def duplication_residual(y: float) -> float:

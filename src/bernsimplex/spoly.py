@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -41,9 +41,7 @@ __all__ = [
     "s_integral_closed_form",
     "asymptotic_constant",
     "gamma_ratio_residual",
-    "weighted_integral_experiment",
     "simplex_midpoint_grid",
-    "TEST_FUNCTIONS",
 ]
 
 _SINGULAR_TOL = 1e-14
@@ -233,38 +231,3 @@ def simplex_midpoint_grid(d: int, resolution: int) -> np.ndarray:
     xs = xs[keep]
     return np.hstack([xs, (1.0 - xs.sum(axis=1))[:, None]])
 
-
-TEST_FUNCTIONS: Dict[str, Callable[[np.ndarray], np.ndarray]] = {
-    "one": lambda xs: np.ones(xs.shape[0]),
-    "zero": lambda xs: np.zeros(xs.shape[0]),
-    "x1": lambda xs: xs[:, 0],
-    "x2": lambda xs: xs[:, 1],
-    "x1x2": lambda xs: xs[:, 0] * xs[:, 1],
-    "half": lambda xs: (xs[:, :-1].sum(axis=1) <= 0.5).astype(float),
-}
-
-
-def weighted_integral_experiment(
-    p: SPolyParams,
-    h: str,
-    resolution: int,
-) -> float:
-    """Midpoint-rule value of integral_S h(x) (m^{d/2} S_{r,s,m}(x) - phi_{r,s}(x)) dx.
-
-    Reported for trend-to-zero studies only; h names an entry of
-    TEST_FUNCTIONS ("x2"/"x1x2" require d >= 2).
-    """
-    if h not in TEST_FUNCTIONS:
-        raise ValueError(f"unknown test function {h!r}; choose from {sorted(TEST_FUNCTIONS)}")
-    if h in ("x2", "x1x2") and p.d < 2:
-        raise ValueError(f"test function {h!r} needs d >= 2")
-    xs = simplex_midpoint_grid(p.d, resolution)
-    hv = TEST_FUNCTIONS[h](xs)
-    if not np.any(hv):
-        return 0.0
-    scale = float(p.m) ** (p.d / 2.0)
-    sv = s_eval_grid(p, xs)
-    det = (p.r * p.s * (p.r + p.s)) ** p.d * np.prod(xs, axis=1)
-    phiv = math.gcd(p.r, p.s) ** p.d / ((2.0 * math.pi) ** (p.d / 2.0) * np.sqrt(det))
-    integrand = hv * (scale * sv - phiv)
-    return float(integrand.sum() * resolution ** (-p.d))

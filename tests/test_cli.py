@@ -1,7 +1,9 @@
+import math
 import os
 
 import pytest
 
+from bernsimplex import monotone
 from bernsimplex.cli import main
 
 
@@ -49,13 +51,22 @@ class TestExitCodes:
         assert main(["cm-scan", "--grid", "0.1:1e12:0.1", "--out", str(out)]) == 2
         assert not out.exists()
 
-    def test_overflowing_grid_point(self, tmp_path):
+    def test_overflowing_grid_point(self, tmp_path, capsys):
         # polygamma's asymptotic series overflows at a = 1e200
         out = tmp_path / "cm.csv"
         assert main(["cm-scan", "--instances", "1", "--grid", "1e200:1e200:1",
                      "--out", str(out)]) == 2
+        assert "largest point is 1e+200" in capsys.readouterr().err
         assert not out.exists()
         assert tmp_leftovers(tmp_path) == []
+
+    def test_nan_derivative_fails_with_nan_violation(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(monotone, "h_derivative", lambda *args, **kwargs: math.nan)
+        out = tmp_path / "cm.csv"
+        assert main(["cm-scan", "--instances", "2", "--grid", "0.5:1:0.5",
+                     "--out", str(out)]) == 1
+        assert "fail over 2 instances, max_violation=nan" in capsys.readouterr().out
+        assert read(out).splitlines()[-1] == "# summary: fail, max_violation=nan"
 
     def test_unknown_subcommand(self):
         assert main(["no-such-command"]) == 2

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from bernsimplex import ineq
 from bernsimplex.simplex import WeightVector
 
-BINOM = ineq.CoeffInstance(WeightVector((1.0, 1.0)))
-TRINOM = ineq.CoeffInstance(WeightVector((1.0, 1.0, 1.0)))
+BINOM = WeightVector((1.0, 1.0))
+TRINOM = WeightVector((1.0, 1.0, 1.0))
 
 
 class TestLogCoeff:
@@ -25,7 +25,7 @@ class TestLogCoeff:
             ((25, 25, 25, 25, 1), 1),
         ]
         for gamma, a in cases:
-            inst = ineq.CoeffInstance(WeightVector([float(g) for g in gamma]))
+            inst = WeightVector([float(g) for g in gamma])
             exact = math.factorial(a * sum(gamma))
             for g in gamma:
                 exact //= math.factorial(a * g)
@@ -75,7 +75,7 @@ class TestSuperadditivity:
 
     def test_degenerate_gamma_zero_margin(self):
         # single nonzero weight: C == 1 identically
-        inst = ineq.CoeffInstance(WeightVector((2.0, 0.0)))
+        inst = WeightVector((2.0, 0.0))
         assert ineq.check_superadditivity(inst, (1.0, 3.0)) == pytest.approx(0.0, abs=1e-12)
 
     @given(a=st.lists(st.floats(min_value=0.05, max_value=20.0), min_size=2, max_size=5))

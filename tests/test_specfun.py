@@ -71,20 +71,6 @@ class TestPolygamma:
             sf.polygamma(-1, 1.0)
 
 
-class TestLogDirichletBeta:
-    def test_known_values(self):
-        assert sf.log_dirichlet_beta((1.0, 1.0)) == pytest.approx(0.0, abs=1e-14)
-        assert sf.log_dirichlet_beta((2.0, 2.0)) == pytest.approx(math.log(1.0 / 6.0), rel=1e-13)
-        # Gamma(1/2)^3 / Gamma(3/2) = pi^{3/2} / (sqrt(pi)/2) = 2*pi
-        assert sf.log_dirichlet_beta((0.5, 0.5, 0.5)) == pytest.approx(
-            math.log(2.0 * math.pi), rel=1e-13
-        )
-
-    def test_domain_error(self):
-        with pytest.raises(ValueError):
-            sf.log_dirichlet_beta((1.0, 0.0))
-
-
 class TestDuplicationResidual:
     @pytest.mark.parametrize("y", [1.0, 0.5, 17.25])
     def test_examples(self, y):

@@ -8,6 +8,7 @@ import pytest
 
 from bernsimplex import spoly as sp
 from bernsimplex.simplex import CapacityError, SimplexPoint, lattice_array, log_factorial_table
+from oracles import MultiIndex, enumerate_lattice, multinomial_log_pmf
 
 HALF = SimplexPoint((0.5,))
 
@@ -52,8 +53,6 @@ class TestSEval:
 
     def test_brute_force_oracle(self):
         # direct nested-loop sum of products of multinomial pmfs
-        from bernsimplex.simplex import MultiIndex, enumerate_lattice, multinomial_log_pmf
-
         x = SimplexPoint((0.3, 0.45))
         r, s, m = 2, 3, 4
         expected = 0.0
@@ -259,24 +258,26 @@ class TestGammaRatioResidual:
             assert sp.gamma_ratio_residual(m) <= 0.05
 
 
-class TestWeightedExperiment:
-    def test_zero_function(self):
-        assert sp.weighted_integral_experiment(sp.SPolyParams(1, 1, 10, 1), "zero", 100) == 0.0
+def weighted_integral(p, h, resolution):
+    """Midpoint-rule value of the integral of h(x) (m^{d/2} S_{r,s,m}(x) - phi_{r,s}(x))
+    over the simplex; h maps the (P, d+1) nodes to (P,) weights."""
+    xs = sp.simplex_midpoint_grid(p.d, resolution)
+    phi = [sp.phi_eval(p.r, p.s, SimplexPoint(x[:-1])) for x in xs]
+    integrand = h(xs) * (p.m ** (p.d / 2.0) * sp.s_eval_grid(p, xs) - phi)
+    return float(integrand.sum() * resolution ** (-p.d))
 
+
+class TestWeightedExperiment:
     def test_constant_trend_to_zero(self):
         # coarse grid: every node is far enough from the boundary that the
         # pointwise limit dominates the midpoint-rule boundary bias
         vals = [
-            abs(sp.weighted_integral_experiment(sp.SPolyParams(1, 1, m, 1), "one", 25))
+            abs(weighted_integral(sp.SPolyParams(1, 1, m, 1), lambda xs: np.ones(len(xs)), 25))
             for m in (10, 40, 160)
         ]
         assert vals[0] > vals[1] > vals[2]
 
     def test_projection_trend_d2(self):
-        lo = abs(sp.weighted_integral_experiment(sp.SPolyParams(1, 2, 10, 2), "x1", 80))
-        hi = abs(sp.weighted_integral_experiment(sp.SPolyParams(1, 2, 100, 2), "x1", 80))
+        lo = abs(weighted_integral(sp.SPolyParams(1, 2, 10, 2), lambda xs: xs[:, 0], 80))
+        hi = abs(weighted_integral(sp.SPolyParams(1, 2, 100, 2), lambda xs: xs[:, 0], 80))
         assert hi < lo
-
-    def test_unknown_function(self):
-        with pytest.raises(ValueError):
-            sp.weighted_integral_experiment(sp.SPolyParams(1, 1, 5, 1), "cube", 50)
