@@ -3,7 +3,8 @@
 A scalar multi-index, its lexicographic lattice generator and the multinomial
 pmf one (k, x) pair at a time (oracles for ``simplex.lattice_array`` and
 ``simplex.lattice_log_pmf``), and the empirical cdf by a direct
-(queries x samples) comparison (the oracle for the estimators' binned cdf).
+(queries x samples) comparison (the oracle for the estimators' binned cdf),
+and the sup distance between two tables of values on one grid.
 """
 
 from __future__ import annotations
@@ -91,3 +92,12 @@ def empirical_cdf(samples: SampleSet, y) -> float:
     if y.shape != (samples.d,):
         raise ValueError(f"query point must have d={samples.d} coordinates")
     return float(_empirical_cdf_many(samples, y[None, :])[0])
+
+
+def sup_error_on_grid(values, reference) -> float:
+    """max |values - reference| over matching grids."""
+    a = np.asarray(values, dtype=float)
+    b = np.asarray(reference, dtype=float)
+    if a.shape != b.shape:
+        raise ValueError(f"grid mismatch: {a.shape} vs {b.shape}")
+    return float(np.max(np.abs(a - b)))

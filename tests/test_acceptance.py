@@ -14,7 +14,7 @@ from bernsimplex import estimate as est
 from bernsimplex import ineq, monotone, specfun, spoly
 from bernsimplex.cli import _random_instance
 from bernsimplex.simplex import SimplexPoint, WeightVector, sample_dirichlet
-from oracles import empirical_cdf
+from oracles import empirical_cdf, sup_error_on_grid
 
 
 def _report(num: int, desc: str, passed: bool, t0: float, detail: str = "") -> None:
@@ -225,8 +225,8 @@ def test_criterion_12_estimator_coincidence_and_convergence():
     grid = spoly.simplex_midpoint_grid(2, 12)[:, :-1]
     fn = [empirical_cdf(samp, tuple(row)) for row in grid]
     sup = {
-        m: np.max(np.abs(np.subtract(
-            [est.bernstein_cdf_simplex(samp, m, SimplexPoint(row)) for row in grid], fn)))
+        m: sup_error_on_grid(
+            [est.bernstein_cdf_simplex(samp, m, SimplexPoint(row)) for row in grid], fn)
         for m in (10, 100)
     }
     ok = ok and sup[100] < sup[10]

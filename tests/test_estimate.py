@@ -6,7 +6,7 @@ import pytest
 from bernsimplex import estimate as est
 from bernsimplex import spoly
 from bernsimplex.simplex import SampleSet, SimplexPoint, sample_dirichlet
-from oracles import _empirical_cdf_many, empirical_cdf
+from oracles import _empirical_cdf_many, empirical_cdf, sup_error_on_grid
 
 TWO_POINTS = SampleSet(np.array([[0.1, 0.2], [0.3, 0.4]]), "simplex")
 
@@ -49,7 +49,7 @@ class TestBernsteinCdfSimplex:
         for m in (5, 20, 80, 320):
             fhat = [est.bernstein_cdf_simplex(s, m, SimplexPoint((x,))) for x in grid]
             assert all(0.0 <= v <= 1.0 for v in fhat)
-            sups.append(np.max(np.abs(np.subtract(fhat, fn))))
+            sups.append(sup_error_on_grid(fhat, fn))
         assert sups[0] > sups[-1]
 
     def test_monotone_along_rays_d1(self):
@@ -165,6 +165,18 @@ class TestBatchedCalls:
         for m in (1, 12):
             batch = fn(s, m, grid)
             assert np.array_equal(batch, [fn(s, m, row) for row in grid])
+
+
+class TestSupError:
+    def test_identical(self):
+        assert sup_error_on_grid([1.0, 2.0], [1.0, 2.0]) == 0.0
+
+    def test_constant_offset(self):
+        assert sup_error_on_grid([1.0, 2.0], [1.5, 2.5]) == pytest.approx(0.5)
+
+    def test_grid_mismatch(self):
+        with pytest.raises(ValueError):
+            sup_error_on_grid([1.0], [1.0, 2.0])
 
 
 class TestDegreeValidation:
