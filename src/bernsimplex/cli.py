@@ -22,7 +22,8 @@ import numpy as np
 
 from . import estimate as est
 from . import ineq, monotone, spoly
-from .simplex import CapacityError, SampleSet, SimplexPoint, WeightVector, sample_dirichlet
+from .simplex import (CapacityError, SampleSet, SimplexPoint, WeightVector, _check_capacity,
+                      sample_dirichlet)
 from .specfun import duplication_residual
 
 __all__ = ["main"]
@@ -103,6 +104,14 @@ def _list_of(kind):
         return vals
 
     return parse
+
+
+def _increasing_ints(spec: str):
+    """argparse type for a comma-separated, strictly increasing list of ints."""
+    vals = _list_of(int)(spec)
+    if any(a >= b for a, b in zip(vals, vals[1:])):
+        raise argparse.ArgumentTypeError(f"list {spec!r} must be strictly increasing")
+    return vals
 
 
 def _config_flags(path: str):
@@ -236,6 +245,7 @@ def _cmd_estimate(args) -> int:
         grid_pts = spoly.simplex_midpoint_grid(d, args.grid)[:, :-1]
         values = est.bernstein_cdf_simplex(samples, args.m, grid_pts)
     else:
+        _check_capacity(args.grid ** d, f"query grid of {args.grid}^{d} points")
         axes = [np.linspace(0.0, 1.0, args.grid) for _ in range(d)]
         mesh = np.meshgrid(*axes, indexing="ij")
         grid_pts = np.stack([g.ravel() for g in mesh], axis=1)
@@ -249,8 +259,6 @@ def _cmd_estimate(args) -> int:
 
 
 def _cmd_sample_gen(args) -> int:
-    if len(args.alpha) < 2 or any(a <= 0 for a in args.alpha) or args.n < 1:
-        raise UsageError("need >= 2 positive alpha entries and n >= 1")
     samples = sample_dirichlet(args.alpha, args.n, args.seed)
     samples.to_csv(_resolve_out(args.out))
     print(f"sample-gen: wrote {args.n} Dirichlet draws to {args.out}")
@@ -295,7 +303,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--d", type=int, default=1)
         p.add_argument("--r", type=int, default=1)
         p.add_argument("--s", type=int, default=1)
-        p.add_argument("--m-list", type=_list_of(int), default=m_list)
+        p.add_argument("--m-list", type=_increasing_ints, default=m_list)
 
     p = command("identity-check", _cmd_identity_check, "identity_check.csv",
                 "exact lattice identity and duplication residual")

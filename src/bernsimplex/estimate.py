@@ -9,8 +9,6 @@ exponent m - k_i on (1 - x_i).
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .simplex import (
@@ -30,24 +28,6 @@ __all__ = [
 ]
 
 ESTIMATOR_KINDS = ("simplex-cdf", "hypercube-cdf", "hypercube-density")
-
-
-def _binomial_log_pmf_rows(m: int, x: float, lf: np.ndarray) -> np.ndarray:
-    """ln C(m,k) + k ln x + (m-k) ln(1-x) for k = 0..m, boundary-safe.
-
-    lf is log_factorial_table(m) (or a longer table).
-    """
-    k = np.arange(m + 1)
-    out = lf[m] - lf[k] - lf[m - k]
-    if x > 0.0:
-        out = out + k * math.log(x)
-    else:
-        out = np.where(k > 0, -np.inf, out)
-    if x < 1.0:
-        out = out + (m - k) * math.log1p(-x)
-    else:
-        out = np.where(k < m, -np.inf, out)
-    return out
 
 
 def _bin_counts(samples: SampleSet, m: int) -> np.ndarray:
@@ -76,14 +56,44 @@ def _lattice_cdf_counts(samples: SampleSet, m: int) -> np.ndarray:
     return box[(slice(0, m + 1),) * samples.d]
 
 
-def _query_points(x, d: int):
-    """x as a (P, d) float array, and whether it was a single point."""
+def _query_points(samples: SampleSet, m: int, x):
+    """x as a (P, d) array of points in [0,1]^d, and whether it was a single
+    point; also checks that samples are tagged hypercube and m >= 1."""
+    if samples.domain != "hypercube":
+        raise ValueError("samples must be tagged hypercube")
     xs = np.asarray(x, dtype=float)
     single = xs.ndim <= 1
     xs = np.atleast_2d(xs)
-    if xs.ndim != 2 or xs.shape[1] != d:
-        raise ValueError(f"query point must have d={d} coordinates")
+    if xs.ndim != 2 or xs.shape[1] != samples.d:
+        raise ValueError(f"query point must have d={samples.d} coordinates")
+    # also false for NaN
+    if not np.all((xs >= 0.0) & (xs <= 1.0)):
+        raise ValueError("query points must be finite and lie in [0,1]^d")
+    if m < 1:
+        raise ValueError("degree m must be >= 1")
     return xs, single
+
+
+def _bernstein_sum(box: np.ndarray, deg: int, xs: np.ndarray, single: bool):
+    """sum_k box[k] prod_i C(deg,k_i) x_i^{k_i} (1-x_i)^{deg-k_i} for each row
+    x of xs, box being (deg+1)^d; a float if single, else a (P,) array.
+
+    The weights of each axis are the d = 1 multinomial pmf (k, deg-k) at
+    (x_i, 1-x_i), one kernel call per axis for each block of points.
+    """
+    lat, lf = lattice_array(1, deg), log_factorial_table(deg)
+    out = np.empty(len(xs))
+    step = max(1, PMF_BLOCK_ELEMS // (deg + 1))
+    for lo in range(0, len(xs), step):
+        block = xs[lo:lo + step]
+        weights = [np.exp(lattice_log_pmf(lat, np.column_stack([xi, 1.0 - xi]), lf))
+                   for xi in block.T]
+        for p in range(len(block)):
+            v = box
+            for w in weights:
+                v = np.tensordot(v, w[p], axes=([0], [0]))
+            out[lo + p] = v
+    return float(out[0]) if single else out
 
 
 def bernstein_cdf_simplex(samples: SampleSet, m: int, x):
@@ -120,32 +130,14 @@ def bernstein_cdf_simplex(samples: SampleSet, m: int, x):
     return float(out[0]) if single else out
 
 
-def _contract_axes(box: np.ndarray, deg: int, x: np.ndarray, lf: np.ndarray):
-    """box contracted with the degree-deg binomial pmf of x_i along each axis."""
-    out = box
-    for xi in x:
-        w = np.exp(_binomial_log_pmf_rows(deg, float(xi), lf)) if deg > 0 else np.ones(1)
-        out = np.tensordot(out, w, axes=([0], [0]))
-    return out
-
-
 def bernstein_cdf_hypercube(samples: SampleSet, m: int, x):
     """sum_{k in [0,m]^d} F_n(k/m) prod_i C(m,k_i) x_i^{k_i} (1-x_i)^{m-k_i}.
 
     x is one point (returns a float) or a (P, d) array (returns a (P,) array);
     F_n on the grid is built once per call.
     """
-    if samples.domain != "hypercube":
-        raise ValueError("samples must be tagged hypercube")
-    xs, single = _query_points(x, samples.d)
-    if np.any(xs < 0.0) or np.any(xs > 1.0):
-        raise ValueError("query point must lie in [0,1]^d")
-    if m < 1:
-        raise ValueError("degree m must be >= 1")
-    fn = _lattice_cdf_counts(samples, m) / samples.n
-    lf = log_factorial_table(m)
-    out = np.array([float(_contract_axes(fn, m, row, lf)) for row in xs])
-    return float(out[0]) if single else out
+    xs, single = _query_points(samples, m, x)
+    return _bernstein_sum(_lattice_cdf_counts(samples, m) / samples.n, m, xs, single)
 
 
 def bernstein_density_hypercube(samples: SampleSet, m: int, x):
@@ -156,13 +148,7 @@ def bernstein_density_hypercube(samples: SampleSet, m: int, x):
     float) or a (P, d) array (returns a (P,) array); the cell counts are
     built once per call.
     """
-    if samples.domain != "hypercube":
-        raise ValueError("samples must be tagged hypercube")
-    xs, single = _query_points(x, samples.d)
-    if m < 1:
-        raise ValueError("degree m must be >= 1")
+    xs, single = _query_points(samples, m, x)
     # cell k is bin k+1 of _bin_counts
     counts = _bin_counts(samples, m)[(slice(1, m + 1),) * samples.d] / samples.n
-    lf = log_factorial_table(m - 1)
-    out = np.array([float(m**samples.d * _contract_axes(counts, m - 1, row, lf)) for row in xs])
-    return float(out[0]) if single else out
+    return m**samples.d * _bernstein_sum(counts, m - 1, xs, single)

@@ -214,8 +214,8 @@ def sample_dirichlet(alpha: Sequence[float], n: int, seed: int) -> SampleSet:
     alpha = [float(a) for a in alpha]
     if len(alpha) < 2:
         raise ValueError("alpha needs at least two entries")
-    if any(a <= 0.0 for a in alpha):
-        raise ValueError(f"alpha entries must be positive, got {alpha}")
+    if any(not math.isfinite(a) or a <= 0.0 for a in alpha):
+        raise ValueError(f"alpha entries must be finite and positive, got {alpha}")
     if n < 1:
         raise ValueError("need n >= 1")
     rng = np.random.Generator(np.random.PCG64(seed))

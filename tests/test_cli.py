@@ -1,6 +1,7 @@
 import math
 import os
 
+import numpy as np
 import pytest
 
 from bernsimplex import monotone
@@ -82,6 +83,22 @@ class TestExitCodes:
         assert "lclt-compare" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("cmd, m_list", [("s-table", "40,20"), ("lclt-compare", "64,16"),
+                                              ("lclt-compare", "16,16")])
+    def test_m_list_must_increase(self, tmp_path, cmd, m_list):
+        out = tmp_path / "o.csv"
+        assert main([cmd, "--m-list", m_list, "--out", str(out)]) == 2
+        assert not out.exists()
+        assert tmp_leftovers(tmp_path) == []
+
+    @pytest.mark.parametrize("alpha", ["1,inf", "1,nan"])
+    def test_sample_gen_non_finite_alpha(self, tmp_path, capsys, alpha):
+        out = tmp_path / "s.csv"
+        assert main(["sample-gen", "--alpha", alpha, "--n", "3", "--out", str(out)]) == 2
+        assert "alpha" in capsys.readouterr().err
+        assert not out.exists()
+        assert tmp_leftovers(tmp_path) == []
+
     def test_samples_is_a_directory(self, tmp_path):
         out = tmp_path / "o.csv"
         assert main(["estimate", "--samples", str(tmp_path), "--out", str(out)]) == 2
@@ -159,6 +176,21 @@ class TestExitCodes:
         out = tmp_path / "o.csv"
         assert main(["estimate", "--samples", str(samples), "--kind", "hypercube-cdf",
                      "--m", "20000", "--out", str(out)]) == 2
+        assert not out.exists()
+
+    def test_hypercube_grid_over_capacity_not_built(self, tmp_path, monkeypatch):
+        # 10001^2 query points is just over the cap; no grid may be allocated
+        samples = tmp_path / "s.csv"
+        main(["sample-gen", "--alpha", "1,1,1", "--n", "5", "--out", str(samples)])
+
+        def no_grid(*args, **kwargs):
+            raise AssertionError("query grid built before the capacity check")
+
+        monkeypatch.setattr(np, "meshgrid", no_grid)
+        monkeypatch.setattr(np, "linspace", no_grid)
+        out = tmp_path / "o.csv"
+        assert main(["estimate", "--samples", str(samples), "--kind", "hypercube-cdf",
+                     "--m", "5", "--grid", "10001", "--out", str(out)]) == 2
         assert not out.exists()
 
 

@@ -7,13 +7,17 @@ recorded from the CLI before its options were given argparse types and its
 CSV writing was folded into one writer; a change to any written byte shows
 here. The two s-table CSV hashes were recorded again when the simplex
 integral moved to the convolution kernel, which moves its values by ulps;
-test_s_table_values_against_mpmath checks those values.
+test_s_table_values_against_mpmath checks those values. The two hypercube
+estimate CSV hashes were recorded again when the hypercube estimators took
+their binomial weights from the shared log-pmf kernel, which moves their
+values by ulps; test_hypercube_estimates_against_mpmath checks those values.
 """
 
 import hashlib
 import math
 
 import mpmath
+import numpy as np
 import pytest
 
 from bernsimplex.cli import main
@@ -93,12 +97,12 @@ CASES = {
     "estimate-hypercube-cdf": (
         ["estimate", "--samples", "samples.csv", "--kind", "hypercube-cdf", "--m", "12",
          "--grid", "9", "--out", "e.csv"], "e.csv", 0,
-        "9f28042ce1b0596c58faf26dba0a722763d7952527bda2c36d49a17d1ca398ca",
+        "c33d45fb2af6ddb3f896ec6f4f3b9e7ee5ee4f73a29d5363a12a6b51804301b0",
         "8a7a87f20091a61fc735f6a3ec467e4e616a721a67b09993f541ea95ca56ec4b"),
     "estimate-hypercube-density": (
         ["estimate", "--samples", "samples.csv", "--kind", "hypercube-density",
          "--m", "10", "--grid", "7", "--out", "e.csv"], "e.csv", 0,
-        "4028b93b47706f6949d4e725c2a4f43842066dffacea6af6ba22c10e6ae2dc67",
+        "e5e0517e31fc97f738058c602e1c2462e7e50b54a398f26599e8a90a952841d1",
         "1866f7742230259f32c21b6be2f52655cc6deed9065cf82afd94f896894c21fc"),
 }
 
@@ -141,3 +145,40 @@ def test_s_table_values_against_mpmath(name, tmp_path, monkeypatch):
                          / (2**d * mpmath.gamma(half_d + mpmath.mpf(1) / 2)
                             * mpmath.gamma(m + half_d + 1)))
         assert math.isclose(value, want, rel_tol=1e-12, abs_tol=0.0)
+
+
+@pytest.mark.parametrize("name", ["estimate-hypercube-cdf", "estimate-hypercube-density"])
+def test_hypercube_estimates_against_mpmath(name, tmp_path, monkeypatch):
+    # these two hashes were re-recorded when the binomial weights moved to
+    # the shared log-pmf kernel (values moved by ulps); this checks every
+    # value they pin against the same Bernstein sum at 40 digits, with
+    # counts taken by comparing the samples with k/m directly
+    argv, out = CASES[name][:2]
+    monkeypatch.chdir(tmp_path)
+    assert main(SAMPLES_ARGV) == 0
+    assert main(list(argv)) == 0
+    y = np.loadtxt(tmp_path / "samples.csv", delimiter=",", skiprows=1, ndmin=2)
+    n, d = y.shape
+    m = int(argv[argv.index("--m") + 1])
+    density = "hypercube-density" in argv
+    deg = m - 1 if density else m
+    counts = np.zeros((deg + 1,) * d, dtype=int)
+    for k in np.ndindex(counts.shape):
+        k = np.array(k)
+        inside = (y > k / m) & (y <= (k + 1) / m) if density else y <= k / m
+        counts[tuple(k)] = np.sum(np.all(inside, axis=1))
+    rows = np.loadtxt(tmp_path / out, delimiter=",", skiprows=1, ndmin=2)
+    assert len(rows) > 0
+    for row in rows:
+        with mpmath.workdps(40):
+            xs = [mpmath.mpf(float(v)) for v in row[:-1]]
+            weights = [[mpmath.binomial(deg, j) * x**j * (1 - x) ** (deg - j)
+                        for j in range(deg + 1)] for x in xs]
+            total = mpmath.mpf(0)
+            for k in zip(*np.nonzero(counts)):
+                term = mpmath.mpf(int(counts[k]))
+                for w, j in zip(weights, k):
+                    term *= w[j]
+                total += term
+            want = float(total * (m**d if density else 1) / n)
+        assert math.isclose(row[-1], want, rel_tol=1e-12, abs_tol=1e-15 if want == 0 else 0.0)

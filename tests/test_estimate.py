@@ -6,7 +6,8 @@ import pytest
 from bernsimplex import estimate as est
 from bernsimplex import spoly
 from bernsimplex.simplex import SampleSet, SimplexPoint, sample_dirichlet
-from oracles import _empirical_cdf_many, empirical_cdf, sup_error_on_grid
+from oracles import (MultiIndex, _empirical_cdf_many, empirical_cdf, multinomial_log_pmf,
+                     sup_error_on_grid)
 
 TWO_POINTS = SampleSet(np.array([[0.1, 0.2], [0.3, 0.4]]), "simplex")
 
@@ -157,14 +158,40 @@ class TestBatchedCalls:
         assert np.array_equal(batch, single)
 
     @pytest.mark.parametrize("fn", [est.bernstein_cdf_hypercube, est.bernstein_density_hypercube])
-    def test_hypercube(self, fn):
+    def test_hypercube(self, fn, monkeypatch):
         rng = np.random.Generator(np.random.PCG64(8))
         s = SampleSet(np.vstack([rng.uniform(size=(200, 2)), _tie_samples(2)]), "hypercube")
         axis = np.linspace(0.0, 1.0, 6)
         grid = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
-        for m in (1, 12):
-            batch = fn(s, m, grid)
-            assert np.array_equal(batch, [fn(s, m, row) for row in grid])
+        # 20 weights per block splits the 36-point grid into blocks of 1 to 20 points
+        for block in (est.PMF_BLOCK_ELEMS, 20):
+            monkeypatch.setattr(est, "PMF_BLOCK_ELEMS", block)
+            for m in (1, 12):
+                batch = fn(s, m, grid)
+                assert np.array_equal(batch, [fn(s, m, row) for row in grid])
+
+
+class TestBinomialWeights:
+    @pytest.mark.parametrize("deg", [0, 1, 12, 40])
+    def test_kernel_weights_match_oracle(self, deg):
+        # summing the unit box e_k gives the weight of k at each query point
+        xs = np.array([[0.0], [0.28], [0.5], [1.0]])
+        for k in range(deg + 1):
+            got = est._bernstein_sum(np.eye(deg + 1)[k], deg, xs, single=False)
+            want = [math.exp(multinomial_log_pmf(MultiIndex((k,), deg), SimplexPoint((x,))))
+                    for x in xs[:, 0]]
+            np.testing.assert_allclose(got, want, rtol=1e-15, atol=0.0)
+
+
+class TestHypercubeQueryChecks:
+    @pytest.mark.parametrize("fn", [est.bernstein_cdf_hypercube, est.bernstein_density_hypercube])
+    @pytest.mark.parametrize("bad", [1.5, -0.2, math.nan, math.inf])
+    def test_rejects_points_outside_unit_cube(self, fn, bad):
+        s = SampleSet(np.array([[0.3, 0.6], [0.9, 0.1]]), "hypercube")
+        with pytest.raises(ValueError):
+            fn(s, 4, (bad, 0.5))
+        with pytest.raises(ValueError):
+            fn(s, 4, np.array([[0.2, 0.5], [0.5, bad], [1.0, 0.0]]))
 
 
 class TestSupError:
