@@ -6,72 +6,34 @@ property failed, 2 = usage, validation or I/O error (no output file is
 written in that case).  Each ``key = value`` line of a --config file becomes
 the flag ``--key=value``, placed ahead of the flags typed on the command line,
 so flags beat the config file, which beats the built-in defaults, and an
-unknown key is a usage error.  BERNSIMPLEX_OUTDIR redirects relative output
-paths.
+unknown key is a usage error.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
-import tempfile
 
 import numpy as np
 
 from . import estimate as est
 from . import ineq, monotone, spoly
 from .simplex import (CapacityError, SampleSet, SimplexPoint, WeightVector, _check_capacity,
-                      sample_dirichlet)
+                      _coord_header, _write_csv, sample_dirichlet)
 from .specfun import duplication_residual
 
 __all__ = ["main"]
-
-OUTDIR_ENV = "BERNSIMPLEX_OUTDIR"
 
 
 class UsageError(Exception):
     pass
 
 
-def _fmt(v) -> str:
-    return f"{v:.17g}" if isinstance(v, float) else str(v)
-
-
 def _nan_min(values):
     """min(values), or NaN if any value is NaN (min's answer then depends on the order)."""
     values = list(values)
     return math.nan if any(math.isnan(v) for v in values) else min(values)
-
-
-def _resolve_out(path: str) -> str:
-    outdir = os.environ.get(OUTDIR_ENV)
-    if outdir and not os.path.isabs(path):
-        os.makedirs(outdir, exist_ok=True)
-        return os.path.join(outdir, path)
-    return path
-
-
-def _write_csv(path: str, header: str, rows, summary: str | None) -> None:
-    """Header, one comma-joined line per row and the summary line (if any).
-
-    Atomic: written to a temp file in the target directory, then renamed.
-    """
-    path = _resolve_out(path)
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".", suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(header + "\n")
-            for row in rows:
-                fh.write(",".join(_fmt(v) for v in row) + "\n")
-            if summary is not None:
-                fh.write(summary + "\n")
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
 
 
 def _grid_spec(spec: str):
@@ -252,7 +214,7 @@ def _cmd_estimate(args) -> int:
         fn = (est.bernstein_cdf_hypercube if kind == "hypercube-cdf"
               else est.bernstein_density_hypercube)
         values = fn(samples, args.m, grid_pts)
-    header = ",".join(f"x{i + 1}" for i in range(d)) + ",value"
+    header = _coord_header(d) + ",value"
     _write_csv(args.out, header, np.column_stack([grid_pts, values]).tolist(), None)
     print(f"estimate: wrote {len(values)} grid values to {args.out}")
     return 0
@@ -260,7 +222,7 @@ def _cmd_estimate(args) -> int:
 
 def _cmd_sample_gen(args) -> int:
     samples = sample_dirichlet(args.alpha, args.n, args.seed)
-    samples.to_csv(_resolve_out(args.out))
+    samples.to_csv(args.out)
     print(f"sample-gen: wrote {args.n} Dirichlet draws to {args.out}")
     return 0
 

@@ -9,6 +9,8 @@ the hundreds overflow direct factorials).
 from __future__ import annotations
 
 import math
+import os
+import tempfile
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -37,7 +39,36 @@ _TOL = 1e-12
 
 
 class CapacityError(RuntimeError):
-    """Raised when a lattice, a bin box or an integral would exceed LATTICE_CAP."""
+    """Raised when a lattice, a bin box, an integral or a sample would exceed LATTICE_CAP."""
+
+
+def _fmt(v) -> str:
+    return f"{v:.17g}" if isinstance(v, float) else str(v)
+
+
+def _write_csv(path: str, header: str, rows, summary: str | None) -> None:
+    """Header, one comma-joined line per row and the summary line (if any).
+
+    Atomic: written to a temp file in the target directory, then renamed.
+    """
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w") as fh:
+            fh.write(header + "\n")
+            for row in rows:
+                fh.write(",".join(_fmt(v) for v in row) + "\n")
+            if summary is not None:
+                fh.write(summary + "\n")
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
+
+
+def _coord_header(d: int) -> str:
+    """x1,...,xd: the names of a sample or query grid's coordinate columns."""
+    return ",".join(f"x{i + 1}" for i in range(d))
 
 
 @dataclass(frozen=True)
@@ -131,22 +162,20 @@ class SampleSet:
         return self.points.shape[1]
 
     def to_csv(self, path) -> None:
-        """Write header x1,...,xd and one full-precision row per point."""
-        header = ",".join(f"x{i + 1}" for i in range(self.d))
-        lines = [header]
-        for row in self.points:
-            lines.append(",".join(f"{v:.17g}" for v in row))
-        with open(path, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
+        """Write header x1,...,xd and one full-precision row per point, atomically."""
+        _write_csv(path, _coord_header(self.d), self.points.tolist(), None)
 
     @classmethod
     def from_csv(cls, path, domain: str = "simplex") -> "SampleSet":
+        """Read a file whose header x1,...,xd names each of its d columns."""
         with open(path) as fh:
             header = fh.readline().strip()
-            if not header.startswith("x1"):
-                raise ValueError(f"missing x1,...,xd header in {path}")
-            pts = np.loadtxt(fh, delimiter=",", ndmin=2)
-        return cls(points=pts, domain=domain)
+            samples = cls(points=np.loadtxt(fh, delimiter=",", ndmin=2), domain=domain)
+        expected = _coord_header(samples.d)
+        if header != expected:
+            raise ValueError(f"header {header!r} of {path} does not name its "
+                             f"{samples.d} columns {expected}")
+        return samples
 
 
 def lattice_size(d: int, m: int) -> int:
@@ -218,6 +247,7 @@ def sample_dirichlet(alpha: Sequence[float], n: int, seed: int) -> SampleSet:
         raise ValueError(f"alpha entries must be finite and positive, got {alpha}")
     if n < 1:
         raise ValueError("need n >= 1")
+    _check_capacity(n * len(alpha), f"Dirichlet draws for n={n} and {len(alpha)} coordinates")
     rng = np.random.Generator(np.random.PCG64(seed))
     g = rng.gamma(shape=np.array(alpha), size=(n, len(alpha)))
     g /= g.sum(axis=1, keepdims=True)

@@ -35,21 +35,36 @@ _BERNOULLI = (
 _HALF_LOG_TWO_PI = 0.5 * math.log(2.0 * math.pi)
 _STIRLING_THRESHOLD = 12.0
 
+# Series coefficients, built once.  Each is the float a term-by-term sum forms
+# first (b / (2k), not b * (1 / (2k))), so every product c * w in _series
+# rounds as in that sum, which tests/oracles.py keeps as the reference.
+# ln Gamma: B_{2k} / (2k(2k-1)); psi: B_{2k} / (2k);
+# psi^{(n)}: B_{2k} (2k+n-1)! / (2k)!, for n = 1..MAX_POLY_ORDER.
+_LOG_GAMMA_COEFS = tuple(b / (2 * k * (2 * k - 1)) for k, b in enumerate(_BERNOULLI, start=1))
+_DIGAMMA_COEFS = tuple(b / (2 * k) for k, b in enumerate(_BERNOULLI, start=1))
+_POLYGAMMA_COEFS = {
+    n: tuple(b * (math.factorial(2 * k + n - 1) / math.factorial(2 * k))
+             for k, b in enumerate(_BERNOULLI, start=1))
+    for n in range(1, MAX_POLY_ORDER + 1)
+}
+
 
 def _check_positive(z: float, name: str = "z") -> None:
     if not (isinstance(z, (int, float)) and math.isfinite(z) and z > 0.0):
         raise ValueError(f"{name} must be a finite positive real, got {z!r}")
 
 
-def _stirling_tail(z: float) -> float:
-    # sum_k B_{2k} / (2k(2k-1) z^{2k-1})
-    inv2 = 1.0 / (z * z)
-    acc = 0.0
-    w = 1.0 / z
-    for k, b in enumerate(_BERNOULLI, start=1):
-        acc += b / (2 * k * (2 * k - 1)) * w
+def _series(coefs, w: float, inv2: float, acc: float = 0.0) -> float:
+    """acc + sum_k coefs[k] * w * inv2**k, added term by term in k order."""
+    for c in coefs:
+        acc += c * w
         w *= inv2
     return acc
+
+
+def _stirling_tail(z: float) -> float:
+    # sum_k B_{2k} / (2k(2k-1) z^{2k-1})
+    return _series(_LOG_GAMMA_COEFS, 1.0 / z, 1.0 / (z * z))
 
 
 def log_gamma(z: float) -> float:
@@ -62,30 +77,6 @@ def log_gamma(z: float) -> float:
     return (z - 0.5) * math.log(z) - z + _HALF_LOG_TWO_PI + _stirling_tail(z) + shift
 
 
-def _digamma_asymptotic(z: float) -> float:
-    # psi(z) ~ log z - 1/(2z) - sum_k B_{2k} / (2k z^{2k})
-    inv2 = 1.0 / (z * z)
-    acc = 0.0
-    w = inv2
-    for k, b in enumerate(_BERNOULLI, start=1):
-        acc += b / (2 * k) * w
-        w *= inv2
-    return math.log(z) - 0.5 / z - acc
-
-
-def _polygamma_asymptotic(n: int, z: float) -> float:
-    # psi^{(n)}(z) ~ (-1)^{n-1} [ (n-1)!/z^n + n!/(2 z^{n+1})
-    #                             + sum_k B_{2k} (2k+n-1)!/((2k)! z^{2k+n}) ]
-    fac_nm1 = math.factorial(n - 1)
-    acc = fac_nm1 / z**n + fac_nm1 * n / (2.0 * z ** (n + 1))
-    inv2 = 1.0 / (z * z)
-    w = 1.0 / z**n * inv2
-    for k, b in enumerate(_BERNOULLI, start=1):
-        acc += b * (math.factorial(2 * k + n - 1) / math.factorial(2 * k)) * w
-        w *= inv2
-    return acc if (n - 1) % 2 == 0 else -acc
-
-
 def polygamma(order: int, z: float) -> float:
     """psi^{(order)}(z) for z > 0; order 0 is the digamma function.
 
@@ -95,12 +86,6 @@ def polygamma(order: int, z: float) -> float:
     if not isinstance(order, int) or order < 0 or order > MAX_POLY_ORDER:
         raise ValueError(f"order must be an integer in [0, {MAX_POLY_ORDER}], got {order!r}")
     _check_positive(z)
-    if order == 0:
-        shift = 0.0
-        while z < _STIRLING_THRESHOLD:
-            shift -= 1.0 / z
-            z += 1.0
-        return _digamma_asymptotic(z) + shift
     # higher orders need a larger threshold: series terms carry (2k+n-1)!
     threshold = _STIRLING_THRESHOLD + 2.0 * order
     n = order
@@ -110,7 +95,16 @@ def polygamma(order: int, z: float) -> float:
     while z < threshold:
         shift -= sign * fac / z ** (n + 1)
         z += 1.0
-    return _polygamma_asymptotic(n, z) + shift
+    inv2 = 1.0 / (z * z)
+    if n == 0:
+        # psi(z) ~ log z - 1/(2z) - sum_k B_{2k} / (2k z^{2k})
+        return math.log(z) - 0.5 / z - _series(_DIGAMMA_COEFS, inv2, inv2) + shift
+    # psi^{(n)}(z) ~ (-1)^{n-1} [ (n-1)!/z^n + n!/(2 z^{n+1})
+    #                             + sum_k B_{2k} (2k+n-1)!/((2k)! z^{2k+n}) ]
+    fac_nm1 = math.factorial(n - 1)
+    lead = fac_nm1 / z**n + fac_nm1 * n / (2.0 * z ** (n + 1))
+    acc = _series(_POLYGAMMA_COEFS[n], 1.0 / z**n * inv2, inv2, lead)
+    return (acc if n % 2 == 1 else -acc) + shift
 
 
 def duplication_residual(y: float) -> float:

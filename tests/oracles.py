@@ -5,6 +5,11 @@ pmf one (k, x) pair at a time (oracles for ``simplex.lattice_array`` and
 ``simplex.lattice_log_pmf``), and the empirical cdf by a direct
 (queries x samples) comparison (the oracle for the estimators' binned cdf),
 and the sup distance between two tables of values on one grid.
+
+Last, log-gamma, polygamma and the duplication residual with each Bernoulli
+series coefficient computed inside its term loop and a separate shift loop
+for order 0: the reference that ``specfun``'s table-driven ``_series`` must
+match bit for bit.  ``multinomial_log_pmf`` uses this ``log_gamma``.
 """
 
 from __future__ import annotations
@@ -16,7 +21,8 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from bernsimplex.simplex import SampleSet, SimplexPoint, _check_capacity, lattice_size
-from bernsimplex.specfun import log_gamma
+from bernsimplex.specfun import (_BERNOULLI, _HALF_LOG_TWO_PI, _STIRLING_THRESHOLD,
+                                 MAX_POLY_ORDER, _check_positive)
 
 
 @dataclass(frozen=True)
@@ -101,3 +107,100 @@ def sup_error_on_grid(values, reference) -> float:
     if a.shape != b.shape:
         raise ValueError(f"grid mismatch: {a.shape} vs {b.shape}")
     return float(np.max(np.abs(a - b)))
+
+
+def _stirling_tail(z: float) -> float:
+    # sum_k B_{2k} / (2k(2k-1) z^{2k-1})
+    inv2 = 1.0 / (z * z)
+    acc = 0.0
+    w = 1.0 / z
+    for k, b in enumerate(_BERNOULLI, start=1):
+        acc += b / (2 * k * (2 * k - 1)) * w
+        w *= inv2
+    return acc
+
+
+def log_gamma(z: float) -> float:
+    """ln Gamma(z) for z > 0."""
+    _check_positive(z)
+    shift = 0.0
+    while z < _STIRLING_THRESHOLD:
+        shift -= math.log(z)
+        z += 1.0
+    return (z - 0.5) * math.log(z) - z + _HALF_LOG_TWO_PI + _stirling_tail(z) + shift
+
+
+def _digamma_asymptotic(z: float) -> float:
+    # psi(z) ~ log z - 1/(2z) - sum_k B_{2k} / (2k z^{2k})
+    inv2 = 1.0 / (z * z)
+    acc = 0.0
+    w = inv2
+    for k, b in enumerate(_BERNOULLI, start=1):
+        acc += b / (2 * k) * w
+        w *= inv2
+    return math.log(z) - 0.5 / z - acc
+
+
+def _polygamma_asymptotic(n: int, z: float) -> float:
+    # psi^{(n)}(z) ~ (-1)^{n-1} [ (n-1)!/z^n + n!/(2 z^{n+1})
+    #                             + sum_k B_{2k} (2k+n-1)!/((2k)! z^{2k+n}) ]
+    fac_nm1 = math.factorial(n - 1)
+    acc = fac_nm1 / z**n + fac_nm1 * n / (2.0 * z ** (n + 1))
+    inv2 = 1.0 / (z * z)
+    w = 1.0 / z**n * inv2
+    for k, b in enumerate(_BERNOULLI, start=1):
+        acc += b * (math.factorial(2 * k + n - 1) / math.factorial(2 * k)) * w
+        w *= inv2
+    return acc if (n - 1) % 2 == 0 else -acc
+
+
+def polygamma(order: int, z: float) -> float:
+    """psi^{(order)}(z) for z > 0; order 0 is the digamma function.
+
+    Orders above 8 are rejected: the asymptotic series is only tuned
+    (shift threshold, Bernoulli depth) up to that point.
+    """
+    if not isinstance(order, int) or order < 0 or order > MAX_POLY_ORDER:
+        raise ValueError(f"order must be an integer in [0, {MAX_POLY_ORDER}], got {order!r}")
+    _check_positive(z)
+    if order == 0:
+        shift = 0.0
+        while z < _STIRLING_THRESHOLD:
+            shift -= 1.0 / z
+            z += 1.0
+        return _digamma_asymptotic(z) + shift
+    # higher orders need a larger threshold: series terms carry (2k+n-1)!
+    threshold = _STIRLING_THRESHOLD + 2.0 * order
+    n = order
+    sign = 1.0 if n % 2 == 0 else -1.0  # (-1)^n n!/z^{n+1} in the recurrence
+    fac = math.factorial(n)
+    shift = 0.0
+    while z < threshold:
+        shift -= sign * fac / z ** (n + 1)
+        z += 1.0
+    return _polygamma_asymptotic(n, z) + shift
+
+
+def duplication_residual(y: float) -> float:
+    """Signed defect of the Gamma duplication identity at y, in log scale.
+
+    Analytically zero for every y > 0; the returned magnitude is a
+    round-trip accuracy check of log_gamma.  For y >= 12 the Stirling
+    expansions of the three log-gamma terms are combined analytically
+    before evaluation, otherwise the O(y log y) leading terms cancel in
+    floating point and swamp the 1e-12 contract at large y.
+    """
+    _check_positive(y, "y")
+    if y < _STIRLING_THRESHOLD:
+        lhs = y * math.log(4.0)
+        rhs = (
+            math.log(2.0)
+            + 0.5 * math.log(math.pi)
+            + log_gamma(2.0 * y)
+            - log_gamma(y)
+            - log_gamma(y + 0.5)
+        )
+        return lhs - rhs
+    # fused form: residual = y*log1p(1/(2y)) - 1/2 - [S(2y) - S(y) - S(y+1/2)]
+    ds = _stirling_tail(2.0 * y) - _stirling_tail(y) - _stirling_tail(y + 0.5)
+    return y * math.log1p(0.5 / y) - 0.5 - ds

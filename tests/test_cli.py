@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from bernsimplex import monotone
+from bernsimplex import monotone, simplex
 from bernsimplex.cli import main
 
 
@@ -170,6 +170,29 @@ class TestExitCodes:
                      "--out", str(out)]) == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("text", ["x1,x2\n0.1,0.2,0.3\n0.2,0.3,0.1\n",
+                                      "x1,foo\n0.1,0.2\n0.2,0.3\n"],
+                             ids=["too-few-names", "unnamed-column"])
+    def test_estimate_header_must_name_columns(self, tmp_path, capsys, text):
+        samples = tmp_path / "s.csv"
+        samples.write_text(text)
+        out = tmp_path / "o.csv"
+        assert main(["estimate", "--samples", str(samples), "--kind", "simplex-cdf",
+                     "--out", str(out)]) == 2
+        assert "does not name its" in capsys.readouterr().err
+        assert not out.exists()
+        assert tmp_leftovers(tmp_path) == []
+
+    def test_sample_gen_over_capacity(self, tmp_path, monkeypatch):
+        # three gamma variates per draw: 10 draws are 30, within the cap; 11 are not
+        monkeypatch.setattr(simplex, "LATTICE_CAP", 30)
+        out = tmp_path / "s.csv"
+        argv = ["sample-gen", "--alpha", "1,1,1", "--out", str(out)]
+        assert main(argv + ["--n", "11"]) == 2
+        assert not out.exists()
+        assert tmp_leftovers(tmp_path) == []
+        assert main(argv + ["--n", "10"]) == 0
+
     def test_estimate_over_capacity(self, tmp_path):
         samples = tmp_path / "s.csv"
         main(["sample-gen", "--alpha", "1,1,1", "--n", "5", "--out", str(samples)])
@@ -260,24 +283,19 @@ class TestConfigFile:
                      "--out", str(tmp_path / "f.csv")]) == 2
 
 
-class TestOutdirEnv:
-    def test_relative_paths_redirected(self, tmp_path, monkeypatch):
-        outdir = tmp_path / "runs"
-        monkeypatch.setenv("BERNSIMPLEX_OUTDIR", str(outdir))
-        monkeypatch.chdir(tmp_path)
-        assert main(["sample-gen", "--alpha", "1,1", "--n", "5",
-                     "--out", "samples.csv"]) == 0
-        assert (outdir / "samples.csv").exists()
-        assert not (tmp_path / "samples.csv").exists()
-
-    def test_absolute_path_not_redirected(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("BERNSIMPLEX_OUTDIR", str(tmp_path / "runs"))
-        target = tmp_path / "abs.csv"
-        assert main(["sample-gen", "--alpha", "1,1", "--n", "5",
-                     "--out", str(target)]) == 0
-        assert target.exists()
-
+class TestAtomicOutput:
     def test_no_tmp_leftovers(self, tmp_path):
         out = tmp_path / "s.csv"
         main(["sample-gen", "--alpha", "1,1", "--n", "5", "--out", str(out)])
+        assert tmp_leftovers(tmp_path) == []
+
+    def test_failed_rename_leaves_nothing(self, tmp_path, monkeypatch):
+        # sample-gen writes through the same temp file and rename as every table
+        def fail(src, dst):
+            raise OSError("rename failed")
+
+        monkeypatch.setattr(simplex.os, "replace", fail)
+        out = tmp_path / "s.csv"
+        assert main(["sample-gen", "--alpha", "1,1", "--n", "5", "--out", str(out)]) == 2
+        assert not out.exists()
         assert tmp_leftovers(tmp_path) == []

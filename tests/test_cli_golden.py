@@ -115,7 +115,6 @@ def _sha(data: bytes) -> str:
 def test_golden(name, tmp_path, monkeypatch, capsys):
     argv, out, rc, csv_sha, stdout_sha = CASES[name]
     monkeypatch.chdir(tmp_path)
-    monkeypatch.delenv("BERNSIMPLEX_OUTDIR", raising=False)
     (tmp_path / "run.cfg").write_text(CONFIG)
     if "--samples" in argv:
         assert main(SAMPLES_ARGV) == 0

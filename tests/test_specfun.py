@@ -1,11 +1,13 @@
 import math
 
 import mpmath as mp
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bernsimplex import specfun as sf
+import oracles
 
 mp.mp.dps = 40
 
@@ -44,7 +46,9 @@ class TestPolygamma:
 
     @pytest.mark.parametrize("order", range(0, 9))
     def test_against_mpmath(self, order):
-        for z in (0.03, 0.7, 1.0, 3.3, 12.0, 145.0, 2.7e4):
+        # 12 + 2*order is where the upward shift stops and the series starts
+        edge = 12.0 + 2.0 * order
+        for z in (0.03, 0.7, 1.0, 3.3, 12.0, edge - 1e-9, edge + 1e-9, 145.0, 2.7e4):
             ref = float(mp.polygamma(order, z)) if order else float(mp.digamma(z))
             assert sf.polygamma(order, z) == pytest.approx(ref, rel=1e-13)
 
@@ -86,3 +90,32 @@ class TestDuplicationResidual:
     def test_domain_error(self):
         with pytest.raises(ValueError):
             sf.duplication_residual(-2.0)
+
+
+def _series_sweep():
+    """Seeded log-uniform z on [1e-6, 1e8], plus every integer and half-integer
+    up to 30 (as int and float) with its two float neighbours: where the shift
+    counts and the 12 + 2n series thresholds change."""
+    rng = np.random.Generator(np.random.PCG64(20180917))
+    zs = [float(z) for z in np.exp(rng.uniform(math.log(1e-6), math.log(1e8), 4000))]
+    for v in np.arange(0.5, 30.25, 0.5):
+        zs += [float(np.nextafter(v, 0.0)), float(v), float(np.nextafter(v, np.inf))]
+    return zs + list(range(1, 31))
+
+
+class TestAgainstTermByTermSeries:
+    """The table-driven series must reproduce the term-by-term oracle bit for bit."""
+
+    zs = _series_sweep()
+
+    def test_log_gamma(self):
+        assert [sf.log_gamma(z) for z in self.zs] == [oracles.log_gamma(z) for z in self.zs]
+
+    def test_duplication_residual(self):
+        got = [sf.duplication_residual(z) for z in self.zs]
+        assert got == [oracles.duplication_residual(z) for z in self.zs]
+
+    @pytest.mark.parametrize("order", range(0, sf.MAX_POLY_ORDER + 1))
+    def test_polygamma(self, order):
+        got = [sf.polygamma(order, z) for z in self.zs]
+        assert got == [oracles.polygamma(order, z) for z in self.zs]
