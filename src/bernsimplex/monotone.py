@@ -5,13 +5,17 @@
 over the d+1 barycentric coordinates of an interior simplex point.  The
 module evaluates g, the derivatives of h = -log g through polygamma
 functions, the auxiliary positivity function J_u, and the Kullback-Leibler
-limit of h', and runs two-route monotonicity scans over a-grids.
+limit of h', and runs two-route monotonicity scans over a-grids.  g, ln g and
+the derivatives of h take a float a or an ndarray of them; a scan evaluates
+its whole grid at once.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .report import ScanReport
 from .simplex import SimplexPoint, WeightVector
@@ -64,12 +68,12 @@ class MonotoneInstance:
         ]
 
 
-def _check_a(a: float) -> None:
-    if not (math.isfinite(a) and a > 0.0):
+def _check_a(a) -> None:
+    if not np.all((np.asarray(a) > 0.0) & np.isfinite(a)):
         raise ValueError(f"a must be positive, got {a!r}")
 
 
-def log_g_eval(inst: MonotoneInstance, a: float, corrupt: bool = False) -> float:
+def log_g_eval(inst: MonotoneInstance, a, corrupt: bool = False):
     """ln g(a).  corrupt=True flips the sign of the x-exponent term; it
     produces a non-CM function and exists only so scan harnesses can prove
     they reject bad input."""
@@ -82,24 +86,32 @@ def log_g_eval(inst: MonotoneInstance, a: float, corrupt: bool = False) -> float
     return out
 
 
-def g_eval(inst: MonotoneInstance, a: float, corrupt: bool = False) -> float:
-    return math.exp(log_g_eval(inst, a, corrupt=corrupt))
+# math.exp entry by entry: libm's bits, and its OverflowError where a
+# corrupted g outgrows a float
+_exp = np.vectorize(math.exp, otypes=[float])
 
 
-def _h_terms(inst: MonotoneInstance, a: float, n: int, corrupt: bool) -> list:
+def g_eval(inst: MonotoneInstance, a, corrupt: bool = False):
+    return _exp(log_g_eval(inst, a, corrupt=corrupt))[()]
+
+
+def _h_terms(inst: MonotoneInstance, a, n: int, corrupt: bool) -> list:
     """The signed terms whose left-to-right sum is h^{(n)}(a): -M^n psi^{(n-1)}(aM+1),
     then per active coordinate g^n psi^{(n-1)}(ag+1) and, for n = 1, -g ln x
-    (+g ln x with corrupt=True)."""
+    (+g ln x with corrupt=True).  One polygamma call on the stacked arguments
+    a * [M, g_1, ...] + 1."""
     M = inst.weights.M
-    out = [-(M**n) * polygamma(n - 1, a * M + 1.0)]
-    for g, x in inst.active_terms():
-        out.append(g**n * polygamma(n - 1, a * g + 1.0))
+    active = inst.active_terms()
+    psi = polygamma(n - 1, np.multiply.outer([M] + [g for g, _ in active], a) + 1.0)
+    out = [-(M**n) * psi[0]]
+    for (g, x), p in zip(active, psi[1:]):
+        out.append(g**n * p)
         if n == 1:
             out.append((g if corrupt else -g) * math.log(x))
     return out
 
 
-def h_derivative(inst: MonotoneInstance, a: float, n: int, corrupt: bool = False) -> float:
+def h_derivative(inst: MonotoneInstance, a, n: int, corrupt: bool = False):
     """n-th derivative of h = -log g at a, via polygamma (1 <= n <= 7).
 
     With corrupt=True the x-exponent of g is sign-flipped (see log_g_eval);
@@ -112,9 +124,9 @@ def h_derivative(inst: MonotoneInstance, a: float, n: int, corrupt: bool = False
     return sum(terms[1:], terms[0])
 
 
-def _h_derivative_scale(inst: MonotoneInstance, a: float, n: int) -> float:
+def _h_derivative_scale(inst: MonotoneInstance, a, n: int):
     """Magnitude of the largest term in the alternating sum for h^{(n)}(a)."""
-    return max(abs(t) for t in _h_terms(inst, a, n, False))
+    return np.max(np.abs(np.broadcast_arrays(*_h_terms(inst, a, n, False))), axis=0)
 
 
 def j_eval(u, y: float) -> float:
@@ -152,8 +164,9 @@ def kl_limit(inst: MonotoneInstance) -> float:
     return max(out, 0.0) if out > -1e-15 else out
 
 
-def _forward_difference(values, n: int) -> float:
-    """Delta^n at the left end of n+1 equally spaced values."""
+def _forward_difference(values, n: int):
+    """Delta^n at the left end of n+1 equally spaced values (or equal-shape
+    arrays of them)."""
     return sum((-1) ** (n - j) * math.comb(n, j) * values[j] for j in range(n + 1))
 
 
@@ -185,19 +198,25 @@ def cm_scan(
     if not 1 <= max_order <= MAX_H_ORDER:
         raise ValueError(f"max_order must be in [1, {MAX_H_ORDER}]")
 
-    report = ScanReport()
+    a = np.array(grid)
     diff_order = min(max_order, MAX_DIFF_ORDER)
-    for a in grid:
-        # derivative route: q_n = (-1)^{n-1} h^{(n)}(a) > 0 for n = 1..max_order
-        for n in range(1, max_order + 1):
-            value = (-1.0) ** (n - 1) * h_derivative(inst, a, n, corrupt=corrupt)
-            scale = _h_derivative_scale(inst, a, n)
-            margin = value + DERIV_FLOOR_REL * max(scale, 1.0)
-            report.record(margin, (a, n, value, margin))
-        # difference route
-        gvals = [g_eval(inst, a + j * DIFF_STEP, corrupt=corrupt) for j in range(diff_order + 1)]
-        for n in range(1, diff_order + 1):
-            value = (-1.0) ** n * _forward_difference(gvals, n)
-            tol = DIFF_REL_TOL * gvals[0]
-            report.record(value + tol, (a, -n, value, value + tol))
+    # derivative route: q_n = (-1)^{n-1} h^{(n)}(a) > 0 for n = 1..max_order
+    deriv = []
+    for n in range(1, max_order + 1):
+        h_n = np.broadcast_to(h_derivative(inst, a, n, corrupt=corrupt), a.shape)
+        value = (-1.0) ** (n - 1) * h_n
+        margin = value + DERIV_FLOOR_REL * np.maximum(_h_derivative_scale(inst, a, n), 1.0)
+        deriv.append((n, value.tolist(), margin.tolist()))
+    # difference route, on the (grid, step) block a + j * DIFF_STEP
+    gvals = g_eval(inst, a[:, None] + np.arange(diff_order + 1) * DIFF_STEP, corrupt=corrupt).T
+    tol = (DIFF_REL_TOL * gvals[0]).tolist()
+    diff = [(-n, ((-1.0) ** n * _forward_difference(gvals, n)).tolist())
+            for n in range(1, diff_order + 1)]
+
+    report = ScanReport()
+    for i, ai in enumerate(grid):
+        for n, value, margin in deriv:
+            report.record(margin[i], (ai, n, value[i], margin[i]))
+        for order, value in diff:
+            report.record(value[i] + tol[i], (ai, order, value[i], value[i] + tol[i]))
     return report

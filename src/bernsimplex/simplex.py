@@ -8,6 +8,7 @@ the hundreds overflow direct factorials).
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 import tempfile
@@ -170,7 +171,12 @@ class SampleSet:
         """Read a file whose header x1,...,xd names each of its d columns."""
         with open(path) as fh:
             header = fh.readline().strip()
-            samples = cls(points=np.loadtxt(fh, delimiter=",", ndmin=2), domain=domain)
+            # reject a file without rows here: np.loadtxt would warn on it
+            first = next((line for line in fh if line.partition("#")[0].strip()), None)
+            if first is None:
+                raise ValueError(f"{path} has a header but no sample rows")
+            points = np.loadtxt(itertools.chain([first], fh), delimiter=",", ndmin=2)
+        samples = cls(points=points, domain=domain)
         expected = _coord_header(samples.d)
         if header != expected:
             raise ValueError(f"header {header!r} of {path} does not name its "

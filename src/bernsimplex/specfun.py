@@ -5,11 +5,20 @@ until they reach a Stirling-series threshold, then an asymptotic expansion
 with Bernoulli coefficients through B_16 is summed.  Target accuracy is
 ~1e-13 relative, which is what every downstream tolerance in this package
 assumes.
+
+``log_gamma`` and ``polygamma`` also take an ndarray of arguments and return
+an array of its shape: the same thresholds, shift loop and series, each
+step applied to all entries still below the threshold at once.  numpy's log
+and power may differ from the scalar route's libm in the last bits.  Overflow behaves as in the scalar route: where a float ** int
+would raise OverflowError the array route raises it too, and elsewhere an
+overflow gives inf without a warning, as float arithmetic does.
 """
 
 from __future__ import annotations
 
 import math
+
+import numpy as np
 
 __all__ = [
     "log_gamma",
@@ -49,27 +58,75 @@ _POLYGAMMA_COEFS = {
 }
 
 
-def _check_positive(z: float, name: str = "z") -> None:
-    if not (isinstance(z, (int, float)) and math.isfinite(z) and z > 0.0):
-        raise ValueError(f"{name} must be a finite positive real, got {z!r}")
+def _check_positive(z, name: str = "z") -> bool:
+    """True for an int or float in (0, inf), False for an ndarray whose entries
+    all are (the cue for the array route), ValueError for anything else."""
+    if isinstance(z, (int, float)) and math.isfinite(z) and z > 0.0:
+        return True
+    if isinstance(z, np.ndarray):
+        bad = z[~((z > 0.0) & (z < math.inf))]
+        if not bad.size:
+            return False
+        z = bad.flat[0].item()
+    raise ValueError(f"{name} must be a finite positive real, got {z!r}")
 
 
-def _series(coefs, w: float, inv2: float, acc: float = 0.0) -> float:
-    """acc + sum_k coefs[k] * w * inv2**k, added term by term in k order."""
+def _series(coefs, w, inv2, acc=0.0):
+    """acc + sum_k coefs[k] * w * inv2**k, added term by term in k order.
+    Leaves its arguments unchanged, arrays included."""
     for c in coefs:
-        acc += c * w
-        w *= inv2
+        acc = acc + c * w
+        w = w * inv2
     return acc
 
 
-def _stirling_tail(z: float) -> float:
+def _pow(z: np.ndarray, k: int) -> np.ndarray:
+    """z ** k for a divisor, raising where float ** int (OverflowError) or
+    float division by the result (ZeroDivisionError) would."""
+    out = z**k
+    if np.isinf(out).any():
+        raise OverflowError(34, "Numerical result out of range")
+    if not out.all():
+        raise ZeroDivisionError("float division by zero")
+    return out
+
+
+def _shift_up(z: np.ndarray, threshold: float, step):
+    """Per entry of a copy of z: while z < threshold, shift -= step(z) and
+    z += 1.  Returns (shifted z, shift).
+
+    The entries below threshold are taken in ascending order.  Rounding is
+    monotone, so the ones still below threshold after each step are always
+    a prefix of that order, and every step works on a slice.
+    """
+    z = z.astype(float)
+    shift = np.zeros_like(z)
+    flat = z.reshape(-1)
+    order = np.flatnonzero(flat < threshold)
+    order = order[np.argsort(flat[order])]
+    zs, ss = flat[order], np.zeros(order.size)
+    active = order.size
+    while active:
+        v = zs[:active]
+        ss[:active] -= step(v)
+        v += 1.0
+        active = np.count_nonzero(v < threshold)
+    flat[order] = zs
+    shift.reshape(-1)[order] = ss
+    return z, shift
+
+
+def _stirling_tail(z):
     # sum_k B_{2k} / (2k(2k-1) z^{2k-1})
     return _series(_LOG_GAMMA_COEFS, 1.0 / z, 1.0 / (z * z))
 
 
-def log_gamma(z: float) -> float:
-    """ln Gamma(z) for z > 0."""
-    _check_positive(z)
+def log_gamma(z):
+    """ln Gamma(z) for z > 0; an ndarray z gives an array of its shape."""
+    if not _check_positive(z):
+        with np.errstate(over="ignore"):
+            z, shift = _shift_up(z, _STIRLING_THRESHOLD, np.log)
+            return (z - 0.5) * np.log(z) - z + _HALF_LOG_TWO_PI + _stirling_tail(z) + shift
     shift = 0.0
     while z < _STIRLING_THRESHOLD:
         shift -= math.log(z)
@@ -77,20 +134,24 @@ def log_gamma(z: float) -> float:
     return (z - 0.5) * math.log(z) - z + _HALF_LOG_TWO_PI + _stirling_tail(z) + shift
 
 
-def polygamma(order: int, z: float) -> float:
-    """psi^{(order)}(z) for z > 0; order 0 is the digamma function.
+def polygamma(order: int, z):
+    """psi^{(order)}(z) for z > 0; order 0 is the digamma function.  An
+    ndarray z gives an array of its shape.
 
     Orders above 8 are rejected: the asymptotic series is only tuned
     (shift threshold, Bernoulli depth) up to that point.
     """
     if not isinstance(order, int) or order < 0 or order > MAX_POLY_ORDER:
         raise ValueError(f"order must be an integer in [0, {MAX_POLY_ORDER}], got {order!r}")
-    _check_positive(z)
+    scalar = _check_positive(z)
     # higher orders need a larger threshold: series terms carry (2k+n-1)!
     threshold = _STIRLING_THRESHOLD + 2.0 * order
     n = order
     sign = 1.0 if n % 2 == 0 else -1.0  # (-1)^n n!/z^{n+1} in the recurrence
     fac = math.factorial(n)
+    if not scalar:
+        with np.errstate(over="ignore"):
+            return _polygamma_array(n, z, threshold, sign, fac)
     shift = 0.0
     while z < threshold:
         shift -= sign * fac / z ** (n + 1)
@@ -107,6 +168,21 @@ def polygamma(order: int, z: float) -> float:
     return (acc if n % 2 == 1 else -acc) + shift
 
 
+def _polygamma_array(n: int, z: np.ndarray, threshold: float, sign: float, fac: int):
+    """polygamma's scalar body on an array, with its powers checked by _pow."""
+    # below threshold no power overflows, and the smallest z gives the
+    # smallest power: the only one that can underflow to a zero divisor
+    _pow(np.min(z, initial=1.0), n + 1)
+    z, shift = _shift_up(z, threshold, lambda v: sign * fac / v ** (n + 1))
+    inv2 = 1.0 / (z * z)
+    if n == 0:
+        return np.log(z) - 0.5 / z - _series(_DIGAMMA_COEFS, inv2, inv2) + shift
+    fac_nm1 = math.factorial(n - 1)
+    lead = fac_nm1 / _pow(z, n) + fac_nm1 * n / (2.0 * _pow(z, n + 1))
+    acc = _series(_POLYGAMMA_COEFS[n], 1.0 / _pow(z, n) * inv2, inv2, lead)
+    return (acc if n % 2 == 1 else -acc) + shift
+
+
 def duplication_residual(y: float) -> float:
     """Signed defect of the Gamma duplication identity at y, in log scale.
 
@@ -116,7 +192,8 @@ def duplication_residual(y: float) -> float:
     before evaluation, otherwise the O(y log y) leading terms cancel in
     floating point and swamp the 1e-12 contract at large y.
     """
-    _check_positive(y, "y")
+    if not _check_positive(y, "y"):
+        raise ValueError("y must be a scalar")
     if y < _STIRLING_THRESHOLD:
         lhs = y * math.log(4.0)
         rhs = (

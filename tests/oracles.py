@@ -6,10 +6,15 @@ pmf one (k, x) pair at a time (oracles for ``simplex.lattice_array`` and
 (queries x samples) comparison (the oracle for the estimators' binned cdf),
 and the sup distance between two tables of values on one grid.
 
-Last, log-gamma, polygamma and the duplication residual with each Bernoulli
+Then, log-gamma, polygamma and the duplication residual with each Bernoulli
 series coefficient computed inside its term loop and a separate shift loop
 for order 0: the reference that ``specfun``'s table-driven ``_series`` must
-match bit for bit.  ``multinomial_log_pmf`` uses this ``log_gamma``.
+match bit for bit, and that its array route must match to a few ulps.
+``multinomial_log_pmf`` uses this ``log_gamma``.
+
+Last, the complete-monotonicity scan one grid point at a time, on these
+scalar special functions: the oracle for ``monotone.cm_scan``, which
+evaluates the whole grid at once.
 """
 
 from __future__ import annotations
@@ -20,6 +25,9 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
+from bernsimplex.monotone import (DERIV_FLOOR_REL, DIFF_REL_TOL, DIFF_STEP, MAX_DIFF_ORDER,
+                                  MonotoneInstance)
+from bernsimplex.report import ScanReport
 from bernsimplex.simplex import SampleSet, SimplexPoint, _check_capacity, lattice_size
 from bernsimplex.specfun import (_BERNOULLI, _HALF_LOG_TWO_PI, _STIRLING_THRESHOLD,
                                  MAX_POLY_ORDER, _check_positive)
@@ -204,3 +212,63 @@ def duplication_residual(y: float) -> float:
     # fused form: residual = y*log1p(1/(2y)) - 1/2 - [S(2y) - S(y) - S(y+1/2)]
     ds = _stirling_tail(2.0 * y) - _stirling_tail(y) - _stirling_tail(y + 0.5)
     return y * math.log1p(0.5 / y) - 0.5 - ds
+
+
+def log_g_eval(inst: MonotoneInstance, a: float, corrupt: bool = False) -> float:
+    M = inst.weights.M
+    out = log_gamma(a * M + 1.0)
+    for g, x in inst.active_terms():
+        out -= log_gamma(a * g + 1.0)
+        out += (-1.0 if corrupt else 1.0) * a * g * math.log(x)
+    return out
+
+
+def g_eval(inst: MonotoneInstance, a: float, corrupt: bool = False) -> float:
+    return math.exp(log_g_eval(inst, a, corrupt=corrupt))
+
+
+def h_terms(inst: MonotoneInstance, a: float, n: int, corrupt: bool) -> list:
+    """The signed terms whose left-to-right sum is h^{(n)}(a), one polygamma
+    call per term."""
+    M = inst.weights.M
+    out = [-(M**n) * polygamma(n - 1, a * M + 1.0)]
+    for g, x in inst.active_terms():
+        out.append(g**n * polygamma(n - 1, a * g + 1.0))
+        if n == 1:
+            out.append((g if corrupt else -g) * math.log(x))
+    return out
+
+
+def h_derivative(inst: MonotoneInstance, a: float, n: int, corrupt: bool = False) -> float:
+    terms = h_terms(inst, a, n, corrupt)
+    return sum(terms[1:], terms[0])
+
+
+def _h_derivative_scale(inst: MonotoneInstance, a: float, n: int) -> float:
+    return max(abs(t) for t in h_terms(inst, a, n, False))
+
+
+def _forward_difference(values, n: int) -> float:
+    return sum((-1) ** (n - j) * math.comb(n, j) * values[j] for j in range(n + 1))
+
+
+def cm_scan(inst: MonotoneInstance, grid, max_order: int = 6,
+            corrupt: bool = False) -> ScanReport:
+    """``monotone.cm_scan`` on a valid grid, one point and one order at a time."""
+    grid = [float(a) for a in grid]
+    report = ScanReport()
+    diff_order = min(max_order, MAX_DIFF_ORDER)
+    for a in grid:
+        # derivative route: q_n = (-1)^{n-1} h^{(n)}(a) > 0 for n = 1..max_order
+        for n in range(1, max_order + 1):
+            value = (-1.0) ** (n - 1) * h_derivative(inst, a, n, corrupt=corrupt)
+            scale = _h_derivative_scale(inst, a, n)
+            margin = value + DERIV_FLOOR_REL * max(scale, 1.0)
+            report.record(margin, (a, n, value, margin))
+        # difference route
+        gvals = [g_eval(inst, a + j * DIFF_STEP, corrupt=corrupt) for j in range(diff_order + 1)]
+        for n in range(1, diff_order + 1):
+            value = (-1.0) ** n * _forward_difference(gvals, n)
+            tol = DIFF_REL_TOL * gvals[0]
+            report.record(value + tol, (a, -n, value, value + tol))
+    return report

@@ -183,6 +183,18 @@ class TestExitCodes:
         assert not out.exists()
         assert tmp_leftovers(tmp_path) == []
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("text", ["x1,x2\n", "x1,x2\n\n# no rows\n"])
+    def test_estimate_header_only_samples(self, tmp_path, capsys, text):
+        samples = tmp_path / "s.csv"
+        samples.write_text(text)
+        out = tmp_path / "o.csv"
+        assert main(["estimate", "--samples", str(samples), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "no sample rows" in err and "UserWarning" not in err
+        assert not out.exists()
+        assert tmp_leftovers(tmp_path) == []
+
     def test_sample_gen_over_capacity(self, tmp_path, monkeypatch):
         # three gamma variates per draw: 10 draws are 30, within the cap; 11 are not
         monkeypatch.setattr(simplex, "LATTICE_CAP", 30)

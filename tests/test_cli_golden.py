@@ -11,6 +11,13 @@ test_s_table_values_against_mpmath checks those values. The two hypercube
 estimate CSV hashes were recorded again when the hypercube estimators took
 their binomial weights from the shared log-pmf kernel, which moves their
 values by ulps; test_hypercube_estimates_against_mpmath checks those values.
+The three cm-scan CSV hashes were recorded again when the scan moved to
+array-valued polygamma and log_gamma, whose numpy log and power differ from
+libm in the last bits; about 3% of their rows moved, and their stdout
+(verdict and max_violation) did not. test_cm_scan_values_against_mpmath
+checks those values. Values that pass through numpy's log, exp or power
+were hashed with numpy 2.4 on an x86-64 host with AVX-512; numpy picks those
+kernels by CPU, so another host may give other last bits.
 """
 
 import hashlib
@@ -20,7 +27,8 @@ import mpmath
 import numpy as np
 import pytest
 
-from bernsimplex.cli import main
+from bernsimplex import monotone
+from bernsimplex.cli import _random_instance, main
 
 # written before every case that reads --samples
 SAMPLES_ARGV = ["sample-gen", "--alpha", "2,1,3", "--n", "400", "--seed", "4",
@@ -32,17 +40,17 @@ CONFIG = "# comment\n\ntrials = 30\ndmax=2\nseed = 9\n"
 CASES = {
     "cm-scan": (
         ["cm-scan", "--instances", "3"], "cm_scan.csv", 0,
-        "14d2e12eae934810c1817107fcf34a4dfa07939ca5de904619d69b269e6e6f3d",
+        "f7879915fd25463311c44882767206137e07fc301708a9c6e272af7cee0edb7b",
         "77b49ade2e12f5eb487501e7617af3bcd747c33621f9ec10dd127f52243e09d0"),
     "cm-scan-d3": (
         ["cm-scan", "--d", "3", "--instances", "2", "--grid", "0.2:5:0.4",
          "--max-order", "5", "--seed", "8", "--out", "cm.csv"], "cm.csv", 0,
-        "37407e25119ddfab6a109bc7e74713e10717c0c5ca4a70674145471c6d763f86",
+        "41d987189a97208986ba9e1ad33caaf04c540c834e8168802646b3280e452949",
         "362b5f8b58e79aa20322fac36be9cb97b9ea9229c83452e19ea9f5369eba2eab"),
     "cm-scan-corrupt": (
         ["cm-scan", "--instances", "2", "--self-test-corrupt", "--seed", "3"],
         "cm_scan.csv", 1,
-        "5562691d23d08087ec8b739d0869ae0523325f93c6d7e3e0f88178a8ee2f84f2",
+        "bdae2461874eb5a664b58050fbe0bed386a68630ddd3d648235f2b2d9e45fbfc",
         "4ff9ad165e843d7c1b3f9b60ad67bf205c29b8703312cb861d97c2947bcf9587"),
     "ineq-fuzz": (
         ["ineq-fuzz"], "ineq_fuzz.csv", 0,
@@ -181,3 +189,62 @@ def test_hypercube_estimates_against_mpmath(name, tmp_path, monkeypatch):
                 total += term
             want = float(total * (m**d if density else 1) / n)
         assert math.isclose(row[-1], want, rel_tol=1e-12, abs_tol=1e-15 if want == 0 else 0.0)
+
+
+@pytest.mark.parametrize("name", ["cm-scan", "cm-scan-d3", "cm-scan-corrupt"])
+def test_cm_scan_values_against_mpmath(name, tmp_path, monkeypatch):
+    # these three hashes were re-recorded when cm_scan moved to array-valued
+    # polygamma and log_gamma (values moved by ulps); this checks every value
+    # they pin against 40 digits: derivative rows within 1e-13 max(scale, 1),
+    # difference rows within 1e-13 of the sum of the |terms| of the difference
+    argv, out, rc = CASES[name][:3]
+    monkeypatch.chdir(tmp_path)
+    assert main(list(argv)) == rc
+
+    def flag(key, default):
+        return argv[argv.index(key) + 1] if key in argv else default
+
+    rng = np.random.Generator(np.random.PCG64(int(flag("--seed", 0))))
+    insts = [_random_instance(rng, int(flag("--d", 2)))
+             for _ in range(int(flag("--instances", 50)))]
+    sign_x = -1 if "--self-test-corrupt" in argv else 1
+    mpf = mpmath.mpf
+    lines = (tmp_path / out).read_text().splitlines()
+    rows = [line.split(",") for line in lines[1:] if not line.startswith("#")]
+    assert rows
+    with mpmath.workdps(40):
+        log_g_at = {}
+
+        def log_g(inst, p):
+            if (inst, p) not in log_g_at:
+                P = mpf(p)
+                v = mpmath.loggamma(P * mpf(inst.weights.M) + 1)
+                for g, x in inst.active_terms():
+                    v += -mpmath.loggamma(P * mpf(g) + 1) + sign_x * P * mpf(g) * mpmath.log(mpf(x))
+                log_g_at[inst, p] = v
+            return log_g_at[inst, p]
+
+        for row in rows:
+            inst, a, n = insts[int(row[0])], float(row[1]), int(row[2])
+            value, margin = float(row[3]), float(row[4])
+            A = mpf(a)
+            if n > 0:
+                M = mpf(inst.weights.M)
+                terms = [-M**n * mpmath.polygamma(n - 1, A * M + 1)]
+                for g, x in inst.active_terms():
+                    terms.append(mpf(g) ** n * mpmath.polygamma(n - 1, A * mpf(g) + 1))
+                    if n == 1:
+                        terms.append(-sign_x * mpf(g) * mpmath.log(mpf(x)))
+                scale = max(float(max(abs(t) for t in terms)), 1.0)
+                tol = 1e-13 * scale
+                want = (-1) ** (n - 1) * mpmath.fsum(terms)
+                floor = monotone.DERIV_FLOOR_REL * scale
+            else:
+                k = -n
+                gs = [mpmath.exp(log_g(inst, a + j * monotone.DIFF_STEP)) for j in range(k + 1)]
+                terms = [(-1) ** (k - j) * mpmath.binomial(k, j) * gs[j] for j in range(k + 1)]
+                tol = 1e-13 * float(mpmath.fsum(abs(t) for t in terms))
+                want = (-1) ** k * mpmath.fsum(terms)
+                floor = monotone.DIFF_REL_TOL * float(gs[0])
+            assert abs(value - float(want)) <= tol, row
+            assert abs(margin - float(want + floor)) <= tol, row

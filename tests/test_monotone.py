@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from bernsimplex import monotone as mo
+from bernsimplex.cli import _grid_spec
 from bernsimplex.simplex import SimplexPoint, WeightVector
 from bernsimplex.specfun import polygamma
 
@@ -179,3 +181,47 @@ class TestCmScan:
         with pytest.raises(ValueError):
             mo.cm_scan(SYMMETRIC, [-1.0, 1.0], max_order=3)
 
+
+
+def _log_g_magnitude(inst, a):
+    """|ln Gamma(aM+1)| + sum_i |ln Gamma(a g_i+1)| + sum_i a g_i |ln x_i|: the
+    size of the terms whose sum is ln g(a)."""
+    out = abs(oracles.log_gamma(a * inst.weights.M + 1.0))
+    for g, x in inst.active_terms():
+        out += abs(oracles.log_gamma(a * g + 1.0)) + a * g * abs(math.log(x))
+    return out
+
+
+class TestCmScanAgainstPerPointOracle:
+    """The grid-at-once scan against the per-point loop on scalar special
+    functions (tests/oracles.py).  Rounding bounds: derivative rows within
+    16 eps of the largest polygamma term; difference rows within 16 eps (1+L)
+    of sum_j C(n,j) g(a+jh), since exp turns an absolute error in ln g, whose
+    terms reach L, into a relative error in g."""
+
+    GRID = _grid_spec("0.1:10:0.1")
+    EPS = np.finfo(float).eps
+
+    @pytest.mark.parametrize("d", range(1, 6))
+    def test_rows_agree(self, d):
+        rng = np.random.Generator(np.random.PCG64(300 + d))
+        for i in range(6):
+            inst, corrupt = random_instance(rng, d), i % 2 == 1
+            got = mo.cm_scan(inst, self.GRID, max_order=7, corrupt=corrupt)
+            want = oracles.cm_scan(inst, self.GRID, max_order=7, corrupt=corrupt)
+            assert got.passed == want.passed
+            assert [row[:2] for row in got.rows] == [row[:2] for row in want.rows]
+            at = {}  # (L, g) at each point a + jh, by point
+            for (a, n, *vals), (_, _, *refs) in zip(got.rows, want.rows):
+                if n > 0:
+                    bound = 16 * self.EPS * max(oracles._h_derivative_scale(inst, a, n), 1.0)
+                else:
+                    points = [a + j * mo.DIFF_STEP for j in range(1 - n)]
+                    for p in points:
+                        if p not in at:
+                            at[p] = (_log_g_magnitude(inst, p),
+                                     oracles.g_eval(inst, p, corrupt=corrupt))
+                    spread = 1.0 + max(at[p][0] for p in points)
+                    size = sum(math.comb(-n, j) * at[p][1] for j, p in enumerate(points))
+                    bound = 16 * self.EPS * spread * size
+                assert max(abs(v - r) for v, r in zip(vals, refs)) <= bound, (a, n)

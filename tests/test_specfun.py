@@ -119,3 +119,62 @@ class TestAgainstTermByTermSeries:
     def test_polygamma(self, order):
         got = [sf.polygamma(order, z) for z in self.zs]
         assert got == [oracles.polygamma(order, z) for z in self.zs]
+
+
+def _array_sweep():
+    """The seeded log-uniform z of _series_sweep, plus every threshold 12 + 2n
+    and its two float neighbours."""
+    rng = np.random.Generator(np.random.PCG64(20180917))
+    zs = list(np.exp(rng.uniform(math.log(1e-6), math.log(1e8), 4000)))
+    for n in range(sf.MAX_POLY_ORDER + 1):
+        edge = 12.0 + 2.0 * n
+        zs += [np.nextafter(edge, 0.0), edge, np.nextafter(edge, np.inf)]
+    return np.array(zs)
+
+
+class TestArrayRoute:
+    """An ndarray z takes the array route; the scalar route is its oracle."""
+
+    zs = _array_sweep()
+
+    @pytest.mark.parametrize("two_d", [False, True], ids=["1d", "2d"])
+    @pytest.mark.parametrize("order", [None] + list(range(sf.MAX_POLY_ORDER + 1)))
+    def test_against_scalar_route(self, order, two_d):
+        z = np.stack([self.zs, self.zs[::-1]]) if two_d else self.zs
+        if order is None:
+            got, scalar = sf.log_gamma(z), sf.log_gamma
+        else:
+            got, scalar = sf.polygamma(order, z), lambda v: sf.polygamma(order, v)
+        want = np.array([scalar(float(v)) for v in z.reshape(-1)]).reshape(z.shape)
+        assert got.shape == z.shape
+        floor = 1.0 if order in (None, 0) else 0.0
+        assert np.all(np.abs(got - want) <= 1e-14 * np.maximum(floor, np.abs(want)))
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
+    def test_domain_errors(self, bad):
+        z = np.array([[1.0, 2.0], [bad, 3.0]])
+        with pytest.raises(ValueError):
+            sf.log_gamma(z)
+        for order in (0, 3):
+            with pytest.raises(ValueError):
+                sf.polygamma(order, z)
+
+    def test_overflow_as_scalar(self):
+        # float ** int raises where numpy would return inf with a warning
+        for order in range(1, sf.MAX_POLY_ORDER + 1):
+            with pytest.raises(OverflowError):
+                sf.polygamma(order, 1e200)
+            with pytest.raises(OverflowError):
+                sf.polygamma(order, np.array([2.0, 1e200]))
+        assert sf.log_gamma(np.array([1e200]))[0] == sf.log_gamma(1e200)
+        assert math.isfinite(sf.log_gamma(1e200))
+
+    def test_series_leaves_arguments_unchanged(self):
+        w = np.array([0.5, 0.25])
+        inv2 = w * w
+        acc = np.array([1.0, 2.0])
+        sf._series(sf._DIGAMMA_COEFS, inv2, inv2, acc)
+        sf._series(sf._LOG_GAMMA_COEFS, w, inv2, acc)
+        assert w.tolist() == [0.5, 0.25]
+        assert inv2.tolist() == [0.25, 0.0625]
+        assert acc.tolist() == [1.0, 2.0]
