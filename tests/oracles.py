@@ -8,8 +8,9 @@ and the sup distance between two tables of values on one grid.
 
 Then, log-gamma, polygamma and the duplication residual with each Bernoulli
 series coefficient computed inside its term loop and a separate shift loop
-for order 0: the reference that ``specfun``'s table-driven ``_series`` must
-match bit for bit, and that its array route must match to a few ulps.
+for order 0: the reference that ``specfun``'s scalar log-gamma and
+duplication residual must match bit for bit, and that its array routes,
+polygamma's only route among them, must match to a few ulps.
 ``multinomial_log_pmf`` uses this ``log_gamma``.
 
 Last, the complete-monotonicity scan one grid point at a time, on these

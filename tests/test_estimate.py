@@ -149,13 +149,16 @@ class TestBinnedLatticeCdf:
 
 
 class TestBatchedCalls:
-    def test_simplex_cdf(self):
+    def test_simplex_cdf(self, monkeypatch):
         s = sample_dirichlet((1.0, 2.0, 1.5), 300, seed=3)
-        grid = np.vstack([[0.0, 0.0], [1.0, 0.0], [0.3, 0.7],
-                          spoly.simplex_midpoint_grid(2, 7)[:, :-1]])
-        batch = est.bernstein_cdf_simplex(s, 17, grid)
+        grid = np.vstack([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.5, 0.5], [0.3, 0.7],
+                          spoly.simplex_midpoint_grid(2, 9)[:, :-1]])
+        assert len(grid) == 41
         single = [est.bernstein_cdf_simplex(s, 17, SimplexPoint(row)) for row in grid]
-        assert np.array_equal(batch, single)
+        # 171 lattice rows: 6 * 171 pmf entries per block splits the 41 points 6, ..., 6, 5
+        for block in (est.PMF_BLOCK_ELEMS, 6 * 171):
+            monkeypatch.setattr(est, "PMF_BLOCK_ELEMS", block)
+            assert np.array_equal(est.bernstein_cdf_simplex(s, 17, grid), single)
 
     @pytest.mark.parametrize("fn", [est.bernstein_cdf_hypercube, est.bernstein_density_hypercube])
     def test_hypercube(self, fn, monkeypatch):
@@ -181,6 +184,41 @@ class TestBinomialWeights:
             want = [math.exp(multinomial_log_pmf(MultiIndex((k,), deg), SimplexPoint((x,))))
                     for x in xs[:, 0]]
             np.testing.assert_allclose(got, want, rtol=1e-15, atol=0.0)
+
+
+class TestDensityVarianceIdentity:
+    """n Var f(x) of the hypercube density estimator under uniform samples is
+    m^d prod_i S_{1,1,m-1}(x_i) - 1, with S from spoly; exact, no sampling."""
+
+    XS = (0.0, 0.13, 0.5, 0.77, 1.0)
+
+    @staticmethod
+    def _weights(m, d, xs):
+        """The (m^d, P) weights bernstein_density_hypercube gives each cell,
+        each row the sum over one unit box of degree m - 1."""
+        return np.array([est._bernstein_sum(np.eye(m**d)[k].reshape((m,) * d), m - 1, xs, False)
+                         for k in range(m**d)])
+
+    @staticmethod
+    def _s11(m, x):
+        return spoly.s_eval(spoly.SPolyParams(1, 1, m - 1, 1), SimplexPoint((x,)))
+
+    @pytest.mark.parametrize("m", [2, 5, 12, 40])
+    def test_squared_weights_are_s(self, m):
+        w = self._weights(m, 1, np.array(self.XS)[:, None])
+        for x, got in zip(self.XS, (w**2).sum(axis=0)):
+            assert got == pytest.approx(self._s11(m, x), rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("m", [2, 5, 12])
+    def test_variance_at_d2(self, m):
+        d, p = 2, m**-2.0
+        xs = np.array([(a, b) for a in self.XS for b in self.XS])
+        w = self._weights(m, d, xs)
+        # n Var = m^{2d} Var(one sample's term) = m^{2d} (sum p W^2 - (sum p W)^2)
+        n_var = m ** (2 * d) * ((p * w**2).sum(axis=0) - (p * w).sum(axis=0) ** 2)
+        for (a, b), got in zip(xs, n_var):
+            lead = m**d * self._s11(m, a) * self._s11(m, b)
+            assert abs(got - (lead - 1.0)) <= 1e-13 * lead
 
 
 class TestHypercubeQueryChecks:

@@ -115,27 +115,26 @@ class TestAgainstTermByTermSeries:
         got = [sf.duplication_residual(z) for z in self.zs]
         assert got == [oracles.duplication_residual(z) for z in self.zs]
 
-    @pytest.mark.parametrize("order", range(0, sf.MAX_POLY_ORDER + 1))
-    def test_polygamma(self, order):
-        got = [sf.polygamma(order, z) for z in self.zs]
-        assert got == [oracles.polygamma(order, z) for z in self.zs]
+
+def _threshold_edges():
+    """Every series threshold 12 + 2n and its two float neighbours."""
+    edges = [12.0 + 2.0 * n for n in range(sf.MAX_POLY_ORDER + 1)]
+    return [v for e in edges for v in (np.nextafter(e, 0.0), e, np.nextafter(e, np.inf))]
 
 
 def _array_sweep():
-    """The seeded log-uniform z of _series_sweep, plus every threshold 12 + 2n
-    and its two float neighbours."""
+    """The seeded log-uniform z of _series_sweep, plus _threshold_edges."""
     rng = np.random.Generator(np.random.PCG64(20180917))
-    zs = list(np.exp(rng.uniform(math.log(1e-6), math.log(1e8), 4000)))
-    for n in range(sf.MAX_POLY_ORDER + 1):
-        edge = 12.0 + 2.0 * n
-        zs += [np.nextafter(edge, 0.0), edge, np.nextafter(edge, np.inf)]
-    return np.array(zs)
+    return np.array(list(np.exp(rng.uniform(math.log(1e-6), math.log(1e8), 4000)))
+                    + _threshold_edges())
 
 
 class TestArrayRoute:
-    """An ndarray z takes the array route; the scalar route is its oracle."""
+    """An ndarray z against a scalar route: log_gamma's own, and for
+    polygamma, whose only route is on arrays, the term-by-term series."""
 
-    zs = _array_sweep()
+    # the union of both sweeps, in first-seen order
+    zs = np.array(list(dict.fromkeys(_array_sweep().tolist() + _series_sweep())))
 
     @pytest.mark.parametrize("two_d", [False, True], ids=["1d", "2d"])
     @pytest.mark.parametrize("order", [None] + list(range(sf.MAX_POLY_ORDER + 1)))
@@ -144,7 +143,7 @@ class TestArrayRoute:
         if order is None:
             got, scalar = sf.log_gamma(z), sf.log_gamma
         else:
-            got, scalar = sf.polygamma(order, z), lambda v: sf.polygamma(order, v)
+            got, scalar = sf.polygamma(order, z), lambda v: oracles.polygamma(order, v)
         want = np.array([scalar(float(v)) for v in z.reshape(-1)]).reshape(z.shape)
         assert got.shape == z.shape
         floor = 1.0 if order in (None, 0) else 0.0
@@ -159,13 +158,24 @@ class TestArrayRoute:
             with pytest.raises(ValueError):
                 sf.polygamma(order, z)
 
+    @pytest.mark.parametrize("order", range(sf.MAX_POLY_ORDER + 1))
+    def test_float_and_array_entry_give_the_same_bits(self, order):
+        # a float call costs about 0.2 ms, so every 40th z of the sweep
+        zs = np.concatenate([self.zs[::40], _threshold_edges()])
+        got = [sf.polygamma(order, float(z)) for z in zs]
+        assert all(type(v) is float for v in got)
+        assert np.array(got).tobytes() == sf.polygamma(order, zs).tobytes()
+
     def test_overflow_as_scalar(self):
-        # float ** int raises where numpy would return inf with a warning
-        for order in range(1, sf.MAX_POLY_ORDER + 1):
+        # float ** int raises where numpy would return inf with a warning; at
+        # tiny z the first recurrence term n!/z^{n+1} is past the float range
+        huge = [(order, 1e200) for order in range(1, sf.MAX_POLY_ORDER + 1)]
+        tiny = [(8, 1e-40), (8, 1e-35), (0, 1e-320), (1, 1e-160), (3, 1e-80)]
+        for order, z in huge + tiny:
             with pytest.raises(OverflowError):
-                sf.polygamma(order, 1e200)
+                sf.polygamma(order, z)
             with pytest.raises(OverflowError):
-                sf.polygamma(order, np.array([2.0, 1e200]))
+                sf.polygamma(order, np.array([2.0, z]))
         assert sf.log_gamma(np.array([1e200]))[0] == sf.log_gamma(1e200)
         assert math.isfinite(sf.log_gamma(1e200))
 
