@@ -6,6 +6,11 @@ three inequalities (weighted log-convexity, superadditivity, and an
 exchange inequality); everything here is checked in log space so "strict
 versus equality" resolves by an absolute tolerance instead of ratios of
 huge coefficients.
+
+The check_* functions evaluate ln C one node at a time on scalar log_gamma.
+The fuzzer evaluates a block of trials at once: log_coeff's array form takes
+every node of the block in one array log_gamma call, and the margins are
+assembled from those values in the check_* functions' arithmetic order.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ import math
 import numpy as np
 
 from .report import ScanReport
-from .simplex import WeightVector
+from .simplex import PMF_BLOCK_ELEMS, WeightVector
 from .specfun import log_gamma
 
 __all__ = [
@@ -28,16 +33,44 @@ __all__ = [
 ]
 
 FUZZ_TOL = 1e-10
+_MAX_K = 5  # a fuzz trial draws k = 2.._MAX_K values a_j
 
 
-def log_coeff(w: WeightVector, a: float) -> float:
-    """ln C(a)."""
-    if not (math.isfinite(a) and a > 0.0):
-        raise ValueError(f"a must be positive, got {a!r}")
-    out = log_gamma(a * w.M + 1.0)
-    for g in w.gamma:
-        if g > 0.0:
-            out -= log_gamma(a * g + 1.0)
+def log_coeff(w, a):
+    """ln C(a) for a WeightVector w and a float a > 0.
+
+    Array form: w a sequence of T WeightVectors and a a (T, K) array give
+    the (T, K) block of ln C, row t taken at w[t].  Entries of a must be
+    finite and >= 0; a = 0 gives ln C(0) = 0, so a caller pads rows of
+    unequal length with zeros.  Every live argument a*g + 1 (a > 0, g > 0
+    or g = M) goes into one array log_gamma call, and the terms are
+    subtracted coordinate by coordinate in the scalar order, so an entry
+    differs from the scalar route only by array log_gamma's last bits.
+    """
+    if isinstance(w, WeightVector):
+        if not (math.isfinite(a) and a > 0.0):
+            raise ValueError(f"a must be positive, got {a!r}")
+        out = log_gamma(a * w.M + 1.0)
+        for g in w.gamma:
+            if g > 0.0:
+                out -= log_gamma(a * g + 1.0)
+        return out
+    a = np.asarray(a, dtype=float)
+    if a.ndim != 2 or a.shape[0] != len(w):
+        raise ValueError(f"need a ({len(w)}, K) array of a, got shape {a.shape}")
+    if not np.all((a >= 0.0) & np.isfinite(a)):
+        raise ValueError("every a must be finite and nonnegative")
+    # column 0 is M, then gamma padded with zero weights
+    coefs = np.zeros((len(w), 1 + max(len(v.gamma) for v in w)))
+    for t, v in enumerate(w):
+        coefs[t, 0] = v.M
+        coefs[t, 1:1 + len(v.gamma)] = v.gamma
+    live = (coefs > 0.0)[:, :, None] & (a > 0.0)[:, None, :]
+    terms = np.zeros(live.shape)
+    terms[live] = log_gamma((a[:, None, :] * coefs[:, :, None])[live] + 1.0)
+    out = terms[:, 0]
+    for j in range(1, terms.shape[1]):
+        out = out - terms[:, j]
     return out
 
 
@@ -78,6 +111,15 @@ def check_exchange(w: WeightVector, a1: float, a2: float, a3: float) -> float:
     )
 
 
+def _colsum(x: np.ndarray) -> np.ndarray:
+    """Row sums of x, added column by column from the left as Python's sum
+    adds a list; zero padding on the right leaves them unchanged."""
+    out = x[:, 0]
+    for j in range(1, x.shape[1]):
+        out = out + x[:, j]
+    return out
+
+
 def fuzz_inequalities(
     trials: int,
     dmax: int,
@@ -90,6 +132,13 @@ def fuzz_inequalities(
     M log-uniform on [0.1, 50], a_j log-uniform on [0.05, 20]; rows are
     (trial, d, M, check tag, margin).  Pass iff no margin is
     below -FUZZ_TOL.  corrupt=True flips margin signs (self-test hook).
+
+    Trials are drawn, one after another, in blocks; each block's nodes
+    (the k a_j, sum_j lam_j a_j, sum_j a_j, a1, a2+a3, a1+a2 and a3 of every
+    trial) go through one array log_coeff call, and the margins are
+    assembled from those values in the arithmetic order of the check_*
+    functions.  A block holds at most PMF_BLOCK_ELEMS gamma arguments, so
+    the arrays of one evaluation do not grow with trials.
     """
     if trials < 1:
         raise ValueError("need trials >= 1")
@@ -97,23 +146,45 @@ def fuzz_inequalities(
         raise ValueError("need dmax >= 1")
     rng = np.random.Generator(np.random.PCG64(seed))
     report = ScanReport()
+    sgn = -1.0 if corrupt else 1.0
+    # gamma arguments per trial: at most _MAX_K + 6 nodes, d + 2 each
+    block = max(1, PMF_BLOCK_ELEMS // ((_MAX_K + 6) * (dmax + 2)))
     log_lo, log_hi = math.log(0.05), math.log(20.0)
-    for t in range(trials):
-        d = int(rng.integers(1, dmax + 1))
-        M = float(np.exp(rng.uniform(math.log(0.1), math.log(50.0))))
-        gamma = M * rng.dirichlet(np.ones(d + 1))
-        w = WeightVector(gamma)
-        k = int(rng.integers(2, 6))
-        a = np.exp(rng.uniform(log_lo, log_hi, size=k))
-        lam = rng.dirichlet(np.ones(k))
+    for start in range(0, trials, block):
+        n = min(block, trials - start)
+        keys, ws = [], []
+        a, lam, a123 = np.zeros((n, _MAX_K)), np.zeros((n, _MAX_K)), np.empty((n, 3))
+        live = np.zeros((n, _MAX_K), dtype=bool)
+        for i in range(n):
+            d = int(rng.integers(1, dmax + 1))
+            M = float(np.exp(rng.uniform(math.log(0.1), math.log(50.0))))
+            ws.append(WeightVector(M * rng.dirichlet(np.ones(d + 1))))
+            k = int(rng.integers(2, _MAX_K + 1))
+            a[i, :k] = np.exp(rng.uniform(log_lo, log_hi, size=k))
+            lam[i, :k] = rng.dirichlet(np.ones(k))
+            live[i, :k] = True
+            a123[i, [0, 2]] = sorted(np.exp(rng.uniform(log_lo, log_hi, size=2)))
+            a123[i, 1] = np.exp(rng.uniform(log_lo, log_hi))
+            keys.append((start + i, d, M))
+        # the validation of the check_* functions, on the whole block
+        if np.any(a[live] <= 0.0):
+            raise ValueError("all a_j must be positive")
+        if np.any(~((lam[live] > 0.0) & (lam[live] < 1.0))) or np.any(
+                np.abs(_colsum(lam) - 1.0) > 1e-12):
+            raise ValueError("lambda must lie in (0,1) and sum to 1")
+        a1, a2, a3 = a123.T
+        if np.any(a1 > a3):
+            raise ValueError("precondition a1 <= a3 violated")
 
-        sgn = -1.0 if corrupt else 1.0
-        m_a = sgn * check_weighted_logconvexity(w, a, lam)
-        m_b = sgn * check_superadditivity(w, a)
-        a1, a3 = sorted(np.exp(rng.uniform(log_lo, log_hi, size=2)))
-        a2 = float(np.exp(rng.uniform(log_lo, log_hi)))
-        m_c = sgn * check_exchange(w, float(a1), a2, float(a3))
-
-        for tag, margin in (("a", m_a), ("b", m_b), ("c", m_c)):
-            report.record(margin + FUZZ_TOL, (t, d, M, tag, margin))
+        nodes = np.column_stack([a, _colsum(lam * a), _colsum(a), a1, a2 + a3, a1 + a2, a3])
+        lc = log_coeff(ws, nodes)
+        lc_a, (lc_mix, lc_sum, lc_1, lc_23, lc_12, lc_3) = lc[:, :_MAX_K], lc[:, _MAX_K:].T
+        margins = sgn * np.column_stack([
+            _colsum(lam * lc_a) - lc_mix,
+            lc_sum - _colsum(lc_a),
+            lc_1 + lc_23 - lc_12 - lc_3,
+        ])
+        for key, row in zip(keys, margins.tolist()):
+            for tag, margin in zip("abc", row):
+                report.record(margin + FUZZ_TOL, key + (tag, margin))
     return report

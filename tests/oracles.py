@@ -13,9 +13,13 @@ duplication residual must match bit for bit, and that its array routes,
 polygamma's only route among them, must match to a few ulps.
 ``multinomial_log_pmf`` uses this ``log_gamma``.
 
-Last, the complete-monotonicity scan one grid point at a time, on these
+Then, the complete-monotonicity scan one grid point at a time, on these
 scalar special functions: the oracle for ``monotone.cm_scan``, which
 evaluates the whole grid at once.
+
+Last, the inequality fuzzer one trial at a time, through the scalar
+``ineq.check_*`` functions: the oracle for ``ineq.fuzz_inequalities``, which
+evaluates a block of trials in one array ``log_coeff`` call.
 """
 
 from __future__ import annotations
@@ -26,10 +30,13 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
+from bernsimplex.ineq import (FUZZ_TOL, check_exchange, check_superadditivity,
+                              check_weighted_logconvexity)
 from bernsimplex.monotone import (DERIV_FLOOR_REL, DIFF_REL_TOL, DIFF_STEP, MAX_DIFF_ORDER,
                                   MonotoneInstance)
 from bernsimplex.report import ScanReport
-from bernsimplex.simplex import SampleSet, SimplexPoint, _check_capacity, lattice_size
+from bernsimplex.simplex import (SampleSet, SimplexPoint, WeightVector, _check_capacity,
+                                lattice_size)
 from bernsimplex.specfun import (_BERNOULLI, _HALF_LOG_TWO_PI, _STIRLING_THRESHOLD,
                                  MAX_POLY_ORDER, _check_positive)
 
@@ -272,4 +279,65 @@ def cm_scan(inst: MonotoneInstance, grid, max_order: int = 6,
             value = (-1.0) ** n * _forward_difference(gvals, n)
             tol = DIFF_REL_TOL * gvals[0]
             report.record(value + tol, (a, -n, value, value + tol))
+    return report
+
+
+def fuzz_draws(trials: int, dmax: int, seed: int) -> Iterator[tuple]:
+    """(t, d, M, w, a, lam, a1, a2, a3) of each trial of ``ineq.fuzz_inequalities``,
+    in its draw order."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    log_lo, log_hi = math.log(0.05), math.log(20.0)
+    for t in range(trials):
+        d = int(rng.integers(1, dmax + 1))
+        M = float(np.exp(rng.uniform(math.log(0.1), math.log(50.0))))
+        gamma = M * rng.dirichlet(np.ones(d + 1))
+        w = WeightVector(gamma)
+        k = int(rng.integers(2, 6))
+        a = np.exp(rng.uniform(log_lo, log_hi, size=k))
+        lam = rng.dirichlet(np.ones(k))
+        a1, a3 = sorted(np.exp(rng.uniform(log_lo, log_hi, size=2)))
+        a2 = float(np.exp(rng.uniform(log_lo, log_hi)))
+        yield t, d, M, w, a, lam, float(a1), a2, float(a3)
+
+
+def fuzz_nodes(a, lam, a1: float, a2: float, a3: float) -> dict:
+    """Check tag -> [(c_j, node_j)], such that the unsigned margin of that
+    check is sum_j c_j ln C(node_j), with the nodes in float as the fuzzer
+    forms them."""
+    mix = sum(l * v for l, v in zip(lam, a))
+    return {
+        "a": [*zip(lam, a), (-1.0, mix)],
+        "b": [(1.0, sum(a)), *((-1.0, v) for v in a)],
+        "c": [(1.0, a1), (1.0, a2 + a3), (-1.0, a1 + a2), (-1.0, a3)],
+    }
+
+
+def log_coeff_scale(w: WeightVector, a: float) -> float:
+    """Sum over the ln Gamma terms of ln C(a) of max(|ln Gamma(z)|, ln Gamma(13)).
+
+    The float rounding of ln C(a) is a few eps times this.  A z below the
+    Stirling threshold 12 is evaluated as ln Gamma of its shift into
+    [12, 13) minus the logs of the shift, so its rounding is on the scale of
+    ln Gamma(13) ~ 20 however close to 0 ln Gamma(z) itself is.
+    """
+    def term(z):
+        return max(abs(math.lgamma(z)), math.lgamma(13.0))
+
+    return term(a * w.M + 1.0) + sum(term(a * g + 1.0) for g in w.gamma if g > 0.0)
+
+
+def fuzz_inequalities(trials: int, dmax: int, seed: int, corrupt: bool = False) -> ScanReport:
+    """``ineq.fuzz_inequalities``, one trial and one scalar check at a time."""
+    if trials < 1:
+        raise ValueError("need trials >= 1")
+    if dmax < 1:
+        raise ValueError("need dmax >= 1")
+    report = ScanReport()
+    sgn = -1.0 if corrupt else 1.0
+    for t, d, M, w, a, lam, a1, a2, a3 in fuzz_draws(trials, dmax, seed):
+        m_a = sgn * check_weighted_logconvexity(w, a, lam)
+        m_b = sgn * check_superadditivity(w, a)
+        m_c = sgn * check_exchange(w, a1, a2, a3)
+        for tag, margin in (("a", m_a), ("b", m_b), ("c", m_c)):
+            report.record(margin + FUZZ_TOL, (t, d, M, tag, margin))
     return report

@@ -15,7 +15,12 @@ The three cm-scan CSV hashes were recorded again when the scan moved to
 array-valued polygamma and log_gamma, whose numpy log and power differ from
 libm in the last bits; about 3% of their rows moved, and their stdout
 (verdict and max_violation) did not. test_cm_scan_values_against_mpmath
-checks those values. Values that pass through numpy's log, exp or power
+checks those values. The ineq-fuzz, ineq-fuzz-corrupt and ineq-fuzz-config
+CSV hashes were recorded again when the fuzzer moved to one array log_coeff
+call per block of trials, whose numpy log differs from libm in the last bits;
+their stdout (verdict and min margin) did not move.
+test_fuzz_margins_against_mpmath checks the margins of all four ineq-fuzz
+cases. Values that pass through numpy's log, exp or power
 were hashed with numpy 2.4 on an x86-64 host with AVX-512; numpy picks those
 kernels by CPU, so another host may give other last bits.
 """
@@ -27,7 +32,8 @@ import mpmath
 import numpy as np
 import pytest
 
-from bernsimplex import monotone
+import oracles
+from bernsimplex import ineq, monotone
 from bernsimplex.cli import _random_instance, main
 
 # written before every case that reads --samples
@@ -54,15 +60,15 @@ CASES = {
         "4ff9ad165e843d7c1b3f9b60ad67bf205c29b8703312cb861d97c2947bcf9587"),
     "ineq-fuzz": (
         ["ineq-fuzz"], "ineq_fuzz.csv", 0,
-        "c04fc3886e59fe66ea6c2af04d52f867afb146662d98e4ac9fac71006141ac7c",
+        "d4f7dcf3d431db6d2fa8f8cdff87eaf007d33152220360a180965fd962e9fb25",
         "729474df12f9c5d1353feb039df8786d126d096b2eabf86c27ca93cf00744583"),
     "ineq-fuzz-corrupt": (
         ["ineq-fuzz", "--trials", "40", "--self-test-corrupt", "--out", "f.csv"], "f.csv", 1,
-        "ccb778686fb68be231f46e119ba3f4f4c405332560968057d00c18b28f8d9aff",
+        "2f75970dd57d0e9b1ac17b69431fd33efcaf9d9685025fa530a834609034de66",
         "27b40443e57d03abf263a15655c1829c6dfe27cbad189848fd1f2ba789634eec"),
     "ineq-fuzz-config": (
         ["ineq-fuzz", "--config", "run.cfg"], "ineq_fuzz.csv", 0,
-        "c6820545788845e6feb5ce75d7d282d7c4bc3a14cedf98697a6bb442e82429c9",
+        "84e031bbaae68cb918265d5798355fe42648ff82cea4fedcb59352d31c7d5333",
         "64652883088142afe51d43eb37652565ae01d5e7113594dc74c599064a244d8f"),
     "ineq-fuzz-config-flag": (
         ["ineq-fuzz", "--config", "run.cfg", "--trials", "12"], "ineq_fuzz.csv", 0,
@@ -248,3 +254,46 @@ def test_cm_scan_values_against_mpmath(name, tmp_path, monkeypatch):
                 floor = monotone.DIFF_REL_TOL * float(gs[0])
             assert abs(value - float(want)) <= tol, row
             assert abs(margin - float(want + floor)) <= tol, row
+
+
+@pytest.mark.parametrize("name", ["ineq-fuzz", "ineq-fuzz-corrupt", "ineq-fuzz-config",
+                                  "ineq-fuzz-config-flag"])
+def test_fuzz_margins_against_mpmath(name, tmp_path, monkeypatch):
+    # the ineq-fuzz hashes were re-recorded when the fuzzer moved to array
+    # log_gamma (margins moved in the last bits); this checks every margin
+    # they pin against 40 digits at the float nodes the fuzzer forms, within
+    # 16 eps times the size of the ln Gamma terms the margin cancels.  The
+    # terms reach ~4e3, so FUZZ_TOL / 100 is below the rounding of the
+    # trial-by-trial route too (2.5e-12 at trial 571 b of the default run).
+    argv, out, rc = CASES[name][:3]
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "run.cfg").write_text(CONFIG)
+    assert main(list(argv)) == rc
+    params = {"trials": 1000, "dmax": 5, "seed": 0}
+    if "--config" in argv:
+        for line in CONFIG.splitlines():
+            if "=" in line and not line.startswith("#"):
+                key, value = line.split("=")
+                params[key.strip()] = int(value)
+    for key in params:
+        if f"--{key}" in argv:
+            params[key] = int(argv[argv.index(f"--{key}") + 1])
+    sign = -1 if "--self-test-corrupt" in argv else 1
+    lines = (tmp_path / out).read_text().splitlines()
+    rows = [line.split(",") for line in lines[1:] if not line.startswith("#")]
+    assert len(rows) == 3 * params["trials"]
+    eps = np.finfo(float).eps
+    with mpmath.workdps(40):
+
+        def log_c(w, v):
+            v = mpmath.mpf(v)
+            return mpmath.loggamma(v * mpmath.mpf(w.M) + 1) - mpmath.fsum(
+                mpmath.loggamma(v * mpmath.mpf(g) + 1) for g in w.gamma if g > 0.0)
+
+        for t, d, M, w, a, lam, a1, a2, a3 in oracles.fuzz_draws(**params):
+            nodes = oracles.fuzz_nodes(a, lam, a1, a2, a3)
+            for row, tag in zip(rows[3 * t:3 * t + 3], "abc"):
+                assert row[:4] == [str(t), str(d), f"{M:.17g}", tag]
+                want = mpmath.fsum(mpmath.mpf(c) * log_c(w, v) for c, v in nodes[tag])
+                tol = 16 * eps * sum(abs(c) * oracles.log_coeff_scale(w, v) for c, v in nodes[tag])
+                assert abs(float(row[4]) - sign * float(want)) <= tol, row

@@ -166,6 +166,16 @@ class TestArrayRoute:
         assert all(type(v) is float for v in got)
         assert np.array(got).tobytes() == sf.polygamma(order, zs).tobytes()
 
+    @pytest.mark.parametrize("order", [None] + list(range(sf.MAX_POLY_ORDER + 1)))
+    def test_memory_layout_gives_the_same_bits(self, order):
+        # many entries lie below the shift threshold, so every layout needs
+        # the recurrence shifts written back to the right entries
+        base = np.exp(np.linspace(math.log(0.05), math.log(60.0), 48)).reshape(6, 8)
+        f = sf.log_gamma if order is None else lambda z: sf.polygamma(order, z)
+        for z in (base.T, np.asfortranarray(base), base[::2, ::3], base.T[::-1, 1::2]):
+            got, want = f(z), f(np.ascontiguousarray(z))
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
     def test_overflow_as_scalar(self):
         # float ** int raises where numpy would return inf with a warning; at
         # tiny z the first recurrence term n!/z^{n+1} is past the float range
