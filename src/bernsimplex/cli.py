@@ -20,7 +20,7 @@ import numpy as np
 from . import estimate as est
 from . import ineq, monotone, spoly
 from .simplex import (CapacityError, SampleSet, SimplexPoint, WeightVector, _check_capacity,
-                      _coord_header, _write_csv, sample_dirichlet)
+                      _coord_header, _float_format, _write_csv, sample_dirichlet)
 from .specfun import duplication_residual
 
 __all__ = ["main"]
@@ -28,6 +28,10 @@ __all__ = ["main"]
 
 class UsageError(Exception):
     pass
+
+
+# the rows of s-table and lclt-compare: d, r, s, m, then three floats
+_S_ROW = "%s,%s,%s,%s,%.17g,%.17g,%.17g"
 
 
 def _nan_min(values):
@@ -117,7 +121,7 @@ def _cmd_cm_scan(args) -> int:
     worst = _nan_min(report.max_violation for report in reports)
     status = "pass" if ok else "fail"
     rows = ((i,) + row for i, report in enumerate(reports) for row in report.rows)
-    _write_csv(args.out, "instance,a,order,value,margin", rows,
+    _write_csv(args.out, "instance,a,order,value,margin", "%s,%.17g,%s,%.17g,%.17g", rows,
                f"# summary: {status}, max_violation={worst:.17g}")
     print(f"cm-scan: {status} over {args.instances} instances, max_violation={worst:.17g}")
     return 0 if ok else 1
@@ -128,7 +132,7 @@ def _cmd_ineq_fuzz(args) -> int:
                                     corrupt=args.self_test_corrupt)
     min_margin = _nan_min([math.inf] + [row[-1] for row in report.rows])
     status = "pass" if report.passed else "fail"
-    _write_csv(args.out, "trial,d,M,check,margin", report.rows,
+    _write_csv(args.out, "trial,d,M,check,margin", "%s,%s,%.17g,%s,%.17g", report.rows,
                f"# summary: {status}, min_margin={min_margin:.17g}")
     print(f"ineq-fuzz: {status} over {args.trials} trials, min margin={min_margin:.17g}")
     return 0 if report.passed else 1
@@ -148,7 +152,7 @@ def _cmd_s_table(args) -> int:
     scaled = [row[-1] for row in rows]
     bounded = max(scaled) <= 2.0 * scaled[0] + 1e-12
     status = "pass" if bounded else "fail"
-    _write_csv(args.out, "d,r,s,m,value,limit,scaled_error", rows,
+    _write_csv(args.out, "d,r,s,m,value,limit,scaled_error", _S_ROW, rows,
                f"# summary: {status}, max_scaled_error={max(scaled):.17g}")
     print(f"s-table: {status}, scaled errors {['%.6g' % v for v in scaled]}")
     return 0 if bounded else 1
@@ -167,7 +171,8 @@ def _cmd_lclt_compare(args) -> int:
     errs = [row[-1] for row in rows]
     decreasing = all(errs[i] > errs[i + 1] for i in range(len(errs) - 1))
     status = "pass" if decreasing else "fail"
-    _write_csv(args.out, "d,r,s,m,scaled_value,phi,abs_error", rows, f"# summary: {status}")
+    _write_csv(args.out, "d,r,s,m,scaled_value,phi,abs_error", _S_ROW, rows,
+               f"# summary: {status}")
     print(f"lclt-compare: {status}, errors {['%.6g' % v for v in errs]}")
     return 0 if decreasing else 1
 
@@ -175,13 +180,16 @@ def _cmd_lclt_compare(args) -> int:
 def _cmd_identity_check(args) -> int:
     if args.d_max < 1 or args.m_max < 1:
         raise UsageError("d-max and m-max must be >= 1")
+    # the largest table: d_max convolutions of m_max + 1 exact coefficients
+    _check_capacity(args.d_max * (args.m_max + 1) ** 2,
+                    f"identity operations for d-max={args.d_max}, m-max={args.m_max}")
     rows = []
     ok = True
     for d in range(1, args.d_max + 1):
-        for m in range(1, args.m_max + 1):
-            equal = spoly.central_binomial_identity(d, m)["equal"]
-            ok = ok and equal
-            rows.append(("central-binomial", d, m, "exact" if equal else "MISMATCH"))
+        equal = spoly.central_binomial_identity(d, args.m_max)["equal"]
+        ok = ok and all(equal[1:])
+        rows.extend(("central-binomial", d, m, "exact" if equal[m] else "MISMATCH")
+                    for m in range(1, args.m_max + 1))
     worst = 0.0
     for i in range(1000):
         y = 10.0 ** (-3.0 + 9.0 * i / 999.0)
@@ -189,7 +197,7 @@ def _cmd_identity_check(args) -> int:
     ok = ok and worst <= 1e-12
     rows.append(("duplication", "", " ", f"max_residual={worst:.17g}"))
     status = "pass" if ok else "fail"
-    _write_csv(args.out, "kind,d,m,detail", rows, f"# summary: {status}")
+    _write_csv(args.out, "kind,d,m,detail", "%s,%s,%s,%s", rows, f"# summary: {status}")
     print(f"identity-check: {status} (duplication max residual {worst:.3g})")
     return 0 if ok else 1
 
@@ -215,7 +223,8 @@ def _cmd_estimate(args) -> int:
               else est.bernstein_density_hypercube)
         values = fn(samples, args.m, grid_pts)
     header = _coord_header(d) + ",value"
-    _write_csv(args.out, header, np.column_stack([grid_pts, values]).tolist(), None)
+    _write_csv(args.out, header, _float_format(d + 1),
+               np.column_stack([grid_pts, values]).tolist(), None)
     print(f"estimate: wrote {len(values)} grid values to {args.out}")
     return 0
 

@@ -8,9 +8,10 @@ versus equality" resolves by an absolute tolerance instead of ratios of
 huge coefficients.
 
 The check_* functions evaluate ln C one node at a time on scalar log_gamma.
-The fuzzer evaluates a block of trials at once: log_coeff's array form takes
-every node of the block in one array log_gamma call, and the margins are
-assembled from those values in the check_* functions' arithmetic order.
+The fuzzer works on a block of trials at once: it draws the block from raw
+variates (_draw_trials), log_coeff's array form takes every node of the
+block in one array log_gamma call, and the margins are assembled from those
+values in the check_* functions' arithmetic order.
 """
 
 from __future__ import annotations
@@ -120,6 +121,47 @@ def _colsum(x: np.ndarray) -> np.ndarray:
     return out
 
 
+def _log_uniform(u: np.ndarray, lo: float, hi: float) -> np.ndarray:
+    """exp of numpy's uniform(ln lo, ln hi), from the random() draws u behind it."""
+    log_lo, log_hi = math.log(lo), math.log(hi)
+    return np.exp(log_lo + (log_hi - log_lo) * u)
+
+
+def _draw_trials(rng: np.random.Generator, n: int, dmax: int):
+    """The next n trials of rng: (ds, M, ws, live, a, lam, a123).
+
+    Per trial: d, M, its WeightVector; the k a_j and lam_j in the live
+    entries of a row of a and lam (zeros after them); a1, a2, a3 with a1 <= a3.
+    The loop takes only raw variates, in the stream order of numpy's
+    per-trial uniform and dirichlet(ones(.)) draws, and the maps after it
+    give those draws' bits: uniform(lo, hi) is lo + (hi - lo) * random(),
+    dirichlet(ones(k)) is k exponentials times 1 / (their sum, added left to
+    right), and np.exp of an entry does not depend on the array around it.
+    """
+    ds, ks = [], []
+    u_m, u_a, u_123 = np.empty(n), np.zeros((n, _MAX_K)), np.empty((n, 3))
+    e_gamma, e_lam = np.zeros((n, dmax + 1)), np.zeros((n, _MAX_K))
+    for i in range(n):
+        d = int(rng.integers(1, dmax + 1))
+        u_m[i] = rng.random()
+        rng.standard_exponential(out=e_gamma[i, :d + 1])
+        k = int(rng.integers(2, _MAX_K + 1))
+        rng.random(out=u_a[i, :k])
+        rng.standard_exponential(out=e_lam[i, :k])
+        rng.random(out=u_123[i])
+        ds.append(d)
+        ks.append(k)
+    M = _log_uniform(u_m, 0.1, 50.0)
+    gamma = M[:, None] * (e_gamma * (1.0 / _colsum(e_gamma))[:, None])
+    ws = [WeightVector(g[:d + 1]) for g, d in zip(gamma.tolist(), ds)]
+    live = np.arange(_MAX_K) < np.array(ks)[:, None]
+    a = np.where(live, _log_uniform(u_a, 0.05, 20.0), 0.0)
+    lam = e_lam * (1.0 / _colsum(e_lam))[:, None]
+    a13 = np.sort(_log_uniform(u_123[:, :2], 0.05, 20.0), axis=1)
+    a123 = np.column_stack([a13[:, 0], _log_uniform(u_123[:, 2], 0.05, 20.0), a13[:, 1]])
+    return ds, M, ws, live, a, lam, a123
+
+
 def fuzz_inequalities(
     trials: int,
     dmax: int,
@@ -149,23 +191,10 @@ def fuzz_inequalities(
     sgn = -1.0 if corrupt else 1.0
     # gamma arguments per trial: at most _MAX_K + 6 nodes, d + 2 each
     block = max(1, PMF_BLOCK_ELEMS // ((_MAX_K + 6) * (dmax + 2)))
-    log_lo, log_hi = math.log(0.05), math.log(20.0)
     for start in range(0, trials, block):
         n = min(block, trials - start)
-        keys, ws = [], []
-        a, lam, a123 = np.zeros((n, _MAX_K)), np.zeros((n, _MAX_K)), np.empty((n, 3))
-        live = np.zeros((n, _MAX_K), dtype=bool)
-        for i in range(n):
-            d = int(rng.integers(1, dmax + 1))
-            M = float(np.exp(rng.uniform(math.log(0.1), math.log(50.0))))
-            ws.append(WeightVector(M * rng.dirichlet(np.ones(d + 1))))
-            k = int(rng.integers(2, _MAX_K + 1))
-            a[i, :k] = np.exp(rng.uniform(log_lo, log_hi, size=k))
-            lam[i, :k] = rng.dirichlet(np.ones(k))
-            live[i, :k] = True
-            a123[i, [0, 2]] = sorted(np.exp(rng.uniform(log_lo, log_hi, size=2)))
-            a123[i, 1] = np.exp(rng.uniform(log_lo, log_hi))
-            keys.append((start + i, d, M))
+        ds, M, ws, live, a, lam, a123 = _draw_trials(rng, n, dmax)
+        keys = [(start + i, d, m) for i, (d, m) in enumerate(zip(ds, M.tolist()))]
         # the validation of the check_* functions, on the whole block
         if np.any(a[live] <= 0.0):
             raise ValueError("all a_j must be positive")

@@ -43,21 +43,25 @@ class CapacityError(RuntimeError):
     """Raised when a lattice, a bin box, an integral or a sample would exceed LATTICE_CAP."""
 
 
-def _fmt(v) -> str:
-    return f"{v:.17g}" if isinstance(v, float) else str(v)
+def _float_format(n: int) -> str:
+    """The row format of n float columns."""
+    return ",".join(["%.17g"] * n)
 
 
-def _write_csv(path: str, header: str, rows, summary: str | None) -> None:
-    """Header, one comma-joined line per row and the summary line (if any).
+def _write_csv(path: str, header: str, row_format: str, rows, summary: str | None) -> None:
+    """Header, one line per row and the summary line (if any).
 
-    Atomic: written to a temp file in the target directory, then renamed.
+    A row is written as row_format % tuple(row), so a caller gives each
+    column its conversion: %.17g for floats (every float keeps its bits),
+    %s for ints and strings.  Atomic: written to a temp file in the target
+    directory, then renamed.
     """
+    line = row_format + "\n"
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".", suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as fh:
             fh.write(header + "\n")
-            for row in rows:
-                fh.write(",".join(_fmt(v) for v in row) + "\n")
+            fh.writelines(line % tuple(row) for row in rows)
             if summary is not None:
                 fh.write(summary + "\n")
         os.replace(tmp, path)
@@ -164,7 +168,8 @@ class SampleSet:
 
     def to_csv(self, path) -> None:
         """Write header x1,...,xd and one full-precision row per point, atomically."""
-        _write_csv(path, _coord_header(self.d), self.points.tolist(), None)
+        _write_csv(path, _coord_header(self.d), _float_format(self.d),
+                   self.points.tolist(), None)
 
     @classmethod
     def from_csv(cls, path, domain: str = "simplex") -> "SampleSet":

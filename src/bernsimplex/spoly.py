@@ -34,8 +34,6 @@ __all__ = [
     "phi_eval",
     "det_covariance",
     "central_binomial_identity",
-    "central_binomial_lhs",
-    "central_binomial_rhs",
     "composition_coefficient",
     "s_integral_exact",
     "s_integral_closed_form",
@@ -122,33 +120,27 @@ def composition_coefficient(series: Sequence[np.ndarray], m: int):
     return np.dot(acc, series[-1][::-1])
 
 
-def central_binomial_lhs(d: int, m: int) -> int:
-    """sum over ||k|| <= m of prod_{i=1}^{d+1} C(2 k_i, k_i), exact.
+def central_binomial_identity(d: int, m_max: int) -> dict:
+    """Exact-equality report for the lattice central-binomial identity
 
-    With k_{d+1} = m - ||k|| the sum runs over all compositions of m into
-    d+1 parts, i.e. the coefficient of z^m in (sum_j C(2j,j) z^j)^{d+1}.
+        sum_{||k|| <= m} prod_{i=1}^{d+1} C(2 k_i, k_i) = C(m + (d-1)/2, m) 4^m
+
+    at every m = 0..m_max, as lists indexed by m.  With k_{d+1} = m - ||k||
+    the left side runs over all compositions of m into d+1 parts, i.e. it is
+    the coefficient of z^m in (sum_j C(2j,j) z^j)^{d+1}: one table of d
+    convolutions on exact integers (cut at degree m_max) gives every m.  The
+    right side is 2^m (d+1)(d+3)...(d+2m-1) / m! in closed form.
     """
-    if d < 1 or m < 0:
-        raise ValueError("need d >= 1 and m >= 0")
-    c = np.array([math.comb(2 * j, j) for j in range(m + 1)], dtype=object)
-    return int(composition_coefficient([c] * (d + 1), m))
-
-
-def central_binomial_rhs(d: int, m: int) -> Fraction:
-    """C(m + (d-1)/2, m) * 4^m as an exact rational."""
-    if d < 1 or m < 0:
-        raise ValueError("need d >= 1 and m >= 0")
-    out = Fraction(4) ** m
-    for j in range(1, m + 1):
-        out *= Fraction(d - 1 + 2 * j, 2 * j)
-    return out
-
-
-def central_binomial_identity(d: int, m: int) -> dict:
-    """Exact-equality report for the lattice central-binomial identity."""
-    lhs = central_binomial_lhs(d, m)
-    rhs = central_binomial_rhs(d, m)
-    return {"d": d, "m": m, "lhs": lhs, "rhs": rhs, "equal": Fraction(lhs) == rhs}
+    if d < 1 or m_max < 0:
+        raise ValueError("need d >= 1 and m_max >= 0")
+    c = np.array([math.comb(2 * j, j) for j in range(m_max + 1)], dtype=object)
+    acc = c
+    for _ in range(d):
+        acc = np.convolve(acc, c)[: m_max + 1]
+    lhs = [int(v) for v in acc]
+    rhs = [Fraction(2**m * math.prod(range(d + 1, d + 2 * m, 2)), math.factorial(m))
+           for m in range(m_max + 1)]
+    return {"d": d, "lhs": lhs, "rhs": rhs, "equal": [a == b for a, b in zip(lhs, rhs)]}
 
 
 def s_integral_exact(p: SPolyParams) -> float:

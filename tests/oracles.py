@@ -17,15 +17,25 @@ Then, the complete-monotonicity scan one grid point at a time, on these
 scalar special functions: the oracle for ``monotone.cm_scan``, which
 evaluates the whole grid at once.
 
-Last, the inequality fuzzer one trial at a time, through the scalar
-``ineq.check_*`` functions: the oracle for ``ineq.fuzz_inequalities``, which
-evaluates a block of trials in one array ``log_coeff`` call.
+Then, the inequality fuzzer one trial at a time, through the scalar
+``ineq.check_*`` functions and with numpy's per-trial ``dirichlet`` and
+``uniform`` draws: the oracle for ``ineq.fuzz_inequalities``, which draws raw
+variates and evaluates a block of trials in one array ``log_coeff`` call.
+
+Then, both sides of the central-binomial identity at one (d, m): the left
+side as one ``composition_coefficient`` call, the right side as a product
+loop of fractions; the oracles for ``spoly.central_binomial_identity``,
+which builds every m <= m_max from one power series.
+
+Last, the per-value CSV field format: the oracle for the row formats the
+CLI passes to ``simplex._write_csv``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -39,6 +49,7 @@ from bernsimplex.simplex import (SampleSet, SimplexPoint, WeightVector, _check_c
                                 lattice_size)
 from bernsimplex.specfun import (_BERNOULLI, _HALF_LOG_TWO_PI, _STIRLING_THRESHOLD,
                                  MAX_POLY_ORDER, _check_positive)
+from bernsimplex.spoly import composition_coefficient
 
 
 @dataclass(frozen=True)
@@ -341,3 +352,27 @@ def fuzz_inequalities(trials: int, dmax: int, seed: int, corrupt: bool = False) 
         for tag, margin in (("a", m_a), ("b", m_b), ("c", m_c)):
             report.record(margin + FUZZ_TOL, (t, d, M, tag, margin))
     return report
+
+
+def central_binomial_lhs(d: int, m: int) -> int:
+    """sum over ||k|| <= m of prod_{i=1}^{d+1} C(2 k_i, k_i), exact: the z^m
+    coefficient of (sum_j C(2j,j) z^j)^{d+1}, on its own series of m + 1 terms."""
+    if d < 1 or m < 0:
+        raise ValueError("need d >= 1 and m >= 0")
+    c = np.array([math.comb(2 * j, j) for j in range(m + 1)], dtype=object)
+    return int(composition_coefficient([c] * (d + 1), m))
+
+
+def central_binomial_rhs(d: int, m: int) -> Fraction:
+    """C(m + (d-1)/2, m) * 4^m as an exact rational, one factor at a time."""
+    if d < 1 or m < 0:
+        raise ValueError("need d >= 1 and m >= 0")
+    out = Fraction(4) ** m
+    for j in range(1, m + 1):
+        out *= Fraction(d - 1 + 2 * j, 2 * j)
+    return out
+
+
+def csv_field(v) -> str:
+    """One CSV field: a float (np.float64 included) as %.17g, anything else by str."""
+    return f"{v:.17g}" if isinstance(v, float) else str(v)

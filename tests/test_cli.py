@@ -4,7 +4,8 @@ import os
 import numpy as np
 import pytest
 
-from bernsimplex import monotone, simplex
+import oracles
+from bernsimplex import cli, monotone, simplex
 from bernsimplex.cli import main
 
 
@@ -140,6 +141,24 @@ class TestExitCodes:
         assert main(["identity-check", "--d-max", "2", "--m-max", "10",
                      "--out", str(out)]) == 0
         assert "MISMATCH" not in read(out)
+
+    def test_identity_check_over_capacity_before_work(self, tmp_path, monkeypatch):
+        # cost d_max (m_max + 1)^2: 4 * 5000^2 = 10^8 is within the cap, 4 * 5001^2 is not
+        class WorkStarted(Exception):
+            pass
+
+        def work(*args):
+            raise WorkStarted
+
+        monkeypatch.setattr(cli.spoly, "central_binomial_identity", work)
+        monkeypatch.setattr(cli, "duplication_residual", work)
+        out = tmp_path / "i.csv"
+        assert main(["identity-check", "--d-max", "4", "--m-max", "5000",
+                     "--out", str(out)]) == 2
+        assert not out.exists()
+        assert tmp_leftovers(tmp_path) == []
+        with pytest.raises(WorkStarted):
+            main(["identity-check", "--d-max", "4", "--m-max", "4999", "--out", str(out)])
 
     def test_sample_gen_and_estimate(self, tmp_path):
         samples = tmp_path / "samples.csv"
@@ -311,3 +330,72 @@ class TestAtomicOutput:
         assert main(["sample-gen", "--alpha", "1,1", "--n", "5", "--out", str(out)]) == 2
         assert not out.exists()
         assert tmp_leftovers(tmp_path) == []
+
+
+# one small run of each of the seven subcommands; estimate reads sample-gen's file
+SEVEN = [
+    ["sample-gen", "--alpha", "1,2,1", "--n", "30", "--seed", "2", "--out", "samples.csv"],
+    ["cm-scan", "--instances", "2", "--grid", "0.5:3:0.5", "--max-order", "4",
+     "--self-test-corrupt", "--out", "cm.csv"],
+    ["ineq-fuzz", "--trials", "20", "--out", "fuzz.csv"],
+    ["s-table", "--m-list", "2,4,8", "--out", "s.csv"],
+    ["lclt-compare", "--d", "2", "--m-list", "4,8", "--out", "lclt.csv"],
+    ["identity-check", "--d-max", "2", "--m-max", "5", "--out", "identity.csv"],
+    ["estimate", "--samples", "samples.csv", "--kind", "hypercube-density", "--m", "4",
+     "--grid", "3", "--out", "estimate.csv"],
+]
+
+FLOATS = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e308, np.float64(0.1),
+          np.float64(-2.5e-300), 1.0 / 3.0, 0.0, 2.0]
+NON_FLOATS = [0, -7, 12345678901234567890, np.int64(3), "exact", "", " ", "max_residual=1e-14"]
+
+
+@pytest.fixture
+def written(tmp_path, monkeypatch):
+    """Run SEVEN in tmp_path; {file name: (header, row format, rows)} as
+    passed to the CSV writer."""
+    real = simplex._write_csv
+    calls = {}
+
+    def spy(path, header, row_format, rows, summary):
+        rows = [tuple(row) for row in rows]
+        calls[os.path.basename(path)] = (header, row_format, rows)
+        real(path, header, row_format, rows, summary)
+
+    monkeypatch.setattr(simplex, "_write_csv", spy)
+    monkeypatch.setattr(cli, "_write_csv", spy)
+    monkeypatch.chdir(tmp_path)
+    for argv in SEVEN:
+        assert main(list(argv)) in (0, 1), argv
+    assert sorted(calls) == sorted(argv[-1] for argv in SEVEN)
+    return calls
+
+
+class TestRowFormats:
+    def test_written_rows_match_per_value_fields(self, written):
+        # the row format gives every row the bytes of the per-value field format
+        for name, (header, row_format, rows) in written.items():
+            assert rows, name
+            for row in rows:
+                assert row_format % row == ",".join(oracles.csv_field(v) for v in row), name
+
+    def test_special_values(self, written):
+        # each column of each format over the awkward values of its kind:
+        # %.17g for float columns, %s for int and str columns
+        for name, (header, row_format, rows) in written.items():
+            specs = row_format.split(",")
+            assert set(specs) <= {"%.17g", "%s"}, name
+            for i in range(len(FLOATS)):
+                row = tuple(FLOATS[(i + j) % len(FLOATS)] if spec == "%.17g"
+                            else NON_FLOATS[(i + j) % len(NON_FLOATS)]
+                            for j, spec in enumerate(specs))
+                assert row_format % row == ",".join(oracles.csv_field(v) for v in row), name
+
+    def test_every_line_has_the_header_field_count(self, written, tmp_path):
+        for name in written:
+            lines = (tmp_path / name).read_text().splitlines()
+            fields = lines[0].count(",")
+            data = [line for line in lines[1:] if not line.startswith("#")]
+            assert data, name
+            for line in data:
+                assert line.count(",") == fields, (name, line)

@@ -20,7 +20,9 @@ CSV hashes were recorded again when the fuzzer moved to one array log_coeff
 call per block of trials, whose numpy log differs from libm in the last bits;
 their stdout (verdict and min margin) did not move.
 test_fuzz_margins_against_mpmath checks the margins of all four ineq-fuzz
-cases. Values that pass through numpy's log, exp or power
+cases. The identity-check-4x60 hashes were recorded with one exact per-m
+identity evaluation, before the check moved to one power-series table per d.
+Values that pass through numpy's log, exp or power
 were hashed with numpy 2.4 on an x86-64 host with AVX-512; numpy picks those
 kernels by CPU, so another host may give other last bits.
 """
@@ -99,6 +101,10 @@ CASES = {
     "identity-check": (
         ["identity-check", "--d-max", "3", "--m-max", "20"], "identity_check.csv", 0,
         "9d1ad8cdd21d5085ce74644c50966d2cc9718f5f37a412d9bc43cf9a8f83617c",
+        "5e338c2bcab8d6f75f38aecee5516268bd38562955fba32dfd803f12d108d349"),
+    "identity-check-4x60": (
+        ["identity-check", "--d-max", "4", "--m-max", "60", "--out", "i.csv"], "i.csv", 0,
+        "5e22a2c36bb84a46c52b1cfb51370821773efce66fcfc9dd679d926eb9336030",
         "5e338c2bcab8d6f75f38aecee5516268bd38562955fba32dfd803f12d108d349"),
     "sample-gen": (
         ["sample-gen"], "samples.csv", 0,

@@ -224,3 +224,70 @@ class TestFuzzAgainstOracle:
         assert calls == [6] * 6 + [5]
         assert split.rows == whole.rows
         assert (split.passed, split.max_violation) == (whole.passed, whole.max_violation)
+
+
+def _gen(seed):
+    return np.random.Generator(np.random.PCG64(seed))
+
+
+def _bits(x):
+    return np.asarray(x, dtype=float).tobytes()
+
+
+class TestDrawStream:
+    """The identities of the installed numpy that the fuzzer's lighter draw
+    rests on, each checked bit for bit: a numpy that breaks one fails here by
+    name, not only in a golden hash."""
+
+    LO, HI = math.log(0.05), math.log(20.0)
+
+    @pytest.mark.parametrize("k", range(2, 13))
+    def test_dirichlet_is_normalised_exponentials(self, k):
+        # k = 2..6 are the fuzzer's at dmax 5; from k = 8 on, numpy's
+        # pairwise e.sum() adds in another order, hence the left-to-right sum
+        for seed in range(200):
+            r_dir, r_exp = _gen(seed), _gen(seed)
+            for _ in range(5):
+                want = r_dir.dirichlet(np.ones(k))
+                e = np.empty(k)
+                r_exp.standard_exponential(out=e)
+                assert _bits(e * (1.0 / sum(e.tolist()))) == _bits(want)
+
+    def test_uniform_is_affine_in_random(self):
+        for seed in range(500):
+            r_two_one, r_three, r_raw = _gen(seed), _gen(seed), _gen(seed)
+            want = np.append(r_two_one.uniform(self.LO, self.HI, size=2),
+                             r_two_one.uniform(self.LO, self.HI))
+            assert _bits(r_three.uniform(self.LO, self.HI, size=3)) == _bits(want)
+            assert _bits(self.LO + (self.HI - self.LO) * r_raw.random(3)) == _bits(want)
+        r_uni, r_raw = _gen(9), _gen(9)
+        want = r_uni.uniform(self.LO, self.HI, size=20000)
+        assert _bits(self.LO + (self.HI - self.LO) * r_raw.random(20000)) == _bits(want)
+
+    def test_exp_does_not_depend_on_the_array(self):
+        x = _gen(3).uniform(self.LO, self.HI, size=600)
+        one_by_one = np.array([np.exp(v) for v in x.tolist()])
+        assert _bits(np.exp(x)) == _bits(one_by_one)
+        # every length and offset a SIMD loop can split differently
+        for n in range(1, 18):
+            for off in range(0, 40, 7):
+                assert _bits(np.exp(x[off:off + n])) == _bits(one_by_one[off:off + n])
+        assert _bits(np.exp(x[::3])) == _bits(one_by_one[::3])
+
+    @pytest.mark.parametrize("dmax", [1, 3, 5, 9])
+    def test_draws_match_oracle_across_blocks(self, dmax):
+        seed, sizes = 12 + dmax, (7, 1, 13, 19)
+        rng = _gen(seed)
+        got = []
+        for n in sizes:
+            ds, M, ws, live, a, lam, a123 = ineq._draw_trials(rng, n, dmax)
+            for i in range(n):
+                k = int(live[i].sum())
+                assert live[i, :k].all() and not a[i, k:].any() and not lam[i, k:].any()
+                got.append((ds[i], M[i], ws[i], a[i, :k], lam[i, :k], *a123[i]))
+        want = list(oracles.fuzz_draws(sum(sizes), dmax, seed))
+        assert len(got) == len(want)
+        for g, (t, d, M, w, a, lam, a1, a2, a3) in zip(got, want):
+            assert g[:3] == (d, M, w), t
+            assert _bits(g[3]) == _bits(a) and _bits(g[4]) == _bits(lam), t
+            assert _bits(g[5:]) == _bits([a1, a2, a3]), t

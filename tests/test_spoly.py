@@ -8,6 +8,7 @@ import pytest
 
 from bernsimplex import spoly as sp
 from bernsimplex.simplex import CapacityError, SimplexPoint, lattice_array, log_factorial_table
+import oracles
 from oracles import MultiIndex, enumerate_lattice, multinomial_log_pmf
 
 HALF = SimplexPoint((0.5,))
@@ -116,23 +117,25 @@ class TestPhiAndDet:
 
 class TestCentralBinomial:
     def test_hand_values(self):
-        assert sp.central_binomial_lhs(1, 2) == 16
-        assert sp.central_binomial_lhs(1, 1) == 4
-        assert sp.central_binomial_rhs(2, 1) == Fraction(6)
-        assert sp.central_binomial_identity(2, 1)["equal"]
+        table = sp.central_binomial_identity(1, 2)
+        assert table["lhs"] == [1, 4, 16]
+        assert sp.central_binomial_identity(2, 1)["rhs"] == [Fraction(1), Fraction(6)]
+        assert sp.central_binomial_identity(2, 1)["equal"] == [True, True]
 
     def test_brute_force_oracle(self):
         # exhaustive enumeration over compositions of m into d+1 parts
-        for d, m in [(1, 6), (2, 5), (3, 4)]:
-            brute = 0
-            for k in itertools.product(range(m + 1), repeat=d):
-                if sum(k) <= m:
-                    parts = list(k) + [m - sum(k)]
-                    term = 1
-                    for p in parts:
-                        term *= math.comb(2 * p, p)
-                    brute += term
-            assert sp.central_binomial_lhs(d, m) == brute
+        for d, m_max in [(1, 6), (2, 5), (3, 4)]:
+            lhs = sp.central_binomial_identity(d, m_max)["lhs"]
+            for m in range(m_max + 1):
+                brute = 0
+                for k in itertools.product(range(m + 1), repeat=d):
+                    if sum(k) <= m:
+                        parts = list(k) + [m - sum(k)]
+                        term = 1
+                        for p in parts:
+                            term *= math.comb(2 * p, p)
+                        brute += term
+                assert lhs[m] == brute
 
     def test_kernel_rejects_short_factor(self):
         c = np.ones(4, dtype=object)
@@ -143,8 +146,24 @@ class TestCentralBinomial:
 
     def test_exact_equality_sample(self):
         for d in range(1, 5):
-            for m in (1, 7, 23, 60):
-                assert sp.central_binomial_identity(d, m)["equal"]
+            assert all(sp.central_binomial_identity(d, 60)["equal"])
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_table_matches_per_m_oracles(self, d):
+        # every m <= 60: the table's left side against one composition_coefficient
+        # call per m, its closed-form right side against the product loop
+        table = sp.central_binomial_identity(d, 60)
+        assert len(table["lhs"]) == len(table["rhs"]) == len(table["equal"]) == 61
+        for m in range(61):
+            assert table["lhs"][m] == oracles.central_binomial_lhs(d, m)
+            assert table["rhs"][m] == oracles.central_binomial_rhs(d, m)
+
+    def test_m_max_zero_and_domain(self):
+        assert sp.central_binomial_identity(3, 0) == {
+            "d": 3, "lhs": [1], "rhs": [Fraction(1)], "equal": [True]}
+        for d, m_max in [(0, 5), (2, -1)]:
+            with pytest.raises(ValueError):
+                sp.central_binomial_identity(d, m_max)
 
 
 class TestIntegrals:
@@ -228,7 +247,7 @@ class TestIntegrals:
             integral = sp.s_integral_exact(sp.SPolyParams(1, 1, m, d))
             scale = math.exp(log_gamma(2 * m + d + 1.0) - 2.0 * log_gamma(m + 1.0))
             assert integral * scale == pytest.approx(
-                sp.central_binomial_lhs(d, m), rel=1e-10
+                sp.central_binomial_identity(d, m)["lhs"][m], rel=1e-10
             )
 
     def test_asymptotic_constant_values(self):
