@@ -202,26 +202,51 @@ def _check_capacity(size: int, what: str) -> None:
 
 def lattice_array(d: int, m: int) -> np.ndarray:
     """Every k in N_0^d with ||k|| <= m, once and in lexicographic order, as
-    the rows of an (N, d+1) int64 array (last column = m - ||k||)."""
+    the rows of an (N, d+1) int64 array (last column = m - ||k||).
+
+    Built in d array steps from one empty prefix with budget m: each step
+    repeats every prefix (budget + 1) times, appends v = 0..budget as a new
+    column and takes v from the budget, which ends as the last column.
+    """
     if d < 1 or m < 0:
         raise ValueError(f"need d >= 1 and m >= 0, got d={d}, m={m}")
     _check_capacity(lattice_size(d, m), f"lattice rows for d={d}, m={m}")
-    if d == 1:
-        k = np.arange(m + 1, dtype=np.int64)[:, None]
-    else:
-        blocks = []
-        for v in range(m + 1):
-            sub = lattice_array(d - 1, m - v)[:, :-1]
-            first = np.full((sub.shape[0], 1), v, dtype=np.int64)
-            blocks.append(np.hstack([first, sub]))
-        k = np.vstack(blocks)
-    last = (m - k.sum(axis=1))[:, None]
-    return np.hstack([k, last])
+    cols = []
+    budget = np.array([m], dtype=np.int64)
+    for _ in range(d):
+        reps = budget + 1
+        starts = np.repeat(np.cumsum(reps) - reps, reps)
+        v = np.arange(starts.size, dtype=np.int64) - starts
+        cols = [np.repeat(c, reps) for c in cols] + [v]
+        budget = np.repeat(budget, reps) - v
+    return np.column_stack(cols + [budget])
+
+
+# ln j! for j = 0.._log_factorials.size - 1, shared by every caller in the
+# process; read-only, and replaced by a longer copy when a caller needs more
+_log_factorials = np.empty(0)
+_log_factorials.flags.writeable = False
 
 
 def log_factorial_table(n: int) -> np.ndarray:
-    """lf[j] = ln(j!) for j = 0..n, each entry from log_gamma."""
-    return np.array([log_gamma(j + 1.0) for j in range(n + 1)])
+    """lf[j] = ln(j!) for j = 0..n, each entry from the scalar log_gamma(j + 1.0).
+
+    A read-only prefix of one table per process, built once and extended on
+    demand: an entry depends only on j, so a caller gets the same bits
+    whichever calls came before.  Growing the table past LATTICE_CAP entries
+    raises CapacityError and leaves it as it was.
+    """
+    global _log_factorials
+    if n < 0:
+        raise ValueError(f"need n >= 0, got {n}")
+    table = _log_factorials
+    if n >= table.size:
+        _check_capacity(n + 1, f"ln j! table entries for n={n}")
+        tail = [log_gamma(j + 1.0) for j in range(table.size, n + 1)]
+        table = np.concatenate([table, tail])
+        table.flags.writeable = False
+        _log_factorials = table
+    return table[: n + 1]
 
 
 def lattice_log_pmf(lat: np.ndarray, xs: np.ndarray, lf: np.ndarray) -> np.ndarray:

@@ -8,7 +8,8 @@ assumes.
 
 ``polygamma`` has one route, on arrays (an int or float z comes back as a
 float).  ``log_gamma`` keeps a scalar route beside its array one for its
-scalar callers: log_factorial_table, whose bits feed the tightest S_{r,s,m}
+scalar callers: log_factorial_table (one ln j! table per process, built once
+and extended on demand), whose bits feed the tightest S_{r,s,m}
 asymptotic check, and the few-term formulas in spoly and
 duplication_residual, where a scalar call costs 3 us against 110 us for an
 array one (2-core x86-64).  Array steps apply to all entries still below the

@@ -20,6 +20,7 @@ import numpy as np
 from .simplex import (
     PMF_BLOCK_ELEMS,
     SimplexPoint,
+    _TOL,
     _check_capacity,
     lattice_array,
     lattice_log_pmf,
@@ -58,10 +59,20 @@ class SPolyParams:
 
 
 def s_eval_grid(p: SPolyParams, xs: np.ndarray) -> np.ndarray:
-    """S_{r,s,m} at each row of xs (points given as all d+1 coordinates)."""
+    """S_{r,s,m} at each row of xs (points given as all d+1 coordinates).
+
+    Raises ValueError for a row off the closed simplex: a non-finite entry,
+    an entry below -_TOL, or a coordinate sum more than _TOL away from 1.
+    """
     xs = np.asarray(xs, dtype=float)
     if xs.ndim != 2 or xs.shape[1] != p.d + 1:
         raise ValueError("xs must be (P, d+1)")
+    if not np.all(np.isfinite(xs)):
+        raise ValueError("points must have finite coordinates")
+    sums = xs.sum(axis=1)
+    off = np.any(xs < -_TOL, axis=1) | (sums > 1.0 + _TOL) | (sums < 1.0 - _TOL)
+    if np.any(off):
+        raise ValueError(f"point {xs[np.argmax(off)].tolist()} is off the simplex")
     lat = lattice_array(p.d, p.m)
     lf = log_factorial_table(max(p.r, p.s) * p.m)
     out = np.empty(xs.shape[0])

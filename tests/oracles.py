@@ -2,9 +2,12 @@
 
 A scalar multi-index, its lexicographic lattice generator and the multinomial
 pmf one (k, x) pair at a time (oracles for ``simplex.lattice_array`` and
-``simplex.lattice_log_pmf``), and the empirical cdf by a direct
-(queries x samples) comparison (the oracle for the estimators' binned cdf),
-and the sup distance between two tables of values on one grid.
+``simplex.lattice_log_pmf``); the lattice array built by recursion on d, one
+block of rows per first entry (the differential oracle for
+``simplex.lattice_array``, which builds it in d array steps); the empirical
+cdf by a direct (queries x samples) comparison (the oracle for the
+estimators' binned cdf); and the sup distance between two tables of values
+on one grid.
 
 Then, log-gamma, polygamma and the duplication residual with each Bernoulli
 series coefficient computed inside its term loop and a separate shift loop
@@ -95,6 +98,25 @@ def enumerate_lattice(d: int, m: int) -> Iterator[MultiIndex]:
             yield from rec(prefix + (v,), budget - v, depth + 1)
 
     yield from rec((), m, 0)
+
+
+def lattice_array(d: int, m: int) -> np.ndarray:
+    """Every k in N_0^d with ||k|| <= m, once and in lexicographic order, as
+    the rows of an (N, d+1) int64 array (last column = m - ||k||)."""
+    if d < 1 or m < 0:
+        raise ValueError(f"need d >= 1 and m >= 0, got d={d}, m={m}")
+    _check_capacity(lattice_size(d, m), f"lattice rows for d={d}, m={m}")
+    if d == 1:
+        k = np.arange(m + 1, dtype=np.int64)[:, None]
+    else:
+        blocks = []
+        for v in range(m + 1):
+            sub = lattice_array(d - 1, m - v)[:, :-1]
+            first = np.full((sub.shape[0], 1), v, dtype=np.int64)
+            blocks.append(np.hstack([first, sub]))
+        k = np.vstack(blocks)
+    last = (m - k.sum(axis=1))[:, None]
+    return np.hstack([k, last])
 
 
 def multinomial_log_pmf(k: MultiIndex, x: SimplexPoint) -> float:

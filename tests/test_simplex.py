@@ -7,6 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bernsimplex import simplex as sx
+from bernsimplex.specfun import log_gamma
+import oracles
 from oracles import MultiIndex, enumerate_lattice, multinomial_log_pmf
 
 
@@ -60,16 +62,50 @@ class TestLattice:
         assert len(got) == len(set(got)) == sx.lattice_size(d, m) == math.comb(m + d, d)
         assert all(sum(k) <= m for k in got)
 
-    @pytest.mark.parametrize("d,m", [(1, 7), (3, 6), (4, 5)])
+    @pytest.mark.parametrize("d,m", [(1, 7), (2, 9), (3, 0), (3, 6), (4, 5)])
     def test_lattice_array_matches_enumeration(self, d, m):
         arr = sx.lattice_array(d, m)
         ks = [mi.full for mi in enumerate_lattice(d, m)]
         assert arr.shape == (len(ks), d + 1)
         assert [tuple(row) for row in arr] == ks
 
+    @pytest.mark.parametrize("d,m", [(d, m) for d in range(1, 6) for m in (0, 1, 2, 7)]
+                             + [(3, 40), (5, 12)])
+    def test_lattice_array_matches_recursive_oracle(self, d, m):
+        arr = sx.lattice_array(d, m)
+        assert arr.dtype == np.int64
+        assert arr.flags.c_contiguous
+        assert np.array_equal(arr, oracles.lattice_array(d, m))
+
     def test_capacity_error(self):
         with pytest.raises(sx.CapacityError):
             list(enumerate_lattice(8, 1000))
+
+
+class TestLogFactorialTable:
+    def test_prefixes_match_scalar_log_gamma_bit_for_bit(self):
+        # grown out of order: each call returns a prefix of one shared table
+        for n in (5, 3000, 10):
+            lf = sx.log_factorial_table(n)
+            want = np.array([log_gamma(j + 1.0) for j in range(n + 1)])
+            assert np.array_equal(lf.view(np.int64), want.view(np.int64))
+
+    def test_read_only_and_n_nonnegative(self):
+        lf = sx.log_factorial_table(4)
+        with pytest.raises(ValueError):
+            lf[0] = 1.0
+        with pytest.raises(ValueError):
+            sx.log_factorial_table(-1)
+
+    def test_capacity_checked_before_growth(self, monkeypatch):
+        sx.log_factorial_table(20)
+        size = sx._log_factorials.size
+        monkeypatch.setattr(sx, "LATTICE_CAP", size)
+        with pytest.raises(sx.CapacityError):
+            sx.log_factorial_table(size)
+        assert sx._log_factorials.size == size
+        # a prefix already in the table needs no growth
+        assert sx.log_factorial_table(size - 1).size == size
 
 
 class TestMultinomialLogPmf:

@@ -84,6 +84,21 @@ class TestSEval:
             monkeypatch.setattr(sp, "PMF_BLOCK_ELEMS", block)
             assert np.array_equal(sp.s_eval_grid(p, np.array([x.full for x in points])), single)
 
+    @pytest.mark.parametrize("row", [(math.nan, 0.5), (math.inf, 0.0), (-0.5, 1.5),
+                                     (0.7, 0.7), (0.2, 0.7), (-1e-11, 1.0 + 1e-11)])
+    def test_grid_rejects_points_off_the_simplex(self, row):
+        # (1,1,10,1) once gave 184,756 for a NaN row, 3325.3 at (-0.5, 1.5), 147.4 at (0.7, 0.7)
+        p = sp.SPolyParams(1, 1, 10, 1)
+        xs = np.array([(0.3, 0.7), row])
+        with pytest.raises(ValueError):
+            sp.s_eval_grid(p, xs)
+
+    def test_grid_accepts_rounding_noise(self):
+        p = sp.SPolyParams(1, 1, 10, 1)
+        noisy = sp.s_eval_grid(p, np.array([(-1e-13, 1.0 + 1e-13), (0.3, 0.7 + 1e-13)]))
+        clean = sp.s_eval_grid(p, np.array([(0.0, 1.0), (0.3, 0.7)]))
+        assert noisy == pytest.approx(clean, rel=1e-9)
+
 
 class TestPhiAndDet:
     def test_phi_hand_values(self):
