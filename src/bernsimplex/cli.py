@@ -12,6 +12,7 @@ unknown key is a usage error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import sys
 
@@ -110,8 +111,9 @@ def _cmd_cm_scan(args) -> int:
     rng = np.random.Generator(np.random.PCG64(args.seed))
     try:
         reports = [
-            monotone.cm_scan(_random_instance(rng, args.d), args.grid,
-                             max_order=args.max_order, corrupt=args.self_test_corrupt)
+            monotone.cm_scan(dataclasses.replace(_random_instance(rng, args.d),
+                                                 corrupt=args.self_test_corrupt),
+                             args.grid, max_order=args.max_order)
             for _ in range(args.instances)
         ]
     except OverflowError:
@@ -180,8 +182,8 @@ def _cmd_lclt_compare(args) -> int:
 def _cmd_identity_check(args) -> int:
     if args.d_max < 1 or args.m_max < 1:
         raise UsageError("d-max and m-max must be >= 1")
-    # the largest table: d_max convolutions of m_max + 1 exact coefficients
-    _check_capacity(args.d_max * (args.m_max + 1) ** 2,
+    # one table per d, built by d convolutions of m_max + 1 exact coefficients
+    _check_capacity(args.d_max * (args.d_max + 1) // 2 * (args.m_max + 1) ** 2,
                     f"identity operations for d-max={args.d_max}, m-max={args.m_max}")
     rows = []
     ok = True

@@ -21,7 +21,7 @@ import math
 import numpy as np
 
 from .report import ScanReport
-from .simplex import PMF_BLOCK_ELEMS, WeightVector
+from .simplex import PMF_BLOCK_ELEMS, WeightVector, _check_capacity
 from .specfun import log_gamma
 
 __all__ = [
@@ -179,18 +179,20 @@ def fuzz_inequalities(
     (the k a_j, sum_j lam_j a_j, sum_j a_j, a1, a2+a3, a1+a2 and a3 of every
     trial) go through one array log_coeff call, and the margins are
     assembled from those values in the arithmetic order of the check_*
-    functions.  A block holds at most PMF_BLOCK_ELEMS gamma arguments, so
-    the arrays of one evaluation do not grow with trials.
+    functions.  A block holds at most PMF_BLOCK_ELEMS gamma arguments, so its
+    arrays do not grow with trials; one trial past LATTICE_CAP raises CapacityError.
     """
     if trials < 1:
         raise ValueError("need trials >= 1")
     if dmax < 1:
         raise ValueError("need dmax >= 1")
+    # gamma arguments per trial: at most _MAX_K + 6 nodes, d + 2 each
+    per_trial = (_MAX_K + 6) * (dmax + 2)
+    _check_capacity(per_trial, f"gamma arguments of one trial for dmax={dmax}")
     rng = np.random.Generator(np.random.PCG64(seed))
     report = ScanReport()
     sgn = -1.0 if corrupt else 1.0
-    # gamma arguments per trial: at most _MAX_K + 6 nodes, d + 2 each
-    block = max(1, PMF_BLOCK_ELEMS // ((_MAX_K + 6) * (dmax + 2)))
+    block = max(1, PMF_BLOCK_ELEMS // per_trial)
     for start in range(0, trials, block):
         n = min(block, trials - start)
         ds, M, ws, live, a, lam, a123 = _draw_trials(rng, n, dmax)

@@ -7,13 +7,14 @@ module evaluates g, the derivatives of h = -log g through polygamma
 functions, the auxiliary positivity function J_u, and the Kullback-Leibler
 limit of h', and runs two-route monotonicity scans over a-grids.  g, ln g and
 the derivatives of h take a float a or an ndarray of them; a scan evaluates
-its whole grid at once.
+its whole grid at once.  All of them read the MonotoneInstance alone,
+including its corrupt flag, the self-test that flips g's x-exponent.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -47,25 +48,32 @@ GRID_CAP = 10**6
 
 @dataclass(frozen=True)
 class MonotoneInstance:
-    """Weights (gamma, M) paired with a strictly interior simplex point."""
+    """Weights (gamma, M) paired with a strictly interior simplex point.
+
+    corrupt=True flips the sign of g's x-exponent: a non-CM g that exists only
+    so scan harnesses can prove they reject bad input.  coefs (M, gamma_i...)
+    and log_x (signed ln x_i) cover the active coordinates (gamma_i > 0)."""
 
     weights: WeightVector
     point: SimplexPoint
+    corrupt: bool = False
+    coefs: tuple = field(init=False, repr=False, compare=False)
+    log_x: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.weights.d != self.point.d:
             raise ValueError("weights and point dimensions differ")
         if not self.point.interior:
             raise ValueError("point must be strictly interior")
+        active = self.active_terms()
+        sign = -1.0 if self.corrupt else 1.0
+        object.__setattr__(self, "coefs", (self.weights.M,) + tuple(g for g, _ in active))
+        object.__setattr__(self, "log_x", tuple(sign * math.log(x) for _, x in active))
 
     def active_terms(self):
         """(gamma_i, x_i) pairs with gamma_i > 0; zero-weight coordinates are
         deleted before evaluation (their Gamma(1) factors contribute nothing)."""
-        return [
-            (g, x)
-            for g, x in zip(self.weights.gamma, self.point.full)
-            if g > 0.0
-        ]
+        return [(g, x) for g, x in zip(self.weights.gamma, self.point.full) if g > 0.0]
 
 
 def _check_a(a) -> None:
@@ -73,16 +81,14 @@ def _check_a(a) -> None:
         raise ValueError(f"a must be positive, got {a!r}")
 
 
-def log_g_eval(inst: MonotoneInstance, a, corrupt: bool = False):
-    """ln g(a).  corrupt=True flips the sign of the x-exponent term; it
-    produces a non-CM function and exists only so scan harnesses can prove
-    they reject bad input."""
+def log_g_eval(inst: MonotoneInstance, a):
+    """ln g(a): one log_gamma call on the stacked arguments a * [M, g_1, ...] + 1,
+    whose terms are then added in coordinate order."""
     _check_a(a)
-    M = inst.weights.M
-    out = log_gamma(a * M + 1.0)
-    for g, x in inst.active_terms():
-        out -= log_gamma(a * g + 1.0)
-        out += (-1.0 if corrupt else 1.0) * a * g * math.log(x)
+    lg = log_gamma(np.multiply.outer(inst.coefs, a) + 1.0)
+    out = lg[0]
+    for g, lx, lg_i in zip(inst.coefs[1:], inst.log_x, lg[1:]):
+        out = out - lg_i + a * g * lx
     return out
 
 
@@ -91,42 +97,38 @@ def log_g_eval(inst: MonotoneInstance, a, corrupt: bool = False):
 _exp = np.vectorize(math.exp, otypes=[float])
 
 
-def g_eval(inst: MonotoneInstance, a, corrupt: bool = False):
-    return _exp(log_g_eval(inst, a, corrupt=corrupt))[()]
+def g_eval(inst: MonotoneInstance, a):
+    return _exp(log_g_eval(inst, a))[()]
 
 
-def _h_terms(inst: MonotoneInstance, a, n: int, corrupt: bool) -> list:
+def _h_terms(inst: MonotoneInstance, a, n: int) -> list:
     """The signed terms whose left-to-right sum is h^{(n)}(a): -M^n psi^{(n-1)}(aM+1),
     then per active coordinate g^n psi^{(n-1)}(ag+1) and, for n = 1, -g ln x
-    (+g ln x with corrupt=True).  One polygamma call on the stacked arguments
-    a * [M, g_1, ...] + 1."""
+    (+g ln x for a corrupt instance).  One polygamma call on the stacked
+    arguments a * [M, g_1, ...] + 1."""
     M = inst.weights.M
-    active = inst.active_terms()
-    psi = polygamma(n - 1, np.multiply.outer([M] + [g for g, _ in active], a) + 1.0)
+    psi = polygamma(n - 1, np.multiply.outer(inst.coefs, a) + 1.0)
     out = [-(M**n) * psi[0]]
-    for (g, x), p in zip(active, psi[1:]):
+    for g, lx, p in zip(inst.coefs[1:], inst.log_x, psi[1:]):
         out.append(g**n * p)
         if n == 1:
-            out.append((g if corrupt else -g) * math.log(x))
+            out.append(-g * lx)
     return out
 
 
-def h_derivative(inst: MonotoneInstance, a, n: int, corrupt: bool = False):
+def h_derivative(inst: MonotoneInstance, a, n: int):
     """n-th derivative of h = -log g at a, via polygamma (1 <= n <= 7).
-
-    With corrupt=True the x-exponent of g is sign-flipped (see log_g_eval);
-    that only changes the n = 1 derivative.
-    """
+    A corrupt instance changes only the n = 1 derivative."""
     _check_a(a)
     if not isinstance(n, int) or n < 1 or n > MAX_H_ORDER:
         raise ValueError(f"order n must be an integer in [1, {MAX_H_ORDER}], got {n!r}")
-    terms = _h_terms(inst, a, n, corrupt)
+    terms = _h_terms(inst, a, n)
     return sum(terms[1:], terms[0])
 
 
 def _h_derivative_scale(inst: MonotoneInstance, a, n: int):
     """Magnitude of the largest term in the alternating sum for h^{(n)}(a)."""
-    return np.max(np.abs(np.broadcast_arrays(*_h_terms(inst, a, n, False))), axis=0)
+    return np.max(np.abs(np.broadcast_arrays(*_h_terms(inst, a, n))), axis=0)
 
 
 def j_eval(u, y: float) -> float:
@@ -153,14 +155,14 @@ def j_eval(u, y: float) -> float:
 
 
 def kl_limit(inst: MonotoneInstance) -> float:
-    """M * D_KL(gamma/M || x): the large-a limit of h'(a).  Nonnegative;
-    zero iff gamma_i/M = x_i for all i (0*log 0 = 0 for zero weights)."""
+    """The large-a limit of h'(a): M * D_KL(gamma/M || x), nonnegative and zero
+    iff gamma_i/M = x_i for all i (0*log 0 = 0 for zero weights).  For a
+    corrupt instance it is sum_i gamma_i ln(x_i gamma_i/M), which is negative."""
     M = inst.weights.M
     out = 0.0
-    for g, x in zip(inst.weights.gamma, inst.point.full):
-        if g > 0.0:
-            p = g / M
-            out += g * math.log(p / x)
+    for g, x in inst.active_terms():
+        p = g / M
+        out += g * math.log(p * x if inst.corrupt else p / x)
     return max(out, 0.0) if out > -1e-15 else out
 
 
@@ -170,12 +172,7 @@ def _forward_difference(values, n: int):
     return sum((-1) ** (n - j) * math.comb(n, j) * values[j] for j in range(n + 1))
 
 
-def cm_scan(
-    inst: MonotoneInstance,
-    grid,
-    max_order: int = 6,
-    corrupt: bool = False,
-) -> ScanReport:
+def cm_scan(inst: MonotoneInstance, grid, max_order: int = 6) -> ScanReport:
     """Two-route complete-monotonicity scan over an a-grid.
 
     Route (i), the primary certificate: h' > 0 and (-1)^n h^{(n+1)} > 0 for
@@ -184,9 +181,8 @@ def cm_scan(
     differences of g alternate, (-1)^n Delta^n g(a) >= -DIFF_REL_TOL*g(a),
     for n <= min(max_order, 6).  Margins are normalized (>= 0 means pass).
 
-    corrupt=True scans the sign-flipped g instead (self-test hook): the
-    corrupted g is eventually increasing, so both routes must reject it
-    on any grid reaching moderately large a.
+    A corrupt instance's g is eventually increasing, so both routes must
+    reject it on any grid reaching moderately large a.
     """
     grid = [float(a) for a in grid]
     if len(grid) > GRID_CAP:
@@ -203,12 +199,11 @@ def cm_scan(
     # derivative route: q_n = (-1)^{n-1} h^{(n)}(a) > 0 for n = 1..max_order
     deriv = []
     for n in range(1, max_order + 1):
-        h_n = np.broadcast_to(h_derivative(inst, a, n, corrupt=corrupt), a.shape)
-        value = (-1.0) ** (n - 1) * h_n
+        value = (-1.0) ** (n - 1) * h_derivative(inst, a, n)
         margin = value + DERIV_FLOOR_REL * np.maximum(_h_derivative_scale(inst, a, n), 1.0)
         deriv.append((n, value.tolist(), margin.tolist()))
     # difference route, on the (grid, step) block a + j * DIFF_STEP
-    gvals = g_eval(inst, a[:, None] + np.arange(diff_order + 1) * DIFF_STEP, corrupt=corrupt).T
+    gvals = g_eval(inst, a[:, None] + np.arange(diff_order + 1) * DIFF_STEP).T
     tol = (DIFF_REL_TOL * gvals[0]).tolist()
     diff = [(-n, ((-1.0) ** n * _forward_difference(gvals, n)).tolist())
             for n in range(1, diff_order + 1)]

@@ -255,20 +255,20 @@ def duplication_residual(y: float) -> float:
     return y * math.log1p(0.5 / y) - 0.5 - ds
 
 
-def log_g_eval(inst: MonotoneInstance, a: float, corrupt: bool = False) -> float:
+def log_g_eval(inst: MonotoneInstance, a: float) -> float:
     M = inst.weights.M
     out = log_gamma(a * M + 1.0)
     for g, x in inst.active_terms():
         out -= log_gamma(a * g + 1.0)
-        out += (-1.0 if corrupt else 1.0) * a * g * math.log(x)
+        out += (-1.0 if inst.corrupt else 1.0) * a * g * math.log(x)
     return out
 
 
-def g_eval(inst: MonotoneInstance, a: float, corrupt: bool = False) -> float:
-    return math.exp(log_g_eval(inst, a, corrupt=corrupt))
+def g_eval(inst: MonotoneInstance, a: float) -> float:
+    return math.exp(log_g_eval(inst, a))
 
 
-def h_terms(inst: MonotoneInstance, a: float, n: int, corrupt: bool) -> list:
+def h_terms(inst: MonotoneInstance, a: float, n: int) -> list:
     """The signed terms whose left-to-right sum is h^{(n)}(a), one polygamma
     call per term."""
     M = inst.weights.M
@@ -276,25 +276,24 @@ def h_terms(inst: MonotoneInstance, a: float, n: int, corrupt: bool) -> list:
     for g, x in inst.active_terms():
         out.append(g**n * polygamma(n - 1, a * g + 1.0))
         if n == 1:
-            out.append((g if corrupt else -g) * math.log(x))
+            out.append((g if inst.corrupt else -g) * math.log(x))
     return out
 
 
-def h_derivative(inst: MonotoneInstance, a: float, n: int, corrupt: bool = False) -> float:
-    terms = h_terms(inst, a, n, corrupt)
+def h_derivative(inst: MonotoneInstance, a: float, n: int) -> float:
+    terms = h_terms(inst, a, n)
     return sum(terms[1:], terms[0])
 
 
 def _h_derivative_scale(inst: MonotoneInstance, a: float, n: int) -> float:
-    return max(abs(t) for t in h_terms(inst, a, n, False))
+    return max(abs(t) for t in h_terms(inst, a, n))
 
 
 def _forward_difference(values, n: int) -> float:
     return sum((-1) ** (n - j) * math.comb(n, j) * values[j] for j in range(n + 1))
 
 
-def cm_scan(inst: MonotoneInstance, grid, max_order: int = 6,
-            corrupt: bool = False) -> ScanReport:
+def cm_scan(inst: MonotoneInstance, grid, max_order: int = 6) -> ScanReport:
     """``monotone.cm_scan`` on a valid grid, one point and one order at a time."""
     grid = [float(a) for a in grid]
     report = ScanReport()
@@ -302,12 +301,12 @@ def cm_scan(inst: MonotoneInstance, grid, max_order: int = 6,
     for a in grid:
         # derivative route: q_n = (-1)^{n-1} h^{(n)}(a) > 0 for n = 1..max_order
         for n in range(1, max_order + 1):
-            value = (-1.0) ** (n - 1) * h_derivative(inst, a, n, corrupt=corrupt)
+            value = (-1.0) ** (n - 1) * h_derivative(inst, a, n)
             scale = _h_derivative_scale(inst, a, n)
             margin = value + DERIV_FLOOR_REL * max(scale, 1.0)
             report.record(margin, (a, n, value, margin))
         # difference route
-        gvals = [g_eval(inst, a + j * DIFF_STEP, corrupt=corrupt) for j in range(diff_order + 1)]
+        gvals = [g_eval(inst, a + j * DIFF_STEP) for j in range(diff_order + 1)]
         for n in range(1, diff_order + 1):
             value = (-1.0) ** n * _forward_difference(gvals, n)
             tol = DIFF_REL_TOL * gvals[0]

@@ -9,6 +9,7 @@ Bernstein density estimator against the Gaussian limit of S_{1,1,m}.
 
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 
@@ -79,8 +80,8 @@ def test_criterion_04_complete_monotonicity_scan():
         ok = ok and rep.passed
         worst = min(worst, rep.max_violation)
     corrupt = monotone.cm_scan(
-        _random_instance(np.random.Generator(np.random.PCG64(0)), 2),
-        grid, max_order=7, corrupt=True)
+        replace(_random_instance(np.random.Generator(np.random.PCG64(0)), 2), corrupt=True),
+        grid, max_order=7)
     ok = ok and not corrupt.passed
     _report(4, "complete-monotonicity certificates on 200 instances + corrupt self-test",
             ok, t0, f"max violation {worst:.3g}")
@@ -260,4 +261,34 @@ def test_application_density_variance_limit():
         ok = ok and all(math.sqrt(m) * e <= 0.6 for m, e in zip(ms, errs))
         details.append(f"x={x}: {lead[-1]:.4f} vs {-1.0 / phi:.4f}")
     _report("application", "m^{-1/2} n Var of the density estimator tends to phi_{1,1}",
+            ok, t0, "; ".join(details))
+
+
+def test_application_density_variance_limit_product():
+    # At d >= 2 the exact n Var f(x) = m^d prod_i S_{1,1,m-1}(x_i) - 1, so
+    # m^{-d/2} n Var f(x) tends to prod_i phi_{1,1}(x_i).  Each factor
+    # m^{1/2} S_{1,1,m-1}(x_i) / phi_{1,1}(x_i) is 1 + O(1/m) (the d = 1 check
+    # above), and the -m^{-d/2} term is O(1/m) at d = 2, so the ratio's error
+    # falls at the 1/m rate.  Measured for m = 100..6400: e_2m / e_m in
+    # 0.500-0.501 at d = 2 and 0.508-0.560 at d = 3, and m |e_m| in 1.61-1.79
+    # at d = 2 and 0.92-1.26 at d = 3; the check asks 0.4 < e_2m / e_m < 0.6
+    # and m |e_m| <= 2.5.
+    t0 = time.time()
+    ms = (100, 200, 400, 800, 1600, 3200, 6400)
+    s11, phi = {}, {}
+    for x in (0.2, 0.3, 0.5, 0.7):
+        point = SimplexPoint((x,))
+        phi[x] = spoly.phi_eval(1, 1, point)
+        for m in ms:
+            s11[x, m] = spoly.s_eval(spoly.SPolyParams(1, 1, m - 1, 1), point)
+    ok, details = True, []
+    for xs in ((0.2, 0.5), (0.3, 0.7), (0.2, 0.5, 0.7)):
+        d = len(xs)
+        limit = math.prod(phi[x] for x in xs)
+        errs = [m ** (-d / 2.0) * (m**d * math.prod(s11[x, m] for x in xs) - 1.0) / limit - 1.0
+                for m in ms]
+        ok = ok and all(0.4 < b / a < 0.6 for a, b in zip(errs, errs[1:]))
+        ok = ok and all(m * abs(e) <= 2.5 for m, e in zip(ms, errs))
+        details.append(f"x={xs}: m*err {ms[-1] * errs[-1]:.4f}")
+    _report("application", "m^{-d/2} n Var of the density estimator tends to prod phi_{1,1}",
             ok, t0, "; ".join(details))

@@ -63,7 +63,9 @@ class TestExitCodes:
         assert tmp_leftovers(tmp_path) == []
 
     def test_nan_derivative_fails_with_nan_violation(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr(monotone, "h_derivative", lambda *args, **kwargs: math.nan)
+        # h_derivative returns an array of the grid's shape
+        monkeypatch.setattr(monotone, "h_derivative",
+                            lambda inst, a, n: np.full(np.shape(a), math.nan))
         out = tmp_path / "cm.csv"
         assert main(["cm-scan", "--instances", "2", "--grid", "0.5:1:0.5",
                      "--out", str(out)]) == 1
@@ -143,7 +145,8 @@ class TestExitCodes:
         assert "MISMATCH" not in read(out)
 
     def test_identity_check_over_capacity_before_work(self, tmp_path, monkeypatch):
-        # cost d_max (m_max + 1)^2: 4 * 5000^2 = 10^8 is within the cap, 4 * 5001^2 is not
+        # cost d_max (d_max + 1) / 2 (m_max + 1)^2, one table per d:
+        # 10 * 3162^2 is within the cap of 10^8, 10 * 3163^2 is not
         class WorkStarted(Exception):
             pass
 
@@ -153,12 +156,33 @@ class TestExitCodes:
         monkeypatch.setattr(cli.spoly, "central_binomial_identity", work)
         monkeypatch.setattr(cli, "duplication_residual", work)
         out = tmp_path / "i.csv"
-        assert main(["identity-check", "--d-max", "4", "--m-max", "5000",
+        assert main(["identity-check", "--d-max", "4", "--m-max", "3162",
                      "--out", str(out)]) == 2
         assert not out.exists()
         assert tmp_leftovers(tmp_path) == []
         with pytest.raises(WorkStarted):
-            main(["identity-check", "--d-max", "4", "--m-max", "4999", "--out", str(out)])
+            main(["identity-check", "--d-max", "4", "--m-max", "3161", "--out", str(out)])
+
+    def test_identity_check_counts_every_table(self, tmp_path, monkeypatch):
+        # 20 tables of d = 1..20 at m_max = 9: 210 * 10^2 = 21000 operations,
+        # over a cap of 10^4 although the largest table alone (20 * 10^2) is not
+        monkeypatch.setattr(simplex, "LATTICE_CAP", 10**4)
+        out = tmp_path / "i.csv"
+        assert main(["identity-check", "--d-max", "20", "--m-max", "9",
+                     "--out", str(out)]) == 2
+        assert not out.exists()
+        assert tmp_leftovers(tmp_path) == []
+        assert main(["identity-check", "--d-max", "13", "--m-max", "9",
+                     "--out", str(out)]) == 0
+
+    def test_ineq_fuzz_over_capacity(self, tmp_path, monkeypatch):
+        # one trial takes up to 11 (dmax + 2) gamma arguments: 99 at dmax 7, 110 at dmax 8
+        monkeypatch.setattr(simplex, "LATTICE_CAP", 100)
+        out = tmp_path / "f.csv"
+        assert main(["ineq-fuzz", "--trials", "3", "--dmax", "8", "--out", str(out)]) == 2
+        assert not out.exists()
+        assert tmp_leftovers(tmp_path) == []
+        assert main(["ineq-fuzz", "--trials", "3", "--dmax", "7", "--out", str(out)]) == 0
 
     def test_sample_gen_and_estimate(self, tmp_path):
         samples = tmp_path / "samples.csv"

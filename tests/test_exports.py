@@ -15,14 +15,22 @@ def test_every_exported_name_exists(name):
     assert [attr for attr in mod.__all__ if not hasattr(mod, attr)] == []
 
 
-def _layer_func_names():
-    """The keys of LAYER_FUNCS in bench/run.py, read from its source."""
-    tree = ast.parse((Path(__file__).resolve().parents[1] / "bench" / "run.py").read_text())
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+
+def _layer_funcs_node() -> ast.Dict:
+    """The LAYER_FUNCS dict display of bench/run.py, parsed from its source."""
+    tree = ast.parse((BENCH / "run.py").read_text())
     for node in tree.body:
         if isinstance(node, ast.Assign) and any(
                 isinstance(t, ast.Name) and t.id == "LAYER_FUNCS" for t in node.targets):
-            return [ast.literal_eval(key) for key in node.value.keys]
+            return node.value
     raise AssertionError("bench/run.py defines no LAYER_FUNCS")
+
+
+def _layer_func_names():
+    """The keys of LAYER_FUNCS in bench/run.py."""
+    return [ast.literal_eval(key) for key in _layer_funcs_node().keys]
 
 
 def test_traced_names_include_methods():
@@ -37,3 +45,33 @@ def test_every_traced_name_resolves(dotted):
     for attr in attrs:
         obj = getattr(obj, attr)
     assert callable(obj)
+
+
+@pytest.mark.parametrize("workload", ("certify", "fuzz", "asymptotics", "estimate"))
+def test_every_layer_func_is_called(workload, tmp_path, monkeypatch):
+    # what the never_hit gate of a traced bench/run.py asserts: every name of
+    # LAYER_FUNCS that serves the workload, and that the tracer wrapped, is
+    # called in one pass of the workload's plan
+    monkeypatch.syspath_prepend(str(BENCH))
+    from tracer import Tracer
+    from workloads import WORKLOADS, build_plan
+
+    from bernsimplex import cli
+
+    node = _layer_funcs_node()
+    # a value naming WORKLOADS (cli.main's) serves every workload
+    serves = {ast.literal_eval(key): WORKLOADS if isinstance(value, ast.Name)
+              else ast.literal_eval(value) for key, value in zip(node.keys, node.values)}
+    plan = build_plan(workload, 5)
+    monkeypatch.chdir(tmp_path)
+    tracer = Tracer()
+    tracer.install()
+    try:
+        rcs = [cli.main(list(inv.argv)) for inv in plan]
+    finally:
+        tracer.uninstall()
+    assert rcs == [inv.expect_rc for inv in plan]
+    never_hit = [name for name, where in serves.items()
+                 if workload in where and name in tracer.present
+                 and tracer.stats[name].calls == 0]
+    assert never_hit == []

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -147,6 +148,16 @@ class TestKlLimit:
             2.0 * (0.5 * math.log(2.0) + 0.5 * math.log(2.0 / 3.0)), rel=1e-12
         )
 
+    def test_corrupt_limit(self):
+        # the corrupted h'(a) tends to sum_i g_i ln(x_i g_i / M) < 0, so g ends up increasing
+        rng = np.random.Generator(np.random.PCG64(10))
+        for d in (1, 3):
+            inst = replace(random_instance(rng, d), corrupt=True)
+            want = sum(g * math.log(x * g / inst.weights.M) for g, x in inst.active_terms())
+            assert mo.kl_limit(inst) == pytest.approx(want, rel=1e-12) and want < 0.0
+            assert mo.h_derivative(inst, 1e4, 1) == pytest.approx(mo.kl_limit(inst), abs=5e-4)
+        assert mo.kl_limit(replace(SYMMETRIC, corrupt=True)) == pytest.approx(-4.0 * math.log(2.0))
+
     def test_h_prime_converges_to_kl(self):
         rng = np.random.Generator(np.random.PCG64(9))
         for d in (1, 3):
@@ -170,8 +181,20 @@ class TestCmScan:
             report = mo.cm_scan(random_instance(rng, d), self.GRID, max_order=7)
             assert report.passed
 
+    def test_corrupt_flag_only_flips_the_x_exponent(self):
+        inst = random_instance(np.random.Generator(np.random.PCG64(8)), 3)
+        bad = replace(inst, corrupt=True)
+        assert bad.coefs == inst.coefs and bad.log_x == tuple(-v for v in inst.log_x)
+        assert bad != inst and replace(bad, corrupt=False) == inst
+        a = np.array([0.3, 1.0, 4.7])
+        shift = 2.0 * a * sum(g * math.log(x) for g, x in inst.active_terms())
+        np.testing.assert_allclose(mo.log_g_eval(bad, a), mo.log_g_eval(inst, a) - shift,
+                                   rtol=1e-12)
+        for n in range(2, 8):
+            assert np.array_equal(mo.h_derivative(bad, a, n), mo.h_derivative(inst, a, n))
+
     def test_corrupted_instance_fails(self):
-        report = mo.cm_scan(SKEWED, self.GRID, max_order=6, corrupt=True)
+        report = mo.cm_scan(replace(SKEWED, corrupt=True), self.GRID, max_order=6)
         assert not report.passed
         assert report.max_violation < 0.0
 
@@ -206,9 +229,9 @@ class TestCmScanAgainstPerPointOracle:
     def test_rows_agree(self, d):
         rng = np.random.Generator(np.random.PCG64(300 + d))
         for i in range(6):
-            inst, corrupt = random_instance(rng, d), i % 2 == 1
-            got = mo.cm_scan(inst, self.GRID, max_order=7, corrupt=corrupt)
-            want = oracles.cm_scan(inst, self.GRID, max_order=7, corrupt=corrupt)
+            inst = replace(random_instance(rng, d), corrupt=i % 2 == 1)
+            got = mo.cm_scan(inst, self.GRID, max_order=7)
+            want = oracles.cm_scan(inst, self.GRID, max_order=7)
             assert got.passed == want.passed
             assert [row[:2] for row in got.rows] == [row[:2] for row in want.rows]
             at = {}  # (L, g) at each point a + jh, by point
@@ -220,7 +243,7 @@ class TestCmScanAgainstPerPointOracle:
                     for p in points:
                         if p not in at:
                             at[p] = (_log_g_magnitude(inst, p),
-                                     oracles.g_eval(inst, p, corrupt=corrupt))
+                                     oracles.g_eval(inst, p))
                     spread = 1.0 + max(at[p][0] for p in points)
                     size = sum(math.comb(-n, j) * at[p][1] for j, p in enumerate(points))
                     bound = 16 * self.EPS * spread * size
