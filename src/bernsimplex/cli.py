@@ -122,8 +122,11 @@ def _cmd_cm_scan(args) -> int:
     ok = all(report.passed for report in reports)
     worst = _nan_min(report.max_violation for report in reports)
     status = "pass" if ok else "fail"
-    rows = ((i,) + row for i, report in enumerate(reports) for row in report.rows)
-    _write_csv(args.out, "instance,a,order,value,margin", "%s,%.17g,%s,%.17g,%.17g", rows,
+    # each grid point formatted once, not once per (instance, order) row
+    a_text = {a: "%.17g" % a for a in args.grid}
+    rows = ((i, a_text[a], n, value, margin) for i, report in enumerate(reports)
+            for a, n, value, margin in report.rows)
+    _write_csv(args.out, "instance,a,order,value,margin", "%s,%s,%s,%.17g,%.17g", rows,
                f"# summary: {status}, max_violation={worst:.17g}")
     print(f"cm-scan: {status} over {args.instances} instances, max_violation={worst:.17g}")
     return 0 if ok else 1
@@ -238,68 +241,70 @@ def _cmd_sample_gen(args) -> int:
     return 0
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="bernsimplex")
-    sub = parser.add_subparsers(dest="command", required=True)
+# the flags s-table and lclt-compare share, ahead of their --m-list
+_S_FLAGS = (("--d", dict(type=int, default=1)), ("--r", dict(type=int, default=1)),
+            ("--s", dict(type=int, default=1)))
+# name: (handler, default --out, help, takes --seed, other flags as (flag, keywords))
+_COMMANDS = {
+    "cm-scan": (_cmd_cm_scan, "cm_scan.csv", "complete-monotonicity scan on random instances",
+                True, (("--d", dict(type=int, default=2)),
+                       ("--instances", dict(type=int, default=50)),
+                       ("--grid", dict(type=_grid_spec, default="0.1:10:0.25",
+                                       help="a-grid as start:stop:step")),
+                       ("--max-order", dict(type=int, default=7,
+                                            choices=range(1, monotone.MAX_H_ORDER + 1))),
+                       ("--self-test-corrupt", dict(action="store_true")))),
+    "ineq-fuzz": (_cmd_ineq_fuzz, "ineq_fuzz.csv", "randomized combinatorial-inequality harness",
+                  True, (("--trials", dict(type=int, default=1000)),
+                         ("--dmax", dict(type=int, default=5)),
+                         ("--self-test-corrupt", dict(action="store_true")))),
+    "s-table": (_cmd_s_table, "s_table.csv",
+                "convergence table for the scaled simplex integral (r = s = 1)", False,
+                _S_FLAGS + (("--m-list", dict(type=_increasing_ints, default="5,10,20,40,80")),)),
+    "lclt-compare": (_cmd_lclt_compare, "lclt_compare.csv",
+                     "scaled S versus its Gaussian limit at the barycenter", False,
+                     _S_FLAGS + (("--m-list", dict(type=_increasing_ints,
+                                                   default="16,64,256,1024")),)),
+    "identity-check": (_cmd_identity_check, "identity_check.csv",
+                       "exact lattice identity and duplication residual", False,
+                       (("--d-max", dict(type=int, default=4)),
+                        ("--m-max", dict(type=int, default=60)))),
+    "estimate": (_cmd_estimate, "estimate.csv", "evaluate an estimator on a grid", False,
+                 (("--samples", dict(default=None)),
+                  ("--kind", dict(choices=est.ESTIMATOR_KINDS, default="simplex-cdf")),
+                  ("--m", dict(type=int, default=20)),
+                  ("--grid", dict(type=int, default=25, help="grid resolution per axis")))),
+    "sample-gen": (_cmd_sample_gen, "samples.csv", "generate a Dirichlet sample CSV", True,
+                   (("--alpha", dict(type=_list_of(float), default="1,1,1")),
+                    ("--n", dict(type=int, default=1000)))),
+}
 
-    def command(name, func, out, about, seeded=False):
-        p = sub.add_parser(name, help=about)
+
+def _build_parser(name=None) -> argparse.ArgumentParser:
+    """The parser of every subcommand, or of the one named: its help, usage
+    errors and parsed values are the full parser's for that subcommand."""
+    parser = argparse.ArgumentParser(prog="bernsimplex")
+    # the usage line of an unrecognized-argument error lists every subcommand
+    sub = parser.add_subparsers(dest="command", required=True,
+                                metavar=None if name is None else "{%s}" % ",".join(_COMMANDS))
+    for command in _COMMANDS if name is None else (name,):
+        func, out, about, seeded, flags = _COMMANDS[command]
+        p = sub.add_parser(command, help=about)
         p.set_defaults(func=func)
         p.add_argument("--out", default=out)
         p.add_argument("--config", default=None)
         if seeded:
             p.add_argument("--seed", type=int, default=0)
-        return p
-
-    p = command("cm-scan", _cmd_cm_scan, "cm_scan.csv",
-                "complete-monotonicity scan on random instances", seeded=True)
-    p.add_argument("--d", type=int, default=2)
-    p.add_argument("--instances", type=int, default=50)
-    p.add_argument("--grid", type=_grid_spec, default="0.1:10:0.25",
-                   help="a-grid as start:stop:step")
-    p.add_argument("--max-order", type=int, default=7, choices=range(1, monotone.MAX_H_ORDER + 1))
-    p.add_argument("--self-test-corrupt", action="store_true")
-
-    p = command("ineq-fuzz", _cmd_ineq_fuzz, "ineq_fuzz.csv",
-                "randomized combinatorial-inequality harness", seeded=True)
-    p.add_argument("--trials", type=int, default=1000)
-    p.add_argument("--dmax", type=int, default=5)
-    p.add_argument("--self-test-corrupt", action="store_true")
-
-    for name, func, out, m_list, about in (
-        ("s-table", _cmd_s_table, "s_table.csv", "5,10,20,40,80",
-         "convergence table for the scaled simplex integral (r = s = 1)"),
-        ("lclt-compare", _cmd_lclt_compare, "lclt_compare.csv", "16,64,256,1024",
-         "scaled S versus its Gaussian limit at the barycenter"),
-    ):
-        p = command(name, func, out, about)
-        p.add_argument("--d", type=int, default=1)
-        p.add_argument("--r", type=int, default=1)
-        p.add_argument("--s", type=int, default=1)
-        p.add_argument("--m-list", type=_increasing_ints, default=m_list)
-
-    p = command("identity-check", _cmd_identity_check, "identity_check.csv",
-                "exact lattice identity and duplication residual")
-    p.add_argument("--d-max", type=int, default=4)
-    p.add_argument("--m-max", type=int, default=60)
-
-    p = command("estimate", _cmd_estimate, "estimate.csv", "evaluate an estimator on a grid")
-    p.add_argument("--samples", default=None)
-    p.add_argument("--kind", choices=est.ESTIMATOR_KINDS, default="simplex-cdf")
-    p.add_argument("--m", type=int, default=20)
-    p.add_argument("--grid", type=int, default=25, help="grid resolution per axis")
-
-    p = command("sample-gen", _cmd_sample_gen, "samples.csv",
-                "generate a Dirichlet sample CSV", seeded=True)
-    p.add_argument("--alpha", type=_list_of(float), default="1,1,1")
-    p.add_argument("--n", type=int, default=1000)
-
+        for flag, keywords in flags:
+            p.add_argument(flag, **keywords)
     return parser
 
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = _build_parser()
+    # a known subcommand gets a parser of its own, about a quarter of the full
+    # one's cost; a usage or help text that lists every subcommand needs them all
+    parser = _build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     try:
         args = parser.parse_args(argv)
         if args.config:

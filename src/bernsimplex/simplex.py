@@ -57,17 +57,21 @@ def _write_csv(path: str, header: str, row_format: str, rows, summary: str | Non
     directory, then renamed.
     """
     line = row_format + "\n"
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".", suffix=".tmp")
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".", suffix=".tmp")
         with os.fdopen(fd, "w") as fh:
             fh.write(header + "\n")
             fh.writelines(line % tuple(row) for row in rows)
             if summary is not None:
                 fh.write(summary + "\n")
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except BaseException as exc:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
+        if isinstance(exc, OSError) and exc.strerror:
+            # name the requested path, not the temp file
+            raise OSError(exc.errno, exc.strerror, path) from exc
         raise
 
 

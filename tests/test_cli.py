@@ -1,3 +1,4 @@
+import argparse
 import math
 import os
 
@@ -113,6 +114,16 @@ class TestExitCodes:
         assert main(["s-table", "--out", str(out)]) == 2
         assert not out.parent.exists()
         assert tmp_leftovers(tmp_path) == []
+
+    @pytest.mark.parametrize("out", [os.path.join("dir_missing", "x.csv"), ""])
+    def test_io_error_names_out_path(self, tmp_path, monkeypatch, capsys, out):
+        # the message names --out, not the temp file written next to it
+        monkeypatch.chdir(tmp_path)
+        assert main(["cm-scan", "--d", "1", "--instances", "1", "--grid", "0.1:1:0.5",
+                     "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: [Errno 2] ") and err.endswith(f": {out!r}\n"), err
+        assert os.listdir(tmp_path) == []
 
     def test_ineq_fuzz_pass_and_corrupt(self, tmp_path):
         out = tmp_path / "fuzz.csv"
@@ -336,6 +347,115 @@ class TestConfigFile:
         cfg.write_text("this is not key value\n")
         assert main(["ineq-fuzz", "--config", str(cfg),
                      "--out", str(tmp_path / "f.csv")]) == 2
+
+
+# per subcommand: flags and a config file that together set every option
+FLAG_SETS = {
+    "cm-scan": (["--d", "3", "--grid", "0.5:2:0.5", "--self-test-corrupt"],
+                "max_order = 5\ninstances = 4\nseed = 9\n"),
+    "ineq-fuzz": (["--trials", "7", "--self-test-corrupt"], "dmax = 3\nseed = 4\n"),
+    "s-table": (["--d", "2", "--r", "1"], "m_list = 2,4\nd = 3\n"),
+    "lclt-compare": (["--r", "2", "--m-list", "4,8"], "s = 3\nd = 2\n"),
+    "identity-check": (["--d-max", "2"], "m_max = 5\n"),
+    "estimate": (["--samples", "s.csv", "--kind", "hypercube-cdf"], "m = 4\ngrid = 3\n"),
+    "sample-gen": (["--alpha", "1,2", "--n", "5"], "seed = 2\n"),
+}
+REAL_BUILD = cli._build_parser
+
+
+@pytest.fixture
+def parse(monkeypatch, capsys):
+    """run(argv, full) -> (exit code, stdout, stderr, Namespaces parsed, parsers built)
+    of main(argv) with every handler replaced by a no-op; full=True builds the
+    parser of every subcommand, the oracle, whatever main asks for."""
+    monkeypatch.setenv("COLUMNS", "80")
+
+    def run(argv, full=False):
+        parsed, built = [], []
+
+        def build(name=None):
+            parser = REAL_BUILD(None if full else name)
+            real_parse = parser.parse_args
+
+            def record(args):
+                ns = real_parse(args)
+                parsed.append(ns)
+                return argparse.Namespace(**{**vars(ns), "func": lambda _: 0})
+
+            parser.parse_args = record
+            built.append(parser)
+            return parser
+
+        monkeypatch.setattr(cli, "_build_parser", build)
+        rc = main(list(argv))
+        out, err = capsys.readouterr()
+        return rc, out, err, parsed, built
+
+    return run
+
+
+def subcommand_names(parser):
+    (action,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return list(action.choices)
+
+
+class TestOneSubcommandParser:
+    """main builds only the named subcommand's parser; the full parser is the oracle."""
+
+    def test_flag_sets_cover_every_subcommand(self):
+        assert list(FLAG_SETS) == list(cli._COMMANDS)
+        assert subcommand_names(REAL_BUILD()) == list(cli._COMMANDS)
+
+    @pytest.mark.parametrize("name", list(FLAG_SETS))
+    def test_builds_only_the_named_subcommand(self, parse, name):
+        rc, _, _, parsed, built = parse([name])
+        assert rc == 0 and len(parsed) == 1
+        assert [subcommand_names(p) for p in built] == [[name]]
+
+    @pytest.mark.parametrize("name", list(FLAG_SETS))
+    def test_same_namespace(self, parse, tmp_path, name):
+        flags, config = FLAG_SETS[name]
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(config)
+        for argv in ([name], [name, "--config", str(cfg), "--out", "o.csv"] + flags):
+            one, full = parse(argv), parse(argv, full=True)
+            assert one[0] == full[0] == 0
+            assert one[3] == full[3], argv
+            assert len(one[3]) == (2 if "--config" in argv else 1)
+        # the config values were applied, below the flags typed after them
+        assert one[3][-1] != one[3][0]
+
+    @pytest.mark.parametrize("name", list(FLAG_SETS))
+    @pytest.mark.parametrize("tail", [["--help"], ["--out"], ["--no-such-flag"],
+                                      ["--seed", "x"], ["stray"]])
+    def test_same_help_and_usage_errors(self, parse, name, tail):
+        one, full = parse([name] + tail), parse([name] + tail, full=True)
+        assert one[:3] == full[:3]
+        assert one[0] == (0 if tail == ["--help"] else 2)
+        assert (one[1] if tail == ["--help"] else one[2]).startswith("usage: bernsimplex ")
+
+    def test_unknown_config_key_usage(self, parse, tmp_path):
+        # reported by the top-level parser, whose usage lists every subcommand
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("trails = 5\n")
+        argv = ["ineq-fuzz", "--config", str(cfg)]
+        one, full = parse(argv), parse(argv, full=True)
+        assert one[:3] == full[:3] and one[0] == 2
+        assert "{" + ",".join(cli._COMMANDS) + "}" in one[2]
+
+    @pytest.mark.parametrize("argv", [[], ["--help"], ["-h"], ["no-such-command"],
+                                      ["--out", "x.csv"], ["-h", "cm-scan"]])
+    def test_top_level_uses_the_full_parser(self, parse, argv):
+        rc, out, err, _, built = parse(argv)
+        assert [subcommand_names(p) for p in built] == [list(cli._COMMANDS)]
+        assert rc == (0 if argv[:1] in (["--help"], ["-h"]) else 2)
+        text = out if rc == 0 else err
+        assert "{" + ",".join(cli._COMMANDS) + "}" in text
+        if not argv:
+            assert err.endswith("error: the following arguments are required: command\n")
+        if rc == 0:
+            for name in cli._COMMANDS:
+                assert f"\n    {name} " in out
 
 
 class TestAtomicOutput:
