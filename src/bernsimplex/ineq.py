@@ -9,9 +9,10 @@ huge coefficients.
 
 The check_* functions evaluate ln C one node at a time on scalar log_gamma.
 The fuzzer works on a block of trials at once: it draws the block from raw
-variates (_draw_trials), log_coeff's array form takes every node of the
-block in one array log_gamma call, and the margins are assembled from those
-values in the check_* functions' arithmetic order.
+variates (_draw_trials) as one zero-padded weight matrix, log_coeff's array
+form takes that matrix and every node of the block in one array log_gamma
+call, and the margins are assembled from those values in the check_*
+functions' arithmetic order.
 """
 
 from __future__ import annotations
@@ -40,13 +41,13 @@ _MAX_K = 5  # a fuzz trial draws k = 2.._MAX_K values a_j
 def log_coeff(w, a):
     """ln C(a) for a WeightVector w and a float a > 0.
 
-    Array form: w a sequence of T WeightVectors and a a (T, K) array give
-    the (T, K) block of ln C, row t taken at w[t].  Entries of a must be
-    finite and >= 0; a = 0 gives ln C(0) = 0, so a caller pads rows of
-    unequal length with zeros.  Every live argument a*g + 1 (a > 0, g > 0
-    or g = M) goes into one array log_gamma call, and the terms are
-    subtracted coordinate by coordinate in the scalar order, so an entry
-    differs from the scalar route only by array log_gamma's last bits.
+    Array form: w a (T, D) weight matrix, one gamma per row padded with zero
+    weights, and a a (T, K) array give the (T, K) block of ln C, row t taken
+    at w[t].  Entries of a must be finite and >= 0; a = 0 gives ln C(0) = 0,
+    so a caller pads rows of unequal length with zeros.  Every live argument
+    a*g + 1 (a > 0, g > 0 or g = M) goes into one array log_gamma call, and
+    the terms are subtracted coordinate by coordinate in the scalar order, so
+    an entry differs from the scalar route only by array log_gamma's last bits.
     """
     if isinstance(w, WeightVector):
         if not (math.isfinite(a) and a > 0.0):
@@ -56,16 +57,12 @@ def log_coeff(w, a):
             if g > 0.0:
                 out -= log_gamma(a * g + 1.0)
         return out
+    coefs = _weight_block(w)
     a = np.asarray(a, dtype=float)
-    if a.ndim != 2 or a.shape[0] != len(w):
-        raise ValueError(f"need a ({len(w)}, K) array of a, got shape {a.shape}")
+    if a.ndim != 2 or a.shape[0] != coefs.shape[0]:
+        raise ValueError(f"need a ({coefs.shape[0]}, K) array of a, got shape {a.shape}")
     if not np.all((a >= 0.0) & np.isfinite(a)):
         raise ValueError("every a must be finite and nonnegative")
-    # column 0 is M, then gamma padded with zero weights
-    coefs = np.zeros((len(w), 1 + max(len(v.gamma) for v in w)))
-    for t, v in enumerate(w):
-        coefs[t, 0] = v.M
-        coefs[t, 1:1 + len(v.gamma)] = v.gamma
     live = (coefs > 0.0)[:, :, None] & (a > 0.0)[:, None, :]
     terms = np.zeros(live.shape)
     terms[live] = log_gamma((a[:, None, :] * coefs[:, :, None])[live] + 1.0)
@@ -73,6 +70,22 @@ def log_coeff(w, a):
     for j in range(1, terms.shape[1]):
         out = out - terms[:, j]
     return out
+
+
+def _weight_block(gamma) -> np.ndarray:
+    """[M | gamma] of a (T, D) weight matrix, each row checked as WeightVector
+    checks its gamma.  M is the row's sum as WeightVector forms it, with
+    built-in sum (compensated from Python 3.12 on), on which zero padding on
+    the right has no effect."""
+    gamma = np.asarray(gamma, dtype=float)
+    if gamma.ndim != 2 or gamma.shape[1] < 2:
+        raise ValueError(f"need a (T, D) weight matrix with D >= 2, got shape {gamma.shape}")
+    if not np.all(np.isfinite(gamma) & (gamma >= 0.0)):
+        raise ValueError("weights must be finite and nonnegative")
+    M = np.array(list(map(sum, gamma.tolist())), dtype=float)
+    if not np.all(M > 0.0):
+        raise ValueError("total mass M must be positive")
+    return np.column_stack([M, gamma])
 
 
 def check_weighted_logconvexity(w: WeightVector, a, lam) -> float:
@@ -128,10 +141,11 @@ def _log_uniform(u: np.ndarray, lo: float, hi: float) -> np.ndarray:
 
 
 def _draw_trials(rng: np.random.Generator, n: int, dmax: int):
-    """The next n trials of rng: (ds, M, ws, live, a, lam, a123).
+    """The next n trials of rng: (ds, M, gamma, live, a, lam, a123).
 
-    Per trial: d, M, its WeightVector; the k a_j and lam_j in the live
-    entries of a row of a and lam (zeros after them); a1, a2, a3 with a1 <= a3.
+    Per trial: d, M, its d + 1 weights in a row of gamma; the k a_j and lam_j
+    in the live entries of a row of a and lam; a1, a2, a3 with a1 <= a3.  The
+    rows of gamma, a and lam have zeros after their entries.
     The loop takes only raw variates, in the stream order of numpy's
     per-trial uniform and dirichlet(ones(.)) draws, and the maps after it
     give those draws' bits: uniform(lo, hi) is lo + (hi - lo) * random(),
@@ -153,13 +167,12 @@ def _draw_trials(rng: np.random.Generator, n: int, dmax: int):
         ks.append(k)
     M = _log_uniform(u_m, 0.1, 50.0)
     gamma = M[:, None] * (e_gamma * (1.0 / _colsum(e_gamma))[:, None])
-    ws = [WeightVector(g[:d + 1]) for g, d in zip(gamma.tolist(), ds)]
     live = np.arange(_MAX_K) < np.array(ks)[:, None]
     a = np.where(live, _log_uniform(u_a, 0.05, 20.0), 0.0)
     lam = e_lam * (1.0 / _colsum(e_lam))[:, None]
     a13 = np.sort(_log_uniform(u_123[:, :2], 0.05, 20.0), axis=1)
     a123 = np.column_stack([a13[:, 0], _log_uniform(u_123[:, 2], 0.05, 20.0), a13[:, 1]])
-    return ds, M, ws, live, a, lam, a123
+    return ds, M, gamma, live, a, lam, a123
 
 
 def fuzz_inequalities(
@@ -195,7 +208,7 @@ def fuzz_inequalities(
     block = max(1, PMF_BLOCK_ELEMS // per_trial)
     for start in range(0, trials, block):
         n = min(block, trials - start)
-        ds, M, ws, live, a, lam, a123 = _draw_trials(rng, n, dmax)
+        ds, M, gamma, live, a, lam, a123 = _draw_trials(rng, n, dmax)
         keys = [(start + i, d, m) for i, (d, m) in enumerate(zip(ds, M.tolist()))]
         # the validation of the check_* functions, on the whole block
         if np.any(a[live] <= 0.0):
@@ -208,7 +221,7 @@ def fuzz_inequalities(
             raise ValueError("precondition a1 <= a3 violated")
 
         nodes = np.column_stack([a, _colsum(lam * a), _colsum(a), a1, a2 + a3, a1 + a2, a3])
-        lc = log_coeff(ws, nodes)
+        lc = log_coeff(gamma, nodes)
         lc_a, (lc_mix, lc_sum, lc_1, lc_23, lc_12, lc_3) = lc[:, :_MAX_K], lc[:, _MAX_K:].T
         margins = sgn * np.column_stack([
             _colsum(lam * lc_a) - lc_mix,

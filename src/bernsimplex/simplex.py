@@ -75,6 +75,22 @@ def _write_csv(path: str, header: str, row_format: str, rows, summary: str | Non
         raise
 
 
+def _check_out(path: str) -> None:
+    """Raise, before any work, the OSError that _write_csv(path, ...) would
+    raise for a directory it cannot make its temp file in.  A directory that
+    os.access finds writable passes as is; any other is probed with a temp
+    file, so that the error is mkstemp's own.  Leaves no file behind."""
+    directory = os.path.dirname(path) or "."
+    if os.access(directory, os.W_OK | os.X_OK):
+        return
+    try:
+        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, path) from exc
+    os.close(fd)
+    os.unlink(tmp)
+
+
 def _coord_header(d: int) -> str:
     """x1,...,xd: the names of a sample or query grid's coordinate columns."""
     return ",".join(f"x{i + 1}" for i in range(d))

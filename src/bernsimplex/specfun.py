@@ -10,13 +10,14 @@ assumes.
 float).  ``log_gamma`` keeps a scalar route beside its array one for its
 scalar callers: log_factorial_table (one ln j! table per process, built once
 and extended on demand), whose bits feed the tightest S_{r,s,m}
-asymptotic check, and the few-term formulas in spoly and
-duplication_residual, where a scalar call costs 3 us against 110 us for an
-array one (2-core x86-64).  Array steps apply to all entries still below the
-threshold at once; numpy's log and power may differ from libm in the last
-bits.  polygamma raises OverflowError where float ** int would and where
-n!/z^{n+1} does (tiny z); other overflows give inf without a warning, as
-float arithmetic does.
+asymptotic check, and the few-term formulas in spoly, where a scalar call
+costs 3 us against 110 us for an array one (2-core x86-64).
+``duplication_residual`` has both routes as well; its array route takes a
+whole sweep in three array log_gamma calls.  Array steps apply to all
+entries still below the threshold at once; numpy's log and power may differ
+from libm in the last bits.  polygamma raises OverflowError where
+float ** int would and where n!/z^{n+1} does (tiny z); other overflows give
+inf without a warning, as float arithmetic does.
 """
 
 from __future__ import annotations
@@ -113,7 +114,7 @@ def _shift_up(z: np.ndarray, threshold: float, step):
         v = zs[:active]
         ss[:active] -= step(v)
         v += 1.0
-        active = np.count_nonzero(v < threshold)
+        active = int(v.searchsorted(threshold))
     flat[order] = zs
     shift.reshape(-1)[order] = ss
     return z, shift
@@ -172,8 +173,10 @@ def polygamma(order: int, z):
     return float(out) if scalar else out
 
 
-def duplication_residual(y: float) -> float:
-    """Signed defect of the Gamma duplication identity at y, in log scale.
+def duplication_residual(y):
+    """Signed defect of the Gamma duplication identity at y, in log scale;
+    an ndarray y gives an array of its shape, each entry in the scalar
+    route's order of operations on array log_gamma.
 
     Analytically zero for every y > 0; the returned magnitude is a
     round-trip accuracy check of log_gamma.  For y >= 12 the Stirling
@@ -182,17 +185,30 @@ def duplication_residual(y: float) -> float:
     floating point and swamp the 1e-12 contract at large y.
     """
     if not _check_positive(y, "y"):
-        raise ValueError("y must be a scalar")
+        out = np.empty(y.shape)
+        small = y < _STIRLING_THRESHOLD
+        out[small] = _duplication_small(y[small])
+        out[~small] = _duplication_fused(y[~small], np.log1p)
+        return out
     if y < _STIRLING_THRESHOLD:
-        lhs = y * math.log(4.0)
-        rhs = (
-            math.log(2.0)
-            + 0.5 * math.log(math.pi)
-            + log_gamma(2.0 * y)
-            - log_gamma(y)
-            - log_gamma(y + 0.5)
-        )
-        return lhs - rhs
-    # fused form: residual = y*log1p(1/(2y)) - 1/2 - [S(2y) - S(y) - S(y+1/2)]
+        return _duplication_small(y)
+    return _duplication_fused(y, math.log1p)
+
+
+def _duplication_small(y):
+    """The residual from three log_gamma terms, for y below the threshold."""
+    lhs = y * math.log(4.0)
+    rhs = (
+        math.log(2.0)
+        + 0.5 * math.log(math.pi)
+        + log_gamma(2.0 * y)
+        - log_gamma(y)
+        - log_gamma(y + 0.5)
+    )
+    return lhs - rhs
+
+
+def _duplication_fused(y, log1p):
+    """residual = y*log1p(1/(2y)) - 1/2 - [S(2y) - S(y) - S(y+1/2)], y >= 12."""
     ds = _stirling_tail(2.0 * y) - _stirling_tail(y) - _stirling_tail(y + 0.5)
-    return y * math.log1p(0.5 / y) - 0.5 - ds
+    return y * log1p(0.5 / y) - 0.5 - ds

@@ -1,12 +1,13 @@
 import argparse
 import math
 import os
+import sys
 
 import numpy as np
 import pytest
 
 import oracles
-from bernsimplex import cli, monotone, simplex
+from bernsimplex import cli, monotone, simplex, specfun
 from bernsimplex.cli import main
 
 
@@ -154,6 +155,14 @@ class TestExitCodes:
         assert main(["identity-check", "--d-max", "2", "--m-max", "10",
                      "--out", str(out)]) == 0
         assert "MISMATCH" not in read(out)
+
+    def test_identity_check_max_residual_is_the_scalar_sweep_maximum(self, tmp_path):
+        out = tmp_path / "i.csv"
+        assert main(["identity-check", "--d-max", "1", "--m-max", "2", "--out", str(out)]) == 0
+        dup = [line for line in read(out).splitlines() if line.startswith("duplication,")]
+        want = max(abs(oracles.duplication_residual(10.0 ** (-3.0 + 9.0 * i / 999.0)))
+                   for i in range(1000))
+        assert dup == ["duplication,, ,max_residual=%.17g" % want]
 
     def test_identity_check_over_capacity_before_work(self, tmp_path, monkeypatch):
         # cost d_max (d_max + 1) / 2 (m_max + 1)^2, one table per d:
@@ -474,6 +483,73 @@ class TestAtomicOutput:
         assert main(["sample-gen", "--alpha", "1,1", "--n", "5", "--out", str(out)]) == 2
         assert not out.exists()
         assert tmp_leftovers(tmp_path) == []
+
+    # each subcommand's first piece of work, and a run that reaches it
+    FIRST_WORK = {
+        "cm-scan": (cli.monotone, "cm_scan", ["--instances", "1"]),
+        "ineq-fuzz": (cli.ineq, "fuzz_inequalities", ["--trials", "3"]),
+        "s-table": (cli.spoly, "s_integral_exact", []),
+        "lclt-compare": (cli.spoly, "s_eval", []),
+        "identity-check": (cli.spoly, "central_binomial_identity", []),
+        "estimate": (cli.SampleSet, "from_csv", ["--samples", "samples.csv"]),
+        "sample-gen": (cli, "sample_dirichlet", []),
+    }
+
+    @pytest.mark.parametrize("command", FIRST_WORK)
+    def test_unwritable_out_before_work(self, command, tmp_path, monkeypatch, capsys):
+        class WorkStarted(Exception):
+            pass
+
+        def work(*args, **kwargs):
+            raise WorkStarted
+
+        owner, name, flags = self.FIRST_WORK[command]
+        monkeypatch.setattr(owner, name, work)
+        monkeypatch.chdir(tmp_path)
+        out = os.path.join("no_such_dir", "x.csv")
+        assert main([command, *flags, "--out", out]) == 2
+        assert capsys.readouterr().err == f"error: [Errno 2] No such file or directory: {out!r}\n"
+        assert os.listdir(tmp_path) == []
+        with pytest.raises(WorkStarted):
+            main([command, *flags, "--out", "x.csv"])
+        assert os.listdir(tmp_path) == []
+
+
+    def test_directory_access_rejects_is_probed(self, tmp_path, monkeypatch):
+        # os.access can refuse a directory that mkstemp can write (other
+        # effective ids, ACLs); the probe then passes and leaves nothing
+        monkeypatch.setattr(simplex.os, "access", lambda *args, **kwargs: False)
+        out = tmp_path / "s.csv"
+        assert main(["sample-gen", "--n", "3", "--out", str(out)]) == 0
+        assert os.listdir(tmp_path) == ["s.csv"]
+
+
+class TestNoScalarSweeps:
+    def test_fuzz_workload_call_counts(self, tmp_path, monkeypatch):
+        # one identity-check and one ineq-fuzz run, as the fuzz benchmark
+        # workload makes them: the duplication sweep is one array call, the
+        # fuzz trials are one block, and no trial gets a WeightVector
+        counts = dict.fromkeys(["log_gamma", "duplication_residual", "WeightVector"], 0)
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for fn in (specfun.log_gamma, specfun.duplication_residual):
+            wrapper = counted(fn.__name__, fn)
+            for name, module in list(sys.modules.items()):
+                if name.startswith("bernsimplex") and getattr(module, fn.__name__, None) is fn:
+                    monkeypatch.setattr(module, fn.__name__, wrapper)
+        monkeypatch.setattr(simplex.WeightVector, "__init__",
+                            counted("WeightVector", simplex.WeightVector.__init__))
+        monkeypatch.chdir(tmp_path)
+        assert main(["identity-check", "--d-max", "4", "--m-max", "60"]) == 0
+        assert main(["ineq-fuzz", "--trials", "500"]) == 0
+        assert counts["duplication_residual"] == 1
+        assert counts["log_gamma"] <= 7
+        assert counts["WeightVector"] == 0
 
 
 # one small run of each of the seven subcommands; estimate reads sample-gen's file

@@ -39,12 +39,22 @@ class TestLogCoeff:
             ineq.log_coeff(BINOM, 0.0)
 
 
+def _padded(ws):
+    """The weight matrix of WeightVectors ws: one gamma per row, zero padded."""
+    out = np.zeros((len(ws), max(len(w.gamma) for w in ws)))
+    for row, w in zip(out, ws):
+        row[:len(w.gamma)] = w.gamma
+    return out
+
+
 class TestLogCoeffBlock:
+    # zero weights inside a row as well as padding after it
     WS = [BINOM, TRINOM, WeightVector((2.0, 0.0, 1.5)), WeightVector((0.3, 4.0, 0.0, 0.7))]
+    W = _padded(WS)
     A = np.array([[1.0, 2.0, 0.0], [0.05, 7.5, 20.0], [3.3, 0.0, 0.0], [0.4, 11.0, 0.9]])
 
     def test_against_scalar_route(self):
-        got = ineq.log_coeff(self.WS, self.A)
+        got = ineq.log_coeff(self.W, self.A)
         assert got.shape == self.A.shape
         for w, row_a, row in zip(self.WS, self.A, got):
             for a, value in zip(row_a, row):
@@ -64,7 +74,7 @@ class TestLogCoeffBlock:
         sizes = []
         log_gamma = ineq.log_gamma
         monkeypatch.setattr(ineq, "log_gamma", lambda z: sizes.append(z.size) or log_gamma(z))
-        ineq.log_coeff(self.WS, self.A)
+        ineq.log_coeff(self.W, self.A)
         # a > 0 per row, times M and the nonzero weights
         assert sizes == [2 * 3 + 3 * 4 + 1 * 3 + 3 * 4]
 
@@ -73,13 +83,44 @@ class TestLogCoeffBlock:
         a = self.A.copy()
         a[1, 2] = bad
         with pytest.raises(ValueError):
-            ineq.log_coeff(self.WS, a)
+            ineq.log_coeff(self.W, a)
+
+    @pytest.mark.parametrize("bad", [-1e-300, math.nan, math.inf, -math.inf])
+    def test_weight_errors(self, bad):
+        # what WeightVector rejects in one row, the matrix rejects in any
+        w = self.W.copy()
+        w[2, 1] = bad
+        with pytest.raises(ValueError):
+            WeightVector(w[2])
+        with pytest.raises(ValueError):
+            ineq.log_coeff(w, self.A)
+
+    def test_zero_mass_row(self):
+        w = self.W.copy()
+        w[3] = 0.0
+        with pytest.raises(ValueError, match="mass"):
+            ineq.log_coeff(w, self.A)
 
     def test_shape_errors(self):
         with pytest.raises(ValueError):
-            ineq.log_coeff(self.WS, self.A[:3])
+            ineq.log_coeff(self.W, self.A[:3])
         with pytest.raises(ValueError):
-            ineq.log_coeff(self.WS, self.A.reshape(-1))
+            ineq.log_coeff(self.W, self.A.reshape(-1))
+        for w in (self.W[:, :1], self.W.reshape(-1), self.W[None]):
+            with pytest.raises(ValueError):
+                ineq.log_coeff(w, self.A)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_m_column_is_weightvector_m(self, seed):
+        # M is WeightVector's built-in sum, which Python 3.12+ compensates:
+        # rows of many weights of mixed size, where the order of adding shows
+        rng = np.random.Generator(np.random.PCG64(seed))
+        gamma = rng.standard_exponential((300, 12)) * np.exp(rng.uniform(-30.0, 30.0, (300, 12)))
+        gamma[:, 7:][rng.random((300, 5)) < 0.5] = 0.0
+        blocks = [gamma, ineq._draw_trials(rng, 200, 9)[2]]
+        for g in blocks:
+            want = [WeightVector(row).M for row in g.tolist()]
+            assert _bits(ineq._weight_block(g)[:, 0]) == _bits(want)
 
 
 class TestWeightedLogConvexity:
@@ -280,14 +321,16 @@ class TestDrawStream:
         rng = _gen(seed)
         got = []
         for n in sizes:
-            ds, M, ws, live, a, lam, a123 = ineq._draw_trials(rng, n, dmax)
+            ds, M, gamma, live, a, lam, a123 = ineq._draw_trials(rng, n, dmax)
+            assert gamma.shape == (n, dmax + 1)
             for i in range(n):
-                k = int(live[i].sum())
+                k, d = int(live[i].sum()), ds[i]
                 assert live[i, :k].all() and not a[i, k:].any() and not lam[i, k:].any()
-                got.append((ds[i], M[i], ws[i], a[i, :k], lam[i, :k], *a123[i]))
+                assert not gamma[i, d + 1:].any()
+                got.append((d, M[i], gamma[i, :d + 1], a[i, :k], lam[i, :k], *a123[i]))
         want = list(oracles.fuzz_draws(sum(sizes), dmax, seed))
         assert len(got) == len(want)
         for g, (t, d, M, w, a, lam, a1, a2, a3) in zip(got, want):
-            assert g[:3] == (d, M, w), t
+            assert g[:2] == (d, M) and _bits(g[2]) == _bits(w.gamma), t
             assert _bits(g[3]) == _bits(a) and _bits(g[4]) == _bits(lam), t
             assert _bits(g[5:]) == _bits([a1, a2, a3]), t
