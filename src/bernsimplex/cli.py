@@ -20,6 +20,7 @@ import numpy as np
 
 from . import estimate as est
 from . import ineq, monotone, spoly
+from .report import ScanReport
 from .simplex import (CapacityError, SampleSet, SimplexPoint, WeightVector, _check_capacity,
                       _check_out, _coord_header, _float_format, _write_csv, sample_dirichlet)
 from .specfun import duplication_residual
@@ -35,10 +36,8 @@ class UsageError(Exception):
 _S_ROW = "%s,%s,%s,%s,%.17g,%.17g,%.17g"
 
 
-def _nan_min(values):
-    """min(values), or NaN if any value is NaN (min's answer then depends on the order)."""
-    values = list(values)
-    return math.nan if any(math.isnan(v) for v in values) else min(values)
+def _status(report) -> str:
+    return "pass" if report.passed else "fail"
 
 
 def _grid_spec(spec: str):
@@ -109,37 +108,35 @@ def _cmd_cm_scan(args) -> int:
     if args.instances < 1:
         raise UsageError("need at least one instance")
     rng = np.random.Generator(np.random.PCG64(args.seed))
+    report = ScanReport()
+    # each grid point formatted once, not once per (instance, order) row
+    a_text = {a: "%.17g" % a for a in args.grid}
+    # instances are drawn and scanned one at a time, as the rows are written
+    rows = ((i, a_text[a], n, value, margin) for i in range(args.instances)
+            for a, n, value, margin in monotone.cm_scan(
+                dataclasses.replace(_random_instance(rng, args.d),
+                                    corrupt=args.self_test_corrupt),
+                args.grid, report, max_order=args.max_order))
     try:
-        reports = [
-            monotone.cm_scan(dataclasses.replace(_random_instance(rng, args.d),
-                                                 corrupt=args.self_test_corrupt),
-                             args.grid, max_order=args.max_order)
-            for _ in range(args.instances)
-        ]
+        _write_csv(args.out, "instance,a,order,value,margin", "%s,%s,%s,%.17g,%.17g", rows,
+                   lambda: f"# summary: {_status(report)}, "
+                           f"max_violation={report.max_violation:.17g}")
     except OverflowError:
         raise UsageError(f"numerical overflow scanning an a-grid whose largest point is "
                          f"{args.grid[-1]}; lower the grid's stop") from None
-    ok = all(report.passed for report in reports)
-    worst = _nan_min(report.max_violation for report in reports)
-    status = "pass" if ok else "fail"
-    # each grid point formatted once, not once per (instance, order) row
-    a_text = {a: "%.17g" % a for a in args.grid}
-    rows = ((i, a_text[a], n, value, margin) for i, report in enumerate(reports)
-            for a, n, value, margin in report.rows)
-    _write_csv(args.out, "instance,a,order,value,margin", "%s,%s,%s,%.17g,%.17g", rows,
-               f"# summary: {status}, max_violation={worst:.17g}")
-    print(f"cm-scan: {status} over {args.instances} instances, max_violation={worst:.17g}")
-    return 0 if ok else 1
+    print(f"cm-scan: {_status(report)} over {args.instances} instances, "
+          f"max_violation={report.max_violation:.17g}")
+    return 0 if report.passed else 1
 
 
 def _cmd_ineq_fuzz(args) -> int:
-    report = ineq.fuzz_inequalities(args.trials, args.dmax, args.seed,
-                                    corrupt=args.self_test_corrupt)
-    min_margin = _nan_min([math.inf] + [row[-1] for row in report.rows])
-    status = "pass" if report.passed else "fail"
-    _write_csv(args.out, "trial,d,M,check,margin", "%s,%s,%.17g,%s,%.17g", report.rows,
-               f"# summary: {status}, min_margin={min_margin:.17g}")
-    print(f"ineq-fuzz: {status} over {args.trials} trials, min margin={min_margin:.17g}")
+    report = ScanReport()
+    rows = ineq.fuzz_inequalities(args.trials, args.dmax, args.seed, report,
+                                  corrupt=args.self_test_corrupt)
+    _write_csv(args.out, "trial,d,M,check,margin", "%s,%s,%.17g,%s,%.17g", rows,
+               lambda: f"# summary: {_status(report)}, min_margin={report.min_margin:.17g}")
+    print(f"ineq-fuzz: {_status(report)} over {args.trials} trials, "
+          f"min margin={report.min_margin:.17g}")
     return 0 if report.passed else 1
 
 
@@ -158,7 +155,7 @@ def _cmd_s_table(args) -> int:
     bounded = max(scaled) <= 2.0 * scaled[0] + 1e-12
     status = "pass" if bounded else "fail"
     _write_csv(args.out, "d,r,s,m,value,limit,scaled_error", _S_ROW, rows,
-               f"# summary: {status}, max_scaled_error={max(scaled):.17g}")
+               lambda: f"# summary: {status}, max_scaled_error={max(scaled):.17g}")
     print(f"s-table: {status}, scaled errors {['%.6g' % v for v in scaled]}")
     return 0 if bounded else 1
 
@@ -177,7 +174,7 @@ def _cmd_lclt_compare(args) -> int:
     decreasing = all(errs[i] > errs[i + 1] for i in range(len(errs) - 1))
     status = "pass" if decreasing else "fail"
     _write_csv(args.out, "d,r,s,m,scaled_value,phi,abs_error", _S_ROW, rows,
-               f"# summary: {status}")
+               lambda: f"# summary: {status}")
     print(f"lclt-compare: {status}, errors {['%.6g' % v for v in errs]}")
     return 0 if decreasing else 1
 
@@ -201,7 +198,7 @@ def _cmd_identity_check(args) -> int:
     ok = ok and worst <= 1e-12
     rows.append(("duplication", "", " ", f"max_residual={worst:.17g}"))
     status = "pass" if ok else "fail"
-    _write_csv(args.out, "kind,d,m,detail", "%s,%s,%s,%s", rows, f"# summary: {status}")
+    _write_csv(args.out, "kind,d,m,detail", "%s,%s,%s,%s", rows, lambda: f"# summary: {status}")
     print(f"identity-check: {status} (duplication max residual {worst:.3g})")
     return 0 if ok else 1
 

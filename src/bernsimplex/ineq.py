@@ -12,11 +12,12 @@ The fuzzer works on a block of trials at once: it draws the block from raw
 variates (_draw_trials) as one zero-padded weight matrix, log_coeff's array
 form takes that matrix and every node of the block in one array log_gamma
 call, and the margins are assembled from those values in the check_*
-functions' arithmetic order.
+functions' arithmetic order, recorded in a ScanReport and yielded as rows.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -175,12 +176,8 @@ def _draw_trials(rng: np.random.Generator, n: int, dmax: int):
     return ds, M, gamma, live, a, lam, a123
 
 
-def fuzz_inequalities(
-    trials: int,
-    dmax: int,
-    seed: int,
-    corrupt: bool = False,
-) -> ScanReport:
+def fuzz_inequalities(trials: int, dmax: int, seed: int, report: ScanReport,
+                      corrupt: bool = False):
     """Randomized harness over the three inequality checks.
 
     Per trial: d uniform on {1..dmax}, gamma = M * Dirichlet(1,..,1),
@@ -188,12 +185,12 @@ def fuzz_inequalities(
     (trial, d, M, check tag, margin).  Pass iff no margin is
     below -FUZZ_TOL.  corrupt=True flips margin signs (self-test hook).
 
-    Trials are drawn, one after another, in blocks; each block's nodes
-    (the k a_j, sum_j lam_j a_j, sum_j a_j, a1, a2+a3, a1+a2 and a3 of every
-    trial) go through one array log_coeff call, and the margins are
-    assembled from those values in the arithmetic order of the check_*
-    functions.  A block holds at most PMF_BLOCK_ELEMS gamma arguments, so its
-    arrays do not grow with trials; one trial past LATTICE_CAP raises CapacityError.
+    Returns an iterator over the rows that draws the trials in blocks as they
+    are read: a block's nodes (the k a_j, sum_j lam_j a_j, sum_j a_j, a1,
+    a2+a3, a1+a2 and a3 of every trial) go through one array log_coeff call,
+    and its margins, assembled in the check_* functions' arithmetic order,
+    are recorded in report before its first row.  One trial past LATTICE_CAP
+    raises CapacityError.
     """
     if trials < 1:
         raise ValueError("need trials >= 1")
@@ -203,32 +200,37 @@ def fuzz_inequalities(
     per_trial = (_MAX_K + 6) * (dmax + 2)
     _check_capacity(per_trial, f"gamma arguments of one trial for dmax={dmax}")
     rng = np.random.Generator(np.random.PCG64(seed))
-    report = ScanReport()
-    sgn = -1.0 if corrupt else 1.0
-    block = max(1, PMF_BLOCK_ELEMS // per_trial)
-    for start in range(0, trials, block):
-        n = min(block, trials - start)
-        ds, M, gamma, live, a, lam, a123 = _draw_trials(rng, n, dmax)
-        keys = [(start + i, d, m) for i, (d, m) in enumerate(zip(ds, M.tolist()))]
-        # the validation of the check_* functions, on the whole block
-        if np.any(a[live] <= 0.0):
-            raise ValueError("all a_j must be positive")
-        if np.any(~((lam[live] > 0.0) & (lam[live] < 1.0))) or np.any(
-                np.abs(_colsum(lam) - 1.0) > 1e-12):
-            raise ValueError("lambda must lie in (0,1) and sum to 1")
-        a1, a2, a3 = a123.T
-        if np.any(a1 > a3):
-            raise ValueError("precondition a1 <= a3 violated")
+    # log_coeff peaks near 6 floats per gamma argument, so a block fits one pmf block
+    block = max(1, PMF_BLOCK_ELEMS // (8 * per_trial))
+    return itertools.chain.from_iterable(
+        _fuzz_block(rng, start, min(block, trials - start), dmax, corrupt, report)
+        for start in range(0, trials, block))
 
-        nodes = np.column_stack([a, _colsum(lam * a), _colsum(a), a1, a2 + a3, a1 + a2, a3])
-        lc = log_coeff(gamma, nodes)
-        lc_a, (lc_mix, lc_sum, lc_1, lc_23, lc_12, lc_3) = lc[:, :_MAX_K], lc[:, _MAX_K:].T
-        margins = sgn * np.column_stack([
-            _colsum(lam * lc_a) - lc_mix,
-            lc_sum - _colsum(lc_a),
-            lc_1 + lc_23 - lc_12 - lc_3,
-        ])
-        for key, row in zip(keys, margins.tolist()):
-            for tag, margin in zip("abc", row):
-                report.record(margin + FUZZ_TOL, key + (tag, margin))
-    return report
+
+def _fuzz_block(rng, start: int, n: int, dmax: int, corrupt: bool, report: ScanReport):
+    """The rows of trials start, ..., start + n - 1, drawn next from rng: one
+    generator per block, whose arrays are freed before the next is drawn."""
+    ds, M, gamma, live, a, lam, a123 = _draw_trials(rng, n, dmax)
+    keys = [(start + i, d, m) for i, (d, m) in enumerate(zip(ds, M.tolist()))]
+    # the validation of the check_* functions, on the whole block
+    if np.any(a[live] <= 0.0):
+        raise ValueError("all a_j must be positive")
+    if np.any(~((lam[live] > 0.0) & (lam[live] < 1.0))) or np.any(
+            np.abs(_colsum(lam) - 1.0) > 1e-12):
+        raise ValueError("lambda must lie in (0,1) and sum to 1")
+    a1, a2, a3 = a123.T
+    if np.any(a1 > a3):
+        raise ValueError("precondition a1 <= a3 violated")
+
+    nodes = np.column_stack([a, _colsum(lam * a), _colsum(a), a1, a2 + a3, a1 + a2, a3])
+    lc = log_coeff(gamma, nodes)
+    lc_a, (lc_mix, lc_sum, lc_1, lc_23, lc_12, lc_3) = lc[:, :_MAX_K], lc[:, _MAX_K:].T
+    margins = (-1.0 if corrupt else 1.0) * np.column_stack([
+        _colsum(lam * lc_a) - lc_mix,
+        lc_sum - _colsum(lc_a),
+        lc_1 + lc_23 - lc_12 - lc_3,
+    ])
+    report.record(margins, FUZZ_TOL)
+    for key, row in zip(keys, margins.tolist()):
+        for tag, margin in zip("abc", row):
+            yield key + (tag, margin)

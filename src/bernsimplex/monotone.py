@@ -7,8 +7,8 @@ module evaluates g, the derivatives of h = -log g through polygamma
 functions, the auxiliary positivity function J_u, and the Kullback-Leibler
 limit of h', and runs two-route monotonicity scans over a-grids.  g, ln g and
 the derivatives of h take a float a or an ndarray of them; a scan evaluates
-its whole grid at once.  All of them read the MonotoneInstance alone,
-including its corrupt flag, the self-test that flips g's x-exponent.
+its whole grid at once and returns its rows as an iterator.  All read the
+MonotoneInstance alone, including its self-test flag that flips g's x-exponent.
 """
 
 from __future__ import annotations
@@ -172,14 +172,17 @@ def _forward_difference(values, n: int):
     return sum((-1) ** (n - j) * math.comb(n, j) * values[j] for j in range(n + 1))
 
 
-def cm_scan(inst: MonotoneInstance, grid, max_order: int = 6) -> ScanReport:
+def cm_scan(inst: MonotoneInstance, grid, report: ScanReport, max_order: int = 6):
     """Two-route complete-monotonicity scan over an a-grid.
 
     Route (i), the primary certificate: h' > 0 and (-1)^n h^{(n+1)} > 0 for
     1 <= n <= max_order-1, from exact polygamma evaluation, with floor
     -DERIV_FLOOR_REL * scale.  Route (ii), a cross-check: forward
     differences of g alternate, (-1)^n Delta^n g(a) >= -DIFF_REL_TOL*g(a),
-    for n <= min(max_order, 6).  Margins are normalized (>= 0 means pass).
+    for n <= min(max_order, 6).  Margins are normalized (>= 0 means pass)
+    and recorded in report as one block before this returns an iterator over
+    the rows (a, order, value, margin): orders 1..max_order, then -1, -2, ...
+    of the difference route, per grid point.
 
     A corrupt instance's g is eventually increasing, so both routes must
     reject it on any grid reaching moderately large a.
@@ -197,21 +200,17 @@ def cm_scan(inst: MonotoneInstance, grid, max_order: int = 6) -> ScanReport:
     a = np.array(grid)
     diff_order = min(max_order, MAX_DIFF_ORDER)
     # derivative route: q_n = (-1)^{n-1} h^{(n)}(a) > 0 for n = 1..max_order
-    deriv = []
-    for n in range(1, max_order + 1):
-        value = (-1.0) ** (n - 1) * h_derivative(inst, a, n)
-        margin = value + DERIV_FLOOR_REL * np.maximum(_h_derivative_scale(inst, a, n), 1.0)
-        deriv.append((n, value.tolist(), margin.tolist()))
+    values = [(-1.0) ** (n - 1) * h_derivative(inst, a, n) for n in range(1, max_order + 1)]
+    margins = [v + DERIV_FLOOR_REL * np.maximum(_h_derivative_scale(inst, a, n), 1.0)
+               for n, v in enumerate(values, 1)]
     # difference route, on the (grid, step) block a + j * DIFF_STEP
     gvals = g_eval(inst, a[:, None] + np.arange(diff_order + 1) * DIFF_STEP).T
-    tol = (DIFF_REL_TOL * gvals[0]).tolist()
-    diff = [(-n, ((-1.0) ** n * _forward_difference(gvals, n)).tolist())
-            for n in range(1, diff_order + 1)]
-
-    report = ScanReport()
-    for i, ai in enumerate(grid):
-        for n, value, margin in deriv:
-            report.record(margin[i], (ai, n, value[i], margin[i]))
-        for order, value in diff:
-            report.record(value[i] + tol[i], (ai, order, value[i], value[i] + tol[i]))
-    return report
+    diffs = [(-1.0) ** n * _forward_difference(gvals, n) for n in range(1, diff_order + 1)]
+    margins += [v + DIFF_REL_TOL * gvals[0] for v in diffs]
+    orders = [*range(1, max_order + 1), *range(-1, -diff_order - 1, -1)]
+    # (point, order) blocks, in row order
+    values, margins = np.array(values + diffs).T, np.array(margins).T
+    report.record(margins)
+    return ((ai, n, value, margin)
+            for ai, value_row, margin_row in zip(grid, values.tolist(), margins.tolist())
+            for n, value, margin in zip(orders, value_row, margin_row))

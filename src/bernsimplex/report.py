@@ -1,16 +1,13 @@
-"""Structured result of a verification sweep.
-
-A scan accumulates rows of signed margins.  Each margin is normalized so
-that the requirement is simply ``margin >= 0``: for a check "value must
-exceed -tol", the stored margin is ``value + tol``.  max_violation is the
-most negative margin seen (0.0 if none), or NaN from the first NaN margin on.
-"""
-
-from __future__ import annotations
+"""The verdict of a verification sweep: a scan records its margins one block
+(an array) at a time and yields its rows to its caller, which streams them
+to the CSV file.  A margin passes iff margin + tol >= 0.  max_violation is
+the least failing margin + tol (0.0 if none), min_margin the least margin
+(inf if none); both are NaN from the first NaN margin on."""
 
 import math
-from dataclasses import dataclass, field
-from typing import List, Tuple
+from dataclasses import dataclass
+
+import numpy as np
 
 __all__ = ["ScanReport"]
 
@@ -19,13 +16,17 @@ __all__ = ["ScanReport"]
 class ScanReport:
     max_violation: float = 0.0
     passed: bool = True
-    # row layout is owner-defined; monotone scans use (a, order, value, margin),
-    # the inequality fuzzer uses (trial, d, M, check, margin)
-    rows: List[Tuple] = field(default_factory=list)
+    min_margin: float = math.inf
 
-    def record(self, margin: float, row: Tuple) -> None:
-        self.rows.append(row)
-        if not margin >= 0.0:  # a NaN margin fails too
+    def record(self, margins, tol: float = 0.0) -> None:
+        margins = np.asarray(margins, dtype=float)
+        if margins.size == 0:
+            return
+        # the first least margin or the first NaN, as min() over the rows finds
+        # it; rounding is monotone, so low + tol is the least margin + tol
+        low = float(margins.flat[np.argmin(margins)])
+        if low < self.min_margin or math.isnan(low):
+            self.min_margin = low
+        if not low + tol >= 0.0:  # a NaN margin fails too
             self.passed = False
-            if margin < self.max_violation or math.isnan(margin):
-                self.max_violation = margin
+            self.max_violation = float(np.minimum(self.max_violation, low + tol))

@@ -48,13 +48,13 @@ def _float_format(n: int) -> str:
     return ",".join(["%.17g"] * n)
 
 
-def _write_csv(path: str, header: str, row_format: str, rows, summary: str | None) -> None:
-    """Header, one line per row and the summary line (if any).
+def _write_csv(path: str, header: str, row_format: str, rows, summary) -> None:
+    """Header, one line per row and the line summary() returns (if summary).
 
     A row is written as row_format % tuple(row), so a caller gives each
     column its conversion: %.17g for floats (every float keeps its bits),
-    %s for ints and strings.  Atomic: written to a temp file in the target
-    directory, then renamed.
+    %s for ints and strings.  summary is called after the last row.  Atomic:
+    a temp file in the target directory, renamed, or removed if anything raises.
     """
     line = row_format + "\n"
     tmp = None
@@ -64,7 +64,7 @@ def _write_csv(path: str, header: str, row_format: str, rows, summary: str | Non
             fh.write(header + "\n")
             fh.writelines(line % tuple(row) for row in rows)
             if summary is not None:
-                fh.write(summary + "\n")
+                fh.write(summary() + "\n")
         os.replace(tmp, path)
     except BaseException as exc:
         if tmp is not None and os.path.exists(tmp):
@@ -76,10 +76,11 @@ def _write_csv(path: str, header: str, row_format: str, rows, summary: str | Non
 
 
 def _check_out(path: str) -> None:
-    """Raise, before any work, the OSError that _write_csv(path, ...) would
-    raise for a directory it cannot make its temp file in.  A directory that
-    os.access finds writable passes as is; any other is probed with a temp
-    file, so that the error is mkstemp's own.  Leaves no file behind."""
+    """Raise, before any work, the OSError _write_csv(path, ...) would raise:
+    its own for '' or a directory, and mkstemp's for a directory it cannot
+    write, probed where os.access refuses it.  Leaves no file behind."""
+    if not path or os.path.isdir(path):
+        _write_csv(path, "", "", (), None)
     directory = os.path.dirname(path) or "."
     if os.access(directory, os.W_OK | os.X_OK):
         return

@@ -16,14 +16,19 @@ duplication residual must match bit for bit, and that its array routes,
 polygamma's only route among them, must match to a few ulps.
 ``multinomial_log_pmf`` uses this ``log_gamma``.
 
+Then, a scan report that records one margin at a time and keeps every row:
+the oracle for ``report.ScanReport``, which keeps only the verdict and
+records a whole block of margins at once.  The two scans below return it.
+
 Then, the complete-monotonicity scan one grid point at a time, on these
 scalar special functions: the oracle for ``monotone.cm_scan``, which
-evaluates the whole grid at once.
+evaluates the whole grid at once and yields its rows.
 
 Then, the inequality fuzzer one trial at a time, through the scalar
 ``ineq.check_*`` functions and with numpy's per-trial ``dirichlet`` and
 ``uniform`` draws: the oracle for ``ineq.fuzz_inequalities``, which draws raw
-variates and evaluates a block of trials in one array ``log_coeff`` call.
+variates, evaluates a block of trials in one array ``log_coeff`` call and
+yields its rows.
 
 Then, both sides of the central-binomial identity at one (d, m): the left
 side as one ``composition_coefficient`` call, the right side as a product
@@ -37,9 +42,9 @@ CLI passes to ``simplex._write_csv``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Iterator, List, Sequence, Tuple
 
 import numpy as np
 
@@ -47,7 +52,6 @@ from bernsimplex.ineq import (FUZZ_TOL, check_exchange, check_superadditivity,
                               check_weighted_logconvexity)
 from bernsimplex.monotone import (DERIV_FLOOR_REL, DIFF_REL_TOL, DIFF_STEP, MAX_DIFF_ORDER,
                                   MonotoneInstance)
-from bernsimplex.report import ScanReport
 from bernsimplex.simplex import (SampleSet, SimplexPoint, WeightVector, _check_capacity,
                                 lattice_size)
 from bernsimplex.specfun import (_BERNOULLI, _HALF_LOG_TWO_PI, _STIRLING_THRESHOLD,
@@ -291,6 +295,33 @@ def _h_derivative_scale(inst: MonotoneInstance, a: float, n: int) -> float:
 
 def _forward_difference(values, n: int) -> float:
     return sum((-1) ** (n - j) * math.comb(n, j) * values[j] for j in range(n + 1))
+
+
+@dataclass
+class ScanReport:
+    """A scan's verdict and every row it recorded, one margin at a time.
+    Each margin is normalized so that the requirement is margin >= 0;
+    max_violation is the most negative margin seen (0.0 if none), or NaN
+    from the first NaN margin on."""
+
+    max_violation: float = 0.0
+    passed: bool = True
+    # row layout is owner-defined; monotone scans use (a, order, value, margin),
+    # the inequality fuzzer uses (trial, d, M, check, margin)
+    rows: List[Tuple] = field(default_factory=list)
+
+    def record(self, margin: float, row: Tuple) -> None:
+        self.rows.append(row)
+        if not margin >= 0.0:  # a NaN margin fails too
+            self.passed = False
+            if margin < self.max_violation or math.isnan(margin):
+                self.max_violation = margin
+
+    @property
+    def min_margin(self) -> float:
+        """The least last entry of the rows (inf if none), or NaN if any is NaN."""
+        values = [math.inf] + [row[-1] for row in self.rows]
+        return math.nan if any(math.isnan(v) for v in values) else min(values)
 
 
 def cm_scan(inst: MonotoneInstance, grid, max_order: int = 6) -> ScanReport:

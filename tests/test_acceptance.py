@@ -16,6 +16,7 @@ import numpy as np
 from bernsimplex import estimate as est
 from bernsimplex import ineq, monotone, specfun, spoly
 from bernsimplex.cli import _random_instance
+from bernsimplex.report import ScanReport
 from bernsimplex.simplex import SimplexPoint, WeightVector, sample_dirichlet
 from oracles import empirical_cdf, sup_error_on_grid
 
@@ -76,12 +77,14 @@ def test_criterion_04_complete_monotonicity_scan():
     worst = 0.0
     for _ in range(200):
         d = int(rng.integers(1, 6))
-        rep = monotone.cm_scan(_random_instance(rng, d), grid, max_order=7)
+        rep = ScanReport()
+        monotone.cm_scan(_random_instance(rng, d), grid, rep, max_order=7)
         ok = ok and rep.passed
         worst = min(worst, rep.max_violation)
-    corrupt = monotone.cm_scan(
+    corrupt = ScanReport()
+    monotone.cm_scan(
         replace(_random_instance(np.random.Generator(np.random.PCG64(0)), 2), corrupt=True),
-        grid, max_order=7)
+        grid, corrupt, max_order=7)
     ok = ok and not corrupt.passed
     _report(4, "complete-monotonicity certificates on 200 instances + corrupt self-test",
             ok, t0, f"max violation {worst:.3g}")
@@ -118,9 +121,8 @@ def test_criterion_06_j_positivity():
 
 def test_criterion_07_inequality_fuzz_and_equality_cases():
     t0 = time.time()
-    rep = ineq.fuzz_inequalities(10_000, 5, 77)
     margins = {"a": [], "b": [], "c": []}
-    for _, _, _, tag, margin in rep.rows:
+    for _, _, _, tag, margin in ineq.fuzz_inequalities(10_000, 5, 77, ScanReport()):
         margins[tag].append(margin)
     ok = min(margins["a"]) >= -1e-10 and min(margins["c"]) >= -1e-10
     ok = ok and min(margins["b"]) > 0.0

@@ -1,12 +1,14 @@
 import argparse
 import math
 import os
+import subprocess
 import sys
 
 import numpy as np
 import pytest
 
 import oracles
+import bernsimplex
 from bernsimplex import cli, monotone, simplex, specfun
 from bernsimplex.cli import main
 
@@ -513,6 +515,14 @@ class TestAtomicOutput:
         with pytest.raises(WorkStarted):
             main([command, *flags, "--out", "x.csv"])
         assert os.listdir(tmp_path) == []
+        # paths whose directory takes the temp file but whose rename fails
+        os.mkdir("adir")
+        for out, error in (("adir", "[Errno 21] Is a directory"),
+                           ("adir" + os.sep, "[Errno 20] Not a directory"),
+                           ("", "[Errno 2] No such file or directory")):
+            assert main([command, *flags, "--out", out]) == 2
+            assert capsys.readouterr().err == f"error: {error}: {out!r}\n"
+            assert os.listdir(tmp_path) == ["adir"] and os.listdir("adir") == []
 
 
     def test_directory_access_rejects_is_probed(self, tmp_path, monkeypatch):
@@ -522,6 +532,39 @@ class TestAtomicOutput:
         out = tmp_path / "s.csv"
         assert main(["sample-gen", "--n", "3", "--out", str(out)]) == 0
         assert os.listdir(tmp_path) == ["s.csv"]
+
+
+class TestFlatMemory:
+    """A scan's peak RSS does not grow with its size: the rows stream to the
+    file and the report keeps only the verdict.  Each run is the child of a
+    small Python process, which prints the child's ru_maxrss: a process
+    counts the RSS of the one it was started from in its own ru_maxrss, and
+    the test process's RSS could hide the run's."""
+
+    # ru_maxrss is in kilobytes, on macOS in bytes
+    MB = 2.0 ** (20 if sys.platform == "darwin" else 10)
+
+    CODE = ("import resource, subprocess, sys\n"
+            "subprocess.run([sys.executable, '-m', 'bernsimplex.cli', *sys.argv[1:]],\n"
+            "               check=True, stdout=subprocess.DEVNULL)\n"
+            "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)\n")
+
+    @pytest.mark.parametrize("argv,sizes", [
+        (["ineq-fuzz", "--dmax", "5", "--trials"], (20_000, 80_000)),
+        (["cm-scan", "--d", "3", "--grid", "0.1:10:0.1", "--instances"], (3, 100)),
+    ])
+    def test_peak_rss_does_not_grow(self, tmp_path, argv, sizes):
+        src = os.path.dirname(os.path.dirname(bernsimplex.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        runs = [subprocess.Popen([sys.executable, "-c", self.CODE, *argv, str(size),
+                                  "--out", str(tmp_path / f"{size}.csv")],
+                                 stdout=subprocess.PIPE, env=env, text=True)
+                for size in sizes]
+        peaks = [run.communicate()[0] for run in runs]
+        assert [run.returncode for run in runs] == [0, 0]
+        small, large = (int(peak) / self.MB for peak in peaks)
+        assert large - small < 5.0, (small, large)
 
 
 class TestNoScalarSweeps:

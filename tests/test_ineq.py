@@ -7,7 +7,16 @@ from hypothesis import strategies as st
 
 import oracles
 from bernsimplex import ineq
+from bernsimplex.report import ScanReport
 from bernsimplex.simplex import WeightVector
+
+
+def fuzz(trials, dmax, seed, corrupt=False):
+    """fuzz_inequalities' report and its rows, read to the end."""
+    report = ScanReport()
+    rows = list(ineq.fuzz_inequalities(trials, dmax, seed, report, corrupt=corrupt))
+    return report, rows
+
 
 BINOM = WeightVector((1.0, 1.0))
 TRINOM = WeightVector((1.0, 1.0, 1.0))
@@ -213,23 +222,23 @@ class TestExchange:
 
 class TestFuzz:
     def test_pass(self):
-        report = ineq.fuzz_inequalities(1000, 5, seed=1234)
+        report, _ = fuzz(1000, 5, seed=1234)
         assert report.passed
         assert report.max_violation == 0.0
 
     def test_empty_run_rejected(self):
         with pytest.raises(ValueError):
-            ineq.fuzz_inequalities(0, 5, seed=0)
+            ineq.fuzz_inequalities(0, 5, 0, ScanReport())
 
     def test_corrupted_fails(self):
-        report = ineq.fuzz_inequalities(100, 5, seed=1234, corrupt=True)
+        report, _ = fuzz(100, 5, seed=1234, corrupt=True)
         assert not report.passed
         assert report.max_violation < 0.0
 
     def test_row_format(self):
-        report = ineq.fuzz_inequalities(3, 2, seed=7)
-        assert len(report.rows) == 9
-        trial, d, m_total, check, margin = report.rows[0]
+        _, rows = fuzz(3, 2, seed=7)
+        assert len(rows) == 9
+        trial, d, m_total, check, margin = rows[0]
         assert trial == 0 and check == "a"
         assert 1 <= d <= 2 and 0.1 <= m_total <= 50.0
 
@@ -239,31 +248,32 @@ class TestFuzzAgainstOracle:
                                               (31, False), (1234, True)])
     def test_matches_trial_by_trial_route(self, seed, corrupt):
         trials = 1000
-        got = ineq.fuzz_inequalities(trials, 5, seed, corrupt=corrupt)
+        got, got_rows = fuzz(trials, 5, seed, corrupt=corrupt)
         want = oracles.fuzz_inequalities(trials, 5, seed, corrupt=corrupt)
         assert got.passed == want.passed
         assert np.sign(got.max_violation) == np.sign(want.max_violation)
-        assert [row[:4] for row in got.rows] == [row[:4] for row in want.rows]
+        assert [row[:4] for row in got_rows] == [row[:4] for row in want.rows]
         # array log_gamma may differ from the scalar route in the last bits of
         # every ln Gamma term; over 21,000 margins (7 seeds) the worst
         # difference was 0.30 eps times the scale below
         eps = np.finfo(float).eps
         for t, d, M, w, a, lam, a1, a2, a3 in oracles.fuzz_draws(trials, 5, seed):
             nodes = oracles.fuzz_nodes(a, lam, a1, a2, a3)
-            for g_row, w_row in zip(got.rows[3 * t:3 * t + 3], want.rows[3 * t:3 * t + 3]):
+            for g_row, w_row in zip(got_rows[3 * t:3 * t + 3], want.rows[3 * t:3 * t + 3]):
                 scale = sum(abs(c) * oracles.log_coeff_scale(w, v) for c, v in nodes[g_row[3]])
                 assert abs(g_row[4] - w_row[4]) <= 16 * eps * scale, g_row
 
     def test_blocks_do_not_change_rows(self, monkeypatch):
-        whole = ineq.fuzz_inequalities(41, 5, seed=3)
+        whole, whole_rows = fuzz(41, 5, seed=3)
         calls = []
         log_coeff = ineq.log_coeff
         monkeypatch.setattr(ineq, "log_coeff", lambda w, a: calls.append(len(w)) or log_coeff(w, a))
-        # (5 + 6) nodes of (5 + 2) gamma arguments per trial at most: 6 trials a block
-        monkeypatch.setattr(ineq, "PMF_BLOCK_ELEMS", 6 * 11 * 7)
-        split = ineq.fuzz_inequalities(41, 5, seed=3)
+        # (5 + 6) nodes of (5 + 2) gamma arguments per trial at most, a block
+        # takes PMF_BLOCK_ELEMS // 8 of them: 6 trials a block
+        monkeypatch.setattr(ineq, "PMF_BLOCK_ELEMS", 8 * 6 * 11 * 7)
+        split, split_rows = fuzz(41, 5, seed=3)
         assert calls == [6] * 6 + [5]
-        assert split.rows == whole.rows
+        assert split_rows == whole_rows
         assert (split.passed, split.max_violation) == (whole.passed, whole.max_violation)
 
 

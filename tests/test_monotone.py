@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 import oracles
 from bernsimplex import monotone as mo
 from bernsimplex.cli import _grid_spec
+from bernsimplex.report import ScanReport
 from bernsimplex.simplex import SimplexPoint, WeightVector
 from bernsimplex.specfun import polygamma
 
@@ -19,6 +20,13 @@ def make_instance(gamma, x):
 
 SYMMETRIC = make_instance((1.0, 1.0), (0.5,))
 SKEWED = make_instance((1.0, 1.0), (0.25,))
+
+
+def scan(inst, grid, max_order):
+    """cm_scan's report and its rows, read to the end."""
+    report = ScanReport()
+    rows = list(mo.cm_scan(inst, grid, report, max_order=max_order))
+    return report, rows
 
 
 def random_instance(rng, d):
@@ -171,14 +179,14 @@ class TestCmScan:
     GRID = [0.1 * i for i in range(1, 101)]
 
     def test_symmetric_instance_passes(self):
-        report = mo.cm_scan(SYMMETRIC, self.GRID, max_order=6)
+        report, _ = scan(SYMMETRIC, self.GRID, max_order=6)
         assert report.passed
         assert report.max_violation == 0.0
 
     def test_random_instances_pass(self):
         rng = np.random.Generator(np.random.PCG64(21))
         for d in (1, 2, 5):
-            report = mo.cm_scan(random_instance(rng, d), self.GRID, max_order=7)
+            report, _ = scan(random_instance(rng, d), self.GRID, max_order=7)
             assert report.passed
 
     def test_corrupt_flag_only_flips_the_x_exponent(self):
@@ -194,15 +202,15 @@ class TestCmScan:
             assert np.array_equal(mo.h_derivative(bad, a, n), mo.h_derivative(inst, a, n))
 
     def test_corrupted_instance_fails(self):
-        report = mo.cm_scan(replace(SKEWED, corrupt=True), self.GRID, max_order=6)
+        report, _ = scan(replace(SKEWED, corrupt=True), self.GRID, max_order=6)
         assert not report.passed
         assert report.max_violation < 0.0
 
     def test_grid_validation(self):
         with pytest.raises(ValueError):
-            mo.cm_scan(SYMMETRIC, [1.0, 0.5], max_order=3)
+            mo.cm_scan(SYMMETRIC, [1.0, 0.5], ScanReport(), max_order=3)
         with pytest.raises(ValueError):
-            mo.cm_scan(SYMMETRIC, [-1.0, 1.0], max_order=3)
+            mo.cm_scan(SYMMETRIC, [-1.0, 1.0], ScanReport(), max_order=3)
 
 
 
@@ -230,12 +238,12 @@ class TestCmScanAgainstPerPointOracle:
         rng = np.random.Generator(np.random.PCG64(300 + d))
         for i in range(6):
             inst = replace(random_instance(rng, d), corrupt=i % 2 == 1)
-            got = mo.cm_scan(inst, self.GRID, max_order=7)
+            got, got_rows = scan(inst, self.GRID, max_order=7)
             want = oracles.cm_scan(inst, self.GRID, max_order=7)
             assert got.passed == want.passed
-            assert [row[:2] for row in got.rows] == [row[:2] for row in want.rows]
+            assert [row[:2] for row in got_rows] == [row[:2] for row in want.rows]
             at = {}  # (L, g) at each point a + jh, by point
-            for (a, n, *vals), (_, _, *refs) in zip(got.rows, want.rows):
+            for (a, n, *vals), (_, _, *refs) in zip(got_rows, want.rows):
                 if n > 0:
                     bound = 16 * self.EPS * max(oracles._h_derivative_scale(inst, a, n), 1.0)
                 else:
