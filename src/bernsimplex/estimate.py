@@ -9,6 +9,8 @@ exponent m - k_i on (1 - x_i).
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 from .simplex import (
@@ -107,13 +109,15 @@ def bernstein_cdf_simplex(samples: SampleSet, m: int, x):
         raise ValueError("samples must be tagged simplex")
     single = isinstance(x, SimplexPoint)
     if single:
-        points = [x]
+        points, shape = iter([x]), (1, x.d)
     else:
         xs = np.asarray(x, dtype=float)
         if xs.ndim != 2:
             raise ValueError("x must be a SimplexPoint or a (P, d) array of points")
-        points = [SimplexPoint(row) for row in xs]
-    if any(p.d != samples.d for p in points):
+        # each row is checked as a SimplexPoint when its block is reached, so
+        # that no object per point outlives its block
+        points, shape = map(SimplexPoint, xs), xs.shape
+    if shape[1] != samples.d:
         raise ValueError("sample and point dimensions differ")
     if m < 1:
         raise ValueError("degree m must be >= 1")
@@ -121,11 +125,11 @@ def bernstein_cdf_simplex(samples: SampleSet, m: int, x):
     lat = lattice_array(d, m)
     fn = _lattice_cdf_counts(samples, m)[tuple(lat[:, :-1].T)] / samples.n
     lf = log_factorial_table(m)
-    full = np.array([p.full for p in points])
-    out = np.empty(len(points))
+    out = np.empty(shape[0])
     step = max(1, PMF_BLOCK_ELEMS // lat.shape[0])
-    for lo in range(0, len(points), step):
-        pmf = np.exp(lattice_log_pmf(lat, full[lo:lo + step], lf))
+    for lo in range(0, shape[0], step):
+        full = np.array([p.full for p in itertools.islice(points, step)])
+        pmf = np.exp(lattice_log_pmf(lat, full, lf))
         out[lo:lo + step] = [np.dot(fn, row) for row in pmf]
     return float(out[0]) if single else out
 

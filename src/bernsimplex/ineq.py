@@ -1,18 +1,19 @@
 """Generalized multinomial coefficients and their convexity inequalities.
 
-C(a) = Gamma(aM + 1) / prod_i Gamma(a gamma_i + 1) for a weight vector
-(gamma, M).  Log-convexity of the underlying probability function yields
+C(a) = Gamma(aM + 1) / prod_i Gamma(a gamma_i + 1) for weights gamma with
+total M.  Log-convexity of the underlying probability function yields
 three inequalities (weighted log-convexity, superadditivity, and an
 exchange inequality); everything here is checked in log space so "strict
 versus equality" resolves by an absolute tolerance instead of ratios of
 huge coefficients.
 
-The check_* functions evaluate ln C one node at a time on scalar log_gamma.
-The fuzzer works on a block of trials at once: it draws the block from raw
-variates (_draw_trials) as one zero-padded weight matrix, log_coeff's array
-form takes that matrix and every node of the block in one array log_gamma
-call, and the margins are assembled from those values in the check_*
-functions' arithmetic order, recorded in a ScanReport and yielded as rows.
+Everything works on blocks of trials.  log_coeff takes a zero-padded (T, D)
+weight matrix and a (T, K) array of a, and evaluates the whole block in one
+array log_gamma call.  inequality_margins validates T trials, forms all
+their nodes and gives their (T, 3) margins from one log_coeff call.  The
+fuzzer draws a block from raw variates (_draw_trials), takes its margins
+from inequality_margins, records them in a ScanReport and yields them as
+rows.
 """
 
 from __future__ import annotations
@@ -23,14 +24,12 @@ import math
 import numpy as np
 
 from .report import ScanReport
-from .simplex import PMF_BLOCK_ELEMS, WeightVector, _check_capacity
+from .simplex import PMF_BLOCK_ELEMS, _check_capacity
 from .specfun import log_gamma
 
 __all__ = [
     "log_coeff",
-    "check_weighted_logconvexity",
-    "check_superadditivity",
-    "check_exchange",
+    "inequality_margins",
     "fuzz_inequalities",
     "FUZZ_TOL",
 ]
@@ -39,26 +38,18 @@ FUZZ_TOL = 1e-10
 _MAX_K = 5  # a fuzz trial draws k = 2.._MAX_K values a_j
 
 
-def log_coeff(w, a):
-    """ln C(a) for a WeightVector w and a float a > 0.
+def log_coeff(gamma, a):
+    """The (T, K) block of ln C, entry (t, j) taken at weights gamma[t] and
+    a[t, j].
 
-    Array form: w a (T, D) weight matrix, one gamma per row padded with zero
-    weights, and a a (T, K) array give the (T, K) block of ln C, row t taken
-    at w[t].  Entries of a must be finite and >= 0; a = 0 gives ln C(0) = 0,
-    so a caller pads rows of unequal length with zeros.  Every live argument
-    a*g + 1 (a > 0, g > 0 or g = M) goes into one array log_gamma call, and
-    the terms are subtracted coordinate by coordinate in the scalar order, so
-    an entry differs from the scalar route only by array log_gamma's last bits.
+    gamma is a (T, D) weight matrix, one gamma per row padded with zero
+    weights, and a is a (T, K) array.  Entries of a must be finite and >= 0;
+    a = 0 gives ln C(0) = 0, so a caller pads rows of unequal length with
+    zeros.  Every live argument a*g + 1 (a > 0, g > 0 or g = M) goes into one
+    array log_gamma call, and the terms are subtracted coordinate by
+    coordinate from ln Gamma(aM + 1).
     """
-    if isinstance(w, WeightVector):
-        if not (math.isfinite(a) and a > 0.0):
-            raise ValueError(f"a must be positive, got {a!r}")
-        out = log_gamma(a * w.M + 1.0)
-        for g in w.gamma:
-            if g > 0.0:
-                out -= log_gamma(a * g + 1.0)
-        return out
-    coefs = _weight_block(w)
+    coefs = _weight_block(gamma)
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != coefs.shape[0]:
         raise ValueError(f"need a ({coefs.shape[0]}, K) array of a, got shape {a.shape}")
@@ -89,41 +80,52 @@ def _weight_block(gamma) -> np.ndarray:
     return np.column_stack([M, gamma])
 
 
-def check_weighted_logconvexity(w: WeightVector, a, lam) -> float:
-    """sum_j lam_j ln C(a_j) - ln C(sum_j lam_j a_j); >= 0, zero iff all a_j equal."""
-    a = [float(v) for v in a]
-    lam = [float(v) for v in lam]
-    if len(a) != len(lam) or len(a) < 2:
-        raise ValueError("need k >= 2 nodes with matching weights")
-    if any(v <= 0.0 for v in a):
-        raise ValueError("all a_j must be positive")
-    if any(not 0.0 < v < 1.0 for v in lam) or abs(sum(lam) - 1.0) > 1e-12:
-        raise ValueError("lambda must lie in (0,1) and sum to 1")
-    mix = sum(l * v for l, v in zip(lam, a))
-    return sum(l * log_coeff(w, v) for l, v in zip(lam, a)) - log_coeff(w, mix)
+def inequality_margins(gamma, a, lam, a123) -> np.ndarray:
+    """The (T, 3) margins of T trials, row t at weights gamma[t]:
 
+        sum_j lam_j ln C(a_j) - ln C(sum_j lam_j a_j)      (weighted log-convexity)
+        ln C(sum_j a_j) - sum_j ln C(a_j)                 (superadditivity)
+        ln C(a1) + ln C(a2 + a3) - ln C(a1 + a2) - ln C(a3)   (exchange)
 
-def check_superadditivity(w: WeightVector, a) -> float:
-    """ln C(sum a_j) - sum_j ln C(a_j); strictly positive for non-degenerate gamma."""
-    a = [float(v) for v in a]
-    if len(a) < 2:
-        raise ValueError("need k >= 2 values")
-    if any(v <= 0.0 for v in a):
-        raise ValueError("all a_j must be positive")
-    return log_coeff(w, sum(a)) - sum(log_coeff(w, v) for v in a)
+    over the live entries a_j > 0 of row t of the (T, K) array a, with their
+    weights lam_j in lam, and (a1, a2, a3) in row t of the (T, 3) array a123.
+    Each margin is >= 0; the first is zero iff all a_j are equal, the second
+    is strictly positive for two or more nonzero weights, and the third is
+    zero iff a1 = a3.
 
+    A row needs k >= 2 live a_j, each lam_j in (0, 1) summing to 1 within
+    1e-12, lam = 0 on the other entries, and finite positive a1 <= a3 and
+    a2; anything else raises ValueError.  Sums over j are added left to
+    right, and all nodes go through one log_coeff call.
+    """
+    a, lam, a123 = (np.asarray(v, dtype=float) for v in (a, lam, a123))
+    if a.ndim != 2 or a.shape[1] < 2 or lam.shape != a.shape or a123.shape != (len(a), 3):
+        raise ValueError(f"need (T, K) arrays a and lam with K >= 2 and a (T, 3) a123, "
+                         f"got shapes {a.shape}, {lam.shape} and {a123.shape}")
+    if not np.all(np.isfinite(a) & (a >= 0.0)):
+        raise ValueError("every a_j must be finite and nonnegative")
+    live = a > 0.0
+    if np.any(live.sum(axis=1) < 2):
+        raise ValueError("need k >= 2 positive a_j in every row")
+    if np.any(live & ~((lam > 0.0) & (lam < 1.0))) or np.any(~live & (lam != 0.0)) or np.any(
+            np.abs(_colsum(lam) - 1.0) > 1e-12):
+        raise ValueError("lambda must lie in (0,1) on the positive a_j, be 0 elsewhere "
+                         "and sum to 1")
+    if not np.all(np.isfinite(a123) & (a123 > 0.0)):
+        raise ValueError("a1, a2 and a3 must be finite and positive")
+    a1, a2, a3 = a123.T
+    if np.any(a1 > a3):
+        raise ValueError("precondition a1 <= a3 violated")
 
-def check_exchange(w: WeightVector, a1: float, a2: float, a3: float) -> float:
-    """[ln C(a1) + ln C(a2+a3)] - [ln C(a1+a2) + ln C(a3)] for a1 <= a3;
-    >= 0, zero iff a1 = a3."""
-    if a1 > a3:
-        raise ValueError(f"precondition a1 <= a3 violated: {a1} > {a3}")
-    return (
-        log_coeff(w, a1)
-        + log_coeff(w, a2 + a3)
-        - log_coeff(w, a1 + a2)
-        - log_coeff(w, a3)
-    )
+    k = a.shape[1]
+    nodes = np.column_stack([a, _colsum(lam * a), _colsum(a), a1, a2 + a3, a1 + a2, a3])
+    lc = log_coeff(gamma, nodes)
+    lc_a, (lc_mix, lc_sum, lc_1, lc_23, lc_12, lc_3) = lc[:, :k], lc[:, k:].T
+    return np.column_stack([
+        _colsum(lam * lc_a) - lc_mix,
+        lc_sum - _colsum(lc_a),
+        lc_1 + lc_23 - lc_12 - lc_3,
+    ])
 
 
 def _colsum(x: np.ndarray) -> np.ndarray:
@@ -142,11 +144,11 @@ def _log_uniform(u: np.ndarray, lo: float, hi: float) -> np.ndarray:
 
 
 def _draw_trials(rng: np.random.Generator, n: int, dmax: int):
-    """The next n trials of rng: (ds, M, gamma, live, a, lam, a123).
+    """The next n trials of rng: (ds, M, gamma, a, lam, a123).
 
     Per trial: d, M, its d + 1 weights in a row of gamma; the k a_j and lam_j
-    in the live entries of a row of a and lam; a1, a2, a3 with a1 <= a3.  The
-    rows of gamma, a and lam have zeros after their entries.
+    in the first k entries of a row of a and lam; a1, a2, a3 with a1 <= a3.
+    The rows of gamma, a and lam have zeros after their entries.
     The loop takes only raw variates, in the stream order of numpy's
     per-trial uniform and dirichlet(ones(.)) draws, and the maps after it
     give those draws' bits: uniform(lo, hi) is lo + (hi - lo) * random(),
@@ -173,7 +175,7 @@ def _draw_trials(rng: np.random.Generator, n: int, dmax: int):
     lam = e_lam * (1.0 / _colsum(e_lam))[:, None]
     a13 = np.sort(_log_uniform(u_123[:, :2], 0.05, 20.0), axis=1)
     a123 = np.column_stack([a13[:, 0], _log_uniform(u_123[:, 2], 0.05, 20.0), a13[:, 1]])
-    return ds, M, gamma, live, a, lam, a123
+    return ds, M, gamma, a, lam, a123
 
 
 def fuzz_inequalities(trials: int, dmax: int, seed: int, report: ScanReport,
@@ -186,11 +188,9 @@ def fuzz_inequalities(trials: int, dmax: int, seed: int, report: ScanReport,
     below -FUZZ_TOL.  corrupt=True flips margin signs (self-test hook).
 
     Returns an iterator over the rows that draws the trials in blocks as they
-    are read: a block's nodes (the k a_j, sum_j lam_j a_j, sum_j a_j, a1,
-    a2+a3, a1+a2 and a3 of every trial) go through one array log_coeff call,
-    and its margins, assembled in the check_* functions' arithmetic order,
-    are recorded in report before its first row.  One trial past LATTICE_CAP
-    raises CapacityError.
+    are read: each block's margins come from one inequality_margins call
+    and are recorded in report before its first row.  One trial past
+    LATTICE_CAP raises CapacityError.
     """
     if trials < 1:
         raise ValueError("need trials >= 1")
@@ -210,26 +210,9 @@ def fuzz_inequalities(trials: int, dmax: int, seed: int, report: ScanReport,
 def _fuzz_block(rng, start: int, n: int, dmax: int, corrupt: bool, report: ScanReport):
     """The rows of trials start, ..., start + n - 1, drawn next from rng: one
     generator per block, whose arrays are freed before the next is drawn."""
-    ds, M, gamma, live, a, lam, a123 = _draw_trials(rng, n, dmax)
+    ds, M, gamma, a, lam, a123 = _draw_trials(rng, n, dmax)
     keys = [(start + i, d, m) for i, (d, m) in enumerate(zip(ds, M.tolist()))]
-    # the validation of the check_* functions, on the whole block
-    if np.any(a[live] <= 0.0):
-        raise ValueError("all a_j must be positive")
-    if np.any(~((lam[live] > 0.0) & (lam[live] < 1.0))) or np.any(
-            np.abs(_colsum(lam) - 1.0) > 1e-12):
-        raise ValueError("lambda must lie in (0,1) and sum to 1")
-    a1, a2, a3 = a123.T
-    if np.any(a1 > a3):
-        raise ValueError("precondition a1 <= a3 violated")
-
-    nodes = np.column_stack([a, _colsum(lam * a), _colsum(a), a1, a2 + a3, a1 + a2, a3])
-    lc = log_coeff(gamma, nodes)
-    lc_a, (lc_mix, lc_sum, lc_1, lc_23, lc_12, lc_3) = lc[:, :_MAX_K], lc[:, _MAX_K:].T
-    margins = (-1.0 if corrupt else 1.0) * np.column_stack([
-        _colsum(lam * lc_a) - lc_mix,
-        lc_sum - _colsum(lc_a),
-        lc_1 + lc_23 - lc_12 - lc_3,
-    ])
+    margins = (-1.0 if corrupt else 1.0) * inequality_margins(gamma, a, lam, a123)
     report.record(margins, FUZZ_TOL)
     for key, row in zip(keys, margins.tolist()):
         for tag, margin in zip("abc", row):

@@ -6,14 +6,14 @@ with Bernoulli coefficients through B_16 is summed.  Target accuracy is
 ~1e-13 relative, which is what every downstream tolerance in this package
 assumes.
 
-``polygamma`` has one route, on arrays (an int or float z comes back as a
-float).  ``log_gamma`` keeps a scalar route beside its array one for its
-scalar callers: log_factorial_table (one ln j! table per process, built once
-and extended on demand), whose bits feed the tightest S_{r,s,m}
-asymptotic check, and the few-term formulas in spoly, where a scalar call
-costs 3 us against 110 us for an array one (2-core x86-64).
-``duplication_residual`` has both routes as well; its array route takes a
-whole sweep in three array log_gamma calls.  Array steps apply to all
+``polygamma`` and ``duplication_residual`` have one route, on arrays (an
+int or float argument comes back as a float); the residual takes a whole
+sweep in three array log_gamma calls.  ``log_gamma`` keeps a scalar route
+beside its array one for its scalar callers: log_factorial_table (one ln j!
+table per process, built once and extended on demand), whose bits feed the
+tightest S_{r,s,m} asymptotic check, and the few-term formulas in spoly,
+where a scalar call costs 3 us against 110 us for an array one (2-core
+x86-64).  Array steps apply to all
 entries still below the threshold at once; numpy's log and power may differ
 from libm in the last bits.  polygamma raises OverflowError where
 float ** int would and where n!/z^{n+1} does (tiny z); other overflows give
@@ -174,9 +174,8 @@ def polygamma(order: int, z):
 
 
 def duplication_residual(y):
-    """Signed defect of the Gamma duplication identity at y, in log scale;
-    an ndarray y gives an array of its shape, each entry in the scalar
-    route's order of operations on array log_gamma.
+    """Signed defect of the Gamma duplication identity at y, in log scale.
+    An ndarray y gives an array of its shape, an int or float y a float.
 
     Analytically zero for every y > 0; the returned magnitude is a
     round-trip accuracy check of log_gamma.  For y >= 12 the Stirling
@@ -184,31 +183,20 @@ def duplication_residual(y):
     before evaluation, otherwise the O(y log y) leading terms cancel in
     floating point and swamp the 1e-12 contract at large y.
     """
-    if not _check_positive(y, "y"):
-        out = np.empty(y.shape)
-        small = y < _STIRLING_THRESHOLD
-        out[small] = _duplication_small(y[small])
-        out[~small] = _duplication_fused(y[~small], np.log1p)
-        return out
-    if y < _STIRLING_THRESHOLD:
-        return _duplication_small(y)
-    return _duplication_fused(y, math.log1p)
-
-
-def _duplication_small(y):
-    """The residual from three log_gamma terms, for y below the threshold."""
-    lhs = y * math.log(4.0)
-    rhs = (
+    scalar = _check_positive(y, "y")
+    y = np.asarray(y, dtype=float)
+    out = np.empty(y.shape)
+    small = y < _STIRLING_THRESHOLD
+    z = y[small]
+    out[small] = z * math.log(4.0) - (
         math.log(2.0)
         + 0.5 * math.log(math.pi)
-        + log_gamma(2.0 * y)
-        - log_gamma(y)
-        - log_gamma(y + 0.5)
+        + log_gamma(2.0 * z)
+        - log_gamma(z)
+        - log_gamma(z + 0.5)
     )
-    return lhs - rhs
-
-
-def _duplication_fused(y, log1p):
-    """residual = y*log1p(1/(2y)) - 1/2 - [S(2y) - S(y) - S(y+1/2)], y >= 12."""
-    ds = _stirling_tail(2.0 * y) - _stirling_tail(y) - _stirling_tail(y + 0.5)
-    return y * log1p(0.5 / y) - 0.5 - ds
+    # fused form: residual = y*log1p(1/(2y)) - 1/2 - [S(2y) - S(y) - S(y+1/2)]
+    z = y[~small]
+    ds = _stirling_tail(2.0 * z) - _stirling_tail(z) - _stirling_tail(z + 0.5)
+    out[~small] = z * np.log1p(0.5 / z) - 0.5 - ds
+    return float(out) if scalar else out

@@ -91,29 +91,18 @@ def s_eval(p: SPolyParams, x: SimplexPoint) -> float:
     return float(s_eval_grid(p, np.array([x.full]))[0])
 
 
-def det_covariance(r: int, s: int, x: SimplexPoint, route: str = "product") -> float:
-    """det of rs(r+s)(diag(x) - x x^T).
-
-    route="product" uses the closed form (rs(r+s))^d * prod_{i=1}^{d+1} x_i;
-    route="dense" assembles the matrix and takes a dense determinant.  The
-    two must agree to 1e-12 relative on interior points.
-    """
+def det_covariance(r: int, s: int, x: SimplexPoint) -> float:
+    """det of rs(r+s)(diag(x) - x x^T), the d x d covariance at the first d
+    coordinates of x, in closed form: (rs(r+s))^d * prod_{i=1}^{d+1} x_i."""
     xf = np.array(x.full)
     if xf.min() <= _SINGULAR_TOL:
         raise ValueError("covariance is singular: a coordinate is (near) zero")
-    scale = r * s * (r + s)
-    if route == "product":
-        return float(scale**x.d * np.prod(xf))
-    if route == "dense":
-        xd = xf[:-1]
-        sigma = scale * (np.diag(xd) - np.outer(xd, xd))
-        return float(np.linalg.det(sigma))
-    raise ValueError(f"unknown route {route!r}")
+    return float((r * s * (r + s)) ** x.d * np.prod(xf))
 
 
 def phi_eval(r: int, s: int, x: SimplexPoint) -> float:
     """Gaussian local-limit density gcd(r,s)^d / ((2*pi)^{d/2} sqrt(det Sigma))."""
-    det = det_covariance(r, s, x, route="product")
+    det = det_covariance(r, s, x)
     return math.gcd(r, s) ** x.d / ((2.0 * math.pi) ** (x.d / 2.0) * math.sqrt(det))
 
 

@@ -6,14 +6,15 @@ pmf one (k, x) pair at a time (oracles for ``simplex.lattice_array`` and
 block of rows per first entry (the differential oracle for
 ``simplex.lattice_array``, which builds it in d array steps); the empirical
 cdf by a direct (queries x samples) comparison (the oracle for the
-estimators' binned cdf); and the sup distance between two tables of values
-on one grid.
+estimators' binned cdf); the sup distance between two tables of values on
+one grid; and the covariance determinant of a dense matrix (the oracle for
+``spoly.det_covariance``'s closed form).
 
 Then, log-gamma, polygamma and the duplication residual with each Bernoulli
 series coefficient computed inside its term loop and a separate shift loop
-for order 0: the reference that ``specfun``'s scalar log-gamma and
-duplication residual must match bit for bit, and that its array routes,
-polygamma's only route among them, must match to a few ulps.
+for order 0: the reference that ``specfun``'s scalar log-gamma must match
+bit for bit, and that its array routes, the only routes of polygamma and
+the duplication residual, must match to a few ulps.
 ``multinomial_log_pmf`` uses this ``log_gamma``.
 
 Then, a scan report that records one margin at a time and keeps every row:
@@ -24,11 +25,13 @@ Then, the complete-monotonicity scan one grid point at a time, on these
 scalar special functions: the oracle for ``monotone.cm_scan``, which
 evaluates the whole grid at once and yields its rows.
 
-Then, the inequality fuzzer one trial at a time, through the scalar
-``ineq.check_*`` functions and with numpy's per-trial ``dirichlet`` and
-``uniform`` draws: the oracle for ``ineq.fuzz_inequalities``, which draws raw
-variates, evaluates a block of trials in one array ``log_coeff`` call and
-yields its rows.
+Then, ln C(a) of one WeightVector at one a, and the three inequality
+margins of one trial, on the scalar log-gamma above: the oracles for
+``ineq.log_coeff`` and ``ineq.inequality_margins``, which evaluate a block
+of trials in one array ``log_coeff`` call.  The inequality fuzzer one trial
+at a time runs on them, with numpy's per-trial ``dirichlet`` and
+``uniform`` draws: the oracle for ``ineq.fuzz_inequalities``, which draws
+raw variates and yields the rows of a block.
 
 Then, both sides of the central-binomial identity at one (d, m): the left
 side as one ``composition_coefficient`` call, the right side as a product
@@ -48,8 +51,7 @@ from typing import Iterator, List, Sequence, Tuple
 
 import numpy as np
 
-from bernsimplex.ineq import (FUZZ_TOL, check_exchange, check_superadditivity,
-                              check_weighted_logconvexity)
+from bernsimplex.ineq import FUZZ_TOL
 from bernsimplex.monotone import (DERIV_FLOOR_REL, DIFF_REL_TOL, DIFF_STEP, MAX_DIFF_ORDER,
                                   MonotoneInstance)
 from bernsimplex.simplex import (SampleSet, SimplexPoint, WeightVector, _check_capacity,
@@ -160,6 +162,14 @@ def sup_error_on_grid(values, reference) -> float:
     if a.shape != b.shape:
         raise ValueError(f"grid mismatch: {a.shape} vs {b.shape}")
     return float(np.max(np.abs(a - b)))
+
+
+def det_covariance(r: int, s: int, x: SimplexPoint) -> float:
+    """det of rs(r+s)(diag(x) - x x^T), the d x d matrix assembled and given
+    to a dense determinant."""
+    xd = np.array(x.full)[:-1]
+    sigma = r * s * (r + s) * (np.diag(xd) - np.outer(xd, xd))
+    return float(np.linalg.det(sigma))
 
 
 def _stirling_tail(z: float) -> float:
@@ -343,6 +353,55 @@ def cm_scan(inst: MonotoneInstance, grid, max_order: int = 6) -> ScanReport:
             tol = DIFF_REL_TOL * gvals[0]
             report.record(value + tol, (a, -n, value, value + tol))
     return report
+
+
+def log_coeff(w: WeightVector, a: float) -> float:
+    """ln C(a) = ln Gamma(aM + 1) - sum_i ln Gamma(a gamma_i + 1) for a
+    WeightVector w and a float a > 0, one scalar log_gamma call per term."""
+    if not (math.isfinite(a) and a > 0.0):
+        raise ValueError(f"a must be positive, got {a!r}")
+    out = log_gamma(a * w.M + 1.0)
+    for g in w.gamma:
+        if g > 0.0:
+            out -= log_gamma(a * g + 1.0)
+    return out
+
+
+def check_weighted_logconvexity(w: WeightVector, a, lam) -> float:
+    """sum_j lam_j ln C(a_j) - ln C(sum_j lam_j a_j); >= 0, zero iff all a_j equal."""
+    a = [float(v) for v in a]
+    lam = [float(v) for v in lam]
+    if len(a) != len(lam) or len(a) < 2:
+        raise ValueError("need k >= 2 nodes with matching weights")
+    if any(v <= 0.0 for v in a):
+        raise ValueError("all a_j must be positive")
+    if any(not 0.0 < v < 1.0 for v in lam) or abs(sum(lam) - 1.0) > 1e-12:
+        raise ValueError("lambda must lie in (0,1) and sum to 1")
+    mix = sum(l * v for l, v in zip(lam, a))
+    return sum(l * log_coeff(w, v) for l, v in zip(lam, a)) - log_coeff(w, mix)
+
+
+def check_superadditivity(w: WeightVector, a) -> float:
+    """ln C(sum a_j) - sum_j ln C(a_j); strictly positive for non-degenerate gamma."""
+    a = [float(v) for v in a]
+    if len(a) < 2:
+        raise ValueError("need k >= 2 values")
+    if any(v <= 0.0 for v in a):
+        raise ValueError("all a_j must be positive")
+    return log_coeff(w, sum(a)) - sum(log_coeff(w, v) for v in a)
+
+
+def check_exchange(w: WeightVector, a1: float, a2: float, a3: float) -> float:
+    """[ln C(a1) + ln C(a2+a3)] - [ln C(a1+a2) + ln C(a3)] for a1 <= a3;
+    >= 0, zero iff a1 = a3."""
+    if a1 > a3:
+        raise ValueError(f"precondition a1 <= a3 violated: {a1} > {a3}")
+    return (
+        log_coeff(w, a1)
+        + log_coeff(w, a2 + a3)
+        - log_coeff(w, a1 + a2)
+        - log_coeff(w, a3)
+    )
 
 
 def fuzz_draws(trials: int, dmax: int, seed: int) -> Iterator[tuple]:

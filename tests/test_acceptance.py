@@ -17,7 +17,8 @@ from bernsimplex import estimate as est
 from bernsimplex import ineq, monotone, specfun, spoly
 from bernsimplex.cli import _random_instance
 from bernsimplex.report import ScanReport
-from bernsimplex.simplex import SimplexPoint, WeightVector, sample_dirichlet
+from bernsimplex.simplex import SimplexPoint, sample_dirichlet
+import oracles
 from oracles import empirical_cdf, sup_error_on_grid
 
 
@@ -126,13 +127,10 @@ def test_criterion_07_inequality_fuzz_and_equality_cases():
         margins[tag].append(margin)
     ok = min(margins["a"]) >= -1e-10 and min(margins["c"]) >= -1e-10
     ok = ok and min(margins["b"]) > 0.0
-    inst = WeightVector((1.5, 2.5, 1.0))
-    eq = [
-        ineq.check_weighted_logconvexity(inst, (1.3, 1.3), (0.4, 0.6)),
-        ineq.check_weighted_logconvexity(inst, (0.7, 0.7, 0.7), (0.2, 0.3, 0.5)),
-        ineq.check_exchange(inst, 0.9, 1.7, 0.9),
-    ]
-    ok = ok and all(abs(v) <= 1e-12 for v in eq)
+    # log-convexity at equal a_j, and the exchange margin at a1 = a3
+    eq = ineq.inequality_margins([(1.5, 2.5, 1.0)] * 2, [(1.3, 1.3, 0.0), (0.7, 0.7, 0.7)],
+                                 [(0.4, 0.6, 0.0), (0.2, 0.3, 0.5)], [(0.9, 1.7, 0.9)] * 2)
+    ok = ok and all(abs(v) <= 1e-12 for v in (eq[0, 0], eq[1, 0], eq[0, 2]))
     _report(7, "coefficient inequalities: 1e4 fuzz trials + exact equality cases",
             ok, t0, f"min margins a={min(margins['a']):.2g} b={min(margins['b']):.2g} "
                     f"c={min(margins['c']):.2g}")
@@ -178,8 +176,8 @@ def test_criterion_10_determinant_two_routes():
         x = SimplexPoint(rng.dirichlet(np.ones(d + 1))[:-1])
         r = int(rng.integers(1, 5))
         s = int(rng.integers(1, 5))
-        a = spoly.det_covariance(r, s, x, route="product")
-        b = spoly.det_covariance(r, s, x, route="dense")
+        a = spoly.det_covariance(r, s, x)
+        b = oracles.det_covariance(r, s, x)
         worst = max(worst, abs(a - b) / abs(a))
     _report(10, "covariance determinant: product vs dense route",
             worst <= 1e-12, t0, f"worst rel {worst:.3g}")

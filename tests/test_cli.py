@@ -9,7 +9,7 @@ import pytest
 
 import oracles
 import bernsimplex
-from bernsimplex import cli, monotone, simplex, specfun
+from bernsimplex import cli, ineq, monotone, simplex, specfun
 from bernsimplex.cli import main
 
 
@@ -535,9 +535,10 @@ class TestAtomicOutput:
 
 
 class TestFlatMemory:
-    """A scan's peak RSS does not grow with its size: the rows stream to the
-    file and the report keeps only the verdict.  Each run is the child of a
-    small Python process, which prints the child's ru_maxrss: a process
+    """A run's peak RSS does not grow with its size: a scan's rows stream to
+    the file and its report keeps only the verdict, and the lattice pmf
+    kernels work on blocks of PMF_BLOCK_ELEMS entries.  Each run is the child
+    of a small Python process, which prints the child's ru_maxrss: a process
     counts the RSS of the one it was started from in its own ru_maxrss, and
     the test process's RSS could hide the run's."""
 
@@ -545,22 +546,38 @@ class TestFlatMemory:
     MB = 2.0 ** (20 if sys.platform == "darwin" else 10)
 
     CODE = ("import resource, subprocess, sys\n"
-            "subprocess.run([sys.executable, '-m', 'bernsimplex.cli', *sys.argv[1:]],\n"
-            "               check=True, stdout=subprocess.DEVNULL)\n"
+            "subprocess.run([sys.executable, *sys.argv[1:]], check=True, stdout=subprocess.DEVNULL)\n"
             "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)\n")
 
+    # d = 2, m = 100: 5,151 lattice rows, so a pmf block holds 203 points, and
+    # 4,000 and 16,000 points are about 20 and 80 blocks (one block reads
+    # 51-59 MB, below the glibc heap step that later blocks take)
+    POINTS = ("import sys; import numpy as np\n"
+              "xs = np.random.default_rng(0).dirichlet(np.ones(3), int(sys.argv[1]))\n")
+    S_GRID = POINTS + ("from bernsimplex import spoly\n"
+                       "spoly.s_eval_grid(spoly.SPolyParams(1, 2, 100, 2), xs)\n")
+    SIMPLEX_CDF = POINTS + ("from bernsimplex import estimate, simplex\n"
+                            "samples = simplex.sample_dirichlet((1.0, 1.0, 1.0), 1000, 0)\n"
+                            "estimate.bernstein_cdf_simplex(samples, 100, xs[:, :2])\n")
+
     @pytest.mark.parametrize("argv,sizes", [
-        (["ineq-fuzz", "--dmax", "5", "--trials"], (20_000, 80_000)),
-        (["cm-scan", "--d", "3", "--grid", "0.1:10:0.1", "--instances"], (3, 100)),
+        (["-m", "bernsimplex.cli", "ineq-fuzz", "--dmax", "5", "--trials"], (20_000, 80_000)),
+        (["-m", "bernsimplex.cli", "cm-scan", "--d", "3", "--grid", "0.1:10:0.1", "--instances"],
+         (3, 100)),
+        (["-c", S_GRID], (4_000, 16_000)),
+        (["-c", SIMPLEX_CDF], (4_000, 16_000)),
     ])
     def test_peak_rss_does_not_grow(self, tmp_path, argv, sizes):
-        src = os.path.dirname(os.path.dirname(bernsimplex.__file__))
+        src = os.path.dirname(os.path.dirname(os.path.abspath(bernsimplex.__file__)))
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-        runs = [subprocess.Popen([sys.executable, "-c", self.CODE, *argv, str(size),
-                                  "--out", str(tmp_path / f"{size}.csv")],
-                                 stdout=subprocess.PIPE, env=env, text=True)
-                for size in sizes]
+        runs = []
+        # each run in a directory of its own, where a CLI run writes its default --out
+        for size in sizes:
+            (tmp_path / str(size)).mkdir()
+            runs.append(subprocess.Popen([sys.executable, "-c", self.CODE, *argv, str(size)],
+                                         cwd=tmp_path / str(size), stdout=subprocess.PIPE,
+                                         env=env, text=True))
         peaks = [run.communicate()[0] for run in runs]
         assert [run.returncode for run in runs] == [0, 0]
         small, large = (int(peak) / self.MB for peak in peaks)
@@ -587,12 +604,18 @@ class TestNoScalarSweeps:
                     monkeypatch.setattr(module, fn.__name__, wrapper)
         monkeypatch.setattr(simplex.WeightVector, "__init__",
                             counted("WeightVector", simplex.WeightVector.__init__))
+        weights = []
+        log_coeff = ineq.log_coeff
+        monkeypatch.setattr(ineq, "log_coeff", lambda w, a: weights.append(w) or log_coeff(w, a))
         monkeypatch.chdir(tmp_path)
         assert main(["identity-check", "--d-max", "4", "--m-max", "60"]) == 0
         assert main(["ineq-fuzz", "--trials", "500"]) == 0
         assert counts["duplication_residual"] == 1
         assert counts["log_gamma"] <= 7
         assert counts["WeightVector"] == 0
+        # every ln C comes from a weight matrix, a block of trials at a time
+        assert len(weights) == 1
+        assert all(isinstance(w, np.ndarray) and w.ndim == 2 for w in weights)
 
 
 # one small run of each of the seven subcommands; estimate reads sample-gen's file

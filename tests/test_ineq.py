@@ -18,14 +18,26 @@ def fuzz(trials, dmax, seed, corrupt=False):
     return report, rows
 
 
-BINOM = WeightVector((1.0, 1.0))
-TRINOM = WeightVector((1.0, 1.0, 1.0))
+BINOM = (1.0, 1.0)
+TRINOM = (1.0, 1.0, 1.0)
+
+
+def log_c(gamma, a):
+    """ln C(a) at the weights gamma, from a one-row block."""
+    return ineq.log_coeff([gamma], [[a]])[0, 0]
+
+
+def margins(gamma, a=(1.0, 2.0), lam=None, a123=(1.0, 1.0, 1.0)):
+    """The (log-convexity, superadditivity, exchange) margins of one trial;
+    lam defaults to equal weights."""
+    lam = [1.0 / len(a)] * len(a) if lam is None else lam
+    return ineq.inequality_margins([gamma], [a], [lam], [a123])[0]
 
 
 class TestLogCoeff:
     def test_hand_values(self):
-        assert ineq.log_coeff(BINOM, 1.0) == pytest.approx(math.log(2.0), rel=1e-12)
-        assert ineq.log_coeff(BINOM, 2.0) == pytest.approx(math.log(6.0), rel=1e-12)
+        assert log_c(BINOM, 1.0) == pytest.approx(math.log(2.0), rel=1e-12)
+        assert log_c(BINOM, 2.0) == pytest.approx(math.log(6.0), rel=1e-12)
 
     def test_integer_consistency_big(self):
         # integer a*gamma: exp(log C) matches exact big-integer multinomials
@@ -35,17 +47,18 @@ class TestLogCoeff:
             ((25, 25, 25, 25, 1), 1),
         ]
         for gamma, a in cases:
-            inst = WeightVector([float(g) for g in gamma])
             exact = math.factorial(a * sum(gamma))
             for g in gamma:
                 exact //= math.factorial(a * g)
-            assert math.exp(ineq.log_coeff(inst, float(a))) == pytest.approx(
+            assert math.exp(log_c([float(g) for g in gamma], float(a))) == pytest.approx(
                 exact, rel=1e-11
             )
 
     def test_domain_error(self):
+        # a = 0 is padding (ln C(0) = 0); below it nothing is defined
+        assert log_c(BINOM, 0.0) == 0.0
         with pytest.raises(ValueError):
-            ineq.log_coeff(BINOM, 0.0)
+            log_c(BINOM, -0.5)
 
 
 def _padded(ws):
@@ -58,7 +71,8 @@ def _padded(ws):
 
 class TestLogCoeffBlock:
     # zero weights inside a row as well as padding after it
-    WS = [BINOM, TRINOM, WeightVector((2.0, 0.0, 1.5)), WeightVector((0.3, 4.0, 0.0, 0.7))]
+    WS = [WeightVector(BINOM), WeightVector(TRINOM), WeightVector((2.0, 0.0, 1.5)),
+          WeightVector((0.3, 4.0, 0.0, 0.7))]
     W = _padded(WS)
     A = np.array([[1.0, 2.0, 0.0], [0.05, 7.5, 20.0], [3.3, 0.0, 0.0], [0.4, 11.0, 0.9]])
 
@@ -70,14 +84,8 @@ class TestLogCoeffBlock:
                 if a == 0.0:
                     assert value == 0.0
                     continue
-                scalar = ineq.log_coeff(w, float(a))
-                # the scalar route keeps the bits of the term-by-term log-gamma
-                want = oracles.log_gamma(a * w.M + 1.0)
-                for g in w.gamma:
-                    if g > 0.0:
-                        want -= oracles.log_gamma(a * g + 1.0)
-                assert scalar == want
-                assert value == pytest.approx(scalar, rel=1e-14, abs=1e-14)
+                want = oracles.log_coeff(w, float(a))
+                assert value == pytest.approx(want, rel=1e-14, abs=1e-14)
 
     def test_one_log_gamma_call_on_live_arguments(self, monkeypatch):
         sizes = []
@@ -134,19 +142,19 @@ class TestLogCoeffBlock:
 
 class TestWeightedLogConvexity:
     def test_hand_value(self):
-        margin = ineq.check_weighted_logconvexity(BINOM, (1.0, 3.0), (0.5, 0.5))
+        margin = margins(BINOM, (1.0, 3.0), (0.5, 0.5))[0]
         assert margin == pytest.approx(math.log(math.sqrt(40.0) / 6.0), rel=1e-10)
         assert margin > 0.0
 
     def test_equality_case(self):
-        margin = ineq.check_weighted_logconvexity(BINOM, (2.5, 2.5, 2.5), (0.2, 0.3, 0.5))
+        margin = margins(BINOM, (2.5, 2.5, 2.5), (0.2, 0.3, 0.5))[0]
         assert abs(margin) <= 1e-12
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            ineq.check_weighted_logconvexity(BINOM, (1.0,), (1.0,))
+            margins(BINOM, (1.0,), (1.0,))
         with pytest.raises(ValueError):
-            ineq.check_weighted_logconvexity(BINOM, (1.0, 2.0), (0.7, 0.7))
+            margins(BINOM, (1.0, 2.0), (0.7, 0.7))
 
     @given(
         a=st.lists(st.floats(min_value=0.05, max_value=20.0), min_size=2, max_size=5),
@@ -155,41 +163,40 @@ class TestWeightedLogConvexity:
     @settings(max_examples=100)
     def test_nonnegative(self, a, seed):
         lam = np.random.Generator(np.random.PCG64(seed)).dirichlet(np.ones(len(a)))
-        assert ineq.check_weighted_logconvexity(TRINOM, a, lam) >= -1e-12
+        assert margins(TRINOM, a, lam)[0] >= -1e-12
 
 
 class TestSuperadditivity:
     def test_hand_values(self):
-        assert ineq.check_superadditivity(BINOM, (1.0, 1.0)) == pytest.approx(
+        assert margins(BINOM, (1.0, 1.0))[1] == pytest.approx(
             math.log(6.0) - math.log(4.0), rel=1e-10
         )
-        assert ineq.check_superadditivity(TRINOM, (1.0, 1.0)) == pytest.approx(
+        assert margins(TRINOM, (1.0, 1.0))[1] == pytest.approx(
             math.log(90.0) - math.log(36.0), rel=1e-10
         )
 
     def test_degenerate_gamma_zero_margin(self):
         # single nonzero weight: C == 1 identically
-        inst = WeightVector((2.0, 0.0))
-        assert ineq.check_superadditivity(inst, (1.0, 3.0)) == pytest.approx(0.0, abs=1e-12)
+        assert margins((2.0, 0.0), (1.0, 3.0))[1] == pytest.approx(0.0, abs=1e-12)
 
     @given(a=st.lists(st.floats(min_value=0.05, max_value=20.0), min_size=2, max_size=5))
     @settings(max_examples=100)
     def test_strictly_positive(self, a):
-        assert ineq.check_superadditivity(TRINOM, a) > 0.0
+        assert margins(TRINOM, a)[1] > 0.0
 
 
 class TestExchange:
     def test_hand_value(self):
-        assert ineq.check_exchange(BINOM, 1.0, 1.0, 2.0) == pytest.approx(
+        assert margins(BINOM, a123=(1.0, 1.0, 2.0))[2] == pytest.approx(
             math.log(40.0 / 36.0), rel=1e-10
         )
 
     def test_equality_case(self):
-        assert ineq.check_exchange(BINOM, 2.0, 5.0, 2.0) == pytest.approx(0.0, abs=1e-12)
+        assert margins(BINOM, a123=(2.0, 5.0, 2.0))[2] == pytest.approx(0.0, abs=1e-12)
 
     def test_precondition(self):
         with pytest.raises(ValueError):
-            ineq.check_exchange(BINOM, 3.0, 1.0, 2.0)
+            margins(BINOM, a123=(3.0, 1.0, 2.0))
 
     def test_logconvexity_link(self):
         # with lam = (a3-a1)/(a2+a3-a1), a1+a2 and a3 are the two convex
@@ -198,14 +205,10 @@ class TestExchange:
         for inst in (BINOM, TRINOM):
             for a1, a2, a3 in [(1.0, 2.0, 4.0), (0.3, 5.0, 0.9)]:
                 lam = (a3 - a1) / (a2 + a3 - a1)
-                m1 = ineq.check_weighted_logconvexity(
-                    inst, (a1, a2 + a3), (lam, 1.0 - lam)
-                )
-                m2 = ineq.check_weighted_logconvexity(
-                    inst, (a1, a2 + a3), (1.0 - lam, lam)
-                )
-                got = ineq.check_exchange(inst, a1, a2, a3)
-                assert got == pytest.approx(m1 + m2, abs=1e-12)
+                m = ineq.inequality_margins([inst] * 2, [(a1, a2 + a3)] * 2,
+                                            [(lam, 1.0 - lam), (1.0 - lam, lam)],
+                                            [(a1, a2, a3)] * 2)
+                assert m[0, 2] == pytest.approx(m[0, 0] + m[1, 0], abs=1e-12)
 
     @given(
         vals=st.tuples(
@@ -217,7 +220,52 @@ class TestExchange:
     @settings(max_examples=100)
     def test_nonnegative(self, vals):
         a1, a3 = sorted((vals[0], vals[2]))
-        assert ineq.check_exchange(TRINOM, a1, vals[1], a3) >= -1e-12
+        assert margins(TRINOM, a123=(a1, vals[1], a3))[2] >= -1e-12
+
+
+class TestMarginDomain:
+    """A trial outside the inequalities' domain raises ValueError, for the
+    reason named; row 1 of each call is a valid trial."""
+
+    GOOD = ((1.0, 2.0, 0.0), (0.5, 0.5, 0.0), (1.0, 1.0, 2.0))  # a, lam, a123
+
+    @pytest.mark.parametrize("field,value,reason", [
+        # a2 <= 0 gave a margin: -0.118 at a2 = -0.5 and 0.0 at a2 = 0
+        (2, (1.0, -0.5, 2.0), "a1, a2 and a3"),
+        (2, (1.0, 0.0, 2.0), "a1, a2 and a3"),
+        (2, (0.0, 1.0, 2.0), "a1, a2 and a3"),
+        (2, (-1.0, 1.0, 2.0), "a1, a2 and a3"),
+        (2, (1.0, math.nan, 2.0), "a1, a2 and a3"),
+        (2, (1.0, math.inf, 2.0), "a1, a2 and a3"),
+        (2, (math.nan, 1.0, 2.0), "a1, a2 and a3"),
+        (2, (1.0, 1.0, math.inf), "a1, a2 and a3"),
+        (2, (3.0, 1.0, 2.0), "a1 <= a3"),
+        (0, (1.0, 0.0, 0.0), "k >= 2"),
+        (0, (0.0, 0.0, 0.0), "k >= 2"),
+        (0, (1.0, -2.0, 0.0), "nonnegative"),
+        (0, (1.0, math.nan, 0.0), "nonnegative"),
+        (0, (1.0, math.inf, 0.0), "nonnegative"),
+        (1, (1.5, -0.5, 0.0), "lambda"),
+        (1, (1.0, 0.0, 0.0), "lambda"),
+        (1, (0.5, math.nan, 0.0), "lambda"),
+        (1, (0.5, 0.25, 0.25), "lambda"),
+        (1, (0.5, 0.5 + 2e-12, 0.0), "lambda"),
+        (1, (0.5, 0.4, 0.0), "lambda"),
+    ])
+    def test_rejected(self, field, value, reason):
+        bad = list(self.GOOD)
+        bad[field] = value
+        a, lam, a123 = zip(bad, self.GOOD)
+        with pytest.raises(ValueError, match=reason):
+            ineq.inequality_margins([BINOM, TRINOM], a, lam, a123)
+
+    def test_shapes(self):
+        a, lam, a123 = ([v] for v in self.GOOD)
+        assert ineq.inequality_margins([BINOM], a, lam, a123).shape == (1, 3)
+        for args in (([(1.0,)], [(1.0,)], a123), (a, [(0.5, 0.5)], a123),
+                     (a, lam, [(1.0, 2.0)]), (a * 2, lam * 2, a123), (a[0], lam[0], a123)):
+            with pytest.raises(ValueError):
+                ineq.inequality_margins([BINOM], *args)
 
 
 class TestFuzz:
@@ -265,14 +313,17 @@ class TestFuzzAgainstOracle:
 
     def test_blocks_do_not_change_rows(self, monkeypatch):
         whole, whole_rows = fuzz(41, 5, seed=3)
-        calls = []
-        log_coeff = ineq.log_coeff
+        calls, margin_calls = [], []
+        log_coeff, inequality_margins = ineq.log_coeff, ineq.inequality_margins
         monkeypatch.setattr(ineq, "log_coeff", lambda w, a: calls.append(len(w)) or log_coeff(w, a))
+        monkeypatch.setattr(ineq, "inequality_margins", lambda w, *args: (
+            margin_calls.append(len(w)) or inequality_margins(w, *args)))
         # (5 + 6) nodes of (5 + 2) gamma arguments per trial at most, a block
         # takes PMF_BLOCK_ELEMS // 8 of them: 6 trials a block
         monkeypatch.setattr(ineq, "PMF_BLOCK_ELEMS", 8 * 6 * 11 * 7)
         split, split_rows = fuzz(41, 5, seed=3)
         assert calls == [6] * 6 + [5]
+        assert margin_calls == [6] * 6 + [5]
         assert split_rows == whole_rows
         assert (split.passed, split.max_violation) == (whole.passed, whole.max_violation)
 
@@ -331,11 +382,11 @@ class TestDrawStream:
         rng = _gen(seed)
         got = []
         for n in sizes:
-            ds, M, gamma, live, a, lam, a123 = ineq._draw_trials(rng, n, dmax)
+            ds, M, gamma, a, lam, a123 = ineq._draw_trials(rng, n, dmax)
             assert gamma.shape == (n, dmax + 1)
             for i in range(n):
-                k, d = int(live[i].sum()), ds[i]
-                assert live[i, :k].all() and not a[i, k:].any() and not lam[i, k:].any()
+                k, d = int((a[i] > 0.0).sum()), ds[i]
+                assert a[i, :k].all() and not a[i, k:].any() and not lam[i, k:].any()
                 assert not gamma[i, d + 1:].any()
                 got.append((d, M[i], gamma[i, :d + 1], a[i, :k], lam[i, :k], *a123[i]))
         want = list(oracles.fuzz_draws(sum(sizes), dmax, seed))

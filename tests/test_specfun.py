@@ -114,10 +114,6 @@ class TestAgainstTermByTermSeries:
     def test_log_gamma(self):
         assert [sf.log_gamma(z) for z in self.zs] == [oracles.log_gamma(z) for z in self.zs]
 
-    def test_duplication_residual(self):
-        got = [sf.duplication_residual(z) for z in self.zs]
-        assert got == [oracles.duplication_residual(z) for z in self.zs]
-
 
 def _threshold_edges():
     """Every series threshold 12 + 2n and its two float neighbours."""
@@ -220,7 +216,7 @@ def _duplication_scale(y: float) -> float:
 
 class TestDuplicationResidualArray:
     """The array route against the scalar oracle: array log_gamma and np.log1p
-    may differ from the scalar route in their last bits, so each entry must
+    may differ from the oracle in their last bits, so each entry must
     lie within 4 eps times _duplication_scale of the oracle (the worst over
     these sweeps was 0.53 eps times it)."""
 
@@ -237,6 +233,12 @@ class TestDuplicationResidualArray:
         want = np.array([oracles.duplication_residual(v) for v in flat]).reshape(z.shape)
         tol = 4 * np.finfo(float).eps * np.array([_duplication_scale(v) for v in flat])
         assert np.all(np.abs(got - want) <= tol.reshape(z.shape))
+
+    def test_float_and_array_entry_give_the_same_bits(self):
+        zs = self.zs[::7]
+        got = [sf.duplication_residual(float(z)) for z in zs]
+        assert all(type(v) is float for v in got)
+        assert np.array(got).tobytes() == sf.duplication_residual(zs).tobytes()
 
     def test_sweep_maximum_is_the_oracle_maximum(self):
         got = np.abs(sf.duplication_residual(np.array(self.sweep))).max()
