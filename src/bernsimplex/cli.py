@@ -111,12 +111,11 @@ def _cmd_cm_scan(args) -> int:
     report = ScanReport()
     # each grid point formatted once, not once per (instance, order) row
     a_text = {a: "%.17g" % a for a in args.grid}
-    # instances are drawn and scanned one at a time, as the rows are written
-    rows = ((i, a_text[a], n, value, margin) for i in range(args.instances)
-            for a, n, value, margin in monotone.cm_scan(
-                dataclasses.replace(_random_instance(rng, args.d),
-                                    corrupt=args.self_test_corrupt),
-                args.grid, report, max_order=args.max_order))
+    # instances are drawn as the scan pulls its blocks, which draws nothing
+    instances = (dataclasses.replace(_random_instance(rng, args.d), corrupt=args.self_test_corrupt)
+                 for _ in range(args.instances))
+    rows = ((i, a_text[a], n, value, margin) for i, a, n, value, margin in
+            monotone.cm_scan(instances, args.grid, report, max_order=args.max_order))
     try:
         _write_csv(args.out, "instance,a,order,value,margin", "%s,%s,%s,%.17g,%.17g", rows,
                    lambda: f"# summary: {_status(report)}, "

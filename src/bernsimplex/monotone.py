@@ -6,13 +6,20 @@ over the d+1 barycentric coordinates of an interior simplex point.  The
 module evaluates g, the derivatives of h = -log g through polygamma
 functions, the auxiliary positivity function J_u, and the Kullback-Leibler
 limit of h', and runs two-route monotonicity scans over a-grids.  g, ln g and
-the derivatives of h take a float a or an ndarray of them; a scan evaluates
-its whole grid at once and returns its rows as an iterator.  All read the
-MonotoneInstance alone, including its self-test flag that flips g's x-exponent.
+the derivatives of h take a float a or an ndarray of them, and one
+MonotoneInstance or a sequence of them (the result then has a leading
+instance axis): one special-function call on the stacked arguments of every
+instance, then each instance's terms added left to right in coordinate
+order, so an instance gets the same bits alone as in any block.  A scan
+takes an iterable of instances, evaluates a block of them over the whole
+grid at once and returns its rows as an iterator.  All read the
+MonotoneInstance alone, including its self-test flag that flips g's
+x-exponent.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -44,6 +51,10 @@ DERIV_FLOOR_REL = 1e-14
 MAX_H_ORDER = 7
 MAX_DIFF_ORDER = 6
 GRID_CAP = 10**6
+# a scan block's temporaries: about seven argument-sized arrays in log_gamma
+# plus the argument, 8 bytes each, so 1 MiB is about 2^14 g_eval arguments
+SCAN_BLOCK_BYTES = 2**20
+_BYTES_PER_ARG = 8 * 8
 
 
 @dataclass(frozen=True)
@@ -81,15 +92,67 @@ def _check_a(a) -> None:
         raise ValueError(f"a must be positive, got {a!r}")
 
 
-def log_g_eval(inst: MonotoneInstance, a):
-    """ln g(a): one log_gamma call on the stacked arguments a * [M, g_1, ...] + 1,
-    whose terms are then added in coordinate order."""
-    _check_a(a)
-    lg = log_gamma(np.multiply.outer(inst.coefs, a) + 1.0)
-    out = lg[0]
-    for g, lx, lg_i in zip(inst.coefs[1:], inst.log_x, lg[1:]):
-        out = out - lg_i + a * g * lx
+def _check_order(n, name: str, top: int) -> None:
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1 or n > top:
+        raise ValueError(f"{name} must be an integer in [1, {top}], got {n!r}")
+
+
+def _block(inst):
+    """The instances of inst (one MonotoneInstance is the block (inst,)), the
+    (B, K) mask of their terms and the terms' coefficients [M, g_1, ...],
+    zero-padded to the longest instance."""
+    insts = (inst,) if isinstance(inst, MonotoneInstance) else tuple(inst)
+    width = max(len(i.coefs) for i in insts)
+    live = np.arange(width) < np.array([len(i.coefs) for i in insts])[:, None]
+    coefs = np.zeros(live.shape)
+    coefs[live] = [c for i in insts for c in i.coefs]
+    return insts, live, coefs
+
+
+def _padded(live, values, a):
+    """One value per live term, in row order, 0 on padding: (B, K, 1, ...),
+    to broadcast against a."""
+    out = np.zeros(live.shape)
+    out[live] = values
+    return out.reshape(live.shape + (1,) * np.ndim(a))
+
+
+def _stacked(fn, live, coefs, a):
+    """fn on the stacked arguments coefs (x) a + 1 of every live term, in one
+    call, as a (B, K, *a.shape) array that is 0 on padding."""
+    out = np.zeros(live.shape + np.shape(a))
+    out[live] = fn(np.multiply.outer(coefs[live], a) + 1.0)
     return out
+
+
+def _sum_terms(live, terms, extra):
+    """Per instance, the left-to-right sum over its live terms of terms[:, 0],
+    terms[:, 1], extra[:, 1], terms[:, 2], extra[:, 2], ... (extra None: no
+    extra terms).  For one instance this is Python's sum of the same list."""
+    out = terms[:, 0].copy()
+    where = live.reshape(live.shape + (1,) * (out.ndim - 1))
+    for j in range(1, live.shape[1]):
+        np.add(out, terms[:, j], out=out, where=where[:, j])
+        if extra is not None:
+            np.add(out, extra[:, j], out=out, where=where[:, j])
+    return out
+
+
+def _unblock(inst, out):
+    """out without its instance axis when inst is one instance."""
+    return out[0] if isinstance(inst, MonotoneInstance) else out
+
+
+def log_g_eval(inst, a):
+    """ln g(a): one log_gamma call on the stacked arguments a * [M, g_1, ...] + 1;
+    then ln Gamma(aM+1) - ln Gamma(a g_1+1) + a g_1 ln x_1 - ..., added left to
+    right.  For a sequence of instances the result has a leading instance axis."""
+    _check_a(a)
+    insts, live, coefs = _block(inst)
+    lg = _stacked(log_gamma, live, coefs, a)
+    lg[:, 1:] *= -1.0  # x - y is x + (-y), bit for bit
+    lx = _padded(live, [v for i in insts for v in (0.0, *i.log_x)], a)
+    return _unblock(inst, _sum_terms(live, lg, np.multiply.outer(coefs, a) * lx))
 
 
 # math.exp entry by entry: libm's bits, and its OverflowError where a
@@ -97,38 +160,41 @@ def log_g_eval(inst: MonotoneInstance, a):
 _exp = np.vectorize(math.exp, otypes=[float])
 
 
-def g_eval(inst: MonotoneInstance, a):
+def g_eval(inst, a):
     return _exp(log_g_eval(inst, a))[()]
 
 
-def _h_terms(inst: MonotoneInstance, a, n: int) -> list:
-    """The signed terms whose left-to-right sum is h^{(n)}(a): -M^n psi^{(n-1)}(aM+1),
-    then per active coordinate g^n psi^{(n-1)}(ag+1) and, for n = 1, -g ln x
-    (+g ln x for a corrupt instance).  One polygamma call on the stacked
-    arguments a * [M, g_1, ...] + 1."""
-    M = inst.weights.M
-    psi = polygamma(n - 1, np.multiply.outer(inst.coefs, a) + 1.0)
-    out = [-(M**n) * psi[0]]
-    for g, lx, p in zip(inst.coefs[1:], inst.log_x, psi[1:]):
-        out.append(g**n * p)
-        if n == 1:
-            out.append(-g * lx)
-    return out
+def _h_terms(inst, a, n: int):
+    """The signed terms whose left-to-right sum is h^{(n)}(a), per instance:
+    (live, psi, kl).  psi (B, K, *a.shape) holds -M^n psi^{(n-1)}(aM+1), then
+    g^n psi^{(n-1)}(ag+1) per active coordinate; for n = 1, kl follows each
+    coordinate's term with -g ln x (+g ln x for a corrupt instance), and is
+    None for n > 1.  One polygamma call on the stacked arguments
+    a * [M, g_1, ...] + 1."""
+    insts, live, coefs = _block(inst)
+    psi = _stacked(lambda z: polygamma(n - 1, z), live, coefs, a)
+    powers = [v for i in insts for v in (-(i.coefs[0] ** n), *(g**n for g in i.coefs[1:]))]
+    psi *= _padded(live, powers, a)
+    if n > 1:
+        return live, psi, None
+    kl = [v for i in insts for v in (0.0, *(-g * lx for g, lx in zip(i.coefs[1:], i.log_x)))]
+    return live, psi, _padded(live, kl, a)
 
 
-def h_derivative(inst: MonotoneInstance, a, n: int):
+def h_derivative(inst, a, n: int):
     """n-th derivative of h = -log g at a, via polygamma (1 <= n <= 7).
-    A corrupt instance changes only the n = 1 derivative."""
+    A corrupt instance changes only the n = 1 derivative.  For a sequence of
+    instances the result has a leading instance axis."""
     _check_a(a)
-    if not isinstance(n, int) or n < 1 or n > MAX_H_ORDER:
-        raise ValueError(f"order n must be an integer in [1, {MAX_H_ORDER}], got {n!r}")
-    terms = _h_terms(inst, a, n)
-    return sum(terms[1:], terms[0])
+    _check_order(n, "order n", MAX_H_ORDER)
+    return _unblock(inst, _sum_terms(*_h_terms(inst, a, n)))
 
 
-def _h_derivative_scale(inst: MonotoneInstance, a, n: int):
+def _h_derivative_scale(inst, a, n: int):
     """Magnitude of the largest term in the alternating sum for h^{(n)}(a)."""
-    return np.max(np.abs(np.broadcast_arrays(*_h_terms(inst, a, n))), axis=0)
+    _, psi, kl = _h_terms(inst, a, n)
+    out = np.max(np.abs(psi), axis=1)
+    return _unblock(inst, out if kl is None else np.maximum(out, np.max(np.abs(kl), axis=1)))
 
 
 def j_eval(u, y: float) -> float:
@@ -172,17 +238,21 @@ def _forward_difference(values, n: int):
     return sum((-1) ** (n - j) * math.comb(n, j) * values[j] for j in range(n + 1))
 
 
-def cm_scan(inst: MonotoneInstance, grid, report: ScanReport, max_order: int = 6):
-    """Two-route complete-monotonicity scan over an a-grid.
+def cm_scan(instances, grid, report: ScanReport, max_order: int = 6):
+    """Two-route complete-monotonicity scan of each instance over an a-grid.
 
     Route (i), the primary certificate: h' > 0 and (-1)^n h^{(n+1)} > 0 for
     1 <= n <= max_order-1, from exact polygamma evaluation, with floor
     -DERIV_FLOOR_REL * scale.  Route (ii), a cross-check: forward
     differences of g alternate, (-1)^n Delta^n g(a) >= -DIFF_REL_TOL*g(a),
-    for n <= min(max_order, 6).  Margins are normalized (>= 0 means pass)
-    and recorded in report as one block before this returns an iterator over
-    the rows (a, order, value, margin): orders 1..max_order, then -1, -2, ...
-    of the difference route, per grid point.
+    for n <= min(max_order, 6).  Margins are normalized (>= 0 means pass).
+
+    Returns an iterator over the rows (i, a, order, value, margin), i the
+    instance's position in instances: orders 1..max_order, then -1, -2, ...
+    of the difference route, per grid point, per instance.  It pulls the
+    instances in blocks of about SCAN_BLOCK_BYTES of temporaries as the rows
+    are read, evaluates each route once per order per block, and records a
+    block's margins in report, in row order, before its first row.
 
     A corrupt instance's g is eventually increasing, so both routes must
     reject it on any grid reaching moderately large a.
@@ -194,23 +264,48 @@ def cm_scan(inst: MonotoneInstance, grid, report: ScanReport, max_order: int = 6
         raise ValueError("grid must be nonempty with positive entries")
     if sorted(grid) != grid:
         raise ValueError("grid must be sorted ascending")
-    if not 1 <= max_order <= MAX_H_ORDER:
-        raise ValueError(f"max_order must be in [1, {MAX_H_ORDER}]")
-
-    a = np.array(grid)
+    _check_order(max_order, "max_order", MAX_H_ORDER)
     diff_order = min(max_order, MAX_DIFF_ORDER)
+    # g_eval's arguments are the largest: diff_order + 1 per grid point per term
+    terms = SCAN_BLOCK_BYTES // (_BYTES_PER_ARG * len(grid) * (diff_order + 1))
+    return itertools.chain.from_iterable(
+        _scan_block(block, start, grid, report, max_order, diff_order)
+        for start, block in _blocks(instances, terms))
+
+
+def _blocks(instances, terms: int):
+    """(index of the first, block) for consecutive runs of instances holding
+    at most terms terms together, or one instance."""
+    block, size, start = [], 0, 0
+    for inst in instances:
+        if block and size + len(inst.coefs) > terms:
+            yield start, block
+            start, block, size = start + len(block), [], 0
+        block.append(inst)
+        size += len(inst.coefs)
+    if block:
+        yield start, block
+
+
+def _scan_block(block, start: int, grid, report: ScanReport, max_order: int, diff_order: int):
+    """The rows of the instances start, start + 1, ... in block: one generator
+    per block, whose arrays are freed before the next block is evaluated."""
+    a = np.array(grid)
     # derivative route: q_n = (-1)^{n-1} h^{(n)}(a) > 0 for n = 1..max_order
-    values = [(-1.0) ** (n - 1) * h_derivative(inst, a, n) for n in range(1, max_order + 1)]
-    margins = [v + DERIV_FLOOR_REL * np.maximum(_h_derivative_scale(inst, a, n), 1.0)
+    values = [(-1.0) ** (n - 1) * h_derivative(block, a, n) for n in range(1, max_order + 1)]
+    margins = [v + DERIV_FLOOR_REL * np.maximum(_h_derivative_scale(block, a, n), 1.0)
                for n, v in enumerate(values, 1)]
-    # difference route, on the (grid, step) block a + j * DIFF_STEP
-    gvals = g_eval(inst, a[:, None] + np.arange(diff_order + 1) * DIFF_STEP).T
+    # difference route, on the (instance, grid, step) block a + j * DIFF_STEP
+    gvals = np.moveaxis(g_eval(block, a[:, None] + np.arange(diff_order + 1) * DIFF_STEP), -1, 0)
     diffs = [(-1.0) ** n * _forward_difference(gvals, n) for n in range(1, diff_order + 1)]
     margins += [v + DIFF_REL_TOL * gvals[0] for v in diffs]
     orders = [*range(1, max_order + 1), *range(-1, -diff_order - 1, -1)]
-    # (point, order) blocks, in row order
-    values, margins = np.array(values + diffs).T, np.array(margins).T
+    # (instance, point, order) blocks, in row order
+    values = np.array(values + diffs).transpose(1, 2, 0)
+    margins = np.array(margins).transpose(1, 2, 0)
     report.record(margins)
-    return ((ai, n, value, margin)
-            for ai, value_row, margin_row in zip(grid, values.tolist(), margins.tolist())
-            for n, value, margin in zip(orders, value_row, margin_row))
+    for i, value_rows, margin_rows in zip(itertools.count(start), values.tolist(),
+                                          margins.tolist()):
+        for ai, value_row, margin_row in zip(grid, value_rows, margin_rows):
+            for n, value, margin in zip(orders, value_row, margin_row):
+                yield i, ai, n, value, margin

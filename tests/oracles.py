@@ -23,7 +23,11 @@ records a whole block of margins at once.  The two scans below return it.
 
 Then, the complete-monotonicity scan one grid point at a time, on these
 scalar special functions: the oracle for ``monotone.cm_scan``, which
-evaluates the whole grid at once and yields its rows.
+evaluates the whole grid at once and yields its rows.  Next to it, the
+scan of one instance on the array special functions, one polygamma call per
+term list and one log_gamma call per instance (``instance_*``): the
+bit-for-bit oracle for ``monotone``'s block route, which stacks the
+arguments of a whole block of instances into one call per order.
 
 Then, ln C(a) of one WeightVector at one a, and the three inequality
 margins of one trial, on the scalar log-gamma above: the oracles for
@@ -51,9 +55,10 @@ from typing import Iterator, List, Sequence, Tuple
 
 import numpy as np
 
+from bernsimplex import specfun
 from bernsimplex.ineq import FUZZ_TOL
 from bernsimplex.monotone import (DERIV_FLOOR_REL, DIFF_REL_TOL, DIFF_STEP, MAX_DIFF_ORDER,
-                                  MonotoneInstance)
+                                  MAX_H_ORDER, MonotoneInstance)
 from bernsimplex.simplex import (SampleSet, SimplexPoint, WeightVector, _check_capacity,
                                 lattice_size)
 from bernsimplex.specfun import (_BERNOULLI, _HALF_LOG_TWO_PI, _STIRLING_THRESHOLD,
@@ -353,6 +358,71 @@ def cm_scan(inst: MonotoneInstance, grid, max_order: int = 6) -> ScanReport:
             tol = DIFF_REL_TOL * gvals[0]
             report.record(value + tol, (a, -n, value, value + tol))
     return report
+
+
+def _check_a(a) -> None:
+    if not np.all((np.asarray(a) > 0.0) & np.isfinite(a)):
+        raise ValueError(f"a must be positive, got {a!r}")
+
+
+def instance_log_g_eval(inst: MonotoneInstance, a):
+    _check_a(a)
+    lg = specfun.log_gamma(np.multiply.outer(inst.coefs, a) + 1.0)
+    out = lg[0]
+    for g, lx, lg_i in zip(inst.coefs[1:], inst.log_x, lg[1:]):
+        out = out - lg_i + a * g * lx
+    return out
+
+
+_exp = np.vectorize(math.exp, otypes=[float])
+
+
+def instance_g_eval(inst: MonotoneInstance, a):
+    return _exp(instance_log_g_eval(inst, a))[()]
+
+
+def instance_h_terms(inst: MonotoneInstance, a, n: int) -> list:
+    M = inst.weights.M
+    psi = specfun.polygamma(n - 1, np.multiply.outer(inst.coefs, a) + 1.0)
+    out = [-(M**n) * psi[0]]
+    for g, lx, p in zip(inst.coefs[1:], inst.log_x, psi[1:]):
+        out.append(g**n * p)
+        if n == 1:
+            out.append(-g * lx)
+    return out
+
+
+def instance_h_derivative(inst: MonotoneInstance, a, n: int):
+    _check_a(a)
+    if not isinstance(n, int) or n < 1 or n > MAX_H_ORDER:
+        raise ValueError(f"order n must be an integer in [1, {MAX_H_ORDER}], got {n!r}")
+    terms = instance_h_terms(inst, a, n)
+    return sum(terms[1:], terms[0])
+
+
+def instance_h_derivative_scale(inst: MonotoneInstance, a, n: int):
+    return np.max(np.abs(np.broadcast_arrays(*instance_h_terms(inst, a, n))), axis=0)
+
+
+def instance_cm_scan(inst: MonotoneInstance, grid, report, max_order: int = 6):
+    """``monotone.cm_scan`` on one instance and a valid grid, as one array
+    evaluation of the whole grid per order: rows (a, order, value, margin)."""
+    grid = [float(a) for a in grid]
+    a = np.array(grid)
+    diff_order = min(max_order, MAX_DIFF_ORDER)
+    values = [(-1.0) ** (n - 1) * instance_h_derivative(inst, a, n)
+              for n in range(1, max_order + 1)]
+    margins = [v + DERIV_FLOOR_REL * np.maximum(instance_h_derivative_scale(inst, a, n), 1.0)
+               for n, v in enumerate(values, 1)]
+    gvals = instance_g_eval(inst, a[:, None] + np.arange(diff_order + 1) * DIFF_STEP).T
+    diffs = [(-1.0) ** n * _forward_difference(gvals, n) for n in range(1, diff_order + 1)]
+    margins += [v + DIFF_REL_TOL * gvals[0] for v in diffs]
+    orders = [*range(1, max_order + 1), *range(-1, -diff_order - 1, -1)]
+    values, margins = np.array(values + diffs).T, np.array(margins).T
+    report.record(margins)
+    return ((ai, n, value, margin)
+            for ai, value_row, margin_row in zip(grid, values.tolist(), margins.tolist())
+            for n, value, margin in zip(orders, value_row, margin_row))
 
 
 def log_coeff(w: WeightVector, a: float) -> float:

@@ -67,9 +67,9 @@ class TestExitCodes:
         assert tmp_leftovers(tmp_path) == []
 
     def test_nan_derivative_fails_with_nan_violation(self, tmp_path, capsys, monkeypatch):
-        # h_derivative returns an array of the grid's shape
+        # h_derivative returns an (instance, grid) array for a block of instances
         monkeypatch.setattr(monotone, "h_derivative",
-                            lambda inst, a, n: np.full(np.shape(a), math.nan))
+                            lambda insts, a, n: np.full((len(insts), *np.shape(a)), math.nan))
         out = tmp_path / "cm.csv"
         assert main(["cm-scan", "--instances", "2", "--grid", "0.5:1:0.5",
                      "--out", str(out)]) == 1
@@ -566,6 +566,9 @@ class TestFlatMemory:
          (3, 100)),
         (["-c", S_GRID], (4_000, 16_000)),
         (["-c", SIMPLEX_CDF], (4_000, 16_000)),
+        # d = 5: three instances a scan block, so 4 and 40 blocks
+        (["-m", "bernsimplex.cli", "cm-scan", "--d", "5", "--grid", "0.1:10:0.1", "--instances"],
+         (12, 120)),
     ])
     def test_peak_rss_does_not_grow(self, tmp_path, argv, sizes):
         src = os.path.dirname(os.path.dirname(os.path.abspath(bernsimplex.__file__)))
@@ -616,6 +619,39 @@ class TestNoScalarSweeps:
         # every ln C comes from a weight matrix, a block of trials at a time
         assert len(weights) == 1
         assert all(isinstance(w, np.ndarray) and w.ndim == 2 for w in weights)
+
+    @staticmethod
+    def count_specfun_calls(monkeypatch):
+        counts = dict.fromkeys(["polygamma", "log_gamma"], 0)
+        for fn in (specfun.polygamma, specfun.log_gamma):
+            def wrapper(*args, _fn=fn, **kwargs):
+                counts[_fn.__name__] += 1
+                return _fn(*args, **kwargs)
+            for name, module in list(sys.modules.items()):
+                if name.startswith("bernsimplex") and getattr(module, fn.__name__, None) is fn:
+                    monkeypatch.setattr(module, fn.__name__, wrapper)
+        return counts
+
+    def test_certify_call_counts(self, tmp_path, monkeypatch):
+        # one scan block for the three instances: per order, one polygamma
+        # call for h^{(n)} and one for its scale, then one log_gamma call for g
+        counts = self.count_specfun_calls(monkeypatch)
+        monkeypatch.chdir(tmp_path)
+        assert main(["cm-scan", "--d", "5", "--instances", "3", "--grid", "0.1:10:0.1",
+                     "--max-order", "7"]) == 0
+        assert counts == {"polygamma": 14, "log_gamma": 1}
+
+    def test_overflowing_block(self, tmp_path, monkeypatch, capsys):
+        # all five instances in one block: order 1's digamma call passes, and
+        # order 2's call, the block's second, overflows
+        counts = self.count_specfun_calls(monkeypatch)
+        out = tmp_path / "cm.csv"
+        assert main(["cm-scan", "--instances", "5", "--grid", "1e200:1e200:1",
+                     "--out", str(out)]) == 2
+        assert "largest point is 1e+200" in capsys.readouterr().err
+        assert counts == {"polygamma": 2, "log_gamma": 0}
+        assert not out.exists()
+        assert tmp_leftovers(tmp_path) == []
 
 
 # one small run of each of the seven subcommands; estimate reads sample-gen's file

@@ -23,9 +23,10 @@ SKEWED = make_instance((1.0, 1.0), (0.25,))
 
 
 def scan(inst, grid, max_order):
-    """cm_scan's report and its rows, read to the end."""
+    """cm_scan's report and its rows (a, order, value, margin) for one
+    instance, read to the end."""
     report = ScanReport()
-    rows = list(mo.cm_scan(inst, grid, report, max_order=max_order))
+    rows = [row[1:] for row in mo.cm_scan([inst], grid, report, max_order=max_order)]
     return report, rows
 
 
@@ -208,9 +209,18 @@ class TestCmScan:
 
     def test_grid_validation(self):
         with pytest.raises(ValueError):
-            mo.cm_scan(SYMMETRIC, [1.0, 0.5], ScanReport(), max_order=3)
+            mo.cm_scan([SYMMETRIC], [1.0, 0.5], ScanReport(), max_order=3)
         with pytest.raises(ValueError):
-            mo.cm_scan(SYMMETRIC, [-1.0, 1.0], ScanReport(), max_order=3)
+            mo.cm_scan([SYMMETRIC], [-1.0, 1.0], ScanReport(), max_order=3)
+
+    @pytest.mark.parametrize("order", [2.5, True, False, 0, 8, "3", None, np.int64(3)])
+    def test_order_validation(self, order):
+        # as h_derivative checks n: a Python int in [1, 7], and not a bool
+        with pytest.raises(ValueError, match="max_order must be an integer"):
+            mo.cm_scan([SYMMETRIC], [1.0], ScanReport(), max_order=order)
+        if not isinstance(order, str) and order is not None:
+            with pytest.raises(ValueError, match="order n must be an integer"):
+                mo.h_derivative(SYMMETRIC, 1.0, order)
 
 
 
@@ -256,3 +266,108 @@ class TestCmScanAgainstPerPointOracle:
                     size = sum(math.comb(-n, j) * at[p][1] for j, p in enumerate(points))
                     bound = 16 * self.EPS * spread * size
                 assert max(abs(v - r) for v, r in zip(vals, refs)) <= bound, (a, n)
+
+
+def _bits(values):
+    return np.array(values, dtype=float).view(np.int64).tolist()
+
+
+class TestBlocksAgainstInstanceScan:
+    """The block route against the per-instance array scan
+    (oracles.instance_cm_scan), bit for bit: every row, and the verdict of
+    one report over the whole stream."""
+
+    GRID = _grid_spec("0.1:10:0.3")
+    ORDER = 7
+
+    def check(self, monkeypatch, instances, per_block=None, blocks=None):
+        """per_block instances of the first instance's size fit one block."""
+        if per_block is not None:
+            terms = len(instances[0].coefs) * per_block
+            monkeypatch.setattr(mo, "SCAN_BLOCK_BYTES", mo._BYTES_PER_ARG * len(self.GRID)
+                                * (min(self.ORDER, mo.MAX_DIFF_ORDER) + 1) * terms)
+        recorded = []
+        record = ScanReport.record
+        monkeypatch.setattr(ScanReport, "record",
+                            lambda self, margins, tol=0.0: recorded.append(np.ravel(margins))
+                            or record(self, margins, tol))
+        got = ScanReport()
+        rows = list(mo.cm_scan(iter(instances), self.GRID, got, max_order=self.ORDER))
+        if blocks is not None:
+            assert len(recorded) == blocks
+        # one record call per block, of the block's margins in row order
+        assert _bits(np.concatenate(recorded)) == _bits([row[-1] for row in rows])
+        want = ScanReport()
+        want_rows = [(i, *row) for i, inst in enumerate(instances)
+                     for row in oracles.instance_cm_scan(inst, self.GRID, want, self.ORDER)]
+        assert [row[:3] for row in rows] == [row[:3] for row in want_rows]
+        assert _bits([row[3:] for row in rows]) == _bits([row[3:] for row in want_rows])
+        assert (got.passed, *_bits([got.max_violation, got.min_margin])) == \
+            (want.passed, *_bits([want.max_violation, want.min_margin]))
+        return got
+
+    @pytest.mark.parametrize("d", range(1, 6))
+    def test_dimensions_and_corrupt(self, monkeypatch, d):
+        rng = np.random.Generator(np.random.PCG64(500 + d))
+        insts = [replace(random_instance(rng, d), corrupt=i % 3 == 2) for i in range(6)]
+        assert not self.check(monkeypatch, insts).passed
+
+    @pytest.mark.parametrize("per_block,blocks", [(1, 5), (2, 3), (5, 1)])
+    def test_block_boundaries(self, monkeypatch, per_block, blocks):
+        rng = np.random.Generator(np.random.PCG64(77))
+        insts = [replace(random_instance(rng, 3), corrupt=i == 3) for i in range(5)]
+        self.check(monkeypatch, insts, per_block, blocks)
+
+    @pytest.mark.parametrize("per_block", [1, 2, None])
+    def test_zero_weights_mix_active_counts(self, monkeypatch, per_block):
+        # 4, 2, 3, 4 and 2 terms; with room for two 4-term instances the
+        # blocks are [0, 1], [2, 3] and [4], each of mixed sizes
+        insts = [make_instance((1.5, 0.7, 2.5), (0.3, 0.2)),
+                 make_instance((1.5, 0.0, 0.0), (0.3, 0.2)),
+                 replace(make_instance((0.0, 0.7, 2.5), (0.3, 0.2)), corrupt=True),
+                 make_instance((0.2, 3.1, 0.4), (0.6, 0.1)),
+                 make_instance((0.0, 4.0, 0.0), (0.1, 0.5))]
+        self.check(monkeypatch, insts, per_block, {1: 5, 2: 3, None: 1}[per_block])
+
+    @pytest.mark.parametrize("per_block", [1, 2, None])
+    def test_nan_derivative(self, monkeypatch, per_block):
+        # NaN where a > 2 at order 3, for the instances with M > 1
+        block_h, instance_h = mo.h_derivative, oracles.instance_h_derivative
+
+        def poison(inst, a, n, out):
+            if n == 3 and inst.weights.M > 1.0:
+                out[np.asarray(a) > 2.0] = math.nan
+
+        def block_nan(insts, a, n):
+            out = block_h(insts, a, n)
+            for inst, row in zip(insts, out):
+                poison(inst, a, n, row)
+            return out
+
+        def instance_nan(inst, a, n):
+            out = instance_h(inst, a, n)
+            poison(inst, a, n, out)
+            return out
+
+        monkeypatch.setattr(mo, "h_derivative", block_nan)
+        monkeypatch.setattr(oracles, "instance_h_derivative", instance_nan)
+        rng = np.random.Generator(np.random.PCG64(31))
+        insts = [random_instance(rng, 2) for _ in range(5)]
+        assert 0 < sum(inst.weights.M > 1.0 for inst in insts) < 5
+        report = self.check(monkeypatch, insts, per_block)
+        assert not report.passed and math.isnan(report.max_violation)
+
+    def test_one_instance_is_the_block_of_one(self):
+        inst = random_instance(np.random.Generator(np.random.PCG64(3)), 4)
+        a = np.array(self.GRID)
+        for n in range(1, 8):
+            assert _bits(mo.h_derivative(inst, a, n)) == _bits(mo.h_derivative([inst], a, n)[0])
+            assert _bits(mo.h_derivative(inst, a, n)) == _bits(
+                oracles.instance_h_derivative(inst, a, n))
+            assert _bits(mo._h_derivative_scale(inst, a, n)) == _bits(
+                oracles.instance_h_derivative_scale(inst, a, n))
+        steps = a[:, None] + np.arange(7) * mo.DIFF_STEP
+        assert _bits(mo.g_eval(inst, steps)) == _bits(oracles.instance_g_eval(inst, steps))
+        assert mo.h_derivative(inst, 1.5, 2) == oracles.instance_h_derivative(inst, 1.5, 2)
+        assert mo.h_derivative([inst, SKEWED], 1.5, 2).shape == (2,)
+        assert mo.g_eval([inst, SKEWED], steps).shape == (2, *steps.shape)

@@ -113,8 +113,9 @@ class TestAgainstOracleReport:
 
         def scan(report):
             return [row for d in (1, 2, 4)
-                    for row in monotone.cm_scan(replace(_random_instance(rng, d), corrupt=corrupt),
-                                                self.GRID, report, max_order=7)]
+                    for row in monotone.cm_scan(
+                        [replace(_random_instance(rng, d), corrupt=corrupt)],
+                        self.GRID, report, max_order=7)]
 
         assert self._check(monkeypatch, scan) == 3
 
@@ -124,7 +125,7 @@ class TestAgainstOracleReport:
 
     def test_cm_scan_nan_derivative(self, monkeypatch):
         monkeypatch.setattr(monotone, "h_derivative",
-                            lambda inst, a, n: np.full(np.shape(a), math.nan))
+                            lambda insts, a, n: np.full((len(insts), *np.shape(a)), math.nan))
         self._cm_scan(monkeypatch, False)
 
     @pytest.mark.parametrize("corrupt", [False, True])

@@ -243,3 +243,31 @@ class TestDuplicationResidualArray:
     def test_sweep_maximum_is_the_oracle_maximum(self):
         got = np.abs(sf.duplication_residual(np.array(self.sweep))).max()
         assert got == max(abs(oracles.duplication_residual(y)) for y in self.sweep)
+
+
+class TestConcatenation:
+    """The array routes work entry by entry: a call on a concatenation gives
+    the calls on its pieces, bit for bit.  monotone's block route relies on
+    this when it stacks a block of instances into one call.  Pieces of 1..33 entries put every
+    entry in a vector body or a tail of numpy's SIMD loops."""
+
+    LENGTHS = range(1, 34)
+
+    @staticmethod
+    def pieces(seed):
+        # log-uniform on [1e-3, 1e3], across the shift thresholds 12..28
+        rng = np.random.Generator(np.random.PCG64(seed))
+        return [10.0 ** rng.uniform(-3.0, 3.0, k) for k in TestConcatenation.LENGTHS]
+
+    @staticmethod
+    def assert_split_equal(fn, pieces):
+        whole = fn(np.concatenate(pieces))
+        parts = np.concatenate([fn(p) for p in pieces])
+        assert whole.view(np.int64).tolist() == parts.view(np.int64).tolist()
+
+    @pytest.mark.parametrize("order", range(sf.MAX_POLY_ORDER + 1))
+    def test_polygamma(self, order):
+        self.assert_split_equal(lambda z: sf.polygamma(order, z), self.pieces(order))
+
+    def test_log_gamma(self):
+        self.assert_split_equal(sf.log_gamma, self.pieces(99))
