@@ -9,11 +9,12 @@ huge coefficients.
 
 Everything works on blocks of trials.  log_coeff takes a zero-padded (T, D)
 weight matrix and a (T, K) array of a, and evaluates the whole block in one
-array log_gamma call.  inequality_margins validates T trials, forms all
-their nodes and gives their (T, 3) margins from one log_coeff call.  The
-fuzzer draws a block from raw variates (_draw_trials), takes its margins
-from inequality_margins, records them in a ScanReport and yields them as
-rows.
+array log_gamma call (_coef_stack) and one left-to-right sum (_row_sum): the
+kernel pair behind every ln C, ln g and h^{(n)}, monotone's included.
+inequality_margins validates T trials, forms all their nodes and gives
+their (T, 3) margins from one log_coeff call.  The fuzzer draws a block from
+raw variates (_draw_trials), takes its margins from inequality_margins,
+records them in a ScanReport and yields them as rows.
 """
 
 from __future__ import annotations
@@ -55,12 +56,33 @@ def log_coeff(gamma, a):
         raise ValueError(f"need a ({coefs.shape[0]}, K) array of a, got shape {a.shape}")
     if not np.all((a >= 0.0) & np.isfinite(a)):
         raise ValueError("every a must be finite and nonnegative")
-    live = (coefs > 0.0)[:, :, None] & (a > 0.0)[:, None, :]
-    terms = np.zeros(live.shape)
-    terms[live] = log_gamma((a[:, None, :] * coefs[:, :, None])[live] + 1.0)
-    out = terms[:, 0]
+    terms = _coef_stack(log_gamma, coefs, a)
+    terms[:, 1:] *= -1.0  # x - y is x + (-y), bit for bit
+    return _row_sum(terms)
+
+
+def _coef_stack(fn, coefs, a) -> np.ndarray:
+    """The (B, K, *S) array of fn(a c + 1) over a (B, K) zero-padded matrix c
+    and a (B, *S) array a, both finite and >= 0.  fn gets one call, on the
+    live pairs (c > 0 and a > 0) in row order; every other entry is a c = +0."""
+    a = np.asarray(a)[:, None]
+    coefs = coefs.reshape(coefs.shape + (1,) * (a.ndim - 2))
+    arg = a * coefs
+    live = (a > 0.0) & (coefs > 0.0)  # not arg > 0: a c may underflow to 0
+    arg[live] = fn(arg[live] + 1.0)
+    return arg
+
+
+def _row_sum(terms: np.ndarray, extra=None) -> np.ndarray:
+    """terms[:, 0] + terms[:, 1] + extra[:, 1] + terms[:, 2] + ..., added left
+    to right in place (extra None: no extra terms).  Padding needs no mask:
+    adding -0.0 leaves a partial sum's bits unchanged, inf and NaN included,
+    and so does +0.0 unless the partial sum is -0.0."""
+    out = terms[:, 0].copy()
     for j in range(1, terms.shape[1]):
-        out = out - terms[:, j]
+        out += terms[:, j]
+        if extra is not None:
+            out += extra[:, j]
     return out
 
 
@@ -108,7 +130,7 @@ def inequality_margins(gamma, a, lam, a123) -> np.ndarray:
     if np.any(live.sum(axis=1) < 2):
         raise ValueError("need k >= 2 positive a_j in every row")
     if np.any(live & ~((lam > 0.0) & (lam < 1.0))) or np.any(~live & (lam != 0.0)) or np.any(
-            np.abs(_colsum(lam) - 1.0) > 1e-12):
+            np.abs(_row_sum(lam) - 1.0) > 1e-12):
         raise ValueError("lambda must lie in (0,1) on the positive a_j, be 0 elsewhere "
                          "and sum to 1")
     if not np.all(np.isfinite(a123) & (a123 > 0.0)):
@@ -118,23 +140,14 @@ def inequality_margins(gamma, a, lam, a123) -> np.ndarray:
         raise ValueError("precondition a1 <= a3 violated")
 
     k = a.shape[1]
-    nodes = np.column_stack([a, _colsum(lam * a), _colsum(a), a1, a2 + a3, a1 + a2, a3])
+    nodes = np.column_stack([a, _row_sum(lam * a), _row_sum(a), a1, a2 + a3, a1 + a2, a3])
     lc = log_coeff(gamma, nodes)
     lc_a, (lc_mix, lc_sum, lc_1, lc_23, lc_12, lc_3) = lc[:, :k], lc[:, k:].T
     return np.column_stack([
-        _colsum(lam * lc_a) - lc_mix,
-        lc_sum - _colsum(lc_a),
+        _row_sum(lam * lc_a) - lc_mix,
+        lc_sum - _row_sum(lc_a),
         lc_1 + lc_23 - lc_12 - lc_3,
     ])
-
-
-def _colsum(x: np.ndarray) -> np.ndarray:
-    """Row sums of x, added column by column from the left as Python's sum
-    adds a list; zero padding on the right leaves them unchanged."""
-    out = x[:, 0]
-    for j in range(1, x.shape[1]):
-        out = out + x[:, j]
-    return out
 
 
 def _log_uniform(u: np.ndarray, lo: float, hi: float) -> np.ndarray:
@@ -169,10 +182,10 @@ def _draw_trials(rng: np.random.Generator, n: int, dmax: int):
         ds.append(d)
         ks.append(k)
     M = _log_uniform(u_m, 0.1, 50.0)
-    gamma = M[:, None] * (e_gamma * (1.0 / _colsum(e_gamma))[:, None])
+    gamma = M[:, None] * (e_gamma * (1.0 / _row_sum(e_gamma))[:, None])
     live = np.arange(_MAX_K) < np.array(ks)[:, None]
     a = np.where(live, _log_uniform(u_a, 0.05, 20.0), 0.0)
-    lam = e_lam * (1.0 / _colsum(e_lam))[:, None]
+    lam = e_lam * (1.0 / _row_sum(e_lam))[:, None]
     a13 = np.sort(_log_uniform(u_123[:, :2], 0.05, 20.0), axis=1)
     a123 = np.column_stack([a13[:, 0], _log_uniform(u_123[:, 2], 0.05, 20.0), a13[:, 1]])
     return ds, M, gamma, a, lam, a123
@@ -200,7 +213,8 @@ def fuzz_inequalities(trials: int, dmax: int, seed: int, report: ScanReport,
     per_trial = (_MAX_K + 6) * (dmax + 2)
     _check_capacity(per_trial, f"gamma arguments of one trial for dmax={dmax}")
     rng = np.random.Generator(np.random.PCG64(seed))
-    # log_coeff peaks near 6 floats per gamma argument, so a block fits one pmf block
+    # a block's margins peak at 5.2-7.6 floats per gamma argument (dmax 9 down
+    # to 1, tracemalloc), so 8 floats per argument fit one pmf block
     block = max(1, PMF_BLOCK_ELEMS // (8 * per_trial))
     return itertools.chain.from_iterable(
         _fuzz_block(rng, start, min(block, trials - start), dmax, corrupt, report)

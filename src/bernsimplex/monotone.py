@@ -10,9 +10,10 @@ the derivatives of h take a float a or an ndarray of them, and one
 MonotoneInstance or a sequence of them (the result then has a leading
 instance axis): one special-function call on the stacked arguments of every
 instance, then each instance's terms added left to right in coordinate
-order, so an instance gets the same bits alone as in any block.  A scan
-takes an iterable of instances, evaluates a block of them over the whole
-grid at once and returns its rows as an iterator.  All read the
+order, so an instance gets the same bits alone as in any block.  Both steps
+are ineq's kernel pair (_coef_stack, _row_sum), which ineq.log_coeff runs
+on.  A scan takes an iterable of instances, evaluates a block of them over
+the whole grid at once and returns its rows as an iterator.  All read the
 MonotoneInstance alone, including its self-test flag that flips g's
 x-exponent.
 """
@@ -25,6 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .ineq import _coef_stack, _row_sum
 from .report import ScanReport
 from .simplex import SimplexPoint, WeightVector
 from .specfun import log_gamma, polygamma
@@ -51,8 +53,9 @@ DERIV_FLOOR_REL = 1e-14
 MAX_H_ORDER = 7
 MAX_DIFF_ORDER = 6
 GRID_CAP = 10**6
-# a scan block's temporaries: about seven argument-sized arrays in log_gamma
-# plus the argument, 8 bytes each, so 1 MiB is about 2^14 g_eval arguments
+# a scan block's temporaries, sized at 8 floats per g_eval argument, so 1 MiB
+# is about 2^14 of them; tracemalloc reads 9.1 (the stack, its live mask, the
+# live arguments, log_gamma's 7), so a block peaks at 1.02-1.08 MB
 SCAN_BLOCK_BYTES = 2**20
 _BYTES_PER_ARG = 8 * 8
 
@@ -97,45 +100,22 @@ def _check_order(n, name: str, top: int) -> None:
         raise ValueError(f"{name} must be an integer in [1, {top}], got {n!r}")
 
 
-def _block(inst):
-    """The instances of inst (one MonotoneInstance is the block (inst,)), the
-    (B, K) mask of their terms and the terms' coefficients [M, g_1, ...],
-    zero-padded to the longest instance."""
+def _block(inst, a):
+    """The instances of inst (one MonotoneInstance is the block (inst,)), their
+    (B, K) term coefficients [M, g_1, ...], zero-padded to the longest
+    instance, and the shared a as a read-only (B, *a.shape) view."""
     insts = (inst,) if isinstance(inst, MonotoneInstance) else tuple(inst)
     width = max(len(i.coefs) for i in insts)
-    live = np.arange(width) < np.array([len(i.coefs) for i in insts])[:, None]
-    coefs = np.zeros(live.shape)
-    coefs[live] = [c for i in insts for c in i.coefs]
-    return insts, live, coefs
+    coefs = np.array([i.coefs + (0.0,) * (width - len(i.coefs)) for i in insts])
+    return insts, coefs, np.broadcast_to(a, (len(insts),) + np.shape(a))
 
 
-def _padded(live, values, a):
-    """One value per live term, in row order, 0 on padding: (B, K, 1, ...),
-    to broadcast against a."""
-    out = np.zeros(live.shape)
-    out[live] = values
-    return out.reshape(live.shape + (1,) * np.ndim(a))
-
-
-def _stacked(fn, live, coefs, a):
-    """fn on the stacked arguments coefs (x) a + 1 of every live term, in one
-    call, as a (B, K, *a.shape) array that is 0 on padding."""
-    out = np.zeros(live.shape + np.shape(a))
-    out[live] = fn(np.multiply.outer(coefs[live], a) + 1.0)
-    return out
-
-
-def _sum_terms(live, terms, extra):
-    """Per instance, the left-to-right sum over its live terms of terms[:, 0],
-    terms[:, 1], extra[:, 1], terms[:, 2], extra[:, 2], ... (extra None: no
-    extra terms).  For one instance this is Python's sum of the same list."""
-    out = terms[:, 0].copy()
-    where = live.reshape(live.shape + (1,) * (out.ndim - 1))
-    for j in range(1, live.shape[1]):
-        np.add(out, terms[:, j], out=out, where=where[:, j])
-        if extra is not None:
-            np.add(out, extra[:, j], out=out, where=where[:, j])
-    return out
+def _padded(coefs, values, a):
+    """One per-instance Python value per term, in row order, -0.0 on padding
+    (which _row_sum adds as nothing): (B, K, 1, ...), to broadcast against a."""
+    out = np.full(coefs.shape, -0.0)
+    out[coefs > 0.0] = values
+    return out.reshape(coefs.shape + (1,) * np.ndim(a))
 
 
 def _unblock(inst, out):
@@ -148,11 +128,11 @@ def log_g_eval(inst, a):
     then ln Gamma(aM+1) - ln Gamma(a g_1+1) + a g_1 ln x_1 - ..., added left to
     right.  For a sequence of instances the result has a leading instance axis."""
     _check_a(a)
-    insts, live, coefs = _block(inst)
-    lg = _stacked(log_gamma, live, coefs, a)
+    insts, coefs, rows = _block(inst, a)
+    lg = _coef_stack(log_gamma, coefs, rows)
     lg[:, 1:] *= -1.0  # x - y is x + (-y), bit for bit
-    lx = _padded(live, [v for i in insts for v in (0.0, *i.log_x)], a)
-    return _unblock(inst, _sum_terms(live, lg, np.multiply.outer(coefs, a) * lx))
+    lx = _padded(coefs, [v for i in insts for v in (0.0, *i.log_x)], a)
+    return _unblock(inst, _row_sum(lg, np.multiply.outer(coefs, a) * lx))
 
 
 # math.exp entry by entry: libm's bits, and its OverflowError where a
@@ -166,19 +146,20 @@ def g_eval(inst, a):
 
 def _h_terms(inst, a, n: int):
     """The signed terms whose left-to-right sum is h^{(n)}(a), per instance:
-    (live, psi, kl).  psi (B, K, *a.shape) holds -M^n psi^{(n-1)}(aM+1), then
+    (psi, kl).  psi (B, K, *a.shape) holds -M^n psi^{(n-1)}(aM+1), then
     g^n psi^{(n-1)}(ag+1) per active coordinate; for n = 1, kl follows each
     coordinate's term with -g ln x (+g ln x for a corrupt instance), and is
     None for n > 1.  One polygamma call on the stacked arguments
-    a * [M, g_1, ...] + 1."""
-    insts, live, coefs = _block(inst)
-    psi = _stacked(lambda z: polygamma(n - 1, z), live, coefs, a)
-    powers = [v for i in insts for v in (-(i.coefs[0] ** n), *(g**n for g in i.coefs[1:]))]
-    psi *= _padded(live, powers, a)
+    a * [M, g_1, ...] + 1; the powers are Python's float ** int, whose bits
+    numpy's power does not always match."""
+    insts, coefs, rows = _block(inst, a)
+    psi = _coef_stack(lambda z: polygamma(n - 1, z), coefs, rows)
+    psi *= _padded(coefs, [v for i in insts for v in (-(i.coefs[0] ** n),
+                                                       *(g**n for g in i.coefs[1:]))], a)
     if n > 1:
-        return live, psi, None
+        return psi, None
     kl = [v for i in insts for v in (0.0, *(-g * lx for g, lx in zip(i.coefs[1:], i.log_x)))]
-    return live, psi, _padded(live, kl, a)
+    return psi, _padded(coefs, kl, a)
 
 
 def h_derivative(inst, a, n: int):
@@ -187,12 +168,12 @@ def h_derivative(inst, a, n: int):
     instances the result has a leading instance axis."""
     _check_a(a)
     _check_order(n, "order n", MAX_H_ORDER)
-    return _unblock(inst, _sum_terms(*_h_terms(inst, a, n)))
+    return _unblock(inst, _row_sum(*_h_terms(inst, a, n)))
 
 
 def _h_derivative_scale(inst, a, n: int):
     """Magnitude of the largest term in the alternating sum for h^{(n)}(a)."""
-    _, psi, kl = _h_terms(inst, a, n)
+    psi, kl = _h_terms(inst, a, n)
     out = np.max(np.abs(psi), axis=1)
     return _unblock(inst, out if kl is None else np.maximum(out, np.max(np.abs(kl), axis=1)))
 

@@ -540,18 +540,27 @@ class TestFlatMemory:
     kernels work on blocks of PMF_BLOCK_ELEMS entries.  Each run is the child
     of a small Python process, which prints the child's ru_maxrss: a process
     counts the RSS of the one it was started from in its own ru_maxrss, and
-    the test process's RSS could hide the run's."""
+    the test process's RSS could hide the run's.
+
+    Both processes of a run start alike whatever the checkout holds: they
+    run with -B on a PYTHONPYCACHEPREFIX that one import fills from the
+    current source first, and a fixed glibc mmap threshold
+    (MALLOC_MMAP_THRESHOLD_, which turns off its dynamic raise) returns each
+    freed large array to the system.  Without them a stale bytecode entry,
+    or merely a different argv or environment, moves an 8 MB heap step into
+    the larger run alone."""
 
     # ru_maxrss is in kilobytes, on macOS in bytes
     MB = 2.0 ** (20 if sys.platform == "darwin" else 10)
 
     CODE = ("import resource, subprocess, sys\n"
-            "subprocess.run([sys.executable, *sys.argv[1:]], check=True, stdout=subprocess.DEVNULL)\n"
+            "subprocess.run([sys.executable, '-B', *sys.argv[1:]], check=True,\n"
+            "               stdout=subprocess.DEVNULL)\n"
             "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)\n")
 
     # d = 2, m = 100: 5,151 lattice rows, so a pmf block holds 203 points, and
     # 4,000 and 16,000 points are about 20 and 80 blocks (one block reads
-    # 51-59 MB, below the glibc heap step that later blocks take)
+    # 51-59 MB)
     POINTS = ("import sys; import numpy as np\n"
               "xs = np.random.default_rng(0).dirichlet(np.ones(3), int(sys.argv[1]))\n")
     S_GRID = POINTS + ("from bernsimplex import spoly\n"
@@ -559,6 +568,18 @@ class TestFlatMemory:
     SIMPLEX_CDF = POINTS + ("from bernsimplex import estimate, simplex\n"
                             "samples = simplex.sample_dirichlet((1.0, 1.0, 1.0), 1000, 0)\n"
                             "estimate.bernstein_cdf_simplex(samples, 100, xs[:, :2])\n")
+
+    @pytest.fixture(scope="class")
+    def env(self, tmp_path_factory):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(bernsimplex.__file__)))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]),
+            PYTHONPYCACHEPREFIX=str(tmp_path_factory.mktemp("pycache")),
+            MALLOC_MMAP_THRESHOLD_="131072")
+        env.pop("PYTHONDONTWRITEBYTECODE", None)
+        subprocess.run([sys.executable, "-c", "import resource, subprocess, bernsimplex.cli"],
+                       env=env, check=True)
+        return env
 
     @pytest.mark.parametrize("argv,sizes", [
         (["-m", "bernsimplex.cli", "ineq-fuzz", "--dmax", "5", "--trials"], (20_000, 80_000)),
@@ -570,15 +591,12 @@ class TestFlatMemory:
         (["-m", "bernsimplex.cli", "cm-scan", "--d", "5", "--grid", "0.1:10:0.1", "--instances"],
          (12, 120)),
     ])
-    def test_peak_rss_does_not_grow(self, tmp_path, argv, sizes):
-        src = os.path.dirname(os.path.dirname(os.path.abspath(bernsimplex.__file__)))
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    def test_peak_rss_does_not_grow(self, tmp_path, env, argv, sizes):
         runs = []
         # each run in a directory of its own, where a CLI run writes its default --out
         for size in sizes:
             (tmp_path / str(size)).mkdir()
-            runs.append(subprocess.Popen([sys.executable, "-c", self.CODE, *argv, str(size)],
+            runs.append(subprocess.Popen([sys.executable, "-B", "-c", self.CODE, *argv, str(size)],
                                          cwd=tmp_path / str(size), stdout=subprocess.PIPE,
                                          env=env, text=True))
         peaks = [run.communicate()[0] for run in runs]

@@ -1,4 +1,7 @@
+import functools
 import math
+import operator
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -138,6 +141,98 @@ class TestLogCoeffBlock:
         for g in blocks:
             want = [WeightVector(row).M for row in g.tolist()]
             assert _bits(ineq._weight_block(g)[:, 0]) == _bits(want)
+
+
+class TestKernelPair:
+    """_coef_stack and _row_sum, the kernel pair under every ln C, ln g and
+    h^{(n)} evaluation, log_coeff's and monotone's alike."""
+
+    # rows of unequal length, with their interleaved extras (one fewer each)
+    ROWS = [[3.0, -1.5, 2.0], [math.inf, -2.0, 1.0], [1.0, math.nan, 5.0, -7.0], [-0.0],
+            [0.5, -0.5, -0.0], [-math.inf, 4.0, math.inf], [1e308, 1e308, -1e308], [-0.0, -0.0]]
+    EXTRAS = [[0.25, -7.0], [-math.inf, 2.0], [-1.0, 0.0, math.nan], [],
+              [-0.0, 0.5], [1.0, -1.0], [-1e308, 1e308], [-0.0]]
+
+    @staticmethod
+    def fold(values):
+        """Python's left-to-right sum of a list (what sum does before 3.12)."""
+        return functools.reduce(operator.add, values)
+
+    @staticmethod
+    def padded(rows, width, pad):
+        return np.array([row + [pad] * (width - len(row)) for row in rows])
+
+    @pytest.mark.parametrize("pad", [-0.0, 0.0])
+    def test_row_sum_is_a_left_fold(self, pad):
+        want = [self.fold(row) for row in self.ROWS]
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = ineq._row_sum(self.padded(self.ROWS, 5, pad))
+        # +0.0 padding changes only a -0.0 sum, to +0.0
+        keep = [math.copysign(1.0, pad) < 0.0 or _bits(w) != _bits(-0.0) for w in want]
+        assert _bits(got[keep]) == _bits(np.array(want)[keep])
+        assert _bits(got[np.logical_not(keep)]) == _bits([0.0] * keep.count(False))
+
+    def test_row_sum_interleaves_extras(self):
+        lists = [[row[0], *(v for pair in zip(row[1:], extra) for v in pair)]
+                 for row, extra in zip(self.ROWS, self.EXTRAS)]
+        # extra[:, 0] is never added
+        extras = self.padded([[math.nan, *extra] for extra in self.EXTRAS], 5, -0.0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = ineq._row_sum(self.padded(self.ROWS, 5, -0.0), extras)
+        assert _bits(got) == _bits([self.fold(values) for values in lists])
+
+    # a zero weight inside a row, padding after it, and a * c = 1e-400 that
+    # underflows to 0 but is live
+    COEFS = np.array([[3.0, 1.0, 2.0, 0.0], [0.5, 0.5, 0.0, 0.0], [2.0, 0.0, 1e-200, 0.0]])
+
+    @staticmethod
+    def recording():
+        calls = []
+
+        def fn(z):
+            calls.append(z.copy())
+            return -np.sqrt(z)
+        return calls, fn
+
+    def test_coef_stack_per_row_a(self):
+        # ineq's shape: one row of a per coefficient row
+        a = np.array([[1.0, 0.0, 2.0], [0.0, 0.0, 4.0], [0.25, 1e-200, 0.0]])
+        calls, fn = self.recording()
+        got = ineq._coef_stack(fn, self.COEFS, a)
+        live = [(b, k, j) for b in range(3) for k in range(4) for j in range(3)
+                if self.COEFS[b, k] > 0.0 and a[b, j] > 0.0]
+        args = [a[b, j] * self.COEFS[b, k] + 1.0 for b, k, j in live]
+        assert [z.tolist() for z in calls] == [args]
+        want = np.zeros((3, 4, 3))
+        for (b, k, j), z in zip(live, args):
+            want[b, k, j] = -math.sqrt(z)
+        assert _bits(got) == _bits(want)
+
+    def test_coef_stack_shared_grid(self):
+        # monotone's shape: every row reads one (point, step) grid
+        grid = np.array([[0.5, 1.0, 7.0], [2.0, 3.0, 1e-3]])
+        calls, fn = self.recording()
+        got = ineq._coef_stack(fn, self.COEFS, np.broadcast_to(grid, (3,) + grid.shape))
+        args = [c * a + 1.0 for c in self.COEFS.ravel() if c > 0.0 for a in grid.ravel()]
+        assert [z.tolist() for z in calls] == [args]
+        want = np.zeros((3, 4) + grid.shape)
+        want[self.COEFS > 0.0] = -np.sqrt(np.array(args).reshape((-1,) + grid.shape))
+        assert _bits(got) == _bits(want)
+
+
+class TestExactIntegerNodes:
+    @pytest.mark.parametrize("seed", range(3))
+    def test_log_coeff_is_ln_of_the_multinomial(self, seed):
+        # one block of 60 rows: d = 1..5, integer weights with zeros, integer a
+        rng = _gen(seed)
+        gammas = oracles.integer_weights(rng, 60)
+        a = rng.integers(1, 31, (60, 4))
+        got = ineq.log_coeff(_padded([WeightVector(g) for g in gammas]), a.astype(float))
+        for gamma, row_a, row in zip(gammas, a.tolist(), got.tolist()):
+            for n, value in zip(row_a, row):
+                want = oracles.log_rational(Fraction(oracles.multinomial(gamma, n)))
+                scale = oracles.log_coeff_scale(WeightVector(gamma), n)
+                assert abs(value - want) <= oracles.EXACT_REL_TOL * scale, (gamma, n)
 
 
 class TestWeightedLogConvexity:

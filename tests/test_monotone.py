@@ -74,6 +74,21 @@ class TestGEval:
             ]
             assert all(v > 1e-10 for v in mids)
 
+    @pytest.mark.parametrize("seed", range(3))
+    def test_ln_of_the_exact_rational_at_integer_a(self, seed):
+        # one block of 20 instances, d = 1..5 with zero weights, on a shared
+        # grid of integers to 30; g(n) is rational at each float x_i's value
+        rng = np.random.Generator(np.random.PCG64(seed))
+        gammas = oracles.integer_weights(rng, 20)
+        insts = [make_instance(g, rng.dirichlet(np.ones(len(g)))[:-1]) for g in gammas]
+        grid = [1, 2, 3, 4, 6, 9, 13, 18, 24, 30]
+        for gamma, inst, row in zip(gammas, insts, mo.log_g_eval(insts, np.array(grid, float))):
+            for n, value in zip(grid, row.tolist()):
+                want = oracles.log_rational(oracles.g_exact(gamma, inst.point.full, n))
+                scale = oracles.log_coeff_scale(inst.weights, n) + sum(
+                    abs(n * g * math.log(x)) for g, x in zip(gamma, inst.point.full))
+                assert abs(value - want) <= oracles.EXACT_REL_TOL * scale, (gamma, n)
+
 
 class TestHDerivative:
     def test_first_derivative_hand_value(self):
