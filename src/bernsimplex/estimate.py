@@ -9,14 +9,15 @@ exponent m - k_i on (1 - x_i).
 
 from __future__ import annotations
 
+import functools
 import itertools
 
 import numpy as np
 
 from .simplex import (
-    PMF_BLOCK_ELEMS,
     SampleSet,
     SimplexPoint,
+    _block_len,
     _check_capacity,
     lattice_array,
     lattice_log_pmf,
@@ -76,6 +77,9 @@ def _query_points(samples: SampleSet, m: int, x):
     return xs, single
 
 
+_contract = functools.partial(np.tensordot, axes=([0], [0]))
+
+
 def _bernstein_sum(box: np.ndarray, deg: int, xs: np.ndarray, single: bool):
     """sum_k box[k] prod_i C(deg,k_i) x_i^{k_i} (1-x_i)^{deg-k_i} for each row
     x of xs, box being (deg+1)^d; a float if single, else a (P,) array.
@@ -85,16 +89,13 @@ def _bernstein_sum(box: np.ndarray, deg: int, xs: np.ndarray, single: bool):
     """
     lat, lf = lattice_array(1, deg), log_factorial_table(deg)
     out = np.empty(len(xs))
-    step = max(1, PMF_BLOCK_ELEMS // (deg + 1))
+    step = _block_len((xs.shape[1] + 1) * (deg + 1) + 16)
     for lo in range(0, len(xs), step):
-        block = xs[lo:lo + step]
         weights = [np.exp(lattice_log_pmf(lat, np.column_stack([xi, 1.0 - xi]), lf))
-                   for xi in block.T]
-        for p in range(len(block)):
-            v = box
-            for w in weights:
-                v = np.tensordot(v, w[p], axes=([0], [0]))
-            out[lo + p] = v
+                   for xi in xs[lo:lo + step].T]
+        out[lo:lo + step] = [float(functools.reduce(_contract, rows, box))
+                             for rows in zip(*weights)]
+        del weights  # before the next block's are built
     return float(out[0]) if single else out
 
 
@@ -126,11 +127,10 @@ def bernstein_cdf_simplex(samples: SampleSet, m: int, x):
     fn = _lattice_cdf_counts(samples, m)[tuple(lat[:, :-1].T)] / samples.n
     lf = log_factorial_table(m)
     out = np.empty(shape[0])
-    step = max(1, PMF_BLOCK_ELEMS // lat.shape[0])
+    step = _block_len(2 * (lat.shape[0] + d + 6))
     for lo in range(0, shape[0], step):
         full = np.array([p.full for p in itertools.islice(points, step)])
-        pmf = np.exp(lattice_log_pmf(lat, full, lf))
-        out[lo:lo + step] = [np.dot(fn, row) for row in pmf]
+        out[lo:lo + step] = [np.dot(fn, row) for row in np.exp(lattice_log_pmf(lat, full, lf))]
     return float(out[0]) if single else out
 
 

@@ -25,7 +25,7 @@ import math
 import numpy as np
 
 from .report import ScanReport
-from .simplex import PMF_BLOCK_ELEMS, _check_capacity
+from .simplex import _block_len, _check_capacity
 from .specfun import log_gamma
 
 __all__ = [
@@ -200,10 +200,10 @@ def fuzz_inequalities(trials: int, dmax: int, seed: int, report: ScanReport,
     (trial, d, M, check tag, margin).  Pass iff no margin is
     below -FUZZ_TOL.  corrupt=True flips margin signs (self-test hook).
 
-    Returns an iterator over the rows that draws the trials in blocks as they
-    are read: each block's margins come from one inequality_margins call
-    and are recorded in report before its first row.  One trial past
-    LATTICE_CAP raises CapacityError.
+    Returns an iterator over the rows that draws the trials in blocks of at
+    most simplex.BLOCK_BYTES of temporaries as they are read: each block's
+    margins come from one inequality_margins call and are recorded in report
+    before its first row.  One trial past LATTICE_CAP raises CapacityError.
     """
     if trials < 1:
         raise ValueError("need trials >= 1")
@@ -213,9 +213,7 @@ def fuzz_inequalities(trials: int, dmax: int, seed: int, report: ScanReport,
     per_trial = (_MAX_K + 6) * (dmax + 2)
     _check_capacity(per_trial, f"gamma arguments of one trial for dmax={dmax}")
     rng = np.random.Generator(np.random.PCG64(seed))
-    # a block's margins peak at 5.2-7.6 floats per gamma argument (dmax 9 down
-    # to 1, tracemalloc), so 8 floats per argument fit one pmf block
-    block = max(1, PMF_BLOCK_ELEMS // (8 * per_trial))
+    block = _block_len(120 + 5 * per_trial)
     return itertools.chain.from_iterable(
         _fuzz_block(rng, start, min(block, trials - start), dmax, corrupt, report)
         for start in range(0, trials, block))

@@ -28,7 +28,7 @@ import numpy as np
 
 from .ineq import _coef_stack, _row_sum
 from .report import ScanReport
-from .simplex import SimplexPoint, WeightVector
+from .simplex import SimplexPoint, WeightVector, _block_len
 from .specfun import log_gamma, polygamma
 
 __all__ = [
@@ -53,11 +53,6 @@ DERIV_FLOOR_REL = 1e-14
 MAX_H_ORDER = 7
 MAX_DIFF_ORDER = 6
 GRID_CAP = 10**6
-# a scan block's temporaries, sized at 8 floats per g_eval argument, so 1 MiB
-# is about 2^14 of them; tracemalloc reads 9.1 (the stack, its live mask, the
-# live arguments, log_gamma's 7), so a block peaks at 1.02-1.08 MB
-SCAN_BLOCK_BYTES = 2**20
-_BYTES_PER_ARG = 8 * 8
 
 
 @dataclass(frozen=True)
@@ -183,8 +178,8 @@ def j_eval(u, y: float) -> float:
     positive whenever the u_i are positive and sum to 1.  Exponents are
     handled in log scale so tiny u_i cannot overflow y^{1/u_i}."""
     u = [float(v) for v in u]
-    if any(v <= 0.0 for v in u):
-        raise ValueError("all u_i must be positive")
+    if not all(0.0 < v < math.inf for v in u):
+        raise ValueError("all u_i must be finite and positive")
     if abs(sum(u) - 1.0) > 1e-12:
         raise ValueError(f"u must sum to 1, got {sum(u)}")
     if not (math.isfinite(y) and y > 1.0):
@@ -231,9 +226,9 @@ def cm_scan(instances, grid, report: ScanReport, max_order: int = 6):
     Returns an iterator over the rows (i, a, order, value, margin), i the
     instance's position in instances: orders 1..max_order, then -1, -2, ...
     of the difference route, per grid point, per instance.  It pulls the
-    instances in blocks of about SCAN_BLOCK_BYTES of temporaries as the rows
-    are read, evaluates each route once per order per block, and records a
-    block's margins in report, in row order, before its first row.
+    instances in blocks of at most simplex.BLOCK_BYTES of temporaries as the
+    rows are read, evaluates each route once per order per block, and
+    records a block's margins in report, in row order, before its first row.
 
     A corrupt instance's g is eventually increasing, so both routes must
     reject it on any grid reaching moderately large a.
@@ -241,14 +236,11 @@ def cm_scan(instances, grid, report: ScanReport, max_order: int = 6):
     grid = [float(a) for a in grid]
     if len(grid) > GRID_CAP:
         raise ValueError(f"grid of {len(grid)} points exceeds cap {GRID_CAP}")
-    if not grid or any(a <= 0.0 for a in grid):
-        raise ValueError("grid must be nonempty with positive entries")
-    if sorted(grid) != grid:
-        raise ValueError("grid must be sorted ascending")
+    if not grid or not all(0.0 < a < math.inf for a in grid) or sorted(grid) != grid:
+        raise ValueError("grid must be nonempty and ascending, with finite positive entries")
     _check_order(max_order, "max_order", MAX_H_ORDER)
     diff_order = min(max_order, MAX_DIFF_ORDER)
-    # g_eval's arguments are the largest: diff_order + 1 per grid point per term
-    terms = SCAN_BLOCK_BYTES // (_BYTES_PER_ARG * len(grid) * (diff_order + 1))
+    terms = _block_len(12 * len(grid) * (diff_order + 1))
     return itertools.chain.from_iterable(
         _scan_block(block, start, grid, report, max_order, diff_order)
         for start, block in _blocks(instances, terms))

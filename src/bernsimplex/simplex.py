@@ -30,12 +30,17 @@ __all__ = [
     "log_factorial_table",
     "CapacityError",
     "LATTICE_CAP",
-    "PMF_BLOCK_ELEMS",
+    "BLOCK_BYTES",
 ]
 
 LATTICE_CAP = 10**8
-# float64 entries per block of a (points x lattice) pmf matrix
-PMF_BLOCK_ELEMS = 1 << 20
+# The bytes of temporaries one block of a blocked loop may hold.  Each loop
+# gives _block_len what one item holds at the block's peak, in float64s read
+# by tracemalloc with .tolist() rows: a cm_scan term-argument 11.4 at most
+# (gives 12), a fuzz trial 248-805 at dmax 1-12 (120 + 5 per gamma argument),
+# a query point 3N + 3..6 in S, 2N + 2d + 11..13 in the simplex cdf (N lattice
+# rows), (d + 1)(deg + 1) + 4..12 in a hypercube sum; blocks peak at 54-93%.
+BLOCK_BYTES = 1 << 22
 _TOL = 1e-12
 
 
@@ -219,6 +224,11 @@ def _check_capacity(size: int, what: str) -> None:
     """Raise CapacityError when size (rows, bins or operations) exceeds LATTICE_CAP."""
     if size > LATTICE_CAP:
         raise CapacityError(f"{what}: {size} exceeds the cap {LATTICE_CAP}")
+
+
+def _block_len(floats_per_item: int) -> int:
+    """Items per block (at least one): BLOCK_BYTES less numpy's ufunc buffers."""
+    return max(1, (BLOCK_BYTES - 3 * 8 * np.getbufsize()) // (8 * floats_per_item))
 
 
 def lattice_array(d: int, m: int) -> np.ndarray:

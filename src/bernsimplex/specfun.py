@@ -145,7 +145,7 @@ def polygamma(order: int, z):
     Orders above 8 are rejected: the asymptotic series is only tuned
     (shift threshold, Bernoulli depth) up to that point.
     """
-    if not isinstance(order, int) or order < 0 or order > MAX_POLY_ORDER:
+    if isinstance(order, bool) or not isinstance(order, int) or not 0 <= order <= MAX_POLY_ORDER:
         raise ValueError(f"order must be an integer in [0, {MAX_POLY_ORDER}], got {order!r}")
     scalar = _check_positive(z)
     z = np.asarray(z, dtype=float)

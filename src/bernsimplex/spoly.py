@@ -18,9 +18,9 @@ from typing import Sequence
 import numpy as np
 
 from .simplex import (
-    PMF_BLOCK_ELEMS,
     SimplexPoint,
     _TOL,
+    _block_len,
     _check_capacity,
     lattice_array,
     lattice_log_pmf,
@@ -76,11 +76,11 @@ def s_eval_grid(p: SPolyParams, xs: np.ndarray) -> np.ndarray:
     lat = lattice_array(p.d, p.m)
     lf = log_factorial_table(max(p.r, p.s) * p.m)
     out = np.empty(xs.shape[0])
-    chunk = max(1, PMF_BLOCK_ELEMS // lat.shape[0])
+    chunk = _block_len(3 * lat.shape[0] + 8)
     for lo in range(0, xs.shape[0], chunk):
         sub = xs[lo : lo + chunk]
-        logs = lattice_log_pmf(p.r * lat, sub, lf) + lattice_log_pmf(p.s * lat, sub, lf)
-        out[lo : lo + chunk] = np.exp(logs).sum(axis=1)
+        out[lo : lo + chunk] = np.exp(lattice_log_pmf(p.r * lat, sub, lf)
+                                      + lattice_log_pmf(p.s * lat, sub, lf)).sum(axis=1)
     return out
 
 

@@ -536,8 +536,8 @@ class TestAtomicOutput:
 
 class TestFlatMemory:
     """A run's peak RSS does not grow with its size: a scan's rows stream to
-    the file and its report keeps only the verdict, and the lattice pmf
-    kernels work on blocks of PMF_BLOCK_ELEMS entries.  Each run is the child
+    the file and its report keeps only the verdict, and every blocked loop
+    holds at most simplex.BLOCK_BYTES of temporaries.  Each run is the child
     of a small Python process, which prints the child's ru_maxrss: a process
     counts the RSS of the one it was started from in its own ru_maxrss, and
     the test process's RSS could hide the run's.
@@ -558,9 +558,9 @@ class TestFlatMemory:
             "               stdout=subprocess.DEVNULL)\n"
             "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)\n")
 
-    # d = 2, m = 100: 5,151 lattice rows, so a pmf block holds 203 points, and
-    # 4,000 and 16,000 points are about 20 and 80 blocks (one block reads
-    # 51-59 MB)
+    # d = 2, m = 100: 5,151 lattice rows, so a block holds 32 points of S and
+    # 48 of the simplex cdf, and 4,000 and 16,000 points are 84 to 500 blocks
+    # (one block reads 38.5-39.0 MB, 4,000 points 39.1-39.2 MB)
     POINTS = ("import sys; import numpy as np\n"
               "xs = np.random.default_rng(0).dirichlet(np.ones(3), int(sys.argv[1]))\n")
     S_GRID = POINTS + ("from bernsimplex import spoly\n"
@@ -587,7 +587,7 @@ class TestFlatMemory:
          (3, 100)),
         (["-c", S_GRID], (4_000, 16_000)),
         (["-c", SIMPLEX_CDF], (4_000, 16_000)),
-        # d = 5: three instances a scan block, so 4 and 40 blocks
+        # d = 5: eight instances a scan block, so 2 and 15 blocks
         (["-m", "bernsimplex.cli", "cm-scan", "--d", "5", "--grid", "0.1:10:0.1", "--instances"],
          (12, 120)),
     ])

@@ -149,26 +149,29 @@ class TestBinnedLatticeCdf:
 
 
 class TestBatchedCalls:
-    def test_simplex_cdf(self, monkeypatch):
+    def test_simplex_cdf(self, small_blocks):
         s = sample_dirichlet((1.0, 2.0, 1.5), 300, seed=3)
         grid = np.vstack([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.5, 0.5], [0.3, 0.7],
                           spoly.simplex_midpoint_grid(2, 9)[:, :-1]])
         assert len(grid) == 41
         single = [est.bernstein_cdf_simplex(s, 17, SimplexPoint(row)) for row in grid]
-        # 171 lattice rows: 6 * 171 pmf entries per block splits the 41 points 6, ..., 6, 5
-        for block in (est.PMF_BLOCK_ELEMS, 6 * 171):
-            monkeypatch.setattr(est, "PMF_BLOCK_ELEMS", block)
-            assert np.array_equal(est.bernstein_cdf_simplex(s, 17, grid), single)
+        assert np.array_equal(est.bernstein_cdf_simplex(s, 17, grid), single)
+        # 171 lattice rows, 2 * (171 + 2 + 6) floats a point: blocks of 6
+        # split the 41 points 6, ..., 6, 5
+        small_blocks(6, 2 * (171 + 2 + 6))
+        assert np.array_equal(est.bernstein_cdf_simplex(s, 17, grid), single)
 
     @pytest.mark.parametrize("fn", [est.bernstein_cdf_hypercube, est.bernstein_density_hypercube])
-    def test_hypercube(self, fn, monkeypatch):
+    def test_hypercube(self, fn, small_blocks):
         rng = np.random.Generator(np.random.PCG64(8))
         s = SampleSet(np.vstack([rng.uniform(size=(200, 2)), _tie_samples(2)]), "hypercube")
         axis = np.linspace(0.0, 1.0, 6)
         grid = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
-        # 20 weights per block splits the 36-point grid into blocks of 1 to 20 points
-        for block in (est.PMF_BLOCK_ELEMS, 20):
-            monkeypatch.setattr(est, "PMF_BLOCK_ELEMS", block)
+        for split in (False, True):
+            if split:
+                # 3 (deg + 1) + 16 floats a point: room for 440 floats splits the 36
+                # points into blocks of 20 (cdf, m = 1), 23 (density, m = 1) and 8 (m = 12)
+                small_blocks(440, 1)
             for m in (1, 12):
                 batch = fn(s, m, grid)
                 assert np.array_equal(batch, [fn(s, m, row) for row in grid])

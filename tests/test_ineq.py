@@ -235,6 +235,73 @@ class TestExactIntegerNodes:
                 assert abs(value - want) <= oracles.EXACT_REL_TOL * scale, (gamma, n)
 
 
+def _integer_trials(seed, rows):
+    """rows trials (gamma, a, a123) of Python ints: weights in 0..10 (d = 1..5),
+    k = 2..5 values a_j whose mean is an integer, and a1 <= a3.  Every third
+    row is an equality node, all a_j equal and a1 = a3, which the float
+    fuzzer never draws."""
+    rng = _gen(seed)
+    trials = []
+    for i, gamma in enumerate(oracles.integer_weights(rng, rows)):
+        k = int(rng.integers(2, 6))
+        a = [int(v) for v in rng.integers(1, 9, k)]
+        a1, a3 = sorted(int(v) for v in rng.integers(1, 9, 2))
+        a2 = int(rng.integers(1, 9))
+        if i % 3 == 0:
+            a, a3 = [a[0]] * k, a1
+        a[-1] += -sum(a) % k  # an integer mean
+        trials.append((gamma, a, (a1, a2, a3)))
+    return trials
+
+
+def _exact_ratios(gamma, a, a123):
+    """The three inequalities as ratios of exact integers, each >= 1:
+    prod_j C(a_j) / C(mean)^k, C(sum_j a_j) / prod_j C(a_j) and
+    C(a1) C(a2 + a3) / (C(a1 + a2) C(a3))."""
+    def c(n):
+        return oracles.multinomial(gamma, n)
+    k, (a1, a2, a3) = len(a), a123
+    prod = math.prod(c(v) for v in a)
+    return (Fraction(prod, c(sum(a) // k) ** k), Fraction(c(sum(a)), prod),
+            Fraction(c(a1) * c(a2 + a3), c(a1 + a2) * c(a3)))
+
+
+class TestExactIntegerInequalities:
+    """At integer weights and integer a, C(a) is a multinomial coefficient,
+    so the three inequalities, and when they hold with equality, are
+    statements about integers: checked exactly, with no tolerance."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_inequalities_hold_exactly(self, seed):
+        for gamma, a, a123 in _integer_trials(seed, 60):
+            logconvex, superadditive, exchange = _exact_ratios(gamma, a, a123)
+            # with one nonzero weight C is 1 at every a, and every ratio is 1
+            strict = sum(g > 0 for g in gamma) >= 2
+            assert logconvex >= 1 and (logconvex == 1) == (not strict or len(set(a)) == 1)
+            assert superadditive >= 1 and (superadditive == 1) == (not strict)
+            assert exchange >= 1 and (exchange == 1) == (not strict or a123[0] == a123[2])
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_margins_match_exact_log_ratios(self, seed):
+        # one inequality_margins call on the whole block, equal weights 1/k
+        trials = _integer_trials(seed, 60)
+        a = np.zeros((len(trials), 5))
+        lam = np.zeros((len(trials), 5))
+        for row_a, row_lam, (_, a_j, _) in zip(a, lam, trials):
+            row_a[:len(a_j)] = a_j
+            row_lam[:len(a_j)] = 1.0 / len(a_j)
+        got = ineq.inequality_margins(_padded([WeightVector(g) for g, _, _ in trials]), a, lam,
+                                      [a123 for _, _, a123 in trials])
+        equal = 0
+        for (gamma, a_j, a123), row in zip(trials, got.tolist()):
+            ratios = _exact_ratios(gamma, a_j, a123)
+            want = [oracles.log_rational(q) for q in ratios]
+            want[0] /= len(a_j)
+            assert max(abs(g - w) for g, w in zip(row, want)) <= ineq.FUZZ_TOL, (gamma, a_j, a123)
+            equal += ratios[0] == 1 and ratios[2] == 1
+        assert equal >= 20
+
+
 class TestWeightedLogConvexity:
     def test_hand_value(self):
         margin = margins(BINOM, (1.0, 3.0), (0.5, 0.5))[0]
@@ -406,16 +473,16 @@ class TestFuzzAgainstOracle:
                 scale = sum(abs(c) * oracles.log_coeff_scale(w, v) for c, v in nodes[g_row[3]])
                 assert abs(g_row[4] - w_row[4]) <= 16 * eps * scale, g_row
 
-    def test_blocks_do_not_change_rows(self, monkeypatch):
+    def test_blocks_do_not_change_rows(self, monkeypatch, small_blocks):
         whole, whole_rows = fuzz(41, 5, seed=3)
         calls, margin_calls = [], []
         log_coeff, inequality_margins = ineq.log_coeff, ineq.inequality_margins
         monkeypatch.setattr(ineq, "log_coeff", lambda w, a: calls.append(len(w)) or log_coeff(w, a))
         monkeypatch.setattr(ineq, "inequality_margins", lambda w, *args: (
             margin_calls.append(len(w)) or inequality_margins(w, *args)))
-        # (5 + 6) nodes of (5 + 2) gamma arguments per trial at most, a block
-        # takes PMF_BLOCK_ELEMS // 8 of them: 6 trials a block
-        monkeypatch.setattr(ineq, "PMF_BLOCK_ELEMS", 8 * 6 * 11 * 7)
+        # (5 + 6) nodes of (5 + 2) gamma arguments per trial at most, and a
+        # trial holds 120 + 5 floats per argument: 6 trials a block
+        small_blocks(6, 120 + 5 * 11 * 7)
         split, split_rows = fuzz(41, 5, seed=3)
         assert calls == [6] * 6 + [5]
         assert margin_calls == [6] * 6 + [5]

@@ -150,6 +150,13 @@ class TestJEval:
         with pytest.raises(ValueError):
             mo.j_eval((0.5, 0.4), 2.0)
 
+    @pytest.mark.parametrize("u", [(math.nan, 1.0), (0.5, math.nan), (math.inf, 0.5),
+                                   (0.5, -math.inf), (0.0, 1.0)])
+    def test_u_must_be_finite_and_positive(self, u):
+        # a NaN u_i once passed both checks and gave NaN
+        with pytest.raises(ValueError, match="finite and positive"):
+            mo.j_eval(u, 2.0)
+
     @given(
         weights=st.lists(st.floats(min_value=0.01, max_value=1.0), min_size=2, max_size=7),
         logy=st.floats(min_value=-6.0, max_value=6.0),
@@ -228,6 +235,13 @@ class TestCmScan:
         with pytest.raises(ValueError):
             mo.cm_scan([SYMMETRIC], [-1.0, 1.0], ScanReport(), max_order=3)
 
+    @pytest.mark.parametrize("grid", [[math.nan], [1.0, math.inf], [0.5, math.nan, 2.0],
+                                      [-math.inf, 1.0]])
+    def test_non_finite_grid_rejected_at_the_call(self, grid):
+        # not only when the first row is read: cm_scan returns a lazy iterator
+        with pytest.raises(ValueError, match="finite positive"):
+            mo.cm_scan([SYMMETRIC], grid, ScanReport(), max_order=3)
+
     @pytest.mark.parametrize("order", [2.5, True, False, 0, 8, "3", None, np.int64(3)])
     def test_order_validation(self, order):
         # as h_derivative checks n: a Python int in [1, 7], and not a bool
@@ -295,12 +309,16 @@ class TestBlocksAgainstInstanceScan:
     GRID = _grid_spec("0.1:10:0.3")
     ORDER = 7
 
+    @pytest.fixture(autouse=True)
+    def _small_blocks(self, small_blocks):
+        self.small_blocks = small_blocks
+
     def check(self, monkeypatch, instances, per_block=None, blocks=None):
         """per_block instances of the first instance's size fit one block."""
         if per_block is not None:
-            terms = len(instances[0].coefs) * per_block
-            monkeypatch.setattr(mo, "SCAN_BLOCK_BYTES", mo._BYTES_PER_ARG * len(self.GRID)
-                                * (min(self.ORDER, mo.MAX_DIFF_ORDER) + 1) * terms)
+            # a term holds 12 floats per g_eval argument
+            self.small_blocks(len(instances[0].coefs) * per_block,
+                              12 * len(self.GRID) * (min(self.ORDER, mo.MAX_DIFF_ORDER) + 1))
         recorded = []
         record = ScanReport.record
         monkeypatch.setattr(ScanReport, "record",

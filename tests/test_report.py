@@ -129,8 +129,8 @@ class TestAgainstOracleReport:
         self._cm_scan(monkeypatch, False)
 
     @pytest.mark.parametrize("corrupt", [False, True])
-    def test_fuzz(self, monkeypatch, corrupt):
-        # 5 trials a block, so the verdict spans several blocks
-        monkeypatch.setattr(ineq, "PMF_BLOCK_ELEMS", 8 * 5 * 11 * 7)
+    def test_fuzz(self, monkeypatch, small_blocks, corrupt):
+        # 5 trials a block (dmax 5), so the verdict spans several blocks
+        small_blocks(5, 120 + 5 * 11 * 7)
         assert self._check(monkeypatch, lambda report: list(
             ineq.fuzz_inequalities(23, 5, 9, report, corrupt=corrupt))) == 5

@@ -1,12 +1,17 @@
+import collections
+import functools
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bernsimplex import cli, estimate, ineq, monotone, spoly
 from bernsimplex import simplex as sx
+from bernsimplex.report import ScanReport
 from bernsimplex.specfun import log_gamma
 import oracles
 from oracles import MultiIndex, enumerate_lattice, multinomial_log_pmf
@@ -222,3 +227,77 @@ class TestDirichletSampler:
         assert header == "x1,x2"
         back = sx.SampleSet.from_csv(path)
         assert np.array_equal(back.points, s.points)
+
+
+def _scan(d, instances, two_terms=False):
+    rng = np.random.Generator(np.random.PCG64(40 + d))
+    insts = [cli._random_instance(rng, d) for _ in range(instances)]
+    if two_terms:  # one active weight: the most rows per g_eval argument
+        insts = [monotone.MonotoneInstance(sx.WeightVector((i.weights.M,) + (0.0,) * d), i.point)
+                 for i in insts]
+    grid = cli._grid_spec("0.1:10:0.1")
+    return lambda n: collections.deque(
+        monotone.cm_scan(insts[:n], grid, ScanReport(), max_order=7), maxlen=0)
+
+
+def _fuzz(dmax, trials):
+    return lambda n: collections.deque(
+        ineq.fuzz_inequalities(n or trials, dmax, 5, ScanReport()), maxlen=0)
+
+
+def _points(fn, points):
+    return lambda n: fn(points[:n])
+
+
+_RNG = np.random.Generator(np.random.PCG64(12))
+_SIMPLEX = _RNG.dirichlet(np.ones(3), 150)
+_SAMPLES = sx.sample_dirichlet((1.0, 2.0, 1.5), 1000, seed=4)
+_CUBE = sx.SampleSet(_RNG.uniform(size=(1000, 2)), "hypercube")
+
+
+class TestBlockBudget:
+    """Each blocked loop, run on several blocks, holds at most BLOCK_BYTES
+    more at its tracemalloc peak than on one item: its blocks' temporaries,
+    with numpy's ufunc buffers and any .tolist() rows.  What the call keeps
+    whatever its size (a lattice, its ln j! table) and what it returns are
+    not the blocks'."""
+
+    CASES = {
+        "cm-scan d=1": (_scan(1, 60), monotone, "_h_derivative_scale", 7),
+        "cm-scan d=3": (_scan(3, 40), monotone, "_h_derivative_scale", 7),
+        "cm-scan d=5": (_scan(5, 30), monotone, "_h_derivative_scale", 7),
+        "cm-scan two terms": (_scan(2, 100, two_terms=True), monotone, "_h_derivative_scale", 7),
+        "fuzz dmax=1": (_fuzz(1, 4000), ineq, "inequality_margins", 1),
+        "fuzz dmax=5": (_fuzz(5, 3000), ineq, "inequality_margins", 1),
+        "fuzz dmax=9": (_fuzz(9, 2500), ineq, "inequality_margins", 1),
+        "s_eval_grid": (_points(functools.partial(spoly.s_eval_grid,
+                                                  spoly.SPolyParams(1, 2, 100, 2)),
+                                _SIMPLEX[:100]), spoly, "lattice_log_pmf", 2),
+        "simplex cdf": (_points(functools.partial(estimate.bernstein_cdf_simplex, _SAMPLES, 100),
+                                _SIMPLEX[:, :2]), estimate, "lattice_log_pmf", 1),
+        "hypercube density": (_points(functools.partial(estimate.bernstein_density_hypercube,
+                                                        _CUBE, 200),
+                                      _RNG.uniform(size=(2500, 2))), estimate, "lattice_log_pmf", 2),
+    }
+
+    @staticmethod
+    def peak(fn):
+        """fn()'s tracemalloc peak, less the bytes of what it returns."""
+        tracemalloc.start()
+        try:
+            out = fn()
+            return tracemalloc.get_traced_memory()[1] - getattr(out, "nbytes", 0)
+        finally:
+            tracemalloc.stop()
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_blocks_stay_within_budget(self, case, monkeypatch):
+        run, module, per_block, calls = self.CASES[case]
+        run(None)  # fill the process-wide caches first
+        one = self.peak(lambda: run(1))
+        counted = []
+        fn = getattr(module, per_block)
+        monkeypatch.setattr(module, per_block, lambda *args: counted.append(1) or fn(*args))
+        many = self.peak(lambda: run(None))
+        assert len(counted) >= 3 * calls, case  # several blocks
+        assert many - one <= sx.BLOCK_BYTES, (case, many - one)

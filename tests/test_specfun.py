@@ -74,6 +74,12 @@ class TestPolygamma:
         with pytest.raises(ValueError):
             sf.polygamma(-1, 1.0)
 
+    @pytest.mark.parametrize("order", [True, False, np.int64(2), 2.0, "1", None, -1, 9])
+    def test_order_validation(self, order):
+        # a Python int in [0, 8], and not a bool (True once gave the trigamma)
+        with pytest.raises(ValueError, match="order must be an integer"):
+            sf.polygamma(order, 2.0)
+
 
 class TestDuplicationResidual:
     @pytest.mark.parametrize("y", [1.0, 0.5, 17.25])
