@@ -212,7 +212,7 @@ def _cmd_estimate(args) -> int:
     samples = SampleSet.from_csv(args.samples, domain=domain)
     d = samples.d
     if kind == "simplex-cdf":
-        grid_pts = spoly.simplex_midpoint_grid(d, args.grid)[:, :-1]
+        grid_pts = spoly.simplex_midpoint_grid(d, args.grid)
         values = est.bernstein_cdf_simplex(samples, args.m, grid_pts)
     else:
         _check_capacity(args.grid ** d, f"query grid of {args.grid}^{d} points")

@@ -4,13 +4,12 @@ The empirical cdf uses the standard convention F_n(y) = (1/n) #{j : y_j <= y}
 componentwise (the source display reads the indicator the other way; as a
 cdf smoother only the standard reading makes sense, so that is what is
 implemented).  Likewise the hypercube cdf kernel uses the binomial pmf
-exponent m - k_i on (1 - x_i).
+exponent m - k_i on (1 - x_i).  Query points are (P, d) rows on either domain.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 
 import numpy as np
 
@@ -19,9 +18,9 @@ from .simplex import (
     SimplexPoint,
     _block_len,
     _check_capacity,
+    _simplex_rows,
     lattice_array,
     lattice_log_pmf,
-    log_factorial_table,
 )
 
 __all__ = [
@@ -87,11 +86,11 @@ def _bernstein_sum(box: np.ndarray, deg: int, xs: np.ndarray, single: bool):
     The weights of each axis are the d = 1 multinomial pmf (k, deg-k) at
     (x_i, 1-x_i), one kernel call per axis for each block of points.
     """
-    lat, lf = lattice_array(1, deg), log_factorial_table(deg)
+    lat = lattice_array(1, deg)
     out = np.empty(len(xs))
     step = _block_len((xs.shape[1] + 1) * (deg + 1) + 16)
     for lo in range(0, len(xs), step):
-        weights = [np.exp(lattice_log_pmf(lat, np.column_stack([xi, 1.0 - xi]), lf))
+        weights = [np.exp(lattice_log_pmf(lat, np.column_stack([xi, 1.0 - xi])))
                    for xi in xs[lo:lo + step].T]
         out[lo:lo + step] = [float(functools.reduce(_contract, rows, box))
                              for rows in zip(*weights)]
@@ -109,28 +108,20 @@ def bernstein_cdf_simplex(samples: SampleSet, m: int, x):
     if samples.domain != "simplex":
         raise ValueError("samples must be tagged simplex")
     single = isinstance(x, SimplexPoint)
-    if single:
-        points, shape = iter([x]), (1, x.d)
-    else:
-        xs = np.asarray(x, dtype=float)
-        if xs.ndim != 2:
-            raise ValueError("x must be a SimplexPoint or a (P, d) array of points")
-        # each row is checked as a SimplexPoint when its block is reached, so
-        # that no object per point outlives its block
-        points, shape = map(SimplexPoint, xs), xs.shape
-    if shape[1] != samples.d:
-        raise ValueError("sample and point dimensions differ")
+    xs = np.array([x.coords]) if single else np.asarray(x, dtype=float)
+    if xs.ndim != 2 or xs.shape[1] != samples.d:
+        raise ValueError(f"x must be a SimplexPoint or a (P, d={samples.d}) array of points")
     if m < 1:
         raise ValueError("degree m must be >= 1")
+    full = _simplex_rows(xs)
     d = samples.d
     lat = lattice_array(d, m)
     fn = _lattice_cdf_counts(samples, m)[tuple(lat[:, :-1].T)] / samples.n
-    lf = log_factorial_table(m)
-    out = np.empty(shape[0])
+    out = np.empty(len(full))
     step = _block_len(2 * (lat.shape[0] + d + 6))
-    for lo in range(0, shape[0], step):
-        full = np.array([p.full for p in itertools.islice(points, step)])
-        out[lo:lo + step] = [np.dot(fn, row) for row in np.exp(lattice_log_pmf(lat, full, lf))]
+    for lo in range(0, len(full), step):
+        out[lo:lo + step] = [np.dot(fn, row)
+                             for row in np.exp(lattice_log_pmf(lat, full[lo:lo + step]))]
     return float(out[0]) if single else out
 
 

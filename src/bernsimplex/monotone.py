@@ -49,6 +49,8 @@ DIFF_STEP = 0.05
 DIFF_REL_TOL = 1e-7
 # derivative certificate: positivity floor relative to the largest term
 DERIV_FLOOR_REL = 1e-14
+# kl_limit's rounding at gamma = M x: at most 2.4 M eps (d <= 12, 40,000 draws)
+_KL_ROUND = 8.0 * np.finfo(float).eps
 
 MAX_H_ORDER = 7
 MAX_DIFF_ORDER = 6
@@ -198,14 +200,15 @@ def j_eval(u, y: float) -> float:
 
 def kl_limit(inst: MonotoneInstance) -> float:
     """The large-a limit of h'(a): M * D_KL(gamma/M || x), nonnegative and zero
-    iff gamma_i/M = x_i for all i (0*log 0 = 0 for zero weights).  For a
-    corrupt instance it is sum_i gamma_i ln(x_i gamma_i/M), which is negative."""
+    iff gamma_i/M = x_i for all i (0*log 0 = 0 for zero weights); a rounding
+    below 0 of at most _KL_ROUND * M is clamped.  For a corrupt instance it is
+    sum_i gamma_i ln(x_i gamma_i/M), which is negative and never clamped."""
     M = inst.weights.M
     out = 0.0
     for g, x in inst.active_terms():
         p = g / M
         out += g * math.log(p * x if inst.corrupt else p / x)
-    return max(out, 0.0) if out > -1e-15 else out
+    return out if inst.corrupt or out < -_KL_ROUND * M else max(out, 0.0)
 
 
 def _forward_difference(values, n: int):

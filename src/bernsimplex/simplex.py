@@ -1,7 +1,9 @@
 """Simplex geometry and multinomial probability primitives.
 
 Points, multi-index lattices, the multinomial pmf in log space, and a
-seedable Dirichlet sampler.  All probabilities are kept in log space
+seedable Dirichlet sampler.  _simplex_rows is the one closed-simplex point
+rule: every API takes points as (P, d) rows of first coordinates and gets
+the (P, d+1) full ones from it.  All probabilities are kept in log space
 end-to-end; exponentiation happens only at accumulation points (degrees in
 the hundreds overflow direct factorials).
 """
@@ -102,37 +104,46 @@ def _coord_header(d: int) -> str:
     return ",".join(f"x{i + 1}" for i in range(d))
 
 
+def _simplex_rows(xs) -> np.ndarray:
+    """The (P, d+1) full coordinates of the (P, d) rows xs, d >= 1: the one
+    closed-simplex point rule.  A row with a non-finite entry, an entry below
+    -_TOL or a sum above 1 + _TOL raises ValueError; entries are then clamped
+    to [0, 1] and x_{d+1} = max(1 - ||x||, 0).  Sums run left to right, so a
+    row's bits depend neither on the other rows nor on the Python version."""
+    xs = np.asarray(xs, dtype=float)
+    if xs.ndim != 2 or xs.shape[1] < 1:
+        raise ValueError(f"points must be a (P, d) array with d >= 1, got shape {xs.shape}")
+    with np.errstate(invalid="ignore", over="ignore"):
+        off = (~np.all(np.isfinite(xs) & (xs >= -_TOL), axis=1)
+               | (np.add.accumulate(xs, axis=1)[:, -1] > 1.0 + _TOL))
+    if np.any(off):
+        raise ValueError(f"point {xs[np.argmax(off)].tolist()} is off the closed simplex")
+    # where, not clip: it keeps -0.0, as min(max(c, 0.0), 1.0) does
+    xs = np.where(xs < 0.0, 0.0, np.where(xs > 1.0, 1.0, xs))
+    last = np.maximum(1.0 - np.add.accumulate(xs, axis=1)[:, -1], 0.0)
+    return np.column_stack([xs, last])
+
+
 @dataclass(frozen=True)
 class SimplexPoint:
-    """A point x in the closed d-simplex; x_{d+1} = 1 - ||x|| is derived."""
+    """A point of the closed d-simplex; full is (x, x_{d+1}) from _simplex_rows."""
 
-    coords: tuple
+    full: tuple
 
     def __init__(self, coords: Sequence[float]):
-        coords = tuple(float(c) for c in coords)
-        if not coords:
-            raise ValueError("simplex point needs at least one coordinate")
-        if any(not math.isfinite(c) or c < -_TOL for c in coords):
-            raise ValueError(f"coordinates must be nonnegative, got {coords}")
-        s = sum(coords)
-        if s > 1.0 + _TOL:
-            raise ValueError(f"coordinate sum {s} exceeds 1")
-        # clamp tiny negative / overshoot noise
-        coords = tuple(min(max(c, 0.0), 1.0) for c in coords)
-        object.__setattr__(self, "coords", coords)
+        object.__setattr__(self, "full", tuple(_simplex_rows([coords])[0].tolist()))
+
+    @property
+    def coords(self) -> tuple:
+        return self.full[:-1]
 
     @property
     def d(self) -> int:
-        return len(self.coords)
+        return len(self.full) - 1
 
     @property
     def last(self) -> float:
-        return max(1.0 - sum(self.coords), 0.0)
-
-    @property
-    def full(self) -> tuple:
-        """All d+1 barycentric coordinates."""
-        return self.coords + (self.last,)
+        return self.full[-1]
 
     @property
     def interior(self) -> bool:
@@ -172,16 +183,15 @@ class SampleSet:
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=float)
-        if pts.ndim != 2 or pts.shape[0] == 0:
-            raise ValueError("points must be a nonempty (n, d) array")
+        if pts.ndim != 2 or pts.shape[0] == 0 or pts.shape[1] == 0:
+            raise ValueError("points must be a nonempty (n, d) array with d >= 1")
         if self.domain not in ("simplex", "hypercube"):
             raise ValueError(f"unknown domain tag {self.domain!r}")
-        if not np.all(np.isfinite(pts)):
-            raise ValueError("sample coordinates must be finite")
-        if np.any(pts < -_TOL) or np.any(pts > 1.0 + _TOL):
-            raise ValueError("sample coordinates outside [0, 1]")
-        if self.domain == "simplex" and np.any(pts.sum(axis=1) > 1.0 + _TOL):
-            raise ValueError("simplex samples must satisfy ||x|| <= 1")
+        if self.domain == "simplex":
+            _simplex_rows(pts)
+        # also false for NaN
+        elif not np.all((pts >= -_TOL) & (pts <= 1.0 + _TOL)):
+            raise ValueError("hypercube samples must be finite and lie in [0, 1]^d")
         self.points = pts
 
     @property
@@ -280,15 +290,18 @@ def log_factorial_table(n: int) -> np.ndarray:
     return table[: n + 1]
 
 
-def lattice_log_pmf(lat: np.ndarray, xs: np.ndarray, lf: np.ndarray) -> np.ndarray:
-    """ln P_{k,m}(x) for each query row x of xs (P, d+1 full coordinates) and
-    each lattice row k of lat (N, d+1); returns (P, N).
+def lattice_log_pmf(lat: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """ln P_{k,m}(x) for each query row x of xs (P, d+1 full coordinates, as
+    _simplex_rows gives them) and each lattice row k of lat (N, d+1) summing
+    to m; returns (P, N).
 
-    lf is log_factorial_table(n) for any n >= m.  Uses 0 ln 0 = 0, and -inf
-    where k_i > 0 meets x_i = 0.  Entries are accumulated coordinate by coordinate with
-    math.log, so a row does not depend on which other points share the call.
+    Uses 0 ln 0 = 0, and -inf where k_i > 0 meets x_i = 0.  Entries are
+    accumulated coordinate by coordinate with math.log, so a row does not
+    depend on which other points share the call.
     """
-    logp = np.full((xs.shape[0], lat.shape[0]), lf[int(lat[0].sum())])
+    m = int(lat[0].sum())
+    lf = log_factorial_table(m)
+    logp = np.full((xs.shape[0], lat.shape[0]), lf[m])
     for i in range(lat.shape[1]):
         ki = lat[:, i]
         logp -= lf[ki]

@@ -5,7 +5,8 @@
 plus the Gaussian local-limit density phi_{r,s}, the exact simplex
 integral of S via the Dirichlet normalization constant, the central
 binomial lattice identity in exact arithmetic, and the Gamma-ratio
-residual used in the large-m expansion of the integral.
+residual used in the large-m expansion of the integral.  Batches of points
+are (P, d) rows of first barycentric coordinates, as everywhere.
 """
 
 from __future__ import annotations
@@ -19,9 +20,9 @@ import numpy as np
 
 from .simplex import (
     SimplexPoint,
-    _TOL,
     _block_len,
     _check_capacity,
+    _simplex_rows,
     lattice_array,
     lattice_log_pmf,
     log_factorial_table,
@@ -59,36 +60,26 @@ class SPolyParams:
 
 
 def s_eval_grid(p: SPolyParams, xs: np.ndarray) -> np.ndarray:
-    """S_{r,s,m} at each row of xs (points given as all d+1 coordinates).
-
-    Raises ValueError for a row off the closed simplex: a non-finite entry,
-    an entry below -_TOL, or a coordinate sum more than _TOL away from 1.
-    """
+    """S_{r,s,m} at each row of xs, the first d barycentric coordinates of P
+    points.  A shape other than (P, d), or then a row off the closed simplex
+    (simplex._simplex_rows), raises ValueError."""
     xs = np.asarray(xs, dtype=float)
-    if xs.ndim != 2 or xs.shape[1] != p.d + 1:
-        raise ValueError("xs must be (P, d+1)")
-    if not np.all(np.isfinite(xs)):
-        raise ValueError("points must have finite coordinates")
-    sums = xs.sum(axis=1)
-    off = np.any(xs < -_TOL, axis=1) | (sums > 1.0 + _TOL) | (sums < 1.0 - _TOL)
-    if np.any(off):
-        raise ValueError(f"point {xs[np.argmax(off)].tolist()} is off the simplex")
+    if xs.ndim != 2 or xs.shape[1] != p.d:
+        raise ValueError(f"xs must be (P, d={p.d}), got shape {xs.shape}")
+    full = _simplex_rows(xs)
     lat = lattice_array(p.d, p.m)
-    lf = log_factorial_table(max(p.r, p.s) * p.m)
     out = np.empty(xs.shape[0])
     chunk = _block_len(3 * lat.shape[0] + 8)
     for lo in range(0, xs.shape[0], chunk):
-        sub = xs[lo : lo + chunk]
-        out[lo : lo + chunk] = np.exp(lattice_log_pmf(p.r * lat, sub, lf)
-                                      + lattice_log_pmf(p.s * lat, sub, lf)).sum(axis=1)
+        sub = full[lo : lo + chunk]
+        out[lo : lo + chunk] = np.exp(lattice_log_pmf(p.r * lat, sub)
+                                      + lattice_log_pmf(p.s * lat, sub)).sum(axis=1)
     return out
 
 
 def s_eval(p: SPolyParams, x: SimplexPoint) -> float:
-    """S_{r,s,m}(x) in [0, 1]."""
-    if x.d != p.d:
-        raise ValueError("point dimension does not match params")
-    return float(s_eval_grid(p, np.array([x.full]))[0])
+    """S_{r,s,m}(x) in [0, 1]; ValueError if x is not a d-simplex point."""
+    return float(s_eval_grid(p, np.array([x.coords]))[0])
 
 
 def det_covariance(r: int, s: int, x: SimplexPoint) -> float:
@@ -212,14 +203,13 @@ def gamma_ratio_residual(m: int) -> float:
 
 
 def simplex_midpoint_grid(d: int, resolution: int) -> np.ndarray:
-    """Midpoint-rule nodes (all d+1 coordinates) on the uniform barycentric
-    grid, keeping nodes at least 1/(2*resolution) from the boundary; the
-    cell weight is resolution^{-d} per node."""
+    """Midpoint-rule nodes (k + 1/2)/resolution as (P, d) first coordinates,
+    those at least 1/(2*resolution) from the boundary: 2||k|| + d <=
+    2*resolution - 1 on the integers, C(K+d, d) nodes for K = floor(resolution
+    - (d+1)/2).  The cell weight is resolution^{-d} per node."""
     if resolution < 2:
         raise ValueError("resolution must be >= 2")
-    lat = lattice_array(d, resolution - 1)[:, :-1]
-    xs = (lat + 0.5) / resolution
-    keep = xs.sum(axis=1) <= 1.0 - 0.5 / resolution
-    xs = xs[keep]
-    return np.hstack([xs, (1.0 - xs.sum(axis=1))[:, None]])
-
+    top = (2 * resolution - 1 - d) // 2
+    if top < 0:
+        return np.empty((0, d))
+    return (lattice_array(d, top)[:, :-1] + 0.5) / resolution

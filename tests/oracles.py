@@ -1,6 +1,10 @@
 """Slow reference routes that the tests compare the package's fast paths with.
 
-A scalar multi-index, its lexicographic lattice generator and the multinomial
+First, the closed-simplex point rule one coordinate at a time, with Python
+floats: the bit-for-bit oracle for ``simplex._simplex_rows``, which checks
+and clamps a whole (P, d) array of points at once.
+
+Then, a scalar multi-index, its lexicographic lattice generator and the multinomial
 pmf one (k, x) pair at a time (oracles for ``simplex.lattice_array`` and
 ``simplex.lattice_log_pmf``); the lattice array built by recursion on d, one
 block of rows per first entry (the differential oracle for
@@ -66,8 +70,32 @@ from bernsimplex import specfun
 from bernsimplex.ineq import FUZZ_TOL
 from bernsimplex.monotone import (DERIV_FLOOR_REL, DIFF_REL_TOL, DIFF_STEP, MAX_DIFF_ORDER,
                                   MAX_H_ORDER, MonotoneInstance)
-from bernsimplex.simplex import (SampleSet, SimplexPoint, WeightVector, _check_capacity,
+from bernsimplex.simplex import (SampleSet, SimplexPoint, WeightVector, _TOL, _check_capacity,
                                 lattice_size)
+
+
+def _left_sum(values) -> float:
+    """values[0] + values[1] + ..., added left to right."""
+    out = values[0]
+    for v in values[1:]:
+        out += v
+    return out
+
+
+def simplex_full(coords: Sequence[float]) -> tuple:
+    """The d+1 coordinates of the closed-simplex point whose first d are
+    coords: each entry finite and at least -_TOL and their sum at most
+    1 + _TOL, else ValueError; then each entry clamped to [0, 1] and
+    x_{d+1} = max(1 - ||x||, 0), sums left to right."""
+    coords = tuple(float(c) for c in coords)
+    if not coords:
+        raise ValueError("simplex point needs at least one coordinate")
+    if any(not math.isfinite(c) or c < -_TOL for c in coords):
+        raise ValueError(f"coordinates must be finite and nonnegative, got {coords}")
+    if _left_sum(coords) > 1.0 + _TOL:
+        raise ValueError(f"coordinate sum of {coords} exceeds 1")
+    coords = tuple(min(max(c, 0.0), 1.0) for c in coords)
+    return coords + (max(1.0 - _left_sum(coords), 0.0),)
 from bernsimplex.specfun import (_BERNOULLI, _HALF_LOG_TWO_PI, _STIRLING_THRESHOLD,
                                  MAX_POLY_ORDER, _check_positive)
 from bernsimplex.spoly import composition_coefficient

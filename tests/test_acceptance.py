@@ -225,7 +225,7 @@ def test_criterion_12_estimator_coincidence_and_convergence():
             est.bernstein_cdf_simplex(samp, 25, SimplexPoint(vertex))
             - empirical_cdf(samp, vertex)
         ) <= 1e-12
-    grid = spoly.simplex_midpoint_grid(2, 12)[:, :-1]
+    grid = spoly.simplex_midpoint_grid(2, 12)
     fn = [empirical_cdf(samp, tuple(row)) for row in grid]
     sup = {
         m: sup_error_on_grid(

@@ -564,7 +564,7 @@ class TestFlatMemory:
     POINTS = ("import sys; import numpy as np\n"
               "xs = np.random.default_rng(0).dirichlet(np.ones(3), int(sys.argv[1]))\n")
     S_GRID = POINTS + ("from bernsimplex import spoly\n"
-                       "spoly.s_eval_grid(spoly.SPolyParams(1, 2, 100, 2), xs)\n")
+                       "spoly.s_eval_grid(spoly.SPolyParams(1, 2, 100, 2), xs[:, :2])\n")
     SIMPLEX_CDF = POINTS + ("from bernsimplex import estimate, simplex\n"
                             "samples = simplex.sample_dirichlet((1.0, 1.0, 1.0), 1000, 0)\n"
                             "estimate.bernstein_cdf_simplex(samples, 100, xs[:, :2])\n")

@@ -75,3 +75,18 @@ def test_every_layer_func_is_called(workload, tmp_path, monkeypatch):
                  if workload in where and name in tracer.present
                  and tracer.stats[name].calls == 0]
     assert never_hit == []
+
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "bernsimplex"
+
+
+def test_point_rule_has_one_owner():
+    # the closed-simplex tolerance is read by simplex alone, so every point
+    # check goes through its _simplex_rows rather than a fork of the rule
+    users = set()
+    for path in SRC.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if ("_TOL" in (getattr(node, "id", None), getattr(node, "attr", None))
+                    or isinstance(node, ast.alias) and node.name == "_TOL"):
+                users.add(path.name)
+    assert users == {"simplex.py"}

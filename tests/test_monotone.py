@@ -179,6 +179,18 @@ class TestKlLimit:
             2.0 * (0.5 * math.log(2.0) + 0.5 * math.log(2.0 / 3.0)), rel=1e-12
         )
 
+    def test_zero_limit_is_not_negative(self):
+        # gamma = M x, so D_KL = 0: the sum rounds to within a few M eps of 0,
+        # below -1e-15 in 213 of these 5,000 draws before the clamp scaled with M
+        rng = np.random.Generator(np.random.PCG64(23))
+        for _ in range(5000):
+            d = int(rng.integers(1, 6))
+            M = float(np.exp(rng.uniform(math.log(0.1), math.log(50.0))))
+            x = SimplexPoint(rng.dirichlet(np.ones(d + 1))[:-1])
+            inst = make_instance([M * v for v in x.full], x.coords)
+            assert 0.0 <= mo.kl_limit(inst) <= 1e-14 * M, (M, x)
+            assert mo.kl_limit(replace(inst, corrupt=True)) < 0.0, (M, x)
+
     def test_corrupt_limit(self):
         # the corrupted h'(a) tends to sum_i g_i ln(x_i g_i / M) < 0, so g ends up increasing
         rng = np.random.Generator(np.random.PCG64(10))

@@ -52,6 +52,95 @@ class TestTypes:
             sx.WeightVector((0.0, 0.0))
 
 
+_NAN, _INF = math.nan, math.inf
+# rows at the edges of the point rule: signed zero, an entry of exactly
+# -1e-12, a left-to-right sum of exactly 1 + 1e-12, entries of 1 + 1e-13, and
+# just past each bound
+EDGE_ROWS = [
+    (-0.0,), (-0.0, 0.5), (0.5, -0.0, 0.5), (-1e-12,), (0.3, -1e-12), (1e-12, 1.0),
+    (1.0 + 1e-12,), (0.25, 0.75 + 1e-12), (1.0 + 1e-13,), (1.0 + 1e-13, -1e-13),
+    (0.0, 1.0 + 1e-13), (np.nextafter(-1e-12, -1.0),), (np.nextafter(1.0 + 1e-12, 2.0),),
+    (-2e-12, 1.0), (1.0, 0.0, 0.0), (0.0, 0.0, 0.0), (0.1,) * 9 + (0.1 + 1e-12,),
+    (_NAN,), (_INF,), (-_INF,), (0.2, _NAN), (_INF, -_INF), (0.5, _INF), (1e308, 1e308),
+]
+
+
+def _bits(values) -> bytes:
+    return np.asarray(values, dtype=float).tobytes()
+
+
+def _dirichlet_rows(d, n, seed):
+    return np.random.Generator(np.random.PCG64(seed)).dirichlet(np.ones(d + 1), n)[:, :d]
+
+
+class TestPointRule:
+    """simplex._simplex_rows against oracles.simplex_full, row by row and bit
+    for bit, and every point consumer accepting the same rows."""
+
+    @staticmethod
+    def check(rows):
+        accepted = []
+        for row in rows:
+            try:
+                want = oracles.simplex_full(row)
+            except ValueError:
+                with pytest.raises(ValueError):
+                    sx._simplex_rows([row])
+                continue
+            assert _bits(sx._simplex_rows([row])[0]) == _bits(want), row
+            accepted.append((row, want))
+        return accepted
+
+    def test_edge_rows(self):
+        accepted = self.check(EDGE_ROWS)
+        assert len(accepted) == 14
+        for row, want in accepted:
+            assert _bits(sx.SimplexPoint(row).full) == _bits(want)
+
+    @pytest.mark.parametrize("d", range(1, 10))
+    def test_dirichlet_rows(self, d):
+        xs = _dirichlet_rows(d, 2000, 70 + d)
+        # every 4th row ends within 2 ulps of a sum of 1 + 1e-12, where a sum
+        # in another order (numpy's pairwise one, from d = 8) can round across
+        head = np.zeros(len(xs[::4]))
+        if d > 1:
+            head = np.add.accumulate(xs[::4, :-1], axis=1)[:, -1]
+        last = (1.0 + 1e-12) - head
+        xs[::4, -1] = last + np.resize([-2, -1, 0, 1, 2], len(last)) * np.spacing(last)
+        accepted = self.check(xs.tolist())
+        assert 0 < len(accepted) < len(xs)
+        # a row's coordinates do not depend on the other rows of the call
+        kept = np.array([row for row, _ in accepted])
+        assert _bits(sx._simplex_rows(kept)) == _bits([want for _, want in accepted])
+
+    def test_shape(self):
+        for bad in (np.empty((3, 0)), np.empty(3), np.empty((2, 2, 2))):
+            with pytest.raises(ValueError):
+                sx._simplex_rows(bad)
+        assert sx._simplex_rows(np.empty((0, 2))).shape == (0, 3)
+
+    def test_consumers_accept_the_same_rows(self):
+        samples = {d: sx.sample_dirichlet((1.0,) * (d + 1), 20, seed=d) for d in (1, 2, 3, 10)}
+        rows = EDGE_ROWS + _dirichlet_rows(2, 20, 5).tolist() + _dirichlet_rows(3, 20, 6).tolist()
+        for row in rows:
+            d = len(row)
+            consumers = [
+                lambda: sx.SimplexPoint(row),
+                lambda: sx.SampleSet(np.array([row]), "simplex"),
+                lambda: spoly.s_eval_grid(spoly.SPolyParams(1, 1, 1, d), np.array([row])),
+                lambda: estimate.bernstein_cdf_simplex(samples[d], 1, np.array([row])),
+            ]
+            try:
+                oracles.simplex_full(row)
+            except ValueError:
+                for consume in consumers:
+                    with pytest.raises(ValueError):
+                        consume()
+            else:
+                for consume in consumers:
+                    consume()
+
+
 class TestLattice:
     def test_d1_example(self):
         ks = [mi.k for mi in enumerate_lattice(1, 2)]
@@ -154,8 +243,7 @@ class TestMultinomialLogPmf:
         d, m = 2, 6
         points = [sx.SimplexPoint(x) for x in [(0.2, 0.5), (0.0, 0.4), (1.0, 0.0), (0.0, 0.0)]]
         lat = sx.lattice_array(d, m)
-        logp = sx.lattice_log_pmf(lat, np.array([p.full for p in points]),
-                                  sx.log_factorial_table(m))
+        logp = sx.lattice_log_pmf(lat, np.array([p.full for p in points]))
         want = [[multinomial_log_pmf(MultiIndex(k[:-1], m), p) for k in lat]
                 for p in points]
         assert np.array_equal(logp, want)
@@ -163,8 +251,7 @@ class TestMultinomialLogPmf:
 
 def pmf_total(d, m, x):
     """sum_{||k||<=m} P_{k,m}(x) over the full lattice."""
-    logp = sx.lattice_log_pmf(sx.lattice_array(d, m), np.array([x.full]),
-                              sx.log_factorial_table(m))
+    logp = sx.lattice_log_pmf(sx.lattice_array(d, m), np.array([x.full]))
     return float(np.exp(logp).sum())
 
 
@@ -219,6 +306,13 @@ class TestDirichletSampler:
         with pytest.raises(ValueError):
             sx.sample_dirichlet((1.0, -1.0), 10, seed=0)
 
+    @pytest.mark.parametrize("domain", ["simplex", "hypercube"])
+    def test_sample_set_needs_a_coordinate(self, domain):
+        # d = 0 once passed, wrote blank lines that from_csv rejects, and
+        # failed in the estimators with a numpy error
+        with pytest.raises(ValueError, match="d >= 1"):
+            sx.SampleSet(np.empty((3, 0)), domain)
+
     def test_csv_round_trip(self, tmp_path):
         s = sx.sample_dirichlet((1.0, 1.0, 1.0), 50, seed=3)
         path = tmp_path / "samples.csv"
@@ -272,7 +366,7 @@ class TestBlockBudget:
         "fuzz dmax=9": (_fuzz(9, 2500), ineq, "inequality_margins", 1),
         "s_eval_grid": (_points(functools.partial(spoly.s_eval_grid,
                                                   spoly.SPolyParams(1, 2, 100, 2)),
-                                _SIMPLEX[:100]), spoly, "lattice_log_pmf", 2),
+                                _SIMPLEX[:100, :2]), spoly, "lattice_log_pmf", 2),
         "simplex cdf": (_points(functools.partial(estimate.bernstein_cdf_simplex, _SAMPLES, 100),
                                 _SIMPLEX[:, :2]), estimate, "lattice_log_pmf", 1),
         "hypercube density": (_points(functools.partial(estimate.bernstein_density_hypercube,

@@ -66,7 +66,7 @@ class TestSEval:
     def test_domination_by_unit_case(self):
         rng = np.random.Generator(np.random.PCG64(8))
         for d in (1, 2):
-            xs = rng.dirichlet(np.ones(d + 1), size=10)
+            xs = rng.dirichlet(np.ones(d + 1), size=10)[:, :d]
             base = sp.s_eval_grid(sp.SPolyParams(1, 1, 12, d), xs)
             for r, s in [(1, 2), (2, 2), (2, 3), (3, 3)]:
                 v = sp.s_eval_grid(sp.SPolyParams(r, s, 12, d), xs)
@@ -79,26 +79,32 @@ class TestSEval:
         points.append(SimplexPoint((0.0, 0.25)))
         p = sp.SPolyParams(2, 3, 9, 2)
         single = [sp.s_eval(p, x) for x in points]
-        xs = np.array([x.full for x in points])
+        xs = np.array([x.coords for x in points])
         assert np.array_equal(sp.s_eval_grid(p, xs), single)
         # 55 lattice rows, 3 * 55 + 8 floats a point: blocks of 6 split the
         # 41 points 6, ..., 6, 5
         small_blocks(6, 3 * 55 + 8)
         assert np.array_equal(sp.s_eval_grid(p, xs), single)
 
-    @pytest.mark.parametrize("row", [(math.nan, 0.5), (math.inf, 0.0), (-0.5, 1.5),
-                                     (0.7, 0.7), (0.2, 0.7), (-1e-11, 1.0 + 1e-11)])
+    @pytest.mark.parametrize("row", [(math.nan,), (math.inf,), (-0.5,), (1.4,),
+                                     (-1e-11,), (1.0 + 1e-11,)])
     def test_grid_rejects_points_off_the_simplex(self, row):
         # (1,1,10,1) once gave 184,756 for a NaN row, 3325.3 at (-0.5, 1.5), 147.4 at (0.7, 0.7)
         p = sp.SPolyParams(1, 1, 10, 1)
-        xs = np.array([(0.3, 0.7), row])
+        xs = np.array([(0.3,), row])
         with pytest.raises(ValueError):
             sp.s_eval_grid(p, xs)
 
+    def test_grid_rejects_full_rows_by_shape(self):
+        # (P, d+1) rows, the convention before (P, d): a shape error, even
+        # for rows that would pass as points
+        with pytest.raises(ValueError, match=r"\(P, d=1\)"):
+            sp.s_eval_grid(sp.SPolyParams(1, 1, 10, 1), np.array([(0.3, 0.7)]))
+
     def test_grid_accepts_rounding_noise(self):
         p = sp.SPolyParams(1, 1, 10, 1)
-        noisy = sp.s_eval_grid(p, np.array([(-1e-13, 1.0 + 1e-13), (0.3, 0.7 + 1e-13)]))
-        clean = sp.s_eval_grid(p, np.array([(0.0, 1.0), (0.3, 0.7)]))
+        noisy = sp.s_eval_grid(p, np.array([(-1e-13,), (1.0 + 1e-13,), (0.3 + 1e-13,)]))
+        clean = sp.s_eval_grid(p, np.array([(0.0,), (1.0,), (0.3,)]))
         assert noisy == pytest.approx(clean, rel=1e-9)
 
 
@@ -278,10 +284,24 @@ class TestIntegrals:
         errs = []
         for resolution in (60, 120, 240):
             xs = sp.simplex_midpoint_grid(d, resolution)
-            det = 2.0**d * np.prod(xs, axis=1)
+            det = 2.0**d * np.prod(xs, axis=1) * (1.0 - xs.sum(axis=1))
             phi = 1.0 / ((2.0 * math.pi) ** (d / 2.0) * np.sqrt(det))
             errs.append(abs(float(phi.sum()) * resolution**-d - sp.asymptotic_constant(d)))
         assert errs[-1] < errs[0]
+
+
+class TestMidpointGrid:
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    @pytest.mark.parametrize("resolution", [2, 3, 6, 7, 12, 25])
+    def test_node_count(self, d, resolution):
+        # nodes at least 1/(2 resolution) from the boundary, ties included:
+        # a float sum once kept 21 of 35 nodes at d = 3, resolution = 6
+        xs = sp.simplex_midpoint_grid(d, resolution)
+        top = math.floor(resolution - (d + 1) / 2)
+        assert xs.shape == (math.comb(top + d, d) if top >= 0 else 0, d)
+        k = np.rint(xs * resolution - 0.5).astype(int)
+        assert np.array_equal(xs, (k + 0.5) / resolution)
+        assert np.all(2 * k.sum(axis=1) + d <= 2 * resolution - 1)
 
 
 class TestGammaRatioResidual:
@@ -299,9 +319,9 @@ class TestGammaRatioResidual:
 
 def weighted_integral(p, h, resolution):
     """Midpoint-rule value of the integral of h(x) (m^{d/2} S_{r,s,m}(x) - phi_{r,s}(x))
-    over the simplex; h maps the (P, d+1) nodes to (P,) weights."""
+    over the simplex; h maps the (P, d) nodes to (P,) weights."""
     xs = sp.simplex_midpoint_grid(p.d, resolution)
-    phi = [sp.phi_eval(p.r, p.s, SimplexPoint(x[:-1])) for x in xs]
+    phi = [sp.phi_eval(p.r, p.s, SimplexPoint(x)) for x in xs]
     integrand = h(xs) * (p.m ** (p.d / 2.0) * sp.s_eval_grid(p, xs) - phi)
     return float(integrand.sum() * resolution ** (-p.d))
 
