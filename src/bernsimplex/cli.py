@@ -110,14 +110,15 @@ def _cmd_cm_scan(args) -> int:
     rng = np.random.Generator(np.random.PCG64(args.seed))
     report = ScanReport()
     # each grid point formatted once, not once per (instance, order) row
-    a_text = {a: "%.17g" % a for a in args.grid}
+    a_text = np.array(["%.17g" % a for a in args.grid], dtype=object)
     # instances are drawn as the scan pulls its blocks, which draws nothing
     instances = (dataclasses.replace(_random_instance(rng, args.d), corrupt=args.self_test_corrupt)
                  for _ in range(args.instances))
-    rows = ((i, a_text[a], n, value, margin) for i, a, n, value, margin in
-            monotone.cm_scan(instances, args.grid, report, max_order=args.max_order))
+    # an instance's block runs over the grid, its orders within each point
+    blocks = (np.column_stack([b[:, 0], np.repeat(a_text, len(b) // len(a_text)), b[:, 2:]])
+              for b in monotone.cm_scan(instances, args.grid, report, max_order=args.max_order))
     try:
-        _write_csv(args.out, "instance,a,order,value,margin", "%s,%s,%s,%.17g,%.17g", rows,
+        _write_csv(args.out, "instance,a,order,value,margin", "%s,%s,%s,%.17g,%.17g", blocks,
                    lambda: f"# summary: {_status(report)}, "
                            f"max_violation={report.max_violation:.17g}")
     except OverflowError:
@@ -130,9 +131,9 @@ def _cmd_cm_scan(args) -> int:
 
 def _cmd_ineq_fuzz(args) -> int:
     report = ScanReport()
-    rows = ineq.fuzz_inequalities(args.trials, args.dmax, args.seed, report,
-                                  corrupt=args.self_test_corrupt)
-    _write_csv(args.out, "trial,d,M,check,margin", "%s,%s,%.17g,%s,%.17g", rows,
+    blocks = ineq.fuzz_inequalities(args.trials, args.dmax, args.seed, report,
+                                    corrupt=args.self_test_corrupt)
+    _write_csv(args.out, "trial,d,M,check,margin", "%s,%s,%.17g,%s,%.17g", blocks,
                lambda: f"# summary: {_status(report)}, min_margin={report.min_margin:.17g}")
     print(f"ineq-fuzz: {_status(report)} over {args.trials} trials, "
           f"min margin={report.min_margin:.17g}")
@@ -153,7 +154,8 @@ def _cmd_s_table(args) -> int:
     scaled = [row[-1] for row in rows]
     bounded = max(scaled) <= 2.0 * scaled[0] + 1e-12
     status = "pass" if bounded else "fail"
-    _write_csv(args.out, "d,r,s,m,value,limit,scaled_error", _S_ROW, rows,
+    _write_csv(args.out, "d,r,s,m,value,limit,scaled_error", _S_ROW,
+               [np.array(rows, dtype=object)],
                lambda: f"# summary: {status}, max_scaled_error={max(scaled):.17g}")
     print(f"s-table: {status}, scaled errors {['%.6g' % v for v in scaled]}")
     return 0 if bounded else 1
@@ -172,8 +174,8 @@ def _cmd_lclt_compare(args) -> int:
     errs = [row[-1] for row in rows]
     decreasing = all(errs[i] > errs[i + 1] for i in range(len(errs) - 1))
     status = "pass" if decreasing else "fail"
-    _write_csv(args.out, "d,r,s,m,scaled_value,phi,abs_error", _S_ROW, rows,
-               lambda: f"# summary: {status}")
+    _write_csv(args.out, "d,r,s,m,scaled_value,phi,abs_error", _S_ROW,
+               [np.array(rows, dtype=object)], lambda: f"# summary: {status}")
     print(f"lclt-compare: {status}, errors {['%.6g' % v for v in errs]}")
     return 0 if decreasing else 1
 
@@ -197,7 +199,8 @@ def _cmd_identity_check(args) -> int:
     ok = ok and worst <= 1e-12
     rows.append(("duplication", "", " ", f"max_residual={worst:.17g}"))
     status = "pass" if ok else "fail"
-    _write_csv(args.out, "kind,d,m,detail", "%s,%s,%s,%s", rows, lambda: f"# summary: {status}")
+    _write_csv(args.out, "kind,d,m,detail", "%s,%s,%s,%s", [np.array(rows, dtype=object)],
+               lambda: f"# summary: {status}")
     print(f"identity-check: {status} (duplication max residual {worst:.3g})")
     return 0 if ok else 1
 
@@ -223,8 +226,7 @@ def _cmd_estimate(args) -> int:
               else est.bernstein_density_hypercube)
         values = fn(samples, args.m, grid_pts)
     header = _coord_header(d) + ",value"
-    _write_csv(args.out, header, _float_format(d + 1),
-               np.column_stack([grid_pts, values]).tolist(), None)
+    _write_csv(args.out, header, _float_format(d + 1), [np.column_stack([grid_pts, values])], None)
     print(f"estimate: wrote {len(values)} grid values to {args.out}")
     return 0
 

@@ -14,12 +14,11 @@ kernel pair behind every ln C, ln g and h^{(n)}, monotone's included.
 inequality_margins validates T trials, forms all their nodes and gives
 their (T, 3) margins from one log_coeff call.  The fuzzer draws a block from
 raw variates (_draw_trials), takes its margins from inequality_margins,
-records them in a ScanReport and yields them as rows.
+records them in a ScanReport and yields them as one object block of rows.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 
 import numpy as np
@@ -200,10 +199,11 @@ def fuzz_inequalities(trials: int, dmax: int, seed: int, report: ScanReport,
     (trial, d, M, check tag, margin).  Pass iff no margin is
     below -FUZZ_TOL.  corrupt=True flips margin signs (self-test hook).
 
-    Returns an iterator over the rows that draws the trials in blocks of at
-    most simplex.BLOCK_BYTES of temporaries as they are read: each block's
-    margins come from one inequality_margins call and are recorded in report
-    before its first row.  One trial past LATTICE_CAP raises CapacityError.
+    Returns an iterator over (3n, 5) object blocks of these rows, three per
+    trial, that draws n trials a block, at most simplex.BLOCK_BYTES of
+    temporaries, as the blocks are read: each block's margins come from one
+    inequality_margins call and are recorded in report before the block is
+    returned.  One trial past LATTICE_CAP raises CapacityError.
     """
     if trials < 1:
         raise ValueError("need trials >= 1")
@@ -214,18 +214,16 @@ def fuzz_inequalities(trials: int, dmax: int, seed: int, report: ScanReport,
     _check_capacity(per_trial, f"gamma arguments of one trial for dmax={dmax}")
     rng = np.random.Generator(np.random.PCG64(seed))
     block = _block_len(120 + 5 * per_trial)
-    return itertools.chain.from_iterable(
-        _fuzz_block(rng, start, min(block, trials - start), dmax, corrupt, report)
-        for start in range(0, trials, block))
+    return (_fuzz_block(rng, start, min(block, trials - start), dmax, corrupt, report)
+            for start in range(0, trials, block))
 
 
 def _fuzz_block(rng, start: int, n: int, dmax: int, corrupt: bool, report: ScanReport):
-    """The rows of trials start, ..., start + n - 1, drawn next from rng: one
-    generator per block, whose arrays are freed before the next is drawn."""
+    """The (3n, 5) object block of the rows of trials start, ..., start + n - 1,
+    drawn next from rng."""
     ds, M, gamma, a, lam, a123 = _draw_trials(rng, n, dmax)
-    keys = [(start + i, d, m) for i, (d, m) in enumerate(zip(ds, M.tolist()))]
     margins = (-1.0 if corrupt else 1.0) * inequality_margins(gamma, a, lam, a123)
     report.record(margins, FUZZ_TOL)
-    for key, row in zip(keys, margins.tolist()):
-        for tag, margin in zip("abc", row):
-            yield key + (tag, margin)
+    keys = (np.arange(start, start + n)[:, None], np.array(ds)[:, None], M[:, None])
+    return np.stack(np.broadcast_arrays(*keys, np.array(["a", "b", "c"], dtype=object), margins),
+                    axis=-1, dtype=object).reshape(-1, 5)

@@ -13,7 +13,8 @@ instance, then each instance's terms added left to right in coordinate
 order, so an instance gets the same bits alone as in any block.  Both steps
 are ineq's kernel pair (_coef_stack, _row_sum), which ineq.log_coeff runs
 on.  A scan takes an iterable of instances, evaluates a block of them over
-the whole grid at once and returns its rows as an iterator.  All read the
+the whole grid at once and returns an iterator over row blocks, one per
+instance.  All read the
 MonotoneInstance alone, including its self-test flag that flips g's
 x-exponent.
 """
@@ -226,12 +227,13 @@ def cm_scan(instances, grid, report: ScanReport, max_order: int = 6):
     differences of g alternate, (-1)^n Delta^n g(a) >= -DIFF_REL_TOL*g(a),
     for n <= min(max_order, 6).  Margins are normalized (>= 0 means pass).
 
-    Returns an iterator over the rows (i, a, order, value, margin), i the
-    instance's position in instances: orders 1..max_order, then -1, -2, ...
-    of the difference route, per grid point, per instance.  It pulls the
-    instances in blocks of at most simplex.BLOCK_BYTES of temporaries as the
-    rows are read, evaluates each route once per order per block, and
-    records a block's margins in report, in row order, before its first row.
+    Returns an iterator over one (P * O, 5) object block of rows
+    (i, a, order, value, margin) per instance, i its position in instances,
+    P the grid's length and O the orders: 1..max_order, then -1, -2, ... of
+    the difference route, per grid point.  It pulls the instances in blocks
+    of at most simplex.BLOCK_BYTES of temporaries as the rows are read,
+    evaluates each route once per order per block, and records a block's
+    margins in report, in row order, before its first rows.
 
     A corrupt instance's g is eventually increasing, so both routes must
     reject it on any grid reaching moderately large a.
@@ -243,29 +245,35 @@ def cm_scan(instances, grid, report: ScanReport, max_order: int = 6):
         raise ValueError("grid must be nonempty and ascending, with finite positive entries")
     _check_order(max_order, "max_order", MAX_H_ORDER)
     diff_order = min(max_order, MAX_DIFF_ORDER)
-    terms = _block_len(12 * len(grid) * (diff_order + 1))
+    # float64s of a term per g_eval argument, and of an instance per row
+    per_term = 10 * len(grid) * (diff_order + 1)
+    per_instance = 2 * len(grid) * (max_order + diff_order)
     return itertools.chain.from_iterable(
         _scan_block(block, start, grid, report, max_order, diff_order)
-        for start, block in _blocks(instances, terms))
+        for start, block in _blocks(instances, per_term, per_instance))
 
 
-def _blocks(instances, terms: int):
+def _blocks(instances, per_term: int, per_instance: int):
     """(index of the first, block) for consecutive runs of instances holding
-    at most terms terms together, or one instance."""
+    at most simplex.BLOCK_BYTES together, or one instance: per_term float64s
+    per term and per_instance more per instance."""
+    floats = _block_len(1)
     block, size, start = [], 0, 0
     for inst in instances:
-        if block and size + len(inst.coefs) > terms:
+        cost = per_term * len(inst.coefs) + per_instance
+        if block and size + cost > floats:
             yield start, block
             start, block, size = start + len(block), [], 0
         block.append(inst)
-        size += len(inst.coefs)
+        size += cost
     if block:
         yield start, block
 
 
 def _scan_block(block, start: int, grid, report: ScanReport, max_order: int, diff_order: int):
-    """The rows of the instances start, start + 1, ... in block: one generator
-    per block, whose arrays are freed before the next block is evaluated."""
+    """The row blocks of the instances start, start + 1, ... in block: one
+    generator per block, whose arrays are freed before the next block is
+    evaluated."""
     a = np.array(grid)
     # derivative route: q_n = (-1)^{n-1} h^{(n)}(a) > 0 for n = 1..max_order
     values = [(-1.0) ** (n - 1) * h_derivative(block, a, n) for n in range(1, max_order + 1)]
@@ -280,8 +288,6 @@ def _scan_block(block, start: int, grid, report: ScanReport, max_order: int, dif
     values = np.array(values + diffs).transpose(1, 2, 0)
     margins = np.array(margins).transpose(1, 2, 0)
     report.record(margins)
-    for i, value_rows, margin_rows in zip(itertools.count(start), values.tolist(),
-                                          margins.tolist()):
-        for ai, value_row, margin_row in zip(grid, value_rows, margin_rows):
-            for n, value, margin in zip(orders, value_row, margin_row):
-                yield i, ai, n, value, margin
+    for i, value, margin in zip(itertools.count(start), values, margins):
+        yield np.stack(np.broadcast_arrays(i, a[:, None], np.array(orders), value, margin),
+                       axis=-1, dtype=object).reshape(-1, 5)

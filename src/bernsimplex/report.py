@@ -1,6 +1,6 @@
 """The verdict of a verification sweep: a scan records its margins one block
-(an array) at a time and yields its rows to its caller, which streams them
-to the CSV file.  A margin passes iff margin + tol >= 0.  max_violation is
+(an array) at a time and yields its rows, as 2-D row blocks, to its caller,
+which hands them to the CSV writer.  A margin passes iff margin + tol >= 0.  max_violation is
 the least failing margin + tol (0.0 if none), min_margin the least margin
 (inf if none); both are NaN from the first NaN margin on."""
 

@@ -38,10 +38,11 @@ __all__ = [
 LATTICE_CAP = 10**8
 # The bytes of temporaries one block of a blocked loop may hold.  Each loop
 # gives _block_len what one item holds at the block's peak, in float64s read
-# by tracemalloc with .tolist() rows: a cm_scan term-argument 11.4 at most
-# (gives 12), a fuzz trial 248-805 at dmax 1-12 (120 + 5 per gamma argument),
-# a query point 3N + 3..6 in S, 2N + 2d + 11..13 in the simplex cdf (N lattice
-# rows), (d + 1)(deg + 1) + 4..12 in a hypercube sum; blocks peak at 54-93%.
+# by tracemalloc with a scan's row blocks written by _write_csv: a cm_scan
+# term 8.0-9.6 per g argument (gives 10), an instance 0-1.5 per row (gives 2),
+# a fuzz trial 268-790 at dmax 1-12 (120 + 5 per gamma argument), a query
+# point 3N + 3..6 in S, 2N + 2d + 11..13 in the simplex cdf (N lattice rows),
+# (d + 1)(deg + 1) + 4..12 in a hypercube sum; blocks peak at 62-92%.
 BLOCK_BYTES = 1 << 22
 _TOL = 1e-12
 
@@ -55,13 +56,15 @@ def _float_format(n: int) -> str:
     return ",".join(["%.17g"] * n)
 
 
-def _write_csv(path: str, header: str, row_format: str, rows, summary) -> None:
-    """Header, one line per row and the line summary() returns (if summary).
+def _write_csv(path: str, header: str, row_format: str, blocks, summary) -> None:
+    """Header, the rows of each block and the line summary() returns (if summary).
 
-    A row is written as row_format % tuple(row), so a caller gives each
-    column its conversion: %.17g for floats (every float keeps its bits),
-    %s for ints and strings.  summary is called after the last row.  Atomic:
-    a temp file in the target directory, renamed, or removed if anything raises.
+    A block is an (R, C) ndarray, written with one %: (row_format + newline)
+    R times, % its entries in row order.  A caller gives each column its
+    conversion: %.17g for floats (every float keeps its bits), %s for ints
+    and strings, which need an object block (a float block prints 3 as 3.0).
+    summary is called after the last block.  Atomic: a temp file in the
+    target directory, renamed, or removed if anything raises.
     """
     line = row_format + "\n"
     tmp = None
@@ -69,7 +72,9 @@ def _write_csv(path: str, header: str, row_format: str, rows, summary) -> None:
         fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".", suffix=".tmp")
         with os.fdopen(fd, "w") as fh:
             fh.write(header + "\n")
-            fh.writelines(line % tuple(row) for row in rows)
+            # map, not a generator expression, keeps no block while the next is made
+            fh.writelines(map(lambda block: (line * len(block)) % tuple(block.ravel().tolist()),
+                              blocks))
             if summary is not None:
                 fh.write(summary() + "\n")
         os.replace(tmp, path)
@@ -204,8 +209,7 @@ class SampleSet:
 
     def to_csv(self, path) -> None:
         """Write header x1,...,xd and one full-precision row per point, atomically."""
-        _write_csv(path, _coord_header(self.d), _float_format(self.d),
-                   self.points.tolist(), None)
+        _write_csv(path, _coord_header(self.d), _float_format(self.d), [self.points], None)
 
     @classmethod
     def from_csv(cls, path, domain: str = "simplex") -> "SampleSet":

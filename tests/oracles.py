@@ -54,7 +54,10 @@ loop of fractions; the oracles for ``spoly.central_binomial_identity``,
 which builds every m <= m_max from one power series.
 
 Last, the per-value CSV field format: the oracle for the row formats the
-CLI passes to ``simplex._write_csv``.
+CLI passes to ``simplex._write_csv``; the writer that formats one row at a
+time: the oracle for ``simplex._write_csv``, which formats a whole block of
+rows with one ``%``; and the rows of a stream of row blocks, the one way the
+tests read what ``monotone.cm_scan`` and ``ineq.fuzz_inequalities`` yield.
 """
 
 from __future__ import annotations
@@ -630,3 +633,19 @@ def central_binomial_rhs(d: int, m: int) -> Fraction:
 def csv_field(v) -> str:
     """One CSV field: a float (np.float64 included) as %.17g, anything else by str."""
     return f"{v:.17g}" if isinstance(v, float) else str(v)
+
+
+def write_csv_rows(path, header: str, row_format: str, rows, summary) -> None:
+    """Header, one line row_format % tuple(row) per row, and the line
+    summary() returns (if summary)."""
+    line = row_format + "\n"
+    with open(path, "w") as fh:
+        fh.write(header + "\n")
+        fh.writelines(line % tuple(row) for row in rows)
+        if summary is not None:
+            fh.write(summary() + "\n")
+
+
+def rows_of(blocks) -> List[tuple]:
+    """The rows of an iterable of (R, C) row blocks, in order, as tuples."""
+    return [tuple(row) for block in blocks for row in block.tolist()]

@@ -123,7 +123,8 @@ def test_criterion_06_j_positivity():
 def test_criterion_07_inequality_fuzz_and_equality_cases():
     t0 = time.time()
     margins = {"a": [], "b": [], "c": []}
-    for _, _, _, tag, margin in ineq.fuzz_inequalities(10_000, 5, 77, ScanReport()):
+    blocks = ineq.fuzz_inequalities(10_000, 5, 77, ScanReport())
+    for _, _, _, tag, margin in oracles.rows_of(blocks):
         margins[tag].append(margin)
     ok = min(margins["a"]) >= -1e-10 and min(margins["c"]) >= -1e-10
     ok = ok and min(margins["b"]) > 0.0

@@ -693,14 +693,20 @@ NON_FLOATS = [0, -7, 12345678901234567890, np.int64(3), "exact", "", " ", "max_r
 @pytest.fixture
 def written(tmp_path, monkeypatch):
     """Run SEVEN in tmp_path; {file name: (header, row format, rows)} as
-    passed to the CSV writer."""
+    passed to the CSV writer, each of its blocks 2-D with a column per header
+    field.  Next to each file NAME, NAME.rows holds the same rows and summary
+    as the per-row writer (oracles.write_csv_rows) writes them."""
     real = simplex._write_csv
     calls = {}
 
-    def spy(path, header, row_format, rows, summary):
-        rows = [tuple(row) for row in rows]
+    def spy(path, header, row_format, blocks, summary):
+        blocks = list(blocks)
+        for block in blocks:
+            assert block.ndim == 2 and block.shape[1] == len(header.split(",")), (path, block.shape)
+        rows = oracles.rows_of(blocks)
         calls[os.path.basename(path)] = (header, row_format, rows)
-        real(path, header, row_format, rows, summary)
+        real(path, header, row_format, blocks, summary)
+        oracles.write_csv_rows(path + ".rows", header, row_format, rows, summary)
 
     monkeypatch.setattr(simplex, "_write_csv", spy)
     monkeypatch.setattr(cli, "_write_csv", spy)
@@ -730,6 +736,24 @@ class TestRowFormats:
                             else NON_FLOATS[(i + j) % len(NON_FLOATS)]
                             for j, spec in enumerate(specs))
                 assert row_format % row == ",".join(oracles.csv_field(v) for v in row), name
+
+    def test_block_writer_matches_row_writer(self, written, tmp_path):
+        for name in written:
+            assert (tmp_path / name).read_bytes() == (tmp_path / (name + ".rows")).read_bytes()
+
+    @pytest.mark.parametrize("dtype", [float, object])
+    def test_block_writer_matches_row_writer_on_special_values(self, tmp_path, dtype):
+        # float blocks of %.17g columns; object blocks alternate %s and %.17g
+        specs = ["%.17g" if dtype is float or j % 2 else "%s" for j in range(5)]
+        rows = [[FLOATS[(i + j) % len(FLOATS)] if spec == "%.17g"
+                 else NON_FLOATS[(i + j) % len(NON_FLOATS)] for j, spec in enumerate(specs)]
+                for i in range(len(FLOATS) * len(NON_FLOATS))]
+        block = np.array(rows, dtype=dtype)
+        args = ("a,b,c,d,e", ",".join(specs))
+        simplex._write_csv(str(tmp_path / "blocks.csv"), *args, [block[:7], block[7:]],
+                           lambda: "# summary")
+        oracles.write_csv_rows(tmp_path / "rows.csv", *args, rows, lambda: "# summary")
+        assert (tmp_path / "blocks.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
 
     def test_every_line_has_the_header_field_count(self, written, tmp_path):
         for name in written:

@@ -17,7 +17,7 @@ from bernsimplex.simplex import WeightVector
 def fuzz(trials, dmax, seed, corrupt=False):
     """fuzz_inequalities' report and its rows, read to the end."""
     report = ScanReport()
-    rows = list(ineq.fuzz_inequalities(trials, dmax, seed, report, corrupt=corrupt))
+    rows = oracles.rows_of(ineq.fuzz_inequalities(trials, dmax, seed, report, corrupt=corrupt))
     return report, rows
 
 

@@ -1,5 +1,6 @@
 import math
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -26,7 +27,8 @@ def scan(inst, grid, max_order):
     """cm_scan's report and its rows (a, order, value, margin) for one
     instance, read to the end."""
     report = ScanReport()
-    rows = [row[1:] for row in mo.cm_scan([inst], grid, report, max_order=max_order)]
+    rows = [row[1:] for row in oracles.rows_of(mo.cm_scan([inst], grid, report,
+                                                           max_order=max_order))]
     return report, rows
 
 
@@ -88,6 +90,54 @@ class TestGEval:
                 scale = oracles.log_coeff_scale(inst.weights, n) + sum(
                     abs(n * g * math.log(x)) for g, x in zip(gamma, inst.point.full))
                 assert abs(value - want) <= oracles.EXACT_REL_TOL * scale, (gamma, n)
+
+
+def _exact_differences(gamma, x, orders: int) -> list:
+    """Row k = 0..orders holds (-Delta)^k g(n) for n = 1, ..., orders + 1 - k,
+    step 1, g(n) = oracles.g_exact(gamma, x, n): exact, each row times one
+    common positive denominator."""
+    g = [oracles.g_exact(gamma, x, n) for n in range(1, orders + 2)]
+    den = math.lcm(*(v.denominator for v in g))
+    rows = [[v.numerator * (den // v.denominator) for v in g]]
+    for _ in range(orders):
+        rows.append([u - v for u, v in zip(rows[-1], rows[-1][1:])])
+    return rows
+
+
+class TestExactCompleteMonotonicity:
+    """A CM g has (-Delta)^k g(n) >= 0 for every step, order and n.  At
+    integer weights, rational x and step 1 from n = 1 every such difference
+    is rational, so the theorem is checked with no tolerance: (g(n))_{n>=1}
+    is a Hausdorff moment sequence."""
+
+    ORDERS = 30
+
+    @staticmethod
+    def instances(seed):
+        """20 integer-weight instances (d = 1..5, zero weights included), each
+        at a seeded rational x and at x = gamma / M, where KL = 0 and g
+        decays slowest."""
+        rng = np.random.Generator(np.random.PCG64(seed))
+        for gamma in oracles.integer_weights(rng, 20):
+            p = [int(v) for v in rng.integers(1, 10, len(gamma))]
+            yield gamma, [Fraction(v, sum(p)) for v in p]
+            yield gamma, [Fraction(g, sum(gamma)) for g in gamma]
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_every_difference_is_nonnegative(self, seed):
+        for gamma, x in self.instances(seed):
+            rows = _exact_differences(gamma, x, self.ORDERS)
+            assert all(v >= 0 for row in rows for v in row), (gamma, x)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_corrupt_flip_fails_at_an_odd_order(self, seed):
+        # x -> 1/x is the corrupt instance's g, which is 1 at every n, and has
+        # nothing to fail, when its one nonzero weight has x = 1
+        for gamma, x in self.instances(seed):
+            if any(xi < 1 for g, xi in zip(gamma, x) if g):
+                flipped = [1 / v if v else v for v in x]
+                rows = _exact_differences(gamma, flipped, 7)
+                assert min(rows[k][0] for k in (1, 3, 5, 7)) < 0, (gamma, x)
 
 
 class TestHDerivative:
@@ -328,16 +378,17 @@ class TestBlocksAgainstInstanceScan:
     def check(self, monkeypatch, instances, per_block=None, blocks=None):
         """per_block instances of the first instance's size fit one block."""
         if per_block is not None:
-            # a term holds 12 floats per g_eval argument
-            self.small_blocks(len(instances[0].coefs) * per_block,
-                              12 * len(self.GRID) * (min(self.ORDER, mo.MAX_DIFF_ORDER) + 1))
+            # a term holds 10 floats per g_eval argument, an instance 2 per row
+            points, diff_order = len(self.GRID), min(self.ORDER, mo.MAX_DIFF_ORDER)
+            self.small_blocks(per_block, points * (10 * len(instances[0].coefs) * (diff_order + 1)
+                                                   + 2 * (self.ORDER + diff_order)))
         recorded = []
         record = ScanReport.record
         monkeypatch.setattr(ScanReport, "record",
                             lambda self, margins, tol=0.0: recorded.append(np.ravel(margins))
                             or record(self, margins, tol))
         got = ScanReport()
-        rows = list(mo.cm_scan(iter(instances), self.GRID, got, max_order=self.ORDER))
+        rows = oracles.rows_of(mo.cm_scan(iter(instances), self.GRID, got, max_order=self.ORDER))
         if blocks is not None:
             assert len(recorded) == blocks
         # one record call per block, of the block's margins in row order

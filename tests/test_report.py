@@ -113,9 +113,9 @@ class TestAgainstOracleReport:
 
         def scan(report):
             return [row for d in (1, 2, 4)
-                    for row in monotone.cm_scan(
+                    for row in oracles.rows_of(monotone.cm_scan(
                         [replace(_random_instance(rng, d), corrupt=corrupt)],
-                        self.GRID, report, max_order=7)]
+                        self.GRID, report, max_order=7))]
 
         assert self._check(monkeypatch, scan) == 3
 
@@ -132,5 +132,5 @@ class TestAgainstOracleReport:
     def test_fuzz(self, monkeypatch, small_blocks, corrupt):
         # 5 trials a block (dmax 5), so the verdict spans several blocks
         small_blocks(5, 120 + 5 * 11 * 7)
-        assert self._check(monkeypatch, lambda report: list(
+        assert self._check(monkeypatch, lambda report: oracles.rows_of(
             ineq.fuzz_inequalities(23, 5, 9, report, corrupt=corrupt))) == 5

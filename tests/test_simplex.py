@@ -1,4 +1,3 @@
-import collections
 import functools
 import itertools
 import math
@@ -330,17 +329,20 @@ def _scan(d, instances, two_terms=False):
         insts = [monotone.MonotoneInstance(sx.WeightVector((i.weights.M,) + (0.0,) * d), i.point)
                  for i in insts]
     grid = cli._grid_spec("0.1:10:0.1")
-    return lambda n: collections.deque(
-        monotone.cm_scan(insts[:n], grid, ScanReport(), max_order=7), maxlen=0)
+    return lambda n, out: sx._write_csv(out, "instance,a,order,value,margin",
+                                        "%s,%.17g,%s,%.17g,%.17g",
+                                        monotone.cm_scan(insts[:n], grid, ScanReport(),
+                                                         max_order=7), None)
 
 
 def _fuzz(dmax, trials):
-    return lambda n: collections.deque(
-        ineq.fuzz_inequalities(n or trials, dmax, 5, ScanReport()), maxlen=0)
+    return lambda n, out: sx._write_csv(out, "trial,d,M,check,margin", "%s,%s,%.17g,%s,%.17g",
+                                        ineq.fuzz_inequalities(n or trials, dmax, 5,
+                                                               ScanReport()), None)
 
 
 def _points(fn, points):
-    return lambda n: fn(points[:n])
+    return lambda n, out: fn(points[:n])
 
 
 _RNG = np.random.Generator(np.random.PCG64(12))
@@ -352,9 +354,10 @@ _CUBE = sx.SampleSet(_RNG.uniform(size=(1000, 2)), "hypercube")
 class TestBlockBudget:
     """Each blocked loop, run on several blocks, holds at most BLOCK_BYTES
     more at its tracemalloc peak than on one item: its blocks' temporaries,
-    with numpy's ufunc buffers and any .tolist() rows.  What the call keeps
-    whatever its size (a lattice, its ln j! table) and what it returns are
-    not the blocks'."""
+    with numpy's ufunc buffers, and for a scan its row blocks and their text,
+    as the CSV writer formats them into a file.  What the call keeps whatever
+    its size (a lattice, its ln j! table) and what it returns are not the
+    blocks'."""
 
     CASES = {
         "cm-scan d=1": (_scan(1, 60), monotone, "_h_derivative_scale", 7),
@@ -385,13 +388,14 @@ class TestBlockBudget:
             tracemalloc.stop()
 
     @pytest.mark.parametrize("case", CASES)
-    def test_blocks_stay_within_budget(self, case, monkeypatch):
+    def test_blocks_stay_within_budget(self, case, monkeypatch, tmp_path):
         run, module, per_block, calls = self.CASES[case]
-        run(None)  # fill the process-wide caches first
-        one = self.peak(lambda: run(1))
+        out = str(tmp_path / "rows.csv")
+        run(None, out)  # fill the process-wide caches first
+        one = self.peak(lambda: run(1, out))
         counted = []
         fn = getattr(module, per_block)
         monkeypatch.setattr(module, per_block, lambda *args: counted.append(1) or fn(*args))
-        many = self.peak(lambda: run(None))
+        many = self.peak(lambda: run(None, out))
         assert len(counted) >= 3 * calls, case  # several blocks
         assert many - one <= sx.BLOCK_BYTES, (case, many - one)
