@@ -114,11 +114,14 @@ def _cmd_cm_scan(args) -> int:
     # instances are drawn as the scan pulls its blocks, which draws nothing
     instances = (dataclasses.replace(_random_instance(rng, args.d), corrupt=args.self_test_corrupt)
                  for _ in range(args.instances))
-    # an instance's block runs over the grid, its orders within each point
-    blocks = (np.column_stack([b[:, 0], np.repeat(a_text, len(b) // len(a_text)), b[:, 2:]])
-              for b in monotone.cm_scan(instances, args.grid, report, max_order=args.max_order))
+    def blocks():
+        # an instance's block runs over the grid, its orders within each point
+        for b in monotone.cm_scan(instances, args.grid, report, max_order=args.max_order):
+            b[:, 1] = np.repeat(a_text, len(b) // len(a_text))
+            yield b
+
     try:
-        _write_csv(args.out, "instance,a,order,value,margin", "%s,%s,%s,%.17g,%.17g", blocks,
+        _write_csv(args.out, "instance,a,order,value,margin", "%s,%s,%s,%.17g,%.17g", blocks(),
                    lambda: f"# summary: {_status(report)}, "
                            f"max_violation={report.max_violation:.17g}")
     except OverflowError:

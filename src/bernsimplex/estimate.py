@@ -18,6 +18,7 @@ from .simplex import (
     SimplexPoint,
     _block_len,
     _check_capacity,
+    _cube_rows,
     _simplex_rows,
     lattice_array,
     lattice_log_pmf,
@@ -33,47 +34,40 @@ ESTIMATOR_KINDS = ("simplex-cdf", "hypercube-cdf", "hypercube-density")
 
 
 def _bin_counts(samples: SampleSet, m: int) -> np.ndarray:
-    """Sample counts in an int64 (m+2)^d box of per-axis bins.
+    """Sample counts in an int64 (m+1)^d box of per-axis bins.
 
-    A coordinate y goes to bin j, the smallest j in 0..m with y <= j/m as a
-    float comparison (so bin j > 0 holds (j-1)/m < y <= j/m), or to bin m+1
-    if there is none (y > 1).  ceil(y*m) is off by at most one at float ties.
+    A coordinate y (in [0, 1], as SampleSet keeps it) goes to bin j, the
+    smallest j in 0..m with y <= j/m as a float comparison (so bin j > 0 holds
+    (j-1)/m < y <= j/m).  ceil(y*m) <= m is off by at most one at float ties.
     """
     d = samples.d
-    _check_capacity((m + 2) ** d, f"(m+2)^d bins for d={d}, m={m}")
+    _check_capacity((m + 1) ** d, f"(m+1)^d bins for d={d}, m={m}")
     y = samples.points
-    j = np.clip(np.ceil(y * m), 0, m + 1).astype(np.int64)
+    j = np.ceil(y * m).astype(np.int64)
     j -= (j > 0) & (y <= (j - 1) / m)
-    j += (j <= m) & (y > j / m)
-    shape = (m + 2,) * d
+    j += y > j / m
+    shape = (m + 1,) * d
     flat = np.ravel_multi_index(tuple(j.T), shape)
-    return np.bincount(flat, minlength=(m + 2) ** d).reshape(shape)
+    return np.bincount(flat, minlength=(m + 1) ** d).reshape(shape)
 
 
 def _lattice_cdf_counts(samples: SampleSet, m: int) -> np.ndarray:
-    """n F_n(k/m) for k in [0,m]^d as an int64 (m+1)^d array, in O(n + (m+2)^d)."""
+    """n F_n(k/m) for k in [0,m]^d: the (m+1)^d bin box, summed along each axis in place."""
     box = _bin_counts(samples, m)
     for axis in range(samples.d):
         np.cumsum(box, axis=axis, out=box)
-    return box[(slice(0, m + 1),) * samples.d]
+    return box
 
 
 def _query_points(samples: SampleSet, m: int, x):
-    """x as a (P, d) array of points in [0,1]^d, and whether it was a single
+    """x as a (P, d) array of points by _cube_rows, and whether it was a single
     point; also checks that samples are tagged hypercube and m >= 1."""
     if samples.domain != "hypercube":
         raise ValueError("samples must be tagged hypercube")
-    xs = np.asarray(x, dtype=float)
-    single = xs.ndim <= 1
-    xs = np.atleast_2d(xs)
-    if xs.ndim != 2 or xs.shape[1] != samples.d:
-        raise ValueError(f"query point must have d={samples.d} coordinates")
-    # also false for NaN
-    if not np.all((xs >= 0.0) & (xs <= 1.0)):
-        raise ValueError("query points must be finite and lie in [0,1]^d")
+    xs = _cube_rows(np.atleast_2d(x), samples.d)
     if m < 1:
         raise ValueError("degree m must be >= 1")
-    return xs, single
+    return xs, np.ndim(x) <= 1
 
 
 _contract = functools.partial(np.tensordot, axes=([0], [0]))
@@ -103,17 +97,14 @@ def bernstein_cdf_simplex(samples: SampleSet, m: int, x):
 
     x is one SimplexPoint (returns a float) or a (P, d) array of points, each
     row the first d barycentric coordinates (returns a (P,) array).  F_n on
-    the lattice is built once per call: O(n + (m+2)^d + P N), N = C(m+d, d).
+    the lattice is built once per call: O(n + (m+1)^d + P N), N = C(m+d, d).
     """
     if samples.domain != "simplex":
         raise ValueError("samples must be tagged simplex")
     single = isinstance(x, SimplexPoint)
-    xs = np.array([x.coords]) if single else np.asarray(x, dtype=float)
-    if xs.ndim != 2 or xs.shape[1] != samples.d:
-        raise ValueError(f"x must be a SimplexPoint or a (P, d={samples.d}) array of points")
+    full = _simplex_rows([x.coords] if single else x, samples.d)
     if m < 1:
         raise ValueError("degree m must be >= 1")
-    full = _simplex_rows(xs)
     d = samples.d
     lat = lattice_array(d, m)
     fn = _lattice_cdf_counts(samples, m)[tuple(lat[:, :-1].T)] / samples.n
@@ -145,5 +136,5 @@ def bernstein_density_hypercube(samples: SampleSet, m: int, x):
     """
     xs, single = _query_points(samples, m, x)
     # cell k is bin k+1 of _bin_counts
-    counts = _bin_counts(samples, m)[(slice(1, m + 1),) * samples.d] / samples.n
+    counts = _bin_counts(samples, m)[(slice(1, None),) * samples.d] / samples.n
     return m**samples.d * _bernstein_sum(counts, m - 1, xs, single)

@@ -24,7 +24,7 @@ import math
 import numpy as np
 
 from .report import ScanReport
-from .simplex import _block_len, _check_capacity
+from .simplex import _block_len, _check_capacity, _weight_rows
 from .specfun import log_gamma
 
 __all__ = [
@@ -49,7 +49,7 @@ def log_coeff(gamma, a):
     array log_gamma call, and the terms are subtracted coordinate by
     coordinate from ln Gamma(aM + 1).
     """
-    coefs = _weight_block(gamma)
+    coefs = _weight_rows(gamma)
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != coefs.shape[0]:
         raise ValueError(f"need a ({coefs.shape[0]}, K) array of a, got shape {a.shape}")
@@ -83,22 +83,6 @@ def _row_sum(terms: np.ndarray, extra=None) -> np.ndarray:
         if extra is not None:
             out += extra[:, j]
     return out
-
-
-def _weight_block(gamma) -> np.ndarray:
-    """[M | gamma] of a (T, D) weight matrix, each row checked as WeightVector
-    checks its gamma.  M is the row's sum as WeightVector forms it, with
-    built-in sum (compensated from Python 3.12 on), on which zero padding on
-    the right has no effect."""
-    gamma = np.asarray(gamma, dtype=float)
-    if gamma.ndim != 2 or gamma.shape[1] < 2:
-        raise ValueError(f"need a (T, D) weight matrix with D >= 2, got shape {gamma.shape}")
-    if not np.all(np.isfinite(gamma) & (gamma >= 0.0)):
-        raise ValueError("weights must be finite and nonnegative")
-    M = np.array(list(map(sum, gamma.tolist())), dtype=float)
-    if not np.all(M > 0.0):
-        raise ValueError("total mass M must be positive")
-    return np.column_stack([M, gamma])
 
 
 def inequality_margins(gamma, a, lam, a123) -> np.ndarray:

@@ -1,15 +1,16 @@
 """Simplex geometry and multinomial probability primitives.
 
 Points, multi-index lattices, the multinomial pmf in log space, and a
-seedable Dirichlet sampler.  _simplex_rows is the one closed-simplex point
-rule: every API takes points as (P, d) rows of first coordinates and gets
-the (P, d+1) full ones from it.  All probabilities are kept in log space
-end-to-end; exponentiation happens only at accumulation points (degrees in
-the hundreds overflow direct factorials).
+seedable Dirichlet sampler.  Each input type has one rule: _simplex_rows
+(every API takes points as (P, d) rows of first coordinates), _cube_rows and
+_weight_rows.  All probabilities are kept in log space end-to-end;
+exponentiation happens only at accumulation points (degrees in the hundreds
+overflow direct factorials).
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import os
@@ -42,7 +43,8 @@ LATTICE_CAP = 10**8
 # term 8.0-9.6 per g argument (gives 10), an instance 0-1.5 per row (gives 2),
 # a fuzz trial 268-790 at dmax 1-12 (120 + 5 per gamma argument), a query
 # point 3N + 3..6 in S, 2N + 2d + 11..13 in the simplex cdf (N lattice rows),
-# (d + 1)(deg + 1) + 4..12 in a hypercube sum; blocks peak at 62-92%.
+# (d + 1)(deg + 1) + 4..12 in a hypercube sum, a CSV row 7.6-8.3 per float
+# column, one more if strided (gives 10); blocks peak at 62-92%.
 BLOCK_BYTES = 1 << 22
 _TOL = 1e-12
 
@@ -59,22 +61,22 @@ def _float_format(n: int) -> str:
 def _write_csv(path: str, header: str, row_format: str, blocks, summary) -> None:
     """Header, the rows of each block and the line summary() returns (if summary).
 
-    A block is an (R, C) ndarray, written with one %: (row_format + newline)
-    R times, % its entries in row order.  A caller gives each column its
+    A block is an (R, C) ndarray, written in row slices whose text and
+    temporaries fit in BLOCK_BYTES, each with one %: (row_format + newline)
+    once per row, % its entries in row order.  A caller gives each column its
     conversion: %.17g for floats (every float keeps its bits), %s for ints
     and strings, which need an object block (a float block prints 3 as 3.0).
     summary is called after the last block.  Atomic: a temp file in the
     target directory, renamed, or removed if anything raises.
     """
-    line = row_format + "\n"
     tmp = None
     try:
         fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".", suffix=".tmp")
         with os.fdopen(fd, "w") as fh:
             fh.write(header + "\n")
-            # map, not a generator expression, keeps no block while the next is made
-            fh.writelines(map(lambda block: (line * len(block)) % tuple(block.ravel().tolist()),
-                              blocks))
+            # map, not a generator expression, keeps no slice while the next is made
+            fh.writelines(map(functools.partial(_block_text, row_format + "\n"),
+                              itertools.chain.from_iterable(map(_row_slices, blocks))))
             if summary is not None:
                 fh.write(summary() + "\n")
         os.replace(tmp, path)
@@ -85,6 +87,17 @@ def _write_csv(path: str, header: str, row_format: str, blocks, summary) -> None
             # name the requested path, not the temp file
             raise OSError(exc.errno, exc.strerror, path) from exc
         raise
+
+
+def _row_slices(block: np.ndarray):
+    """block's rows in slices whose text and temporaries fit in BLOCK_BYTES."""
+    step = _block_len(10 * block.shape[1])
+    return (block[lo:lo + step] for lo in range(0, len(block), step))
+
+
+def _block_text(line: str, block: np.ndarray) -> str:
+    """line (a row format and newline) once per row of block, % its entries."""
+    return (line * len(block)) % tuple(block.ravel().tolist())
 
 
 def _check_out(path: str) -> None:
@@ -109,24 +122,61 @@ def _coord_header(d: int) -> str:
     return ",".join(f"x{i + 1}" for i in range(d))
 
 
-def _simplex_rows(xs) -> np.ndarray:
-    """The (P, d+1) full coordinates of the (P, d) rows xs, d >= 1: the one
-    closed-simplex point rule.  A row with a non-finite entry, an entry below
-    -_TOL or a sum above 1 + _TOL raises ValueError; entries are then clamped
-    to [0, 1] and x_{d+1} = max(1 - ||x||, 0).  Sums run left to right, so a
-    row's bits depend neither on the other rows nor on the Python version."""
+def _shape_checked(xs, d) -> np.ndarray:
+    """xs as a float (P, d) array, d >= 1 (the given d if not None), else ValueError."""
     xs = np.asarray(xs, dtype=float)
-    if xs.ndim != 2 or xs.shape[1] < 1:
-        raise ValueError(f"points must be a (P, d) array with d >= 1, got shape {xs.shape}")
+    if xs.ndim != 2 or xs.shape[1] < 1 or d not in (None, xs.shape[1]):
+        want = "d" if d is None else f"d={d}"
+        raise ValueError(f"points must be a (P, {want}) array with d >= 1, got shape {xs.shape}")
+    return xs
+
+
+def _clamped(xs: np.ndarray, off: np.ndarray, where: str) -> np.ndarray:
+    """xs clamped to [0, 1] (where, not clip: it keeps -0.0), or ValueError
+    naming the first row that off marks as off the where."""
+    if np.any(off):
+        raise ValueError(f"point {xs[np.argmax(off)].tolist()} is off the {where}")
+    return np.where(xs < 0.0, 0.0, np.where(xs > 1.0, 1.0, xs))
+
+
+def _simplex_rows(xs, d=None) -> np.ndarray:
+    """The (P, d+1) full coordinates of the (P, d) rows xs, d >= 1 (the given
+    d if not None): the one closed-simplex point rule.  Another shape, or then
+    a row with a non-finite entry, an entry below -_TOL or a sum above 1 + _TOL
+    raises ValueError; entries are then clamped to [0, 1] and x_{d+1} =
+    max(1 - ||x||, 0).  Sums run left to right, so a row's bits depend neither
+    on the other rows nor on the Python version."""
+    xs = _shape_checked(xs, d)
     with np.errstate(invalid="ignore", over="ignore"):
         off = (~np.all(np.isfinite(xs) & (xs >= -_TOL), axis=1)
                | (np.add.accumulate(xs, axis=1)[:, -1] > 1.0 + _TOL))
-    if np.any(off):
-        raise ValueError(f"point {xs[np.argmax(off)].tolist()} is off the closed simplex")
-    # where, not clip: it keeps -0.0, as min(max(c, 0.0), 1.0) does
-    xs = np.where(xs < 0.0, 0.0, np.where(xs > 1.0, 1.0, xs))
+    xs = _clamped(xs, off, "closed simplex")
     last = np.maximum(1.0 - np.add.accumulate(xs, axis=1)[:, -1], 0.0)
     return np.column_stack([xs, last])
+
+
+def _cube_rows(xs, d=None) -> np.ndarray:
+    """The (P, d) rows xs, d >= 1 (the given d if not None), clamped to
+    [0, 1]: the one hypercube point rule.  Another shape, or then a row with
+    a non-finite entry or one outside [-_TOL, 1 + _TOL], raises ValueError."""
+    xs = _shape_checked(xs, d)
+    # ~(in range), not (out of range): NaN is in no range
+    return _clamped(xs, ~np.all((xs >= -_TOL) & (xs <= 1.0 + _TOL), axis=1), "unit cube")
+
+
+def _weight_rows(gamma) -> np.ndarray:
+    """[M | gamma] of a (T, D) weight matrix, D >= 2: the one weight rule.  A row
+    with a non-finite or negative weight or M <= 0 raises ValueError.  M is the
+    row's built-in sum (compensated from Python 3.12 on): zero padding keeps it."""
+    gamma = np.asarray(gamma, dtype=float)
+    if gamma.ndim != 2 or gamma.shape[1] < 2:
+        raise ValueError(f"need a (T, D) weight matrix with D >= 2, got shape {gamma.shape}")
+    if not np.all(np.isfinite(gamma) & (gamma >= 0.0)):
+        raise ValueError("weights must be finite and nonnegative")
+    M = np.array(list(map(sum, gamma.tolist())), dtype=float)
+    if not np.all(M > 0.0):
+        raise ValueError("total mass M must be positive")
+    return np.column_stack([M, gamma])
 
 
 @dataclass(frozen=True)
@@ -157,21 +207,14 @@ class SimplexPoint:
 
 @dataclass(frozen=True)
 class WeightVector:
-    """Nonnegative weights gamma (d+1 entries) with total mass M."""
+    """Nonnegative weights gamma (d+1 entries) with total mass M, by _weight_rows."""
 
     gamma: tuple
     M: float
 
     def __init__(self, gamma: Sequence[float]):
-        gamma = tuple(float(g) for g in gamma)
-        if len(gamma) < 2:
-            raise ValueError("need at least two weights (d >= 1)")
-        if any(not math.isfinite(g) or g < 0.0 for g in gamma):
-            raise ValueError(f"weights must be nonnegative, got {gamma}")
-        M = sum(gamma)
-        if M <= 0.0:
-            raise ValueError("total mass M must be positive")
-        object.__setattr__(self, "gamma", gamma)
+        M, *weights = _weight_rows([gamma])[0].tolist()
+        object.__setattr__(self, "gamma", tuple(weights))
         object.__setattr__(self, "M", M)
 
     @property
@@ -181,23 +224,19 @@ class WeightVector:
 
 @dataclass
 class SampleSet:
-    """n observations on the simplex or hypercube."""
+    """n observations on the simplex or hypercube, kept as (n, d) rows as the
+    domain's rule returns them: _simplex_rows less its last column, or _cube_rows."""
 
     points: np.ndarray
     domain: str = "simplex"
 
     def __post_init__(self):
-        pts = np.asarray(self.points, dtype=float)
-        if pts.ndim != 2 or pts.shape[0] == 0 or pts.shape[1] == 0:
-            raise ValueError("points must be a nonempty (n, d) array with d >= 1")
         if self.domain not in ("simplex", "hypercube"):
             raise ValueError(f"unknown domain tag {self.domain!r}")
-        if self.domain == "simplex":
-            _simplex_rows(pts)
-        # also false for NaN
-        elif not np.all((pts >= -_TOL) & (pts <= 1.0 + _TOL)):
-            raise ValueError("hypercube samples must be finite and lie in [0, 1]^d")
-        self.points = pts
+        pts = self.points
+        self.points = _simplex_rows(pts)[:, :-1] if self.domain == "simplex" else _cube_rows(pts)
+        if self.n == 0:
+            raise ValueError("points must be a nonempty (n, d) array with d >= 1")
 
     @property
     def n(self) -> int:

@@ -63,14 +63,11 @@ def s_eval_grid(p: SPolyParams, xs: np.ndarray) -> np.ndarray:
     """S_{r,s,m} at each row of xs, the first d barycentric coordinates of P
     points.  A shape other than (P, d), or then a row off the closed simplex
     (simplex._simplex_rows), raises ValueError."""
-    xs = np.asarray(xs, dtype=float)
-    if xs.ndim != 2 or xs.shape[1] != p.d:
-        raise ValueError(f"xs must be (P, d={p.d}), got shape {xs.shape}")
-    full = _simplex_rows(xs)
+    full = _simplex_rows(xs, p.d)
     lat = lattice_array(p.d, p.m)
-    out = np.empty(xs.shape[0])
+    out = np.empty(len(full))
     chunk = _block_len(3 * lat.shape[0] + 8)
-    for lo in range(0, xs.shape[0], chunk):
+    for lo in range(0, len(full), chunk):
         sub = full[lo : lo + chunk]
         out[lo : lo + chunk] = np.exp(lattice_log_pmf(p.r * lat, sub)
                                       + lattice_log_pmf(p.s * lat, sub)).sum(axis=1)

@@ -1,8 +1,9 @@
 """Slow reference routes that the tests compare the package's fast paths with.
 
-First, the closed-simplex point rule one coordinate at a time, with Python
-floats: the bit-for-bit oracle for ``simplex._simplex_rows``, which checks
-and clamps a whole (P, d) array of points at once.
+First, the closed-simplex and the unit-cube point rules one coordinate at a
+time, with Python floats: the bit-for-bit oracles for
+``simplex._simplex_rows`` and ``simplex._cube_rows``, which check and clamp
+a whole (P, d) array of points at once.
 
 Then, a scalar multi-index, its lexicographic lattice generator and the multinomial
 pmf one (k, x) pair at a time (oracles for ``simplex.lattice_array`` and
@@ -99,6 +100,18 @@ def simplex_full(coords: Sequence[float]) -> tuple:
         raise ValueError(f"coordinate sum of {coords} exceeds 1")
     coords = tuple(min(max(c, 0.0), 1.0) for c in coords)
     return coords + (max(1.0 - _left_sum(coords), 0.0),)
+
+
+def cube_point(coords: Sequence[float]) -> tuple:
+    """The unit-cube point coords: each entry in [-_TOL, 1 + _TOL] (so
+    finite), else ValueError; then each entry clamped to [0, 1]."""
+    coords = tuple(float(c) for c in coords)
+    if not coords:
+        raise ValueError("cube point needs at least one coordinate")
+    # not (c < -_TOL or c > 1 + _TOL): that would let NaN through
+    if not all(-_TOL <= c <= 1.0 + _TOL for c in coords):
+        raise ValueError(f"coordinates must lie in [0, 1], got {coords}")
+    return tuple(min(max(c, 0.0), 1.0) for c in coords)
 from bernsimplex.specfun import (_BERNOULLI, _HALF_LOG_TWO_PI, _STIRLING_THRESHOLD,
                                  MAX_POLY_ORDER, _check_positive)
 from bernsimplex.spoly import composition_coefficient

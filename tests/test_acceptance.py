@@ -2,9 +2,10 @@
 
 Each test covers one numbered criterion, runs it at the stated tolerance,
 and prints a single pass/fail line (run with ``pytest -s`` to see them).
-All twelve must pass for the package to be considered correct.  The last
-test checks the paper's application the same way: the variance of the
-Bernstein density estimator against the Gaussian limit of S_{1,1,m}.
+All twelve must pass for the package to be considered correct.  The
+tests after them check the paper's application the same way (the variance
+of the Bernstein density estimator against the Gaussian limit of
+S_{1,1,m}) and the second-order term of S_{1,1,m}'s asymptotics.
 """
 
 import math
@@ -292,4 +293,32 @@ def test_application_density_variance_limit_product():
         ok = ok and all(m * abs(e) <= 2.5 for m, e in zip(ms, errs))
         details.append(f"x={xs}: m*err {ms[-1] * errs[-1]:.4f}")
     _report("application", "m^{-d/2} n Var of the density estimator tends to prod phi_{1,1}",
+            ok, t0, "; ".join(details))
+
+
+def test_second_order_term_of_s11():
+    # m^{d/2} S_{1,1,m}(x) / phi_{1,1}(x) = 1 + c1(x)/m + O(1/m^2), with
+    # c1(x) = (sum_{i <= d+1} 1/x_i - (d^2 + 4d + 1)) / 16 (the first lattice
+    # Edgeworth term of P(X - Y = 0), X, Y iid Mult(m, x)).  So with
+    # e_m = m^{d/2} S / phi - 1, m (m e_m - c1) stays bounded.  Measured
+    # (maximum over m): 0.0375 at x = 0.3 and 0.0080 at x = 0.5 for
+    # m = 25..400, 0.157 at (0.2, 0.5) and 1.19 at (0.3, 0.6) for m = 25..200,
+    # falling in m every time; each bound is that maximum plus a fifth.  A c1
+    # off by delta would make m (m e_m - c1) grow like m delta.
+    t0 = time.time()
+    ok, details = True, []
+    for x, ms, bound in (((0.3,), (25, 50, 100, 200, 400), 0.045),
+                         ((0.5,), (25, 50, 100, 200, 400), 0.0096),
+                         ((0.2, 0.5), (25, 50, 100, 200), 0.19),
+                         ((0.3, 0.6), (25, 50, 100, 200), 1.43)):
+        point, d = SimplexPoint(x), len(x)
+        phi = spoly.phi_eval(1, 1, point)
+        c1 = (sum(1.0 / v for v in point.full) - (d * d + 4 * d + 1)) / 16.0
+        scaled = []
+        for m in ms:
+            e = m ** (d / 2.0) * spoly.s_eval(spoly.SPolyParams(1, 1, m, d), point) / phi - 1.0
+            scaled.append(m * (m * e - c1))
+        ok = ok and all(0.0 < v <= bound for v in scaled)
+        details.append(f"x={x}: m*(m*e - c1) {scaled[0]:.4f}..{scaled[-1]:.4f}")
+    _report("asymptotics", "m (m^{d/2} S_{1,1,m} / phi_{1,1} - 1) tends to c1(x)",
             ok, t0, "; ".join(details))

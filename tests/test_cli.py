@@ -294,6 +294,25 @@ class TestExitCodes:
         assert not out.exists()
 
 
+class TestSamplesWithinTolerance:
+    # a sample within 1e-12 outside [0, 1] is kept clamped, so it counts as
+    # the sample on the bound does (it once fell past the last lattice point)
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("kind", ["simplex-cdf", "hypercube-cdf", "hypercube-density"])
+    def test_same_bytes_as_the_clamped_file(self, tmp_path, kind, d):
+        outputs = []
+        for a, b in (("1.0000000000000002", "-1e-13"), ("1.0", "0.0")):
+            rows = ([a, b, "0.25", "0.5"] if d == 1
+                    else [f"{a},{b}", f"{b},0.25", "0.25,0.5", f"{a},1e-13"])
+            samples = tmp_path / f"samples{a}.csv"
+            samples.write_text(simplex._coord_header(d) + "\n" + "\n".join(rows) + "\n")
+            out = tmp_path / f"estimate{a}.csv"
+            assert main(["estimate", "--samples", str(samples), "--kind", kind, "--m", "10",
+                         "--grid", "3", "--out", str(out)]) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+
+
 class TestDeterminism:
     def test_same_seed_byte_identical(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

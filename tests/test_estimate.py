@@ -144,8 +144,8 @@ class TestBinnedLatticeCdf:
         oracle = np.concatenate([_empirical_cdf_many(s, grid[lo:lo + 4096])
                                  for lo in range(0, len(grid), 4096)])
         assert np.array_equal(binned.ravel(), oracle)
-        # the row just past 1 counts at no lattice point
-        assert binned[(m,) * d] == (s.n - 1) / s.n
+        # every row counts at the last lattice point: the one just past 1 is kept as 1.0
+        assert binned[(m,) * d] == 1.0
 
 
 class TestBatchedCalls:

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 import oracles
 from bernsimplex import ineq
 from bernsimplex.report import ScanReport
-from bernsimplex.simplex import WeightVector
+from bernsimplex.simplex import WeightVector, _weight_rows
 
 
 def fuzz(trials, dmax, seed, corrupt=False):
@@ -132,15 +132,17 @@ class TestLogCoeffBlock:
 
     @pytest.mark.parametrize("seed", range(5))
     def test_m_column_is_weightvector_m(self, seed):
-        # M is WeightVector's built-in sum, which Python 3.12+ compensates:
-        # rows of many weights of mixed size, where the order of adding shows
+        # M is the built-in sum, which Python 3.12+ compensates, in the weight
+        # rule and so in WeightVector: rows of many weights of mixed size,
+        # where the order of adding shows
         rng = np.random.Generator(np.random.PCG64(seed))
         gamma = rng.standard_exponential((300, 12)) * np.exp(rng.uniform(-30.0, 30.0, (300, 12)))
         gamma[:, 7:][rng.random((300, 5)) < 0.5] = 0.0
         blocks = [gamma, ineq._draw_trials(rng, 200, 9)[2]]
         for g in blocks:
-            want = [WeightVector(row).M for row in g.tolist()]
-            assert _bits(ineq._weight_block(g)[:, 0]) == _bits(want)
+            want = [sum(row) for row in g.tolist()]
+            assert _bits(_weight_rows(g)[:, 0]) == _bits(want)
+            assert _bits([WeightVector(row).M for row in g.tolist()]) == _bits(want)
 
 
 class TestKernelPair:

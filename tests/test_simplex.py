@@ -72,23 +72,27 @@ def _dirichlet_rows(d, n, seed):
     return np.random.Generator(np.random.PCG64(seed)).dirichlet(np.ones(d + 1), n)[:, :d]
 
 
+def _check_rule(rule, oracle, rows):
+    """rule against oracle, row by row and bit for bit; the (row, oracle
+    value) pairs of the rows both accept."""
+    accepted = []
+    for row in rows:
+        try:
+            want = oracle(row)
+        except ValueError:
+            with pytest.raises(ValueError):
+                rule([row])
+            continue
+        assert _bits(rule([row])[0]) == _bits(want), row
+        accepted.append((row, want))
+    return accepted
+
+
 class TestPointRule:
     """simplex._simplex_rows against oracles.simplex_full, row by row and bit
     for bit, and every point consumer accepting the same rows."""
 
-    @staticmethod
-    def check(rows):
-        accepted = []
-        for row in rows:
-            try:
-                want = oracles.simplex_full(row)
-            except ValueError:
-                with pytest.raises(ValueError):
-                    sx._simplex_rows([row])
-                continue
-            assert _bits(sx._simplex_rows([row])[0]) == _bits(want), row
-            accepted.append((row, want))
-        return accepted
+    check = staticmethod(functools.partial(_check_rule, sx._simplex_rows, oracles.simplex_full))
 
     def test_edge_rows(self):
         accepted = self.check(EDGE_ROWS)
@@ -138,6 +142,78 @@ class TestPointRule:
             else:
                 for consume in consumers:
                     consume()
+
+
+_BELOW, _ABOVE = np.nextafter(-1e-12, -1.0), np.nextafter(1.0 + 1e-12, 2.0)
+# rows at the edges of the hypercube rule: signed zero, entries of exactly
+# -1e-12 and 1 + 1e-12, the next float past each bound, and non-finite entries
+CUBE_EDGE_ROWS = [
+    (-0.0,), (-0.0, 0.5), (0.5, -0.0, 1.0), (-1e-12,), (1.0 + 1e-12,), (-1e-12, 1.0 + 1e-12),
+    (1.0 + 1e-13, -1e-13), (np.nextafter(1.0, 2.0),), (1.0, 1.0, 1.0), (0.0, 0.0),
+    (_BELOW,), (_ABOVE,), (0.5, _BELOW), (_ABOVE, 0.5), (1.5,), (-0.2, 0.5),
+    (_NAN,), (_INF,), (-_INF,), (0.2, _NAN), (_INF, -_INF), (0.5, _INF),
+]
+
+
+class TestCubeRule:
+    """simplex._cube_rows against oracles.cube_point, row by row and bit for
+    bit, and every hypercube consumer accepting the same rows."""
+
+    check = staticmethod(functools.partial(_check_rule, sx._cube_rows, oracles.cube_point))
+
+    def test_edge_rows(self):
+        accepted = self.check(CUBE_EDGE_ROWS)
+        assert len(accepted) == 10
+        for row, want in accepted:
+            # a sample is kept as the rule returns it
+            assert _bits(sx.SampleSet(np.array([row]), "hypercube").points[0]) == _bits(want)
+
+    @pytest.mark.parametrize("d", [1, 2, 5])
+    def test_random_rows(self, d):
+        rng = np.random.Generator(np.random.PCG64(90 + d))
+        xs = rng.uniform(size=(600, d))
+        # entries within a few ulps of each bound, and within 1e-12 outside
+        # the cube, on every other row
+        near = rng.choice([-1e-12, 1.0 + 1e-12, -5e-13, 1.0 + 5e-13, 0.0, 1.0], size=(300, d))
+        xs[::2] = near + rng.integers(-2, 3, size=(300, d)) * np.spacing(near)
+        accepted = self.check(xs.tolist())
+        assert 0 < len(accepted) < len(xs)
+        # a row's coordinates do not depend on the other rows of the call
+        kept = np.array([row for row, _ in accepted])
+        assert _bits(sx._cube_rows(kept)) == _bits([want for _, want in accepted])
+
+    def test_shape(self):
+        for bad in (np.empty((3, 0)), np.empty(3), np.empty((2, 2, 2))):
+            with pytest.raises(ValueError):
+                sx._cube_rows(bad)
+        assert sx._cube_rows(np.empty((0, 2))).shape == (0, 2)
+        with pytest.raises(ValueError, match=r"\(P, d=3\)"):
+            sx._cube_rows(np.zeros((2, 2)), 3)
+
+    def test_consumers_accept_the_same_rows(self):
+        rng = np.random.Generator(np.random.PCG64(7))
+        samples = {d: sx.SampleSet(rng.uniform(size=(20, d)), "hypercube") for d in (1, 2, 3)}
+        for row in CUBE_EDGE_ROWS + rng.uniform(-0.1, 1.1, size=(20, 2)).tolist():
+            d = len(row)
+            consumers = [
+                lambda: sx.SampleSet(np.array([row]), "hypercube"),
+                lambda: estimate.bernstein_cdf_hypercube(samples[d], 3, np.array([row])),
+                lambda: estimate.bernstein_cdf_hypercube(samples[d], 3, row),
+                lambda: estimate.bernstein_density_hypercube(samples[d], 3, np.array([row])),
+                lambda: estimate.bernstein_density_hypercube(samples[d], 3, row),
+            ]
+            try:
+                want = oracles.cube_point(row)
+            except ValueError:
+                for consume in consumers:
+                    with pytest.raises(ValueError):
+                        consume()
+            else:
+                for consume in consumers:
+                    consume()
+                # a query within 1e-12 of the cube is evaluated at its clamped point
+                for fn in (estimate.bernstein_cdf_hypercube, estimate.bernstein_density_hypercube):
+                    assert fn(samples[d], 3, row) == fn(samples[d], 3, want)
 
 
 class TestLattice:
@@ -351,11 +427,17 @@ _SAMPLES = sx.sample_dirichlet((1.0, 2.0, 1.5), 1000, seed=4)
 _CUBE = sx.SampleSet(_RNG.uniform(size=(1000, 2)), "hypercube")
 
 
+def _csv(samples):
+    one = sx.SampleSet(samples.points[:1], samples.domain)
+    return lambda n, out: (one if n else samples).to_csv(out)
+
+
 class TestBlockBudget:
     """Each blocked loop, run on several blocks, holds at most BLOCK_BYTES
     more at its tracemalloc peak than on one item: its blocks' temporaries,
-    with numpy's ufunc buffers, and for a scan its row blocks and their text,
-    as the CSV writer formats them into a file.  What the call keeps whatever
+    with numpy's ufunc buffers, and for a scan or a sample file its row
+    blocks and their text, as the CSV writer formats them into a file, a row
+    slice at a time.  What the call keeps whatever
     its size (a lattice, its ln j! table) and what it returns are not the
     blocks'."""
 
@@ -375,6 +457,9 @@ class TestBlockBudget:
         "hypercube density": (_points(functools.partial(estimate.bernstein_density_hypercube,
                                                         _CUBE, 200),
                                       _RNG.uniform(size=(2500, 2))), estimate, "lattice_log_pmf", 2),
+        # simplex samples are strided rows, a view of _simplex_rows' array
+        "sample csv": (_csv(sx.sample_dirichlet((1.0, 2.0, 1.5), 100_000, seed=6)), sx,
+                       "_block_text", 1),
     }
 
     @staticmethod
