@@ -1,6 +1,6 @@
 """Multinomial/Bernstein numerics on the d-dimensional simplex.
 
-Submodules: specfun (log-gamma/polygamma), simplex (points, lattices,
+Submodules: specfun (log-gamma/polygamma), simplex (point rules, lattices,
 multinomial pmf, Dirichlet sampling), monotone (complete-monotonicity
 scans), ineq (multinomial-coefficient inequalities), spoly (the S_{r,s,m}
 family and its asymptotics), estimate (empirical/Bernstein estimators),

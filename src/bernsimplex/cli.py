@@ -12,7 +12,6 @@ unknown key is a usage error.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import math
 import sys
 
@@ -21,8 +20,8 @@ import numpy as np
 from . import estimate as est
 from . import ineq, monotone, spoly
 from .report import ScanReport
-from .simplex import (CapacityError, SampleSet, SimplexPoint, WeightVector, _check_capacity,
-                      _check_out, _coord_header, _float_format, _write_csv, sample_dirichlet)
+from .simplex import (CapacityError, SampleSet, _check_capacity, _check_out, _coord_header,
+                      _float_format, _write_csv, sample_dirichlet)
 from .specfun import duplication_residual
 
 __all__ = ["main"]
@@ -95,11 +94,11 @@ def _config_flags(path: str):
     return flags
 
 
-def _random_instance(rng, d: int) -> monotone.MonotoneInstance:
+def _random_instance(rng, d: int, corrupt: bool = False) -> monotone.MonotoneInstance:
     m_total = float(np.exp(rng.uniform(math.log(0.1), math.log(10.0))))
     gamma = m_total * rng.dirichlet(np.ones(d + 1))
     x = rng.dirichlet(np.ones(d + 1))
-    return monotone.MonotoneInstance(WeightVector(gamma), SimplexPoint(x[:-1]))
+    return monotone.MonotoneInstance(gamma, x[:-1], corrupt)
 
 
 def _cmd_cm_scan(args) -> int:
@@ -112,7 +111,7 @@ def _cmd_cm_scan(args) -> int:
     # each grid point formatted once, not once per (instance, order) row
     a_text = np.array(["%.17g" % a for a in args.grid], dtype=object)
     # instances are drawn as the scan pulls its blocks, which draws nothing
-    instances = (dataclasses.replace(_random_instance(rng, args.d), corrupt=args.self_test_corrupt)
+    instances = (_random_instance(rng, args.d, args.self_test_corrupt)
                  for _ in range(args.instances))
     def blocks():
         # an instance's block runs over the grid, its orders within each point
@@ -168,7 +167,7 @@ def _cmd_lclt_compare(args) -> int:
     d, r, s = args.d, args.r, args.s
     if min(d, r, s) < 1:
         raise UsageError("d, r, s must be >= 1")
-    bary = SimplexPoint([1.0 / (d + 1)] * d)
+    bary = [1.0 / (d + 1)] * d
     phi = spoly.phi_eval(r, s, bary)
     rows = []
     for m in args.m_list:

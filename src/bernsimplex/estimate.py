@@ -4,7 +4,7 @@ The empirical cdf uses the standard convention F_n(y) = (1/n) #{j : y_j <= y}
 componentwise (the source display reads the indicator the other way; as a
 cdf smoother only the standard reading makes sense, so that is what is
 implemented).  Likewise the hypercube cdf kernel uses the binomial pmf
-exponent m - k_i on (1 - x_i).  Query points are (P, d) rows on either domain.
+exponent m - k_i on (1 - x_i).  Query points follow simplex's convention.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ import numpy as np
 
 from .simplex import (
     SampleSet,
-    SimplexPoint,
     _block_len,
     _check_capacity,
     _cube_rows,
@@ -59,12 +58,14 @@ def _lattice_cdf_counts(samples: SampleSet, m: int) -> np.ndarray:
     return box
 
 
-def _query_points(samples: SampleSet, m: int, x):
-    """x as a (P, d) array of points by _cube_rows, and whether it was a single
-    point; also checks that samples are tagged hypercube and m >= 1."""
-    if samples.domain != "hypercube":
-        raise ValueError("samples must be tagged hypercube")
-    xs = _cube_rows(np.atleast_2d(x), samples.d)
+def _query_points(samples: SampleSet, m: int, x, domain: str):
+    """x as rows by domain's point rule (_simplex_rows' full coordinates or
+    _cube_rows' points), and whether it was one point (np.ndim(x) <= 1); also
+    checks that samples are tagged domain and m >= 1."""
+    if samples.domain != domain:
+        raise ValueError(f"samples must be tagged {domain}")
+    rule = _simplex_rows if domain == "simplex" else _cube_rows
+    xs = rule(np.atleast_2d(x), samples.d)
     if m < 1:
         raise ValueError("degree m must be >= 1")
     return xs, np.ndim(x) <= 1
@@ -95,16 +96,11 @@ def _bernstein_sum(box: np.ndarray, deg: int, xs: np.ndarray, single: bool):
 def bernstein_cdf_simplex(samples: SampleSet, m: int, x):
     """sum_{||k|| <= m} F_n(k/m) P_{k,m}(x) on the simplex.
 
-    x is one SimplexPoint (returns a float) or a (P, d) array of points, each
-    row the first d barycentric coordinates (returns a (P,) array).  F_n on
-    the lattice is built once per call: O(n + (m+1)^d + P N), N = C(m+d, d).
+    x is one point, its first d barycentric coordinates (returns a float), or
+    a (P, d) array of points (returns a (P,) array).  F_n on the lattice is
+    built once per call: O(n + (m+1)^d + P N), N = C(m+d, d).
     """
-    if samples.domain != "simplex":
-        raise ValueError("samples must be tagged simplex")
-    single = isinstance(x, SimplexPoint)
-    full = _simplex_rows([x.coords] if single else x, samples.d)
-    if m < 1:
-        raise ValueError("degree m must be >= 1")
+    full, single = _query_points(samples, m, x, "simplex")
     d = samples.d
     lat = lattice_array(d, m)
     fn = _lattice_cdf_counts(samples, m)[tuple(lat[:, :-1].T)] / samples.n
@@ -122,7 +118,7 @@ def bernstein_cdf_hypercube(samples: SampleSet, m: int, x):
     x is one point (returns a float) or a (P, d) array (returns a (P,) array);
     F_n on the grid is built once per call.
     """
-    xs, single = _query_points(samples, m, x)
+    xs, single = _query_points(samples, m, x, "hypercube")
     return _bernstein_sum(_lattice_cdf_counts(samples, m) / samples.n, m, xs, single)
 
 
@@ -134,7 +130,7 @@ def bernstein_density_hypercube(samples: SampleSet, m: int, x):
     float) or a (P, d) array (returns a (P,) array); the cell counts are
     built once per call.
     """
-    xs, single = _query_points(samples, m, x)
+    xs, single = _query_points(samples, m, x, "hypercube")
     # cell k is bin k+1 of _bin_counts
     counts = _bin_counts(samples, m)[(slice(1, None),) * samples.d] / samples.n
     return m**samples.d * _bernstein_sum(counts, m - 1, xs, single)

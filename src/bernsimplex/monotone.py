@@ -14,9 +14,9 @@ order, so an instance gets the same bits alone as in any block.  Both steps
 are ineq's kernel pair (_coef_stack, _row_sum), which ineq.log_coeff runs
 on.  A scan takes an iterable of instances, evaluates a block of them over
 the whole grid at once and returns an iterator over row blocks, one per
-instance.  All read the
-MonotoneInstance alone, including its self-test flag that flips g's
-x-exponent.
+instance.  A MonotoneInstance is built from plain sequences, gamma and the
+first d coordinates of x, by simplex's weight and point rules; all of the
+above read it alone, including its self-test flag that flips g's x-exponent.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ import numpy as np
 
 from .ineq import _coef_stack, _row_sum
 from .report import ScanReport
-from .simplex import SimplexPoint, WeightVector, _block_len
+from .simplex import _block_len, _simplex_rows, _weight_rows
 from .specfun import log_gamma, polygamma
 
 __all__ = [
@@ -60,32 +60,37 @@ GRID_CAP = 10**6
 
 @dataclass(frozen=True)
 class MonotoneInstance:
-    """Weights (gamma, M) paired with a strictly interior simplex point.
+    """Weights gamma (total M) and a strictly interior point x of the d-simplex,
+    its first d coordinates (full adds x_{d+1}), checked by simplex's rules.
 
     corrupt=True flips the sign of g's x-exponent: a non-CM g that exists only
     so scan harnesses can prove they reject bad input.  coefs (M, gamma_i...)
     and log_x (signed ln x_i) cover the active coordinates (gamma_i > 0)."""
 
-    weights: WeightVector
-    point: SimplexPoint
+    gamma: tuple
+    x: tuple
     corrupt: bool = False
+    M: float = field(init=False, repr=False, compare=False)
+    full: tuple = field(init=False, repr=False, compare=False)
     coefs: tuple = field(init=False, repr=False, compare=False)
     log_x: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.weights.d != self.point.d:
-            raise ValueError("weights and point dimensions differ")
-        if not self.point.interior:
+        M, *gamma = _weight_rows([self.gamma])[0].tolist()
+        full = tuple(_simplex_rows([self.x], len(gamma) - 1)[0].tolist())
+        if min(full) <= 0.0:
             raise ValueError("point must be strictly interior")
+        for name, value in (("gamma", tuple(gamma)), ("x", full[:-1]), ("M", M), ("full", full)):
+            object.__setattr__(self, name, value)
         active = self.active_terms()
         sign = -1.0 if self.corrupt else 1.0
-        object.__setattr__(self, "coefs", (self.weights.M,) + tuple(g for g, _ in active))
+        object.__setattr__(self, "coefs", (M,) + tuple(g for g, _ in active))
         object.__setattr__(self, "log_x", tuple(sign * math.log(x) for _, x in active))
 
     def active_terms(self):
         """(gamma_i, x_i) pairs with gamma_i > 0; zero-weight coordinates are
         deleted before evaluation (their Gamma(1) factors contribute nothing)."""
-        return [(g, x) for g, x in zip(self.weights.gamma, self.point.full) if g > 0.0]
+        return [(g, x) for g, x in zip(self.gamma, self.full) if g > 0.0]
 
 
 def _check_a(a) -> None:
@@ -204,7 +209,7 @@ def kl_limit(inst: MonotoneInstance) -> float:
     iff gamma_i/M = x_i for all i (0*log 0 = 0 for zero weights); a rounding
     below 0 of at most _KL_ROUND * M is clamped.  For a corrupt instance it is
     sum_i gamma_i ln(x_i gamma_i/M), which is negative and never clamped."""
-    M = inst.weights.M
+    M = inst.M
     out = 0.0
     for g, x in inst.active_terms():
         p = g / M

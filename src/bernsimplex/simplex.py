@@ -1,11 +1,13 @@
 """Simplex geometry and multinomial probability primitives.
 
-Points, multi-index lattices, the multinomial pmf in log space, and a
-seedable Dirichlet sampler.  Each input type has one rule: _simplex_rows
-(every API takes points as (P, d) rows of first coordinates), _cube_rows and
-_weight_rows.  All probabilities are kept in log space end-to-end;
-exponentiation happens only at accumulation points (degrees in the hundreds
-overflow direct factorials).
+Multi-index lattices, the multinomial pmf in log space, a seedable Dirichlet
+sampler and the sample set it returns.  Each input type has one rule, on
+rows: _simplex_rows and _cube_rows for points, _weight_rows for weights.  An
+API that takes a point takes its first d coordinates: a length-d sequence is
+one point (a float result), a (P, d) array is P points (a (P,) result).
+All probabilities are kept in log space end-to-end; exponentiation happens
+only at accumulation points (degrees in the hundreds overflow direct
+factorials).
 """
 
 from __future__ import annotations
@@ -23,8 +25,6 @@ import numpy as np
 from .specfun import log_gamma
 
 __all__ = [
-    "SimplexPoint",
-    "WeightVector",
     "SampleSet",
     "lattice_array",
     "lattice_size",
@@ -180,51 +180,8 @@ def _weight_rows(gamma) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class SimplexPoint:
-    """A point of the closed d-simplex; full is (x, x_{d+1}) from _simplex_rows."""
-
-    full: tuple
-
-    def __init__(self, coords: Sequence[float]):
-        object.__setattr__(self, "full", tuple(_simplex_rows([coords])[0].tolist()))
-
-    @property
-    def coords(self) -> tuple:
-        return self.full[:-1]
-
-    @property
-    def d(self) -> int:
-        return len(self.full) - 1
-
-    @property
-    def last(self) -> float:
-        return self.full[-1]
-
-    @property
-    def interior(self) -> bool:
-        return min(self.full) > 0.0
-
-
-@dataclass(frozen=True)
-class WeightVector:
-    """Nonnegative weights gamma (d+1 entries) with total mass M, by _weight_rows."""
-
-    gamma: tuple
-    M: float
-
-    def __init__(self, gamma: Sequence[float]):
-        M, *weights = _weight_rows([gamma])[0].tolist()
-        object.__setattr__(self, "gamma", tuple(weights))
-        object.__setattr__(self, "M", M)
-
-    @property
-    def d(self) -> int:
-        return len(self.gamma) - 1
-
-
-@dataclass
 class SampleSet:
-    """n observations on the simplex or hypercube, kept as (n, d) rows as the
+    """n observations on the simplex or hypercube, read-only (n, d) rows as the
     domain's rule returns them: _simplex_rows less its last column, or _cube_rows."""
 
     points: np.ndarray
@@ -234,9 +191,11 @@ class SampleSet:
         if self.domain not in ("simplex", "hypercube"):
             raise ValueError(f"unknown domain tag {self.domain!r}")
         pts = self.points
-        self.points = _simplex_rows(pts)[:, :-1] if self.domain == "simplex" else _cube_rows(pts)
-        if self.n == 0:
+        pts = _simplex_rows(pts)[:, :-1] if self.domain == "simplex" else _cube_rows(pts)
+        if len(pts) == 0:
             raise ValueError("points must be a nonempty (n, d) array with d >= 1")
+        pts.flags.writeable = False
+        object.__setattr__(self, "points", pts)
 
     @property
     def n(self) -> int:

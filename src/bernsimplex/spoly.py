@@ -5,8 +5,8 @@
 plus the Gaussian local-limit density phi_{r,s}, the exact simplex
 integral of S via the Dirichlet normalization constant, the central
 binomial lattice identity in exact arithmetic, and the Gamma-ratio
-residual used in the large-m expansion of the integral.  Batches of points
-are (P, d) rows of first barycentric coordinates, as everywhere.
+residual used in the large-m expansion of the integral.  Points follow
+simplex's convention; s_eval takes one, s_eval_grid a (P, d) array.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from typing import Sequence
 import numpy as np
 
 from .simplex import (
-    SimplexPoint,
     _block_len,
     _check_capacity,
     _simplex_rows,
@@ -74,24 +73,30 @@ def s_eval_grid(p: SPolyParams, xs: np.ndarray) -> np.ndarray:
     return out
 
 
-def s_eval(p: SPolyParams, x: SimplexPoint) -> float:
-    """S_{r,s,m}(x) in [0, 1]; ValueError if x is not a d-simplex point."""
-    return float(s_eval_grid(p, np.array([x.coords]))[0])
+def s_eval(p: SPolyParams, x) -> float:
+    """S_{r,s,m}(x) in [0, 1] at one point x, a length-d sequence; ValueError
+    if x is not a d-simplex point."""
+    return float(s_eval_grid(p, [x])[0])
 
 
-def det_covariance(r: int, s: int, x: SimplexPoint) -> float:
-    """det of rs(r+s)(diag(x) - x x^T), the d x d covariance at the first d
-    coordinates of x, in closed form: (rs(r+s))^d * prod_{i=1}^{d+1} x_i."""
-    xf = np.array(x.full)
-    if xf.min() <= _SINGULAR_TOL:
+def det_covariance(r: int, s: int, x):
+    """det of rs(r+s)(diag(x) - x x^T), the d x d covariance at a point x of
+    the d-simplex, in closed form: (rs(r+s))^d * prod_{i=1}^{d+1} x_i.  x is
+    one point (a float result) or a (P, d) array of them (a (P,) result)."""
+    full = _simplex_rows(np.atleast_2d(x))
+    if np.any(full <= _SINGULAR_TOL):
         raise ValueError("covariance is singular: a coordinate is (near) zero")
-    return float((r * s * (r + s)) ** x.d * np.prod(xf))
+    out = (r * s * (r + s)) ** (full.shape[1] - 1) * np.prod(full, axis=1)
+    return float(out[0]) if np.ndim(x) <= 1 else out
 
 
-def phi_eval(r: int, s: int, x: SimplexPoint) -> float:
-    """Gaussian local-limit density gcd(r,s)^d / ((2*pi)^{d/2} sqrt(det Sigma))."""
+def phi_eval(r: int, s: int, x):
+    """Gaussian local-limit density gcd(r,s)^d / ((2*pi)^{d/2} sqrt(det Sigma)),
+    at x as det_covariance takes it."""
     det = det_covariance(r, s, x)
-    return math.gcd(r, s) ** x.d / ((2.0 * math.pi) ** (x.d / 2.0) * math.sqrt(det))
+    d = np.atleast_2d(x).shape[1]
+    out = math.gcd(r, s) ** d / ((2.0 * math.pi) ** (d / 2.0) * np.sqrt(det))
+    return float(out) if np.ndim(x) <= 1 else out
 
 
 def composition_coefficient(series: Sequence[np.ndarray], m: int):

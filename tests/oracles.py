@@ -3,7 +3,10 @@
 First, the closed-simplex and the unit-cube point rules one coordinate at a
 time, with Python floats: the bit-for-bit oracles for
 ``simplex._simplex_rows`` and ``simplex._cube_rows``, which check and clamp
-a whole (P, d) array of points at once.
+a whole (P, d) array of points at once.  Next to them, one point and one
+weight vector as scalar objects (``SimplexPoint`` and ``WeightVector``), each
+a one-row call of ``simplex._simplex_rows`` or ``simplex._weight_rows``: the
+scalar routes below take them.
 
 Then, a scalar multi-index, its lexicographic lattice generator and the multinomial
 pmf one (k, x) pair at a time (oracles for ``simplex.lattice_array`` and
@@ -52,7 +55,10 @@ differential oracles for the kernel pair (``ineq._coef_stack`` and
 Then, both sides of the central-binomial identity at one (d, m): the left
 side as one ``composition_coefficient`` call, the right side as a product
 loop of fractions; the oracles for ``spoly.central_binomial_identity``,
-which builds every m <= m_max from one power series.
+which builds every m <= m_max from one power series.  Beside them,
+S_{r,s,m} at a rational point as an exact fraction, from one
+``composition_coefficient`` call on exact integers: the oracle for
+``spoly.s_eval`` and ``spoly.s_eval_grid``.
 
 Last, the per-value CSV field format: the oracle for the row formats the
 CLI passes to ``simplex._write_csv``; the writer that formats one row at a
@@ -74,8 +80,11 @@ from bernsimplex import specfun
 from bernsimplex.ineq import FUZZ_TOL
 from bernsimplex.monotone import (DERIV_FLOOR_REL, DIFF_REL_TOL, DIFF_STEP, MAX_DIFF_ORDER,
                                   MAX_H_ORDER, MonotoneInstance)
-from bernsimplex.simplex import (SampleSet, SimplexPoint, WeightVector, _TOL, _check_capacity,
+from bernsimplex.simplex import (SampleSet, _TOL, _check_capacity, _simplex_rows, _weight_rows,
                                 lattice_size)
+from bernsimplex.specfun import (_BERNOULLI, _HALF_LOG_TWO_PI, _STIRLING_THRESHOLD,
+                                 MAX_POLY_ORDER, _check_positive)
+from bernsimplex.spoly import composition_coefficient
 
 
 def _left_sum(values) -> float:
@@ -112,9 +121,49 @@ def cube_point(coords: Sequence[float]) -> tuple:
     if not all(-_TOL <= c <= 1.0 + _TOL for c in coords):
         raise ValueError(f"coordinates must lie in [0, 1], got {coords}")
     return tuple(min(max(c, 0.0), 1.0) for c in coords)
-from bernsimplex.specfun import (_BERNOULLI, _HALF_LOG_TWO_PI, _STIRLING_THRESHOLD,
-                                 MAX_POLY_ORDER, _check_positive)
-from bernsimplex.spoly import composition_coefficient
+
+
+@dataclass(frozen=True)
+class SimplexPoint:
+    """A point of the closed d-simplex; full is (x, x_{d+1}) from _simplex_rows."""
+
+    full: tuple
+
+    def __init__(self, coords: Sequence[float]):
+        object.__setattr__(self, "full", tuple(_simplex_rows([coords])[0].tolist()))
+
+    @property
+    def coords(self) -> tuple:
+        return self.full[:-1]
+
+    @property
+    def d(self) -> int:
+        return len(self.full) - 1
+
+    @property
+    def last(self) -> float:
+        return self.full[-1]
+
+    @property
+    def interior(self) -> bool:
+        return min(self.full) > 0.0
+
+
+@dataclass(frozen=True)
+class WeightVector:
+    """Nonnegative weights gamma (d+1 entries) with total M, by _weight_rows."""
+
+    gamma: tuple
+    M: float
+
+    def __init__(self, gamma: Sequence[float]):
+        M, *weights = _weight_rows([gamma])[0].tolist()
+        object.__setattr__(self, "gamma", tuple(weights))
+        object.__setattr__(self, "M", M)
+
+    @property
+    def d(self) -> int:
+        return len(self.gamma) - 1
 
 
 @dataclass(frozen=True)
@@ -326,7 +375,7 @@ def duplication_residual(y: float) -> float:
 
 
 def log_g_eval(inst: MonotoneInstance, a: float) -> float:
-    M = inst.weights.M
+    M = inst.M
     out = log_gamma(a * M + 1.0)
     for g, x in inst.active_terms():
         out -= log_gamma(a * g + 1.0)
@@ -341,7 +390,7 @@ def g_eval(inst: MonotoneInstance, a: float) -> float:
 def h_terms(inst: MonotoneInstance, a: float, n: int) -> list:
     """The signed terms whose left-to-right sum is h^{(n)}(a), one polygamma
     call per term."""
-    M = inst.weights.M
+    M = inst.M
     out = [-(M**n) * polygamma(n - 1, a * M + 1.0)]
     for g, x in inst.active_terms():
         out.append(g**n * polygamma(n - 1, a * g + 1.0))
@@ -433,7 +482,7 @@ def instance_g_eval(inst: MonotoneInstance, a):
 
 
 def instance_h_terms(inst: MonotoneInstance, a, n: int) -> list:
-    M = inst.weights.M
+    M = inst.M
     psi = specfun.polygamma(n - 1, np.multiply.outer(inst.coefs, a) + 1.0)
     out = [-(M**n) * psi[0]]
     for g, lx, p in zip(inst.coefs[1:], inst.log_x, psi[1:]):
@@ -641,6 +690,23 @@ def central_binomial_rhs(d: int, m: int) -> Fraction:
     for j in range(1, m + 1):
         out *= Fraction(d - 1 + 2 * j, 2 * j)
     return out
+
+
+def s_exact(r: int, s: int, m: int, p, q: int) -> Fraction:
+    """S_{r,s,m} at the rational point x_i = p_i / q of the d-simplex, exact;
+    p holds its d+1 nonnegative integer numerators, summing to q.
+
+    With t = r + s and R = (rm)!(sm)!, term j of factor i is scaled to the
+    integer p_i^{tj} R / ((rj)! (sj)!), so one composition_coefficient call on
+    exact integers gives R^{d+1} q^{tm} S."""
+    if len(p) < 2 or min(p) < 0 or sum(p) != q:
+        raise ValueError(f"need two or more nonnegative numerators summing to {q}, got {p}")
+    t = r + s
+    fact = math.factorial
+    R = fact(r * m) * fact(s * m)
+    series = [np.array([pi ** (t * j) * (R // (fact(r * j) * fact(s * j))) for j in range(m + 1)],
+                       dtype=object) for pi in p]
+    return Fraction(int(composition_coefficient(series, m)), R ** (len(p) - 1) * q ** (t * m))
 
 
 def csv_field(v) -> str:

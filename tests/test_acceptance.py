@@ -10,7 +10,6 @@ S_{1,1,m}) and the second-order term of S_{1,1,m}'s asymptotics.
 
 import math
 import time
-from dataclasses import replace
 
 import numpy as np
 
@@ -18,9 +17,9 @@ from bernsimplex import estimate as est
 from bernsimplex import ineq, monotone, specfun, spoly
 from bernsimplex.cli import _random_instance
 from bernsimplex.report import ScanReport
-from bernsimplex.simplex import SimplexPoint, sample_dirichlet
+from bernsimplex.simplex import sample_dirichlet
 import oracles
-from oracles import empirical_cdf, sup_error_on_grid
+from oracles import SimplexPoint, empirical_cdf, sup_error_on_grid
 
 
 def _report(num, desc: str, passed: bool, t0: float, detail: str = "") -> None:
@@ -84,7 +83,7 @@ def test_criterion_04_complete_monotonicity_scan():
     worst = rep.max_violation
     corrupt = ScanReport()
     for _ in monotone.cm_scan(
-            [replace(_random_instance(np.random.Generator(np.random.PCG64(0)), 2), corrupt=True)],
+            [_random_instance(np.random.Generator(np.random.PCG64(0)), 2, corrupt=True)],
             grid, corrupt, max_order=7):
         pass
     ok = ok and not corrupt.passed
@@ -142,7 +141,7 @@ def test_criterion_08_local_clt_at_barycenter():
     t0 = time.time()
     ok = True
     for d, m_list in ((1, (16, 64, 256, 1024)), (2, (16, 64, 256))):
-        bary = SimplexPoint([1.0 / (d + 1)] * d)
+        bary = [1.0 / (d + 1)] * d
         for r, s in ((1, 1), (1, 2), (2, 2), (2, 3)):
             phi = spoly.phi_eval(r, s, bary)
             errs = [
@@ -159,7 +158,7 @@ def test_criterion_09_domination_by_unit_case():
     worst = -math.inf
     for _ in range(50):
         d = int(rng.integers(1, 4))
-        x = SimplexPoint(rng.dirichlet(np.ones(d + 1))[:-1])
+        x = rng.dirichlet(np.ones(d + 1))[:-1]
         m = int(rng.integers(1, 31))
         base = spoly.s_eval(spoly.SPolyParams(1, 1, m, d), x)
         for r in (1, 2, 3):
@@ -175,11 +174,11 @@ def test_criterion_10_determinant_two_routes():
     worst = 0.0
     for _ in range(1000):
         d = int(rng.integers(1, 7))
-        x = SimplexPoint(rng.dirichlet(np.ones(d + 1))[:-1])
+        x = rng.dirichlet(np.ones(d + 1))[:-1]
         r = int(rng.integers(1, 5))
         s = int(rng.integers(1, 5))
         a = spoly.det_covariance(r, s, x)
-        b = oracles.det_covariance(r, s, x)
+        b = oracles.det_covariance(r, s, SimplexPoint(x))
         worst = max(worst, abs(a - b) / abs(a))
     _report(10, "covariance determinant: product vs dense route",
             worst <= 1e-12, t0, f"worst rel {worst:.3g}")
@@ -216,7 +215,7 @@ def test_criterion_12_estimator_coincidence_and_convergence():
 
     ss, sh = SampleSet(pts, "simplex"), SampleSet(pts, "hypercube")
     ok = all(
-        abs(est.bernstein_cdf_simplex(ss, m, SimplexPoint((x,)))
+        abs(est.bernstein_cdf_simplex(ss, m, (x,))
             - est.bernstein_cdf_hypercube(sh, m, (x,))) <= 1e-12
         for m in (1, 9, 50)
         for x in (0.0, 0.3, 0.5, 0.97, 1.0)
@@ -224,14 +223,14 @@ def test_criterion_12_estimator_coincidence_and_convergence():
     samp = sample_dirichlet((1.0, 1.0, 1.0), 2000, seed=42)
     for vertex in ((1.0, 0.0), (0.0, 1.0), (0.0, 0.0)):
         ok = ok and abs(
-            est.bernstein_cdf_simplex(samp, 25, SimplexPoint(vertex))
+            est.bernstein_cdf_simplex(samp, 25, vertex)
             - empirical_cdf(samp, vertex)
         ) <= 1e-12
     grid = spoly.simplex_midpoint_grid(2, 12)
     fn = [empirical_cdf(samp, tuple(row)) for row in grid]
     sup = {
         m: sup_error_on_grid(
-            [est.bernstein_cdf_simplex(samp, m, SimplexPoint(row)) for row in grid], fn)
+            [est.bernstein_cdf_simplex(samp, m, row) for row in grid], fn)
         for m in (10, 100)
     }
     ok = ok and sup[100] < sup[10]
@@ -251,7 +250,7 @@ def test_application_density_variance_limit():
     t0 = time.time()
     ok, details = True, []
     for x in (0.2, 0.5, 0.7):
-        point = SimplexPoint((x,))
+        point = (x,)
         phi = spoly.phi_eval(1, 1, point)
         ms, lead, errs = (100, 200, 400, 800, 1600, 3200, 6400), [], []
         for m in ms:
@@ -279,7 +278,7 @@ def test_application_density_variance_limit_product():
     ms = (100, 200, 400, 800, 1600, 3200, 6400)
     s11, phi = {}, {}
     for x in (0.2, 0.3, 0.5, 0.7):
-        point = SimplexPoint((x,))
+        point = (x,)
         phi[x] = spoly.phi_eval(1, 1, point)
         for m in ms:
             s11[x, m] = spoly.s_eval(spoly.SPolyParams(1, 1, m - 1, 1), point)
@@ -311,12 +310,12 @@ def test_second_order_term_of_s11():
                          ((0.5,), (25, 50, 100, 200, 400), 0.0096),
                          ((0.2, 0.5), (25, 50, 100, 200), 0.19),
                          ((0.3, 0.6), (25, 50, 100, 200), 1.43)):
-        point, d = SimplexPoint(x), len(x)
-        phi = spoly.phi_eval(1, 1, point)
-        c1 = (sum(1.0 / v for v in point.full) - (d * d + 4 * d + 1)) / 16.0
+        d = len(x)
+        phi = spoly.phi_eval(1, 1, x)
+        c1 = (sum(1.0 / v for v in SimplexPoint(x).full) - (d * d + 4 * d + 1)) / 16.0
         scaled = []
         for m in ms:
-            e = m ** (d / 2.0) * spoly.s_eval(spoly.SPolyParams(1, 1, m, d), point) / phi - 1.0
+            e = m ** (d / 2.0) * spoly.s_eval(spoly.SPolyParams(1, 1, m, d), x) / phi - 1.0
             scaled.append(m * (m * e - c1))
         ok = ok and all(0.0 < v <= bound for v in scaled)
         details.append(f"x={x}: m*(m*e - c1) {scaled[0]:.4f}..{scaled[-1]:.4f}")

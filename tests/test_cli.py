@@ -628,8 +628,9 @@ class TestNoScalarSweeps:
     def test_fuzz_workload_call_counts(self, tmp_path, monkeypatch):
         # one identity-check and one ineq-fuzz run, as the fuzz benchmark
         # workload makes them: the duplication sweep is one array call, the
-        # fuzz trials are one block, and no trial gets a WeightVector
-        counts = dict.fromkeys(["log_gamma", "duplication_residual", "WeightVector"], 0)
+        # fuzz trials are one block, and no trial gets a weight check of its
+        # own: the weight rule runs once, on the block's weight matrix
+        counts = dict.fromkeys(["log_gamma", "duplication_residual", "_weight_rows"], 0)
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
@@ -642,8 +643,7 @@ class TestNoScalarSweeps:
             for name, module in list(sys.modules.items()):
                 if name.startswith("bernsimplex") and getattr(module, fn.__name__, None) is fn:
                     monkeypatch.setattr(module, fn.__name__, wrapper)
-        monkeypatch.setattr(simplex.WeightVector, "__init__",
-                            counted("WeightVector", simplex.WeightVector.__init__))
+        monkeypatch.setattr(ineq, "_weight_rows", counted("_weight_rows", ineq._weight_rows))
         weights = []
         log_coeff = ineq.log_coeff
         monkeypatch.setattr(ineq, "log_coeff", lambda w, a: weights.append(w) or log_coeff(w, a))
@@ -652,7 +652,7 @@ class TestNoScalarSweeps:
         assert main(["ineq-fuzz", "--trials", "500"]) == 0
         assert counts["duplication_residual"] == 1
         assert counts["log_gamma"] <= 7
-        assert counts["WeightVector"] == 0
+        assert counts["_weight_rows"] == 1
         # every ln C comes from a weight matrix, a block of trials at a time
         assert len(weights) == 1
         assert all(isinstance(w, np.ndarray) and w.ndim == 2 for w in weights)
@@ -668,6 +668,20 @@ class TestNoScalarSweeps:
                 if name.startswith("bernsimplex") and getattr(module, fn.__name__, None) is fn:
                     monkeypatch.setattr(module, fn.__name__, wrapper)
         return counts
+
+    @pytest.mark.parametrize("corrupt", [False, True])
+    def test_each_cm_scan_instance_is_checked_once(self, tmp_path, monkeypatch, corrupt):
+        # one weight and one point rule call per drawn instance, corrupt or not
+        counts = dict.fromkeys(["_weight_rows", "_simplex_rows"], 0)
+        for name in counts:
+            def wrapper(*args, _fn=getattr(monotone, name), _name=name):
+                counts[_name] += 1
+                return _fn(*args)
+            monkeypatch.setattr(monotone, name, wrapper)
+        monkeypatch.chdir(tmp_path)
+        argv = ["cm-scan", "--instances", "5", "--grid", "0.1:10:0.5"]
+        assert main(argv + ["--self-test-corrupt"] * corrupt) == int(corrupt)
+        assert counts == {"_weight_rows": 5, "_simplex_rows": 5}
 
     def test_certify_call_counts(self, tmp_path, monkeypatch):
         # one scan block for the three instances: per order, one polygamma

@@ -230,7 +230,7 @@ def test_cm_scan_values_against_mpmath(name, tmp_path, monkeypatch):
         def log_g(inst, p):
             if (inst, p) not in log_g_at:
                 P = mpf(p)
-                v = mpmath.loggamma(P * mpf(inst.weights.M) + 1)
+                v = mpmath.loggamma(P * mpf(inst.M) + 1)
                 for g, x in inst.active_terms():
                     v += -mpmath.loggamma(P * mpf(g) + 1) + sign_x * P * mpf(g) * mpmath.log(mpf(x))
                 log_g_at[inst, p] = v
@@ -241,7 +241,7 @@ def test_cm_scan_values_against_mpmath(name, tmp_path, monkeypatch):
             value, margin = float(row[3]), float(row[4])
             A = mpf(a)
             if n > 0:
-                M = mpf(inst.weights.M)
+                M = mpf(inst.M)
                 terms = [-M**n * mpmath.polygamma(n - 1, A * M + 1)]
                 for g, x in inst.active_terms():
                     terms.append(mpf(g) ** n * mpmath.polygamma(n - 1, A * mpf(g) + 1))

@@ -5,9 +5,9 @@ import pytest
 
 from bernsimplex import estimate as est
 from bernsimplex import spoly
-from bernsimplex.simplex import SampleSet, SimplexPoint, sample_dirichlet
-from oracles import (MultiIndex, _empirical_cdf_many, empirical_cdf, multinomial_log_pmf,
-                     sup_error_on_grid)
+from bernsimplex.simplex import SampleSet, sample_dirichlet
+from oracles import (MultiIndex, SimplexPoint, _empirical_cdf_many, empirical_cdf,
+                     multinomial_log_pmf, sup_error_on_grid)
 
 TWO_POINTS = SampleSet(np.array([[0.1, 0.2], [0.3, 0.4]]), "simplex")
 
@@ -27,18 +27,18 @@ class TestBernsteinCdfSimplex:
     def test_vertex_collapse_at_origin(self):
         # x = 0 everywhere: only k = 0 has mass
         s = SampleSet(np.array([[0.2], [0.6]]), "simplex")
-        v = est.bernstein_cdf_simplex(s, 5, SimplexPoint((0.0,)))
+        v = est.bernstein_cdf_simplex(s, 5, (0.0,))
         assert v == pytest.approx(empirical_cdf(s, (0.0,)), abs=1e-14)
 
     def test_hand_example(self):
         s = SampleSet(np.array([[0.5]]), "simplex")
-        v = est.bernstein_cdf_simplex(s, 2, SimplexPoint((0.75,)))
+        v = est.bernstein_cdf_simplex(s, 2, (0.75,))
         assert v == pytest.approx(0.9375, rel=1e-12)
 
     def test_vertex_exactness(self):
         s = sample_dirichlet((1.0, 1.0, 1.0), 200, seed=5)
         for vertex in [(1.0, 0.0), (0.0, 1.0), (0.0, 0.0)]:
-            fhat = est.bernstein_cdf_simplex(s, 12, SimplexPoint(vertex))
+            fhat = est.bernstein_cdf_simplex(s, 12, vertex)
             fn = empirical_cdf(s, vertex)
             assert fhat == pytest.approx(fn, abs=1e-12)
 
@@ -48,7 +48,7 @@ class TestBernsteinCdfSimplex:
         fn = [empirical_cdf(s, (x,)) for x in grid]
         sups = []
         for m in (5, 20, 80, 320):
-            fhat = [est.bernstein_cdf_simplex(s, m, SimplexPoint((x,))) for x in grid]
+            fhat = [est.bernstein_cdf_simplex(s, m, (x,)) for x in grid]
             assert all(0.0 <= v <= 1.0 for v in fhat)
             sups.append(sup_error_on_grid(fhat, fn))
         assert sups[0] > sups[-1]
@@ -56,13 +56,13 @@ class TestBernsteinCdfSimplex:
     def test_monotone_along_rays_d1(self):
         s = sample_dirichlet((1.0, 2.0), 300, seed=2)
         grid = np.linspace(0.0, 1.0, 41)
-        vals = [est.bernstein_cdf_simplex(s, 15, SimplexPoint((x,))) for x in grid]
+        vals = [est.bernstein_cdf_simplex(s, 15, (x,)) for x in grid]
         assert all(vals[i + 1] >= vals[i] - 1e-12 for i in range(len(vals) - 1))
 
     def test_domain_mismatch(self):
         s = SampleSet(np.array([[0.5, 0.5]]), "hypercube")
         with pytest.raises(ValueError):
-            est.bernstein_cdf_simplex(s, 3, SimplexPoint((0.3, 0.3)))
+            est.bernstein_cdf_simplex(s, 3, (0.3, 0.3))
 
 
 class TestBernsteinCdfHypercube:
@@ -72,7 +72,7 @@ class TestBernsteinCdfHypercube:
         sh = SampleSet(pts, "hypercube")
         for m in (1, 7, 40):
             for x in (0.0, 0.21, 0.5, 0.93, 1.0):
-                a = est.bernstein_cdf_simplex(ss, m, SimplexPoint((x,)))
+                a = est.bernstein_cdf_simplex(ss, m, (x,))
                 b = est.bernstein_cdf_hypercube(sh, m, (x,))
                 assert abs(a - b) <= 1e-12
 
@@ -154,7 +154,7 @@ class TestBatchedCalls:
         grid = np.vstack([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.5, 0.5], [0.3, 0.7],
                           spoly.simplex_midpoint_grid(2, 9)])
         assert len(grid) == 41
-        single = [est.bernstein_cdf_simplex(s, 17, SimplexPoint(row)) for row in grid]
+        single = [est.bernstein_cdf_simplex(s, 17, row) for row in grid]
         assert np.array_equal(est.bernstein_cdf_simplex(s, 17, grid), single)
         # 171 lattice rows, 2 * (171 + 2 + 6) floats a point: blocks of 6
         # split the 41 points 6, ..., 6, 5
@@ -204,7 +204,7 @@ class TestDensityVarianceIdentity:
 
     @staticmethod
     def _s11(m, x):
-        return spoly.s_eval(spoly.SPolyParams(1, 1, m - 1, 1), SimplexPoint((x,)))
+        return spoly.s_eval(spoly.SPolyParams(1, 1, m - 1, 1), (x,))
 
     @pytest.mark.parametrize("m", [2, 5, 12, 40])
     def test_squared_weights_are_s(self, m):
@@ -252,7 +252,7 @@ class TestDegreeValidation:
         simplex = sample_dirichlet((1.0, 1.0), 5, seed=1)
         cube = SampleSet(simplex.points, "hypercube")
         with pytest.raises(ValueError):
-            est.bernstein_cdf_simplex(simplex, 0, SimplexPoint((0.5,)))
+            est.bernstein_cdf_simplex(simplex, 0, (0.5,))
         for fn in (est.bernstein_cdf_hypercube, est.bernstein_density_hypercube):
             with pytest.raises(ValueError):
                 fn(cube, 0, (0.5,))

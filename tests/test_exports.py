@@ -47,6 +47,21 @@ def test_every_traced_name_resolves(dotted):
     assert callable(obj)
 
 
+def test_every_traced_name_is_wrapped(monkeypatch):
+    # the never_hit gate of a traced bench/run.py, and the test below, skip a
+    # name the tracer did not wrap: a function dropped from its module's
+    # __all__ would escape both, so every LAYER_FUNCS key must be wrapped
+    monkeypatch.syspath_prepend(str(BENCH))
+    from tracer import Tracer
+
+    import bernsimplex  # noqa: F401  (the tracer wraps the loaded modules)
+
+    tracer = Tracer()
+    tracer.install()
+    tracer.uninstall()
+    assert [name for name in _layer_func_names() if name not in tracer.present] == []
+
+
 @pytest.mark.parametrize("workload", ("certify", "fuzz", "asymptotics", "estimate"))
 def test_every_layer_func_is_called(workload, tmp_path, monkeypatch):
     # what the never_hit gate of a traced bench/run.py asserts: every name of

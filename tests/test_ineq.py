@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 import oracles
 from bernsimplex import ineq
 from bernsimplex.report import ScanReport
-from bernsimplex.simplex import WeightVector, _weight_rows
+from bernsimplex.simplex import _weight_rows
+from oracles import WeightVector
 
 
 def fuzz(trials, dmax, seed, corrupt=False):

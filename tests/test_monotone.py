@@ -11,12 +11,12 @@ import oracles
 from bernsimplex import monotone as mo
 from bernsimplex.cli import _grid_spec
 from bernsimplex.report import ScanReport
-from bernsimplex.simplex import SimplexPoint, WeightVector
 from bernsimplex.specfun import polygamma
+from oracles import SimplexPoint, WeightVector
 
 
 def make_instance(gamma, x):
-    return mo.MonotoneInstance(WeightVector(gamma), SimplexPoint(x))
+    return mo.MonotoneInstance(gamma, x)
 
 
 SYMMETRIC = make_instance((1.0, 1.0), (0.5,))
@@ -37,6 +37,31 @@ def random_instance(rng, d):
     gamma = m_total * rng.dirichlet(np.ones(d + 1))
     x = rng.dirichlet(np.ones(d + 1))
     return make_instance(gamma, x[:-1])
+
+
+class TestInstance:
+    def test_fields_are_the_rules_one_row_results(self):
+        # gamma, M and full bit for bit as the weight and point rules give
+        # them, from arrays, lists or tuples; replace builds the same instance
+        rng = np.random.Generator(np.random.PCG64(31))
+        for d in (1, 3, 6):
+            gamma = 7.0 * rng.standard_exponential(d + 1)
+            gamma[1] = 0.0
+            x = rng.dirichlet(np.ones(d + 1))[:-1]
+            w, pt = WeightVector(gamma), SimplexPoint(x)
+            for inst in (mo.MonotoneInstance(gamma, x), mo.MonotoneInstance(list(gamma), tuple(x)),
+                         replace(mo.MonotoneInstance(gamma, x, corrupt=True), corrupt=False)):
+                assert (inst.gamma, inst.M, inst.x, inst.full) == (w.gamma, w.M, pt.coords, pt.full)
+                assert inst.coefs == (w.M, *(g for g in w.gamma if g > 0.0))
+                assert inst == mo.MonotoneInstance(gamma, x)
+
+    @pytest.mark.parametrize("gamma,x", [
+        ((1.0, 1.0), (1.0,)), ((1.0, 1.0), (0.0,)), ((1.0, 1.0), (0.7, 0.7)),
+        ((1.0, 1.0), (math.nan,)), ((1.0, 2.0, 3.0), (0.5,)), ((1.0, 2.0), (0.2, 0.3)),
+        ((1.0, -1.0), (0.5,)), ((0.0, 0.0), (0.5,)), ((1.0,), ()), ((1.0, math.inf), (0.5,))])
+    def test_rejects(self, gamma, x):
+        with pytest.raises(ValueError):
+            mo.MonotoneInstance(gamma, x)
 
 
 class TestGEval:
@@ -86,9 +111,9 @@ class TestGEval:
         grid = [1, 2, 3, 4, 6, 9, 13, 18, 24, 30]
         for gamma, inst, row in zip(gammas, insts, mo.log_g_eval(insts, np.array(grid, float))):
             for n, value in zip(grid, row.tolist()):
-                want = oracles.log_rational(oracles.g_exact(gamma, inst.point.full, n))
-                scale = oracles.log_coeff_scale(inst.weights, n) + sum(
-                    abs(n * g * math.log(x)) for g, x in zip(gamma, inst.point.full))
+                want = oracles.log_rational(oracles.g_exact(gamma, inst.full, n))
+                scale = oracles.log_coeff_scale(WeightVector(gamma), n) + sum(
+                    abs(n * g * math.log(x)) for g, x in zip(gamma, inst.full))
                 assert abs(value - want) <= oracles.EXACT_REL_TOL * scale, (gamma, n)
 
 
@@ -174,14 +199,14 @@ class TestHDerivative:
         rng = np.random.Generator(np.random.PCG64(4))
         for d in (1, 2, 3):
             inst = random_instance(rng, d)
-            M = inst.weights.M
+            M = inst.M
 
             def R(z):
                 return polygamma(0, z) - math.log(z)
 
             for a in (0.2, 1.0, 5.0):
                 rhs = d / a - M * R(a * M)
-                for g, x in zip(inst.weights.gamma, inst.point.full):
+                for g, x in zip(inst.gamma, inst.full):
                     rhs += g * R(a * g) + g * math.log((g / M) / x)
                 assert mo.h_derivative(inst, a, 1) == pytest.approx(rhs, abs=1e-10)
 
@@ -246,7 +271,7 @@ class TestKlLimit:
         rng = np.random.Generator(np.random.PCG64(10))
         for d in (1, 3):
             inst = replace(random_instance(rng, d), corrupt=True)
-            want = sum(g * math.log(x * g / inst.weights.M) for g, x in inst.active_terms())
+            want = sum(g * math.log(x * g / inst.M) for g, x in inst.active_terms())
             assert mo.kl_limit(inst) == pytest.approx(want, rel=1e-12) and want < 0.0
             assert mo.h_derivative(inst, 1e4, 1) == pytest.approx(mo.kl_limit(inst), abs=5e-4)
         assert mo.kl_limit(replace(SYMMETRIC, corrupt=True)) == pytest.approx(-4.0 * math.log(2.0))
@@ -318,7 +343,7 @@ class TestCmScan:
 def _log_g_magnitude(inst, a):
     """|ln Gamma(aM+1)| + sum_i |ln Gamma(a g_i+1)| + sum_i a g_i |ln x_i|: the
     size of the terms whose sum is ln g(a)."""
-    out = abs(oracles.log_gamma(a * inst.weights.M + 1.0))
+    out = abs(oracles.log_gamma(a * inst.M + 1.0))
     for g, x in inst.active_terms():
         out += abs(oracles.log_gamma(a * g + 1.0)) + a * g * abs(math.log(x))
     return out
@@ -431,7 +456,7 @@ class TestBlocksAgainstInstanceScan:
         block_h, instance_h = mo.h_derivative, oracles.instance_h_derivative
 
         def poison(inst, a, n, out):
-            if n == 3 and inst.weights.M > 1.0:
+            if n == 3 and inst.M > 1.0:
                 out[np.asarray(a) > 2.0] = math.nan
 
         def block_nan(insts, a, n):
@@ -449,7 +474,7 @@ class TestBlocksAgainstInstanceScan:
         monkeypatch.setattr(oracles, "instance_h_derivative", instance_nan)
         rng = np.random.Generator(np.random.PCG64(31))
         insts = [random_instance(rng, 2) for _ in range(5)]
-        assert 0 < sum(inst.weights.M > 1.0 for inst in insts) < 5
+        assert 0 < sum(inst.M > 1.0 for inst in insts) < 5
         report = self.check(monkeypatch, insts, per_block)
         assert not report.passed and math.isnan(report.max_violation)
 

@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -114,7 +113,7 @@ class TestAgainstOracleReport:
         def scan(report):
             return [row for d in (1, 2, 4)
                     for row in oracles.rows_of(monotone.cm_scan(
-                        [replace(_random_instance(rng, d), corrupt=corrupt)],
+                        [_random_instance(rng, d, corrupt)],
                         self.GRID, report, max_order=7))]
 
         assert self._check(monkeypatch, scan) == 3

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import itertools
 import math
@@ -13,7 +14,7 @@ from bernsimplex import simplex as sx
 from bernsimplex.report import ScanReport
 from bernsimplex.specfun import log_gamma
 import oracles
-from oracles import MultiIndex, enumerate_lattice, multinomial_log_pmf
+from oracles import MultiIndex, SimplexPoint, WeightVector, enumerate_lattice, multinomial_log_pmf
 
 
 def brute_lattice(d, m):
@@ -24,17 +25,17 @@ def brute_lattice(d, m):
 
 class TestTypes:
     def test_simplex_point_derived_coordinate(self):
-        p = sx.SimplexPoint((0.2, 0.3))
+        p = SimplexPoint((0.2, 0.3))
         assert p.last == pytest.approx(0.5)
         assert p.full == (0.2, 0.3, 0.5)
         assert p.interior
 
     def test_simplex_point_boundary_and_errors(self):
-        assert not sx.SimplexPoint((1.0,)).interior
+        assert not SimplexPoint((1.0,)).interior
         with pytest.raises(ValueError):
-            sx.SimplexPoint((0.6, 0.6))
+            SimplexPoint((0.6, 0.6))
         with pytest.raises(ValueError):
-            sx.SimplexPoint((-0.1,))
+            SimplexPoint((-0.1,))
 
     def test_multi_index(self):
         k = MultiIndex((1, 2), 5)
@@ -44,11 +45,11 @@ class TestTypes:
             MultiIndex((3, 3), 5)
 
     def test_weight_vector(self):
-        w = sx.WeightVector((1.0, 2.0, 0.0))
+        w = WeightVector((1.0, 2.0, 0.0))
         assert w.M == pytest.approx(3.0)
         assert w.d == 2
         with pytest.raises(ValueError):
-            sx.WeightVector((0.0, 0.0))
+            WeightVector((0.0, 0.0))
 
 
 _NAN, _INF = math.nan, math.inf
@@ -98,7 +99,7 @@ class TestPointRule:
         accepted = self.check(EDGE_ROWS)
         assert len(accepted) == 14
         for row, want in accepted:
-            assert _bits(sx.SimplexPoint(row).full) == _bits(want)
+            assert _bits(SimplexPoint(row).full) == _bits(want)
 
     @pytest.mark.parametrize("d", range(1, 10))
     def test_dirichlet_rows(self, d):
@@ -128,10 +129,12 @@ class TestPointRule:
         for row in rows:
             d = len(row)
             consumers = [
-                lambda: sx.SimplexPoint(row),
+                lambda: SimplexPoint(row),
                 lambda: sx.SampleSet(np.array([row]), "simplex"),
                 lambda: spoly.s_eval_grid(spoly.SPolyParams(1, 1, 1, d), np.array([row])),
+                lambda: spoly.s_eval(spoly.SPolyParams(1, 1, 1, d), row),
                 lambda: estimate.bernstein_cdf_simplex(samples[d], 1, np.array([row])),
+                lambda: estimate.bernstein_cdf_simplex(samples[d], 1, row),
             ]
             try:
                 oracles.simplex_full(row)
@@ -216,6 +219,57 @@ class TestCubeRule:
                     assert fn(samples[d], 3, row) == fn(samples[d], 3, want)
 
 
+class TestOnePointConvention:
+    """Every API that takes a point takes its first d coordinates: a length-d
+    sequence is one point and gives a float, a (P, d) array gives a (P,)
+    array, each entry bit for bit the one-point call on its row."""
+
+    ROWS = np.vstack([_dirichlet_rows(2, 30, 3), [[0.0, 0.25], [1.0 + 1e-13, -1e-13]]])
+    SAMPLES = sx.sample_dirichlet((1.0, 2.0, 1.5), 200, seed=8)
+
+    def fns(self):
+        return {"det": functools.partial(spoly.det_covariance, 2, 3),
+                "phi": functools.partial(spoly.phi_eval, 1, 2),
+                "cdf": functools.partial(estimate.bernstein_cdf_simplex, self.SAMPLES, 9)}
+
+    def test_rows_match_one_point_calls(self):
+        interior = self.ROWS[:-2]
+        for name, fn in self.fns().items():
+            rows = self.ROWS if name == "cdf" else interior
+            single = [fn(row) for row in rows]
+            assert all(type(v) is float for v in single), name
+            assert [fn(tuple(row.tolist())) for row in rows] == single, name
+            batch = fn(rows)
+            assert batch.shape == (len(rows),) and _bits(batch) == _bits(single), name
+        p = spoly.SPolyParams(2, 3, 9, 2)
+        assert _bits([spoly.s_eval(p, row) for row in self.ROWS]) == _bits(
+            spoly.s_eval_grid(p, self.ROWS))
+
+    def test_boundary_rows_are_singular_for_the_covariance(self):
+        # a boundary row (one clamped onto it included) has no density, alone or in a batch
+        for name in ("det", "phi"):
+            fn = self.fns()[name]
+            for row in self.ROWS[-2:]:
+                for x in (row, np.vstack([self.ROWS[:3], row])):
+                    with pytest.raises(ValueError, match="singular"):
+                        fn(x)
+
+    def test_wrong_shapes_raise_the_shape_error(self):
+        cube = sx.SampleSet(self.SAMPLES.points, "hypercube")
+        fixed_d = [functools.partial(spoly.s_eval, spoly.SPolyParams(1, 1, 3, 2)),
+                   self.fns()["cdf"],
+                   functools.partial(estimate.bernstein_cdf_hypercube, cube, 3),
+                   functools.partial(estimate.bernstein_density_hypercube, cube, 3)]
+        for fn in fixed_d:
+            for bad in (np.array([0.2, 0.3, 0.1]), np.array([0.2]), [[0.2, 0.3, 0.1]]):
+                with pytest.raises(ValueError, match=r"\(P, d=2\)"):
+                    fn(bad)
+        for fn in (self.fns()["det"], self.fns()["phi"]):
+            for bad in (np.empty(0), np.zeros((2, 2, 2))):
+                with pytest.raises(ValueError, match=r"\(P, d\)"):
+                    fn(bad)
+
+
 class TestLattice:
     def test_d1_example(self):
         ks = [mi.k for mi in enumerate_lattice(1, 2)]
@@ -279,44 +333,44 @@ class TestLogFactorialTable:
 
 class TestMultinomialLogPmf:
     def test_hand_values(self):
-        lp = multinomial_log_pmf(MultiIndex((1,), 2), sx.SimplexPoint((0.5,)))
+        lp = multinomial_log_pmf(MultiIndex((1,), 2), SimplexPoint((0.5,)))
         assert lp == pytest.approx(math.log(0.5), rel=1e-12)
-        lp = multinomial_log_pmf(MultiIndex((0, 0), 0), sx.SimplexPoint((0.3, 0.3)))
+        lp = multinomial_log_pmf(MultiIndex((0, 0), 0), SimplexPoint((0.3, 0.3)))
         assert lp == pytest.approx(0.0, abs=1e-14)
         lp = multinomial_log_pmf(
-            MultiIndex((1, 1), 3), sx.SimplexPoint((1.0 / 3.0, 1.0 / 3.0))
+            MultiIndex((1, 1), 3), SimplexPoint((1.0 / 3.0, 1.0 / 3.0))
         )
         assert lp == pytest.approx(math.log(2.0 / 9.0), rel=1e-12)
 
     def test_boundary_conventions(self):
         # k_i = 0 at x_i = 0 contributes nothing; k_i > 0 there kills the pmf
         assert multinomial_log_pmf(
-            MultiIndex((2,), 2), sx.SimplexPoint((0.0,))
+            MultiIndex((2,), 2), SimplexPoint((0.0,))
         ) == -math.inf
         assert multinomial_log_pmf(
-            MultiIndex((0,), 2), sx.SimplexPoint((0.0,))
+            MultiIndex((0,), 2), SimplexPoint((0.0,))
         ) == pytest.approx(0.0, abs=1e-14)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            multinomial_log_pmf(MultiIndex((1, 0), 2), sx.SimplexPoint((0.5,)))
+            multinomial_log_pmf(MultiIndex((1, 0), 2), SimplexPoint((0.5,)))
 
     def test_permutation_symmetry(self):
         x = (0.2, 0.3, 0.1)  # full coords (0.2, 0.3, 0.1, 0.4)
         k = (2, 1, 0)  # full (2, 1, 0, 2), m = 5
-        base = multinomial_log_pmf(MultiIndex(k, 5), sx.SimplexPoint(x))
+        base = multinomial_log_pmf(MultiIndex(k, 5), SimplexPoint(x))
         kf, xf = (2, 1, 0, 2), (0.2, 0.3, 0.1, 0.4)
         for perm in itertools.permutations(range(4)):
             kp = [kf[i] for i in perm]
             xp = [xf[i] for i in perm]
             lp = multinomial_log_pmf(
-                MultiIndex(kp[:-1], 5), sx.SimplexPoint(xp[:-1])
+                MultiIndex(kp[:-1], 5), SimplexPoint(xp[:-1])
             )
             assert lp == pytest.approx(base, rel=1e-12)
 
     def test_lattice_kernel_matches_scalar(self):
         d, m = 2, 6
-        points = [sx.SimplexPoint(x) for x in [(0.2, 0.5), (0.0, 0.4), (1.0, 0.0), (0.0, 0.0)]]
+        points = [SimplexPoint(x) for x in [(0.2, 0.5), (0.0, 0.4), (1.0, 0.0), (0.0, 0.0)]]
         lat = sx.lattice_array(d, m)
         logp = sx.lattice_log_pmf(lat, np.array([p.full for p in points]))
         want = [[multinomial_log_pmf(MultiIndex(k[:-1], m), p) for k in lat]
@@ -341,7 +395,7 @@ class TestNormalization:
         ],
     )
     def test_sums_to_one(self, d, m, x):
-        assert pmf_total(d, m, sx.SimplexPoint(x)) == pytest.approx(
+        assert pmf_total(d, m, SimplexPoint(x)) == pytest.approx(
             1.0, abs=1e-12
         )
 
@@ -352,7 +406,7 @@ class TestNormalization:
     )
     @settings(max_examples=50)
     def test_sums_to_one_random(self, x1, x2, m):
-        total = pmf_total(2, m, sx.SimplexPoint((x1, x2)))
+        total = pmf_total(2, m, SimplexPoint((x1, x2)))
         assert total == pytest.approx(1.0, abs=1e-12)
 
 
@@ -396,14 +450,27 @@ class TestDirichletSampler:
         assert header == "x1,x2"
         back = sx.SampleSet.from_csv(path)
         assert np.array_equal(back.points, s.points)
+        assert not back.points.flags.writeable
+
+    @pytest.mark.parametrize("domain", ["simplex", "hypercube"])
+    def test_sample_set_is_read_only(self, domain):
+        # either write once got past the point rule, and then the hypercube
+        # cdf at (1.0,) raised numpy's invalid-entry error
+        s = sx.SampleSet(np.array([[0.25], [1.0]]), domain)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            s.points = np.array([[1.0000000000000002]])
+        with pytest.raises(ValueError, match="read-only"):
+            s.points[0, 0] = 7.0
+        assert s.points.tolist() == [[0.25], [1.0]]
+        cube = s if domain == "hypercube" else sx.SampleSet(s.points, "hypercube")
+        assert estimate.bernstein_cdf_hypercube(cube, 4, (1.0,)) == pytest.approx(1.0, abs=1e-14)
 
 
 def _scan(d, instances, two_terms=False):
     rng = np.random.Generator(np.random.PCG64(40 + d))
     insts = [cli._random_instance(rng, d) for _ in range(instances)]
     if two_terms:  # one active weight: the most rows per g_eval argument
-        insts = [monotone.MonotoneInstance(sx.WeightVector((i.weights.M,) + (0.0,) * d), i.point)
-                 for i in insts]
+        insts = [monotone.MonotoneInstance((i.M,) + (0.0,) * d, i.x) for i in insts]
     grid = cli._grid_spec("0.1:10:0.1")
     return lambda n, out: sx._write_csv(out, "instance,a,order,value,margin",
                                         "%s,%.17g,%s,%.17g,%.17g",

@@ -7,11 +7,11 @@ import numpy as np
 import pytest
 
 from bernsimplex import spoly as sp
-from bernsimplex.simplex import CapacityError, SimplexPoint, lattice_array, log_factorial_table
+from bernsimplex.simplex import CapacityError, lattice_array, log_factorial_table
 import oracles
-from oracles import MultiIndex, enumerate_lattice, multinomial_log_pmf
+from oracles import MultiIndex, SimplexPoint, enumerate_lattice, multinomial_log_pmf
 
-HALF = SimplexPoint((0.5,))
+HALF = (0.5,)
 
 
 def s_integral_lattice(r, s, m, d):
@@ -41,7 +41,7 @@ class TestSEval:
 
     def test_vertex_carries_all_mass(self):
         for m in (1, 4, 9):
-            assert sp.s_eval(sp.SPolyParams(1, 1, m, 1), SimplexPoint((1.0,))) == pytest.approx(
+            assert sp.s_eval(sp.SPolyParams(1, 1, m, 1), (1.0,)) == pytest.approx(
                 1.0, rel=1e-12
             )
 
@@ -49,17 +49,17 @@ class TestSEval:
         rng = np.random.Generator(np.random.PCG64(3))
         for _ in range(20):
             x = rng.dirichlet(np.ones(3))
-            v = sp.s_eval(sp.SPolyParams(2, 3, 7, 2), SimplexPoint(x[:-1]))
+            v = sp.s_eval(sp.SPolyParams(2, 3, 7, 2), x[:-1])
             assert 0.0 <= v <= 1.0
 
     def test_brute_force_oracle(self):
         # direct nested-loop sum of products of multinomial pmfs
-        x = SimplexPoint((0.3, 0.45))
+        x = (0.3, 0.45)
         r, s, m = 2, 3, 4
         expected = 0.0
         for mi in enumerate_lattice(2, m):
-            lr = multinomial_log_pmf(MultiIndex([r * v for v in mi.k], r * m), x)
-            ls = multinomial_log_pmf(MultiIndex([s * v for v in mi.k], s * m), x)
+            lr = multinomial_log_pmf(MultiIndex([r * v for v in mi.k], r * m), SimplexPoint(x))
+            ls = multinomial_log_pmf(MultiIndex([s * v for v in mi.k], s * m), SimplexPoint(x))
             expected += math.exp(lr + ls)
         assert sp.s_eval(sp.SPolyParams(r, s, m, 2), x) == pytest.approx(expected, rel=1e-12)
 
@@ -75,11 +75,9 @@ class TestSEval:
     def test_grid_rows_match_single_points(self, small_blocks):
         # a row of s_eval_grid does not depend on the other points in the call
         rng = np.random.Generator(np.random.PCG64(9))
-        points = [SimplexPoint(x[:-1]) for x in rng.dirichlet(np.ones(3), size=40)]
-        points.append(SimplexPoint((0.0, 0.25)))
+        xs = np.vstack([rng.dirichlet(np.ones(3), size=40)[:, :-1], [(0.0, 0.25)]])
         p = sp.SPolyParams(2, 3, 9, 2)
-        single = [sp.s_eval(p, x) for x in points]
-        xs = np.array([x.coords for x in points])
+        single = [sp.s_eval(p, x) for x in xs]
         assert np.array_equal(sp.s_eval_grid(p, xs), single)
         # 55 lattice rows, 3 * 55 + 8 floats a point: blocks of 6 split the
         # 41 points 6, ..., 6, 5
@@ -108,6 +106,51 @@ class TestSEval:
         assert noisy == pytest.approx(clean, rel=1e-9)
 
 
+class TestSExact:
+    """s_eval and s_eval_grid against S_{r,s,m} as an exact fraction at
+    rational points p / q (d = 1..3, m <= 60), one of them on the boundary;
+    and criterion 09, S_{r,s,m} <= S_{1,1,m}, there with no tolerance."""
+
+    PAIRS = ((1, 1), (1, 2), (2, 2), (2, 3), (3, 3))
+    MS = (1, 7, 23, 60)
+
+    @staticmethod
+    def numerators(d):
+        """The d+1 integer numerators of four points, q their sum: three
+        drawn, and one with x_1 = 0."""
+        rng = np.random.Generator(np.random.PCG64(30 + d))
+        rows = [rng.integers(1, 12, d + 1) for _ in range(3)] + [[0, *rng.integers(1, 12, d)]]
+        return [[int(v) for v in row] for row in rows]
+
+    def test_hand_values(self):
+        assert oracles.s_exact(1, 1, 1, (1, 1), 2) == Fraction(1, 2)
+        assert oracles.s_exact(1, 2, 1, (1, 1), 2) == Fraction(1, 4)
+        # S_{1,1,1}(x) = x^2 + (1 - x)^2
+        assert oracles.s_exact(1, 1, 1, (1, 2), 3) == Fraction(5, 9)
+        with pytest.raises(ValueError):
+            oracles.s_exact(1, 1, 1, (1, 1), 3)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_float_routes_match_exact(self, d):
+        ps = self.numerators(d)
+        xs = np.array([[v / sum(p) for v in p[:-1]] for p in ps])
+        for r, s in self.PAIRS:
+            for m in self.MS:
+                params = sp.SPolyParams(r, s, m, d)
+                for p, x, row in zip(ps, xs, sp.s_eval_grid(params, xs)):
+                    want = float(oracles.s_exact(r, s, m, p, sum(p)))
+                    for got in (sp.s_eval(params, x), row):
+                        assert abs(got - want) <= 1e-12 * want, (r, s, m, p)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_domination_by_unit_case_exact(self, d):
+        for p in self.numerators(d):
+            for m in self.MS:
+                base = oracles.s_exact(1, 1, m, p, sum(p))
+                for r, s in self.PAIRS[1:]:
+                    assert oracles.s_exact(r, s, m, p, sum(p)) <= base, (r, s, m, p)
+
+
 class TestPhiAndDet:
     def test_phi_hand_values(self):
         assert sp.phi_eval(1, 1, HALF) == pytest.approx(1.0 / math.sqrt(math.pi), rel=1e-12)
@@ -119,7 +162,7 @@ class TestPhiAndDet:
         )
 
     def test_det_hand_values(self):
-        x = SimplexPoint((1 / 3, 1 / 3))
+        x = (1 / 3, 1 / 3)
         assert sp.det_covariance(1, 1, x) == pytest.approx(4.0 / 27.0, rel=1e-12)
         assert sp.det_covariance(1, 1, HALF) == pytest.approx(0.5, rel=1e-12)
 
@@ -127,15 +170,15 @@ class TestPhiAndDet:
         rng = np.random.Generator(np.random.PCG64(17))
         for _ in range(100):
             d = int(rng.integers(1, 7))
-            x = SimplexPoint(rng.dirichlet(np.ones(d + 1))[:-1])
+            x = rng.dirichlet(np.ones(d + 1))[:-1]
             r, s = int(rng.integers(1, 4)), int(rng.integers(1, 4))
             a = sp.det_covariance(r, s, x)
-            b = oracles.det_covariance(r, s, x)
+            b = oracles.det_covariance(r, s, SimplexPoint(x))
             assert b == pytest.approx(a, rel=1e-12)
 
     def test_singularity_error(self):
         with pytest.raises(ValueError):
-            sp.phi_eval(1, 1, SimplexPoint((1.0,)))
+            sp.phi_eval(1, 1, (1.0,))
 
 
 class TestCentralBinomial:
@@ -321,7 +364,7 @@ def weighted_integral(p, h, resolution):
     """Midpoint-rule value of the integral of h(x) (m^{d/2} S_{r,s,m}(x) - phi_{r,s}(x))
     over the simplex; h maps the (P, d) nodes to (P,) weights."""
     xs = sp.simplex_midpoint_grid(p.d, resolution)
-    phi = [sp.phi_eval(p.r, p.s, SimplexPoint(x)) for x in xs]
+    phi = sp.phi_eval(p.r, p.s, xs)
     integrand = h(xs) * (p.m ** (p.d / 2.0) * sp.s_eval_grid(p, xs) - phi)
     return float(integrand.sum() * resolution ** (-p.d))
 
