@@ -50,7 +50,9 @@ _TOL = 1e-12
 
 
 class CapacityError(RuntimeError):
-    """Raised when a lattice, a bin box, an integral or a sample would exceed LATTICE_CAP."""
+    """Raised when a size would exceed LATTICE_CAP: lattice rows, the bins of
+    a box, the ln j! table, the operations of an integral or an identity
+    check, a query grid, Dirichlet draws or the gamma arguments of a fuzz trial."""
 
 
 def _float_format(n: int) -> str:
@@ -272,7 +274,7 @@ _log_factorials.flags.writeable = False
 
 
 def log_factorial_table(n: int) -> np.ndarray:
-    """lf[j] = ln(j!) for j = 0..n, each entry from the scalar log_gamma(j + 1.0).
+    """lf[j] = ln(j!) for j = 0..n, with the bits of log_gamma(j + 1.0).
 
     A read-only prefix of one table per process, built once and extended on
     demand: an entry depends only on j, so a caller gets the same bits
@@ -285,8 +287,7 @@ def log_factorial_table(n: int) -> np.ndarray:
     table = _log_factorials
     if n >= table.size:
         _check_capacity(n + 1, f"ln j! table entries for n={n}")
-        tail = [log_gamma(j + 1.0) for j in range(table.size, n + 1)]
-        table = np.concatenate([table, tail])
+        table = np.concatenate([table, log_gamma(np.arange(table.size, n + 1) + 1.0)])
         table.flags.writeable = False
         _log_factorials = table
     return table[: n + 1]

@@ -6,16 +6,12 @@ with Bernoulli coefficients through B_16 is summed.  Target accuracy is
 ~1e-13 relative, which is what every downstream tolerance in this package
 assumes.
 
-``polygamma`` and ``duplication_residual`` have one route, on arrays (an
-int or float argument comes back as a float); the residual takes a whole
-sweep in three array log_gamma calls.  ``log_gamma`` keeps a scalar route
-beside its array one for its scalar callers: log_factorial_table (one ln j!
-table per process, built once and extended on demand), whose bits feed the
-tightest S_{r,s,m} asymptotic check, and the few-term formulas in spoly,
-where a scalar call costs 3 us against 110 us for an array one (2-core
-x86-64).  Array steps apply to all
-entries still below the threshold at once; numpy's log and power may differ
-from libm in the last bits.  polygamma raises OverflowError where
+``log_gamma``, ``polygamma`` and ``duplication_residual`` have one route
+each, on arrays: an int or float argument runs as a 0-d array and comes back
+as a float, with the bits it has inside any array.  The residual takes a
+whole sweep in three log_gamma calls.  Array steps apply to all entries
+still below the threshold at once; numpy's log and power may differ from
+libm in the last bits.  polygamma raises OverflowError where
 float ** int would and where n!/z^{n+1} does (tiny z); other overflows give
 inf without a warning, as float arithmetic does.
 """
@@ -66,7 +62,7 @@ _POLYGAMMA_COEFS = {
 
 def _check_positive(z, name: str = "z") -> bool:
     """True for an int or float in (0, inf), False for an ndarray whose entries
-    all are (the cue for the array route), ValueError for anything else."""
+    all are (the cue to return a float or an array), ValueError for anything else."""
     if isinstance(z, (int, float)) and math.isfinite(z) and z > 0.0:
         return True
     if isinstance(z, np.ndarray):
@@ -126,16 +122,13 @@ def _stirling_tail(z):
 
 
 def log_gamma(z):
-    """ln Gamma(z) for z > 0; an ndarray z gives an array of its shape."""
-    if not _check_positive(z):
-        with np.errstate(over="ignore"):
-            z, shift = _shift_up(z, _STIRLING_THRESHOLD, np.log)
-            return (z - 0.5) * np.log(z) - z + _HALF_LOG_TWO_PI + _stirling_tail(z) + shift
-    shift = 0.0
-    while z < _STIRLING_THRESHOLD:
-        shift -= math.log(z)
-        z += 1.0
-    return (z - 0.5) * math.log(z) - z + _HALF_LOG_TWO_PI + _stirling_tail(z) + shift
+    """ln Gamma(z) for z > 0.  An ndarray z gives an array of its shape, an
+    int or float z a float."""
+    scalar = _check_positive(z)
+    with np.errstate(over="ignore"):
+        z, shift = _shift_up(z, _STIRLING_THRESHOLD, np.log)
+        out = (z - 0.5) * np.log(z) - z + _HALF_LOG_TWO_PI + _stirling_tail(z) + shift
+    return float(out) if scalar else out
 
 
 def polygamma(order: int, z):

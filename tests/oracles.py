@@ -20,9 +20,9 @@ one grid; and the covariance determinant of a dense matrix (the oracle for
 
 Then, log-gamma, polygamma and the duplication residual with each Bernoulli
 series coefficient computed inside its term loop and a separate shift loop
-for order 0: the reference that ``specfun``'s scalar log-gamma must match
-bit for bit, and that its array routes, the only routes of polygamma and
-the duplication residual, must match to a few ulps.
+for order 0: the reference that ``specfun``'s Stirling tail must match
+bit for bit on arrays, and that its routes, on arrays for log-gamma,
+polygamma and the duplication residual alike, must match to a few ulps.
 ``multinomial_log_pmf`` uses this ``log_gamma``.
 
 Then, a scan report that records one margin at a time and keeps every row:
@@ -58,7 +58,10 @@ loop of fractions; the oracles for ``spoly.central_binomial_identity``,
 which builds every m <= m_max from one power series.  Beside them,
 S_{r,s,m} at a rational point as an exact fraction, from one
 ``composition_coefficient`` call on exact integers: the oracle for
-``spoly.s_eval`` and ``spoly.s_eval_grid``.
+``spoly.s_eval`` and ``spoly.s_eval_grid``; and the integral of S_{r,s,m}
+over the simplex as an exact fraction, by the same Dirichlet reduction on
+exact integers, with the r = s = 1 closed form as a fraction: the oracles
+for ``spoly.s_integral_exact`` and ``spoly.s_integral_closed_form``.
 
 Last, the per-value CSV field format: the oracle for the row formats the
 CLI passes to ``simplex._write_csv``; the writer that formats one row at a
@@ -707,6 +710,32 @@ def s_exact(r: int, s: int, m: int, p, q: int) -> Fraction:
     series = [np.array([pi ** (t * j) * (R // (fact(r * j) * fact(s * j))) for j in range(m + 1)],
                        dtype=object) for pi in p]
     return Fraction(int(composition_coefficient(series, m)), R ** (len(p) - 1) * q ** (t * m))
+
+
+def s_integral_rational(r: int, s: int, m: int, d: int) -> Fraction:
+    """The integral of S_{r,s,m} over the d-simplex, exact: the Dirichlet
+    reduction of spoly.s_integral_exact, (rm)! (sm)! coef / (tm+d)!, with
+    t = r + s and coef the z^m coefficient of (sum_j c_j z^j)^{d+1} on the
+    integers c_j = (tj)! / ((rj)! (sj)!)."""
+    t = r + s
+    fact = math.factorial
+    c = np.array([fact(t * j) // (fact(r * j) * fact(s * j)) for j in range(m + 1)], dtype=object)
+    coef = int(composition_coefficient([c] * (d + 1), m))
+    return Fraction(fact(r * m) * fact(s * m) * coef, fact(t * m + d))
+
+
+def _gamma_half(n: int) -> Fraction:
+    """Gamma(n/2) for an integer n >= 1, over sqrt(pi) when n is odd."""
+    k = n // 2
+    if n % 2 == 0:
+        return Fraction(math.factorial(k - 1))
+    return Fraction(math.factorial(2 * k), 4**k * math.factorial(k))
+
+
+def s_integral_closed_form_rational(d: int, m: int) -> Fraction:
+    """2^{-d} sqrt(pi) m! / (Gamma((d+1)/2) Gamma(m+d/2+1)), exact: of
+    d + 1 and 2m + d + 2 exactly one is odd, so the sqrt(pi) cancels."""
+    return Fraction(math.factorial(m)) / (2**d * _gamma_half(d + 1) * _gamma_half(2 * m + d + 2))
 
 
 def csv_field(v) -> str:

@@ -151,6 +151,33 @@ class TestSExact:
                     assert oracles.s_exact(r, s, m, p, sum(p)) <= base, (r, s, m, p)
 
 
+class TestSIntegralRational:
+    """Criterion 02 with no tolerance: the Dirichlet-reduced integral of
+    S_{1,1,m} equals its closed form as a fraction; and s_integral_exact
+    against the exact integral for several (r, s)."""
+
+    def test_hand_values(self):
+        # S_{1,1,1}(x) = x^2 + (1 - x)^2 integrates to 2/3 on [0, 1]
+        assert oracles.s_integral_rational(1, 1, 1, 1) == Fraction(2, 3)
+        assert oracles.s_integral_closed_form_rational(1, 1) == Fraction(2, 3)
+        # S_{1,1,0} = 1, so the integral is the simplex volume 1/d!
+        assert oracles.s_integral_rational(1, 1, 0, 3) == Fraction(1, 6)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_closed_form_exact(self, d):
+        for m in [*range(1, 61), 100, 150, 200]:
+            assert oracles.s_integral_rational(1, 1, m, d) == \
+                oracles.s_integral_closed_form_rational(d, m), (d, m)
+
+    @pytest.mark.parametrize("r,s", [(1, 1), (1, 2), (2, 3), (3, 3)])
+    def test_float_integral_matches_exact(self, r, s):
+        for d in (1, 2, 3):
+            for m in (1, 5, 20, 60, 200):
+                want = float(oracles.s_integral_rational(r, s, m, d))
+                got = sp.s_integral_exact(sp.SPolyParams(r, s, m, d))
+                assert abs(got - want) <= 1e-11 * want, (r, s, m, d)
+
+
 class TestPhiAndDet:
     def test_phi_hand_values(self):
         assert sp.phi_eval(1, 1, HALF) == pytest.approx(1.0 / math.sqrt(math.pi), rel=1e-12)
