@@ -147,11 +147,11 @@ def _cmd_s_table(args) -> int:
     if (r, s) != (1, 1):
         raise UsageError("s-table knows the large-m limit only for r = s = 1; "
                          "use lclt-compare for other (r, s)")
-    # asymptotic_constant and SPolyParams reject d < 1 and m < 1
+    # asymptotic_constant and s_integral_exact reject d < 1 and m < 1
     limit = spoly.asymptotic_constant(d)
     rows = []
     for m in args.m_list:
-        value = m ** (d / 2.0) * spoly.s_integral_exact(spoly.SPolyParams(r, s, m, d))
+        value = m ** (d / 2.0) * spoly.s_integral_exact(r, s, m, d)
         rows.append((d, r, s, m, value, limit, m * abs(value - limit)))
     scaled = [row[-1] for row in rows]
     bounded = max(scaled) <= 2.0 * scaled[0] + 1e-12
@@ -171,7 +171,7 @@ def _cmd_lclt_compare(args) -> int:
     phi = spoly.phi_eval(r, s, bary)
     rows = []
     for m in args.m_list:
-        value = m ** (d / 2.0) * spoly.s_eval(spoly.SPolyParams(r, s, m, d), bary)
+        value = m ** (d / 2.0) * spoly.s_eval(r, s, m, d, bary)
         rows.append((d, r, s, m, value, phi, abs(value - phi)))
     errs = [row[-1] for row in rows]
     decreasing = all(errs[i] > errs[i + 1] for i in range(len(errs) - 1))

@@ -17,6 +17,7 @@ from .simplex import (
     SampleSet,
     _block_len,
     _check_capacity,
+    _check_ints,
     _cube_rows,
     _simplex_rows,
     lattice_array,
@@ -66,8 +67,7 @@ def _query_points(samples: SampleSet, m: int, x, domain: str):
         raise ValueError(f"samples must be tagged {domain}")
     rule = _simplex_rows if domain == "simplex" else _cube_rows
     xs = rule(np.atleast_2d(x), samples.d)
-    if m < 1:
-        raise ValueError("degree m must be >= 1")
+    _check_ints(m=m)
     return xs, np.ndim(x) <= 1
 
 

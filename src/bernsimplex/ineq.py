@@ -24,7 +24,7 @@ import math
 import numpy as np
 
 from .report import ScanReport
-from .simplex import _block_len, _check_capacity, _weight_rows
+from .simplex import _block_len, _check_capacity, _check_ints, _weight_rows
 from .specfun import log_gamma
 
 __all__ = [
@@ -189,10 +189,7 @@ def fuzz_inequalities(trials: int, dmax: int, seed: int, report: ScanReport,
     inequality_margins call and are recorded in report before the block is
     returned.  One trial past LATTICE_CAP raises CapacityError.
     """
-    if trials < 1:
-        raise ValueError("need trials >= 1")
-    if dmax < 1:
-        raise ValueError("need dmax >= 1")
+    _check_ints(trials=trials, dmax=dmax)
     # gamma arguments per trial: at most _MAX_K + 6 nodes, d + 2 each
     per_trial = (_MAX_K + 6) * (dmax + 2)
     _check_capacity(per_trial, f"gamma arguments of one trial for dmax={dmax}")

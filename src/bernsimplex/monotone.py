@@ -29,7 +29,7 @@ import numpy as np
 
 from .ineq import _coef_stack, _row_sum
 from .report import ScanReport
-from .simplex import _block_len, _simplex_rows, _weight_rows
+from .simplex import _block_len, _check_ints, _simplex_rows, _weight_rows
 from .specfun import log_gamma, polygamma
 
 __all__ = [
@@ -96,11 +96,6 @@ class MonotoneInstance:
 def _check_a(a) -> None:
     if not np.all((np.asarray(a) > 0.0) & np.isfinite(a)):
         raise ValueError(f"a must be positive, got {a!r}")
-
-
-def _check_order(n, name: str, top: int) -> None:
-    if isinstance(n, bool) or not isinstance(n, int) or n < 1 or n > top:
-        raise ValueError(f"{name} must be an integer in [1, {top}], got {n!r}")
 
 
 def _block(inst, a):
@@ -170,7 +165,7 @@ def h_derivative(inst, a, n: int):
     A corrupt instance changes only the n = 1 derivative.  For a sequence of
     instances the result has a leading instance axis."""
     _check_a(a)
-    _check_order(n, "order n", MAX_H_ORDER)
+    _check_ints(hi=MAX_H_ORDER, **{"order n": n})
     return _unblock(inst, _row_sum(*_h_terms(inst, a, n)))
 
 
@@ -248,7 +243,7 @@ def cm_scan(instances, grid, report: ScanReport, max_order: int = 6):
         raise ValueError(f"grid of {len(grid)} points exceeds cap {GRID_CAP}")
     if not grid or not all(0.0 < a < math.inf for a in grid) or sorted(grid) != grid:
         raise ValueError("grid must be nonempty and ascending, with finite positive entries")
-    _check_order(max_order, "max_order", MAX_H_ORDER)
+    _check_ints(hi=MAX_H_ORDER, max_order=max_order)
     diff_order = min(max_order, MAX_DIFF_ORDER)
     # float64s of a term per g_eval argument, and of an instance per row
     per_term = 10 * len(grid) * (diff_order + 1)

@@ -1,10 +1,11 @@
 """Simplex geometry and multinomial probability primitives.
 
 Multi-index lattices, the multinomial pmf in log space, a seedable Dirichlet
-sampler and the sample set it returns.  Each input type has one rule, on
-rows: _simplex_rows and _cube_rows for points, _weight_rows for weights.  An
-API that takes a point takes its first d coordinates: a length-d sequence is
-one point (a float result), a (P, d) array is P points (a (P,) result).
+sampler and the sample set it returns.  Each input type has one rule:
+_simplex_rows and _cube_rows for point rows, _weight_rows for weight rows,
+_check_ints for integers.  An API that takes a point takes its first d
+coordinates: a length-d sequence is one point (a float result), a (P, d)
+array is P points (a (P,) result).
 All probabilities are kept in log space end-to-end; exponentiation happens
 only at accumulation points (degrees in the hundreds overflow direct
 factorials).
@@ -122,6 +123,16 @@ def _check_out(path: str) -> None:
 def _coord_header(d: int) -> str:
     """x1,...,xd: the names of a sample or query grid's coordinate columns."""
     return ",".join(f"x{i + 1}" for i in range(d))
+
+
+def _check_ints(lo: int = 1, hi=None, **named) -> None:
+    """The one integer rule: ValueError, naming the value, unless each named
+    value is an int, not a bool, in [lo, hi] (no upper bound if hi is None)."""
+    for name, value in named.items():
+        if (isinstance(value, bool) or not isinstance(value, int) or value < lo
+                or (hi is not None and value > hi)):
+            bound = f">= {lo}" if hi is None else f"in [{lo}, {hi}]"
+            raise ValueError(f"{name} must be an integer {bound}, got {value!r}")
 
 
 def _shape_checked(xs, d) -> np.ndarray:
@@ -253,8 +264,8 @@ def lattice_array(d: int, m: int) -> np.ndarray:
     repeats every prefix (budget + 1) times, appends v = 0..budget as a new
     column and takes v from the budget, which ends as the last column.
     """
-    if d < 1 or m < 0:
-        raise ValueError(f"need d >= 1 and m >= 0, got d={d}, m={m}")
+    _check_ints(d=d)
+    _check_ints(0, m=m)
     _check_capacity(lattice_size(d, m), f"lattice rows for d={d}, m={m}")
     cols = []
     budget = np.array([m], dtype=np.int64)
@@ -282,8 +293,7 @@ def log_factorial_table(n: int) -> np.ndarray:
     raises CapacityError and leaves it as it was.
     """
     global _log_factorials
-    if n < 0:
-        raise ValueError(f"need n >= 0, got {n}")
+    _check_ints(0, n=n)
     table = _log_factorials
     if n >= table.size:
         _check_capacity(n + 1, f"ln j! table entries for n={n}")
@@ -328,8 +338,7 @@ def sample_dirichlet(alpha: Sequence[float], n: int, seed: int) -> SampleSet:
         raise ValueError("alpha needs at least two entries")
     if any(not math.isfinite(a) or a <= 0.0 for a in alpha):
         raise ValueError(f"alpha entries must be finite and positive, got {alpha}")
-    if n < 1:
-        raise ValueError("need n >= 1")
+    _check_ints(n=n)
     _check_capacity(n * len(alpha), f"Dirichlet draws for n={n} and {len(alpha)} coordinates")
     rng = np.random.Generator(np.random.PCG64(seed))
     g = rng.gamma(shape=np.array(alpha), size=(n, len(alpha)))

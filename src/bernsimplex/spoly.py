@@ -5,14 +5,13 @@
 plus the Gaussian local-limit density phi_{r,s}, the exact simplex
 integral of S via the Dirichlet normalization constant, the central
 binomial lattice identity in exact arithmetic, and the Gamma-ratio
-residual used in the large-m expansion of the integral.  Points follow
-simplex's convention; s_eval takes one, s_eval_grid a (P, d) array.
+residual used in the large-m expansion of the integral.  Ints and points
+follow simplex's rules; s_eval takes one point, s_eval_grid a (P, d) array.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -21,6 +20,7 @@ import numpy as np
 from .simplex import (
     _block_len,
     _check_capacity,
+    _check_ints,
     _simplex_rows,
     lattice_array,
     lattice_log_pmf,
@@ -29,7 +29,6 @@ from .simplex import (
 from .specfun import log_gamma, _stirling_tail
 
 __all__ = [
-    "SPolyParams",
     "s_eval",
     "s_eval_grid",
     "phi_eval",
@@ -46,43 +45,33 @@ __all__ = [
 _SINGULAR_TOL = 1e-14
 
 
-@dataclass(frozen=True)
-class SPolyParams:
-    r: int
-    s: int
-    m: int
-    d: int
-
-    def __post_init__(self):
-        if min(self.r, self.s, self.m, self.d) < 1:
-            raise ValueError("r, s, m, d must all be >= 1")
-
-
-def s_eval_grid(p: SPolyParams, xs: np.ndarray) -> np.ndarray:
+def s_eval_grid(r: int, s: int, m: int, d: int, xs: np.ndarray) -> np.ndarray:
     """S_{r,s,m} at each row of xs, the first d barycentric coordinates of P
     points.  A shape other than (P, d), or then a row off the closed simplex
     (simplex._simplex_rows), raises ValueError."""
-    full = _simplex_rows(xs, p.d)
-    lat = lattice_array(p.d, p.m)
+    _check_ints(r=r, s=s, m=m, d=d)
+    full = _simplex_rows(xs, d)
+    lat = lattice_array(d, m)
     out = np.empty(len(full))
     chunk = _block_len(3 * lat.shape[0] + 8)
     for lo in range(0, len(full), chunk):
         sub = full[lo : lo + chunk]
-        out[lo : lo + chunk] = np.exp(lattice_log_pmf(p.r * lat, sub)
-                                      + lattice_log_pmf(p.s * lat, sub)).sum(axis=1)
+        out[lo : lo + chunk] = np.exp(lattice_log_pmf(r * lat, sub)
+                                      + lattice_log_pmf(s * lat, sub)).sum(axis=1)
     return out
 
 
-def s_eval(p: SPolyParams, x) -> float:
+def s_eval(r: int, s: int, m: int, d: int, x) -> float:
     """S_{r,s,m}(x) in [0, 1] at one point x, a length-d sequence; ValueError
     if x is not a d-simplex point."""
-    return float(s_eval_grid(p, [x])[0])
+    return float(s_eval_grid(r, s, m, d, [x])[0])
 
 
 def det_covariance(r: int, s: int, x):
     """det of rs(r+s)(diag(x) - x x^T), the d x d covariance at a point x of
     the d-simplex, in closed form: (rs(r+s))^d * prod_{i=1}^{d+1} x_i.  x is
     one point (a float result) or a (P, d) array of them (a (P,) result)."""
+    _check_ints(r=r, s=s)
     full = _simplex_rows(np.atleast_2d(x))
     if np.any(full <= _SINGULAR_TOL):
         raise ValueError("covariance is singular: a coordinate is (near) zero")
@@ -105,8 +94,9 @@ def composition_coefficient(series: Sequence[np.ndarray], m: int):
     degree m), then one dot product with the last reversed, so d+1 factors
     cost O(d m^2) and two cost O(m).  Exact on dtype=object integer arrays.
     """
-    if m < 0 or len(series) < 2 or any(len(c) != m + 1 for c in series):
-        raise ValueError(f"need m >= 0 and two or more factors of length {m + 1}")
+    _check_ints(0, m=m)
+    if len(series) < 2 or any(len(c) != m + 1 for c in series):
+        raise ValueError(f"need two or more factors of length {m + 1}")
     acc = series[0]
     for c in series[1:-1]:
         acc = np.convolve(acc, c)[: m + 1]
@@ -124,8 +114,8 @@ def central_binomial_identity(d: int, m_max: int) -> dict:
     convolutions on exact integers (cut at degree m_max) gives every m.  The
     right side is 2^m (d+1)(d+3)...(d+2m-1) / m! in closed form.
     """
-    if d < 1 or m_max < 0:
-        raise ValueError("need d >= 1 and m_max >= 0")
+    _check_ints(d=d)
+    _check_ints(0, m_max=m_max)
     c = np.array([math.comb(2 * j, j) for j in range(m_max + 1)], dtype=object)
     acc = c
     for _ in range(d):
@@ -136,7 +126,7 @@ def central_binomial_identity(d: int, m_max: int) -> dict:
     return {"d": d, "lhs": lhs, "rhs": rhs, "equal": [a == b for a, b in zip(lhs, rhs)]}
 
 
-def s_integral_exact(p: SPolyParams) -> float:
+def s_integral_exact(r: int, s: int, m: int, d: int) -> float:
     """Integral of S_{r,s,m} over the simplex via the Dirichlet reduction.
 
     Each lattice term integrates in closed form:
@@ -146,7 +136,7 @@ def s_integral_exact(p: SPolyParams) -> float:
     q^j, q = r^r s^s / t^t, keeps the terms O(1) and, as sum k_i = m, scales
     the coefficient by exactly q^m.
     """
-    r, s, m, d = p.r, p.s, p.m, p.d
+    _check_ints(r=r, s=s, m=m, d=d)
     t = r + s
     cost = (d - 1) * (m + 1) ** 2 + t * m  # the convolution, then the factorial table
     _check_capacity(cost, f"integral operations for d={d}, m={m}, r+s={t}")
@@ -161,8 +151,7 @@ def s_integral_exact(p: SPolyParams) -> float:
 def s_integral_closed_form(d: int, m: int) -> float:
     """Closed form of the r = s = 1 integral:
     2^{-d} sqrt(pi) Gamma(m+1) / (Gamma(d/2+1/2) Gamma(m+d/2+1))."""
-    if d < 1 or m < 1:
-        raise ValueError("need d, m >= 1")
+    _check_ints(d=d, m=m)
     return math.exp(
         -d * math.log(2.0)
         + 0.5 * math.log(math.pi)
@@ -174,8 +163,7 @@ def s_integral_closed_form(d: int, m: int) -> float:
 
 def asymptotic_constant(d: int) -> float:
     """Large-m limit of m^{d/2} * integral of S_{1,1,m}: 2^{-d} sqrt(pi) / Gamma(d/2+1/2)."""
-    if d < 1:
-        raise ValueError("need d >= 1")
+    _check_ints(d=d)
     return 2.0**-d * math.sqrt(math.pi) / math.exp(log_gamma(d / 2.0 + 0.5))
 
 
@@ -186,8 +174,7 @@ def gamma_ratio_residual(m: int) -> float:
     directly (the leading m log m terms cancel analytically); naive
     subtraction of ~m log m sized log-gammas would lose the m^{-2} tail.
     """
-    if m < 1:
-        raise ValueError("need m >= 1")
+    _check_ints(m=m)
     if m < 12:
         log_ratio = log_gamma(m + 1.0) - 0.5 * math.log(m) - log_gamma(m + 0.5)
     else:
@@ -209,8 +196,7 @@ def simplex_midpoint_grid(d: int, resolution: int) -> np.ndarray:
     those at least 1/(2*resolution) from the boundary: 2||k|| + d <=
     2*resolution - 1 on the integers, C(K+d, d) nodes for K = floor(resolution
     - (d+1)/2).  The cell weight is resolution^{-d} per node."""
-    if resolution < 2:
-        raise ValueError("resolution must be >= 2")
+    _check_ints(2, resolution=resolution)
     top = (2 * resolution - 1 - d) // 2
     if top < 0:
         return np.empty((0, d))

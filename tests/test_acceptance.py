@@ -43,7 +43,7 @@ def test_criterion_02_exact_vs_closed_form_integral():
     worst = 0.0
     for d in (1, 2, 3):
         for m in range(1, 201):
-            a = spoly.s_integral_exact(spoly.SPolyParams(1, 1, m, d))
+            a = spoly.s_integral_exact(1, 1, m, d)
             b = spoly.s_integral_closed_form(d, m)
             worst = max(worst, abs(a - b) / abs(b))
     _report(2, "exact integral matches closed form, d<=3 m<=200",
@@ -60,7 +60,7 @@ def test_criterion_03_scaled_integral_limit():
         limit = spoly.asymptotic_constant(d)
         ok = ok and abs(limit - stated[d]) <= 5e-10
         errs = [
-            abs(m ** (d / 2.0) * spoly.s_integral_exact(spoly.SPolyParams(1, 1, m, d)) - limit)
+            abs(m ** (d / 2.0) * spoly.s_integral_exact(1, 1, m, d) - limit)
             for m in m_list
         ]
         scaled = [m * e for m, e in zip(m_list, errs)]
@@ -145,7 +145,7 @@ def test_criterion_08_local_clt_at_barycenter():
         for r, s in ((1, 1), (1, 2), (2, 2), (2, 3)):
             phi = spoly.phi_eval(r, s, bary)
             errs = [
-                abs(m ** (d / 2.0) * spoly.s_eval(spoly.SPolyParams(r, s, m, d), bary) - phi)
+                abs(m ** (d / 2.0) * spoly.s_eval(r, s, m, d, bary) - phi)
                 for m in m_list
             ]
             ok = ok and all(errs[i] > errs[i + 1] for i in range(len(errs) - 1))
@@ -160,10 +160,10 @@ def test_criterion_09_domination_by_unit_case():
         d = int(rng.integers(1, 4))
         x = rng.dirichlet(np.ones(d + 1))[:-1]
         m = int(rng.integers(1, 31))
-        base = spoly.s_eval(spoly.SPolyParams(1, 1, m, d), x)
+        base = spoly.s_eval(1, 1, m, d, x)
         for r in (1, 2, 3):
             for s in (1, 2, 3):
-                worst = max(worst, spoly.s_eval(spoly.SPolyParams(r, s, m, d), x) - base)
+                worst = max(worst, spoly.s_eval(r, s, m, d, x) - base)
     _report(9, "S_{r,s,m} <= S_{1,1,m} on 50 interior points",
             worst <= 1e-12, t0, f"worst excess {worst:.3g}")
 
@@ -254,7 +254,7 @@ def test_application_density_variance_limit():
         phi = spoly.phi_eval(1, 1, point)
         ms, lead, errs = (100, 200, 400, 800, 1600, 3200, 6400), [], []
         for m in ms:
-            s11 = spoly.s_eval(spoly.SPolyParams(1, 1, m - 1, 1), point)
+            s11 = spoly.s_eval(1, 1, m - 1, 1, point)
             ratio = m**-0.5 * (m * s11 - 1.0) / phi
             lead.append(math.sqrt(m) * (ratio - 1.0))
             errs.append(lead[-1] + 1.0 / phi)
@@ -281,7 +281,7 @@ def test_application_density_variance_limit_product():
         point = (x,)
         phi[x] = spoly.phi_eval(1, 1, point)
         for m in ms:
-            s11[x, m] = spoly.s_eval(spoly.SPolyParams(1, 1, m - 1, 1), point)
+            s11[x, m] = spoly.s_eval(1, 1, m - 1, 1, point)
     ok, details = True, []
     for xs in ((0.2, 0.5), (0.3, 0.7), (0.2, 0.5, 0.7)):
         d = len(xs)
@@ -315,7 +315,7 @@ def test_second_order_term_of_s11():
         c1 = (sum(1.0 / v for v in SimplexPoint(x).full) - (d * d + 4 * d + 1)) / 16.0
         scaled = []
         for m in ms:
-            e = m ** (d / 2.0) * spoly.s_eval(spoly.SPolyParams(1, 1, m, d), x) / phi - 1.0
+            e = m ** (d / 2.0) * spoly.s_eval(1, 1, m, d, x) / phi - 1.0
             scaled.append(m * (m * e - c1))
         ok = ok and all(0.0 < v <= bound for v in scaled)
         details.append(f"x={x}: m*(m*e - c1) {scaled[0]:.4f}..{scaled[-1]:.4f}")

@@ -140,6 +140,24 @@ class TestExitCodes:
         assert main(["ineq-fuzz", "--trials", "0",
                      "--out", str(tmp_path / "f.csv")]) == 2
 
+    @pytest.mark.parametrize("argv, name", [
+        (["s-table", "--m-list", "0,5"], "m"),
+        (["s-table", "--d", "0"], "d"),
+        (["lclt-compare", "--m-list", "0,16"], "m"),
+        (["sample-gen", "--n", "0"], "n"),
+        (["ineq-fuzz", "--dmax", "0"], "dmax"),
+        (["ineq-fuzz", "--trials", "0"], "trials"),
+        (["estimate", "--m", "0", "--samples", "samples.csv"], "m"),
+    ], ids=["s-table-m", "s-table-d", "lclt-compare-m", "sample-gen-n", "ineq-fuzz-dmax",
+            "ineq-fuzz-trials", "estimate-m"])
+    def test_zero_integer_flag(self, tmp_path, monkeypatch, capsys, argv, name):
+        # the library's integer rule names the value; no file, not even a temp file
+        monkeypatch.chdir(tmp_path)
+        simplex.sample_dirichlet((1.0, 1.0, 1.0), 50, seed=0).to_csv("samples.csv")
+        assert main(argv + ["--out", "out.csv"]) == 2
+        assert capsys.readouterr().err == f"error: {name} must be an integer >= 1, got 0\n"
+        assert os.listdir(tmp_path) == ["samples.csv"]
+
     def test_s_table(self, tmp_path):
         out = tmp_path / "s.csv"
         assert main(["s-table", "--d", "1", "--m-list", "5,10,20",
@@ -583,7 +601,7 @@ class TestFlatMemory:
     POINTS = ("import sys; import numpy as np\n"
               "xs = np.random.default_rng(0).dirichlet(np.ones(3), int(sys.argv[1]))\n")
     S_GRID = POINTS + ("from bernsimplex import spoly\n"
-                       "spoly.s_eval_grid(spoly.SPolyParams(1, 2, 100, 2), xs[:, :2])\n")
+                       "spoly.s_eval_grid(1, 2, 100, 2, xs[:, :2])\n")
     SIMPLEX_CDF = POINTS + ("from bernsimplex import estimate, simplex\n"
                             "samples = simplex.sample_dirichlet((1.0, 1.0, 1.0), 1000, 0)\n"
                             "estimate.bernstein_cdf_simplex(samples, 100, xs[:, :2])\n")

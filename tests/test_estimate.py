@@ -204,7 +204,7 @@ class TestDensityVarianceIdentity:
 
     @staticmethod
     def _s11(m, x):
-        return spoly.s_eval(spoly.SPolyParams(1, 1, m - 1, 1), (x,))
+        return spoly.s_eval(1, 1, m - 1, 1, (x,))
 
     @pytest.mark.parametrize("m", [2, 5, 12, 40])
     def test_squared_weights_are_s(self, m):

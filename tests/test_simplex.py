@@ -2,6 +2,7 @@ import dataclasses
 import functools
 import itertools
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -131,8 +132,8 @@ class TestPointRule:
             consumers = [
                 lambda: SimplexPoint(row),
                 lambda: sx.SampleSet(np.array([row]), "simplex"),
-                lambda: spoly.s_eval_grid(spoly.SPolyParams(1, 1, 1, d), np.array([row])),
-                lambda: spoly.s_eval(spoly.SPolyParams(1, 1, 1, d), row),
+                lambda: spoly.s_eval_grid(1, 1, 1, d, np.array([row])),
+                lambda: spoly.s_eval(1, 1, 1, d, row),
                 lambda: estimate.bernstein_cdf_simplex(samples[d], 1, np.array([row])),
                 lambda: estimate.bernstein_cdf_simplex(samples[d], 1, row),
             ]
@@ -241,9 +242,8 @@ class TestOnePointConvention:
             assert [fn(tuple(row.tolist())) for row in rows] == single, name
             batch = fn(rows)
             assert batch.shape == (len(rows),) and _bits(batch) == _bits(single), name
-        p = spoly.SPolyParams(2, 3, 9, 2)
-        assert _bits([spoly.s_eval(p, row) for row in self.ROWS]) == _bits(
-            spoly.s_eval_grid(p, self.ROWS))
+        assert _bits([spoly.s_eval(2, 3, 9, 2, row) for row in self.ROWS]) == _bits(
+            spoly.s_eval_grid(2, 3, 9, 2, self.ROWS))
 
     def test_boundary_rows_are_singular_for_the_covariance(self):
         # a boundary row (one clamped onto it included) has no density, alone or in a batch
@@ -256,7 +256,7 @@ class TestOnePointConvention:
 
     def test_wrong_shapes_raise_the_shape_error(self):
         cube = sx.SampleSet(self.SAMPLES.points, "hypercube")
-        fixed_d = [functools.partial(spoly.s_eval, spoly.SPolyParams(1, 1, 3, 2)),
+        fixed_d = [functools.partial(spoly.s_eval, 1, 1, 3, 2),
                    self.fns()["cdf"],
                    functools.partial(estimate.bernstein_cdf_hypercube, cube, 3),
                    functools.partial(estimate.bernstein_density_hypercube, cube, 3)]
@@ -268,6 +268,83 @@ class TestOnePointConvention:
             for bad in (np.empty(0), np.zeros((2, 2, 2))):
                 with pytest.raises(ValueError, match=r"\(P, d\)"):
                     fn(bad)
+
+
+_INST = monotone.MonotoneInstance((1.0, 2.0, 3.0), (0.2, 0.3))
+_CUBE_SAMPLES = sx.SampleSet(_dirichlet_rows(2, 20, 5), "hypercube")
+# (function, argument name, least value, the call with that argument as v)
+_INT_ARGS = [
+    ("lattice_array", "d", 1, lambda v: sx.lattice_array(v, 2)),
+    ("lattice_array", "m", 0, lambda v: sx.lattice_array(2, v)),
+    ("log_factorial_table", "n", 0, lambda v: sx.log_factorial_table(v)),
+    ("sample_dirichlet", "n", 1, lambda v: sx.sample_dirichlet((1.0, 1.0), v, 0)),
+    ("bernstein_cdf_simplex", "m", 1,
+     lambda v: estimate.bernstein_cdf_simplex(TestOnePointConvention.SAMPLES, v, (0.2, 0.3))),
+    ("bernstein_cdf_hypercube", "m", 1,
+     lambda v: estimate.bernstein_cdf_hypercube(_CUBE_SAMPLES, v, (0.2, 0.3))),
+    ("bernstein_density_hypercube", "m", 1,
+     lambda v: estimate.bernstein_density_hypercube(_CUBE_SAMPLES, v, (0.2, 0.3))),
+    ("fuzz_inequalities", "trials", 1, lambda v: ineq.fuzz_inequalities(v, 2, 0, ScanReport())),
+    ("fuzz_inequalities", "dmax", 1, lambda v: ineq.fuzz_inequalities(2, v, 0, ScanReport())),
+    ("h_derivative", "order n", 1, lambda v: monotone.h_derivative(_INST, 1.0, v)),
+    ("cm_scan", "max_order", 1, lambda v: monotone.cm_scan([_INST], [1.0], ScanReport(), v)),
+    ("s_eval_grid", "r", 1, lambda v: spoly.s_eval_grid(v, 1, 1, 1, [(0.5,)])),
+    ("s_eval_grid", "s", 1, lambda v: spoly.s_eval_grid(1, v, 1, 1, [(0.5,)])),
+    ("s_eval_grid", "m", 1, lambda v: spoly.s_eval_grid(1, 1, v, 1, [(0.5,)])),
+    ("s_eval_grid", "d", 1, lambda v: spoly.s_eval_grid(1, 1, 1, v, [(0.5,)])),
+    ("s_eval", "r", 1, lambda v: spoly.s_eval(v, 1, 1, 1, (0.5,))),
+    ("s_eval", "s", 1, lambda v: spoly.s_eval(1, v, 1, 1, (0.5,))),
+    ("s_eval", "m", 1, lambda v: spoly.s_eval(1, 1, v, 1, (0.5,))),
+    ("s_eval", "d", 1, lambda v: spoly.s_eval(1, 1, 1, v, (0.5,))),
+    ("s_integral_exact", "r", 1, lambda v: spoly.s_integral_exact(v, 1, 1, 1)),
+    ("s_integral_exact", "s", 1, lambda v: spoly.s_integral_exact(1, v, 1, 1)),
+    ("s_integral_exact", "m", 1, lambda v: spoly.s_integral_exact(1, 1, v, 1)),
+    ("s_integral_exact", "d", 1, lambda v: spoly.s_integral_exact(1, 1, 1, v)),
+    ("det_covariance", "r", 1, lambda v: spoly.det_covariance(v, 1, (0.5,))),
+    ("det_covariance", "s", 1, lambda v: spoly.det_covariance(1, v, (0.5,))),
+    ("phi_eval", "r", 1, lambda v: spoly.phi_eval(v, 1, (0.5,))),
+    ("phi_eval", "s", 1, lambda v: spoly.phi_eval(1, v, (0.5,))),
+    ("composition_coefficient", "m", 0,
+     lambda v: spoly.composition_coefficient([np.ones(1)] * 2, v)),
+    ("central_binomial_identity", "d", 1, lambda v: spoly.central_binomial_identity(v, 2)),
+    ("central_binomial_identity", "m_max", 0, lambda v: spoly.central_binomial_identity(2, v)),
+    ("s_integral_closed_form", "d", 1, lambda v: spoly.s_integral_closed_form(v, 2)),
+    ("s_integral_closed_form", "m", 1, lambda v: spoly.s_integral_closed_form(2, v)),
+    ("asymptotic_constant", "d", 1, lambda v: spoly.asymptotic_constant(v)),
+    ("gamma_ratio_residual", "m", 1, lambda v: spoly.gamma_ratio_residual(v)),
+    ("simplex_midpoint_grid", "resolution", 2, lambda v: spoly.simplex_midpoint_grid(2, v)),
+]
+_INT_IDS = [f"{name}-{arg}" for name, arg, _, _ in _INT_ARGS]
+
+
+class TestIntegerRule:
+    """Every integer argument goes through simplex._check_ints: a Python int,
+    not a bool, at least its least value, else a ValueError that names it."""
+
+    @pytest.mark.parametrize("bad", ["below", 2.5, True, np.int64(2), "3", None],
+                             ids=["below", "float", "bool", "int64", "str", "None"])
+    @pytest.mark.parametrize("name, arg, lo, call", _INT_ARGS, ids=_INT_IDS)
+    def test_rejects_and_names_the_argument(self, name, arg, lo, call, bad):
+        value = lo - 1 if bad == "below" else bad
+        message = f"^{arg} must be an integer .*, got {re.escape(repr(value))}$"
+        with pytest.raises(ValueError, match=message):
+            call(value)
+
+    @pytest.mark.parametrize("name, arg, lo, call", _INT_ARGS, ids=_INT_IDS)
+    def test_accepts_the_least_value(self, name, arg, lo, call):
+        call(lo)
+
+    def test_boundary_values(self):
+        assert sx.lattice_array(2, 0).tolist() == [[0, 0, 0]]
+        assert sx.log_factorial_table(0).shape == (1,)
+        assert spoly.central_binomial_identity(2, 0)["equal"] == [True]
+        assert spoly.composition_coefficient([np.ones(1)] * 2, 0) == 1.0
+        assert spoly.simplex_midpoint_grid(1, 2).tolist() == [[0.25], [0.75]]
+
+    def test_upper_bound(self):
+        with pytest.raises(ValueError, match=r"^k must be an integer in \[1, 7\], got 8$"):
+            sx._check_ints(hi=7, k=8)
+        sx._check_ints(hi=7, k=7)
 
 
 class TestLattice:
@@ -519,8 +596,7 @@ class TestBlockBudget:
         "fuzz dmax=1": (_fuzz(1, 4000), ineq, "inequality_margins", 1),
         "fuzz dmax=5": (_fuzz(5, 3000), ineq, "inequality_margins", 1),
         "fuzz dmax=9": (_fuzz(9, 2500), ineq, "inequality_margins", 1),
-        "s_eval_grid": (_points(functools.partial(spoly.s_eval_grid,
-                                                  spoly.SPolyParams(1, 2, 100, 2)),
+        "s_eval_grid": (_points(functools.partial(spoly.s_eval_grid, 1, 2, 100, 2),
                                 _SIMPLEX[:100, :2]), spoly, "lattice_log_pmf", 2),
         "simplex cdf": (_points(functools.partial(estimate.bernstein_cdf_simplex, _SAMPLES, 100),
                                 _SIMPLEX[:, :2]), estimate, "lattice_log_pmf", 1),

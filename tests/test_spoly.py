@@ -36,12 +36,12 @@ def s_integral_mpmath(d, m):
 
 class TestSEval:
     def test_hand_values(self):
-        assert sp.s_eval(sp.SPolyParams(1, 1, 1, 1), HALF) == pytest.approx(0.5, rel=1e-12)
-        assert sp.s_eval(sp.SPolyParams(1, 2, 1, 1), HALF) == pytest.approx(0.25, rel=1e-12)
+        assert sp.s_eval(1, 1, 1, 1, HALF) == pytest.approx(0.5, rel=1e-12)
+        assert sp.s_eval(1, 2, 1, 1, HALF) == pytest.approx(0.25, rel=1e-12)
 
     def test_vertex_carries_all_mass(self):
         for m in (1, 4, 9):
-            assert sp.s_eval(sp.SPolyParams(1, 1, m, 1), (1.0,)) == pytest.approx(
+            assert sp.s_eval(1, 1, m, 1, (1.0,)) == pytest.approx(
                 1.0, rel=1e-12
             )
 
@@ -49,7 +49,7 @@ class TestSEval:
         rng = np.random.Generator(np.random.PCG64(3))
         for _ in range(20):
             x = rng.dirichlet(np.ones(3))
-            v = sp.s_eval(sp.SPolyParams(2, 3, 7, 2), x[:-1])
+            v = sp.s_eval(2, 3, 7, 2, x[:-1])
             assert 0.0 <= v <= 1.0
 
     def test_brute_force_oracle(self):
@@ -61,48 +61,46 @@ class TestSEval:
             lr = multinomial_log_pmf(MultiIndex([r * v for v in mi.k], r * m), SimplexPoint(x))
             ls = multinomial_log_pmf(MultiIndex([s * v for v in mi.k], s * m), SimplexPoint(x))
             expected += math.exp(lr + ls)
-        assert sp.s_eval(sp.SPolyParams(r, s, m, 2), x) == pytest.approx(expected, rel=1e-12)
+        assert sp.s_eval(r, s, m, 2, x) == pytest.approx(expected, rel=1e-12)
 
     def test_domination_by_unit_case(self):
         rng = np.random.Generator(np.random.PCG64(8))
         for d in (1, 2):
             xs = rng.dirichlet(np.ones(d + 1), size=10)[:, :d]
-            base = sp.s_eval_grid(sp.SPolyParams(1, 1, 12, d), xs)
+            base = sp.s_eval_grid(1, 1, 12, d, xs)
             for r, s in [(1, 2), (2, 2), (2, 3), (3, 3)]:
-                v = sp.s_eval_grid(sp.SPolyParams(r, s, 12, d), xs)
+                v = sp.s_eval_grid(r, s, 12, d, xs)
                 assert np.all(v <= base + 1e-12)
 
     def test_grid_rows_match_single_points(self, small_blocks):
         # a row of s_eval_grid does not depend on the other points in the call
         rng = np.random.Generator(np.random.PCG64(9))
         xs = np.vstack([rng.dirichlet(np.ones(3), size=40)[:, :-1], [(0.0, 0.25)]])
-        p = sp.SPolyParams(2, 3, 9, 2)
-        single = [sp.s_eval(p, x) for x in xs]
-        assert np.array_equal(sp.s_eval_grid(p, xs), single)
+        p = (2, 3, 9, 2)
+        single = [sp.s_eval(*p, x) for x in xs]
+        assert np.array_equal(sp.s_eval_grid(*p, xs), single)
         # 55 lattice rows, 3 * 55 + 8 floats a point: blocks of 6 split the
         # 41 points 6, ..., 6, 5
         small_blocks(6, 3 * 55 + 8)
-        assert np.array_equal(sp.s_eval_grid(p, xs), single)
+        assert np.array_equal(sp.s_eval_grid(*p, xs), single)
 
     @pytest.mark.parametrize("row", [(math.nan,), (math.inf,), (-0.5,), (1.4,),
                                      (-1e-11,), (1.0 + 1e-11,)])
     def test_grid_rejects_points_off_the_simplex(self, row):
         # (1,1,10,1) once gave 184,756 for a NaN row, 3325.3 at (-0.5, 1.5), 147.4 at (0.7, 0.7)
-        p = sp.SPolyParams(1, 1, 10, 1)
         xs = np.array([(0.3,), row])
         with pytest.raises(ValueError):
-            sp.s_eval_grid(p, xs)
+            sp.s_eval_grid(1, 1, 10, 1, xs)
 
     def test_grid_rejects_full_rows_by_shape(self):
         # (P, d+1) rows, the convention before (P, d): a shape error, even
         # for rows that would pass as points
         with pytest.raises(ValueError, match=r"\(P, d=1\)"):
-            sp.s_eval_grid(sp.SPolyParams(1, 1, 10, 1), np.array([(0.3, 0.7)]))
+            sp.s_eval_grid(1, 1, 10, 1, np.array([(0.3, 0.7)]))
 
     def test_grid_accepts_rounding_noise(self):
-        p = sp.SPolyParams(1, 1, 10, 1)
-        noisy = sp.s_eval_grid(p, np.array([(-1e-13,), (1.0 + 1e-13,), (0.3 + 1e-13,)]))
-        clean = sp.s_eval_grid(p, np.array([(0.0,), (1.0,), (0.3,)]))
+        noisy = sp.s_eval_grid(1, 1, 10, 1, np.array([(-1e-13,), (1.0 + 1e-13,), (0.3 + 1e-13,)]))
+        clean = sp.s_eval_grid(1, 1, 10, 1, np.array([(0.0,), (1.0,), (0.3,)]))
         assert noisy == pytest.approx(clean, rel=1e-9)
 
 
@@ -136,10 +134,9 @@ class TestSExact:
         xs = np.array([[v / sum(p) for v in p[:-1]] for p in ps])
         for r, s in self.PAIRS:
             for m in self.MS:
-                params = sp.SPolyParams(r, s, m, d)
-                for p, x, row in zip(ps, xs, sp.s_eval_grid(params, xs)):
+                for p, x, row in zip(ps, xs, sp.s_eval_grid(r, s, m, d, xs)):
                     want = float(oracles.s_exact(r, s, m, p, sum(p)))
-                    for got in (sp.s_eval(params, x), row):
+                    for got in (sp.s_eval(r, s, m, d, x), row):
                         assert abs(got - want) <= 1e-12 * want, (r, s, m, p)
 
     @pytest.mark.parametrize("d", [1, 2, 3])
@@ -174,7 +171,7 @@ class TestSIntegralRational:
         for d in (1, 2, 3):
             for m in (1, 5, 20, 60, 200):
                 want = float(oracles.s_integral_rational(r, s, m, d))
-                got = sp.s_integral_exact(sp.SPolyParams(r, s, m, d))
+                got = sp.s_integral_exact(r, s, m, d)
                 assert abs(got - want) <= 1e-11 * want, (r, s, m, d)
 
 
@@ -206,6 +203,14 @@ class TestPhiAndDet:
     def test_singularity_error(self):
         with pytest.raises(ValueError):
             sp.phi_eval(1, 1, (1.0,))
+
+    @pytest.mark.parametrize("fn", [sp.det_covariance, sp.phi_eval])
+    @pytest.mark.parametrize("r, s, name", [(0, 1, "r"), (-1, 2, "r"), (1, 0, "s")])
+    def test_orders_below_one_rejected(self, fn, r, s, name):
+        # det_covariance once gave 0.0 at (0, 1) and -0.5 at (-1, 2), and
+        # phi_eval inf and nan there, each with a RuntimeWarning
+        with pytest.raises(ValueError, match=f"^{name} must be an integer >= 1"):
+            fn(r, s, [0.5])
 
 
 class TestCentralBinomial:
@@ -261,10 +266,10 @@ class TestCentralBinomial:
 
 class TestIntegrals:
     def test_exact_hand_values(self):
-        assert sp.s_integral_exact(sp.SPolyParams(1, 1, 1, 1)) == pytest.approx(
+        assert sp.s_integral_exact(1, 1, 1, 1) == pytest.approx(
             2.0 / 3.0, rel=1e-12
         )
-        assert sp.s_integral_exact(sp.SPolyParams(1, 1, 2, 1)) == pytest.approx(
+        assert sp.s_integral_exact(1, 1, 2, 1) == pytest.approx(
             8.0 / 15.0, rel=1e-12
         )
 
@@ -284,7 +289,7 @@ class TestIntegrals:
                         math.factorial(r * v) * math.factorial(s * v),
                     )
                 total += term / math.factorial(t * m + d)
-            assert sp.s_integral_exact(sp.SPolyParams(r, s, m, d)) == pytest.approx(
+            assert sp.s_integral_exact(r, s, m, d) == pytest.approx(
                 float(total), rel=1e-12
             )
 
@@ -292,7 +297,7 @@ class TestIntegrals:
                                          (2, 2, 60, 2), (3, 1, 40, 4), (2, 5, 300, 1)])
     def test_convolution_matches_lattice(self, r, s, m, d):
         want = s_integral_lattice(r, s, m, d)
-        got = sp.s_integral_exact(sp.SPolyParams(r, s, m, d))
+        got = sp.s_integral_exact(r, s, m, d)
         assert abs(got - want) <= 1e-13 * want
 
     @pytest.mark.parametrize("d,m", [(1, 1000), (4, 2000), (3, 5000)])
@@ -302,7 +307,7 @@ class TestIntegrals:
         # error is about 4 eps L.  The worst seen on these cases is 0.92 eps L.
         tol = 4 * np.finfo(float).eps * math.lgamma(2 * m + d + 1)
         want = float(s_integral_mpmath(d, m))
-        got = sp.s_integral_exact(sp.SPolyParams(1, 1, m, d))
+        got = sp.s_integral_exact(1, 1, m, d)
         assert abs(got - want) <= tol * want
 
     def test_capacity_guard_before_work(self, monkeypatch):
@@ -317,9 +322,9 @@ class TestIntegrals:
         monkeypatch.setattr(sp, "log_factorial_table", work)
         monkeypatch.setattr(sp, "composition_coefficient", work)
         with pytest.raises(CapacityError):
-            sp.s_integral_exact(sp.SPolyParams(1, 1, 9999, 2))
+            sp.s_integral_exact(1, 1, 9999, 2)
         with pytest.raises(WorkStarted):
-            sp.s_integral_exact(sp.SPolyParams(1, 1, 9998, 2))
+            sp.s_integral_exact(1, 1, 9998, 2)
 
     def test_closed_form_hand_values(self):
         assert sp.s_integral_closed_form(1, 1) == pytest.approx(2.0 / 3.0, rel=1e-12)
@@ -328,7 +333,7 @@ class TestIntegrals:
     def test_closed_form_matches_exact(self):
         for d in (1, 2, 3):
             for m in (1, 5, 17, 60):
-                assert sp.s_integral_exact(sp.SPolyParams(1, 1, m, d)) == pytest.approx(
+                assert sp.s_integral_exact(1, 1, m, d) == pytest.approx(
                     sp.s_integral_closed_form(d, m), rel=1e-11
                 )
 
@@ -337,7 +342,7 @@ class TestIntegrals:
         from bernsimplex.specfun import log_gamma
 
         for d, m in [(1, 10), (2, 8), (3, 6)]:
-            integral = sp.s_integral_exact(sp.SPolyParams(1, 1, m, d))
+            integral = sp.s_integral_exact(1, 1, m, d)
             scale = math.exp(log_gamma(2 * m + d + 1.0) - 2.0 * log_gamma(m + 1.0))
             assert integral * scale == pytest.approx(
                 sp.central_binomial_identity(d, m)["lhs"][m], rel=1e-10
@@ -387,13 +392,13 @@ class TestGammaRatioResidual:
             assert sp.gamma_ratio_residual(m) <= 0.05
 
 
-def weighted_integral(p, h, resolution):
+def weighted_integral(r, s, m, d, h, resolution):
     """Midpoint-rule value of the integral of h(x) (m^{d/2} S_{r,s,m}(x) - phi_{r,s}(x))
     over the simplex; h maps the (P, d) nodes to (P,) weights."""
-    xs = sp.simplex_midpoint_grid(p.d, resolution)
-    phi = sp.phi_eval(p.r, p.s, xs)
-    integrand = h(xs) * (p.m ** (p.d / 2.0) * sp.s_eval_grid(p, xs) - phi)
-    return float(integrand.sum() * resolution ** (-p.d))
+    xs = sp.simplex_midpoint_grid(d, resolution)
+    phi = sp.phi_eval(r, s, xs)
+    integrand = h(xs) * (m ** (d / 2.0) * sp.s_eval_grid(r, s, m, d, xs) - phi)
+    return float(integrand.sum() * resolution ** (-d))
 
 
 class TestWeightedExperiment:
@@ -401,12 +406,12 @@ class TestWeightedExperiment:
         # coarse grid: every node is far enough from the boundary that the
         # pointwise limit dominates the midpoint-rule boundary bias
         vals = [
-            abs(weighted_integral(sp.SPolyParams(1, 1, m, 1), lambda xs: np.ones(len(xs)), 25))
+            abs(weighted_integral(1, 1, m, 1, lambda xs: np.ones(len(xs)), 25))
             for m in (10, 40, 160)
         ]
         assert vals[0] > vals[1] > vals[2]
 
     def test_projection_trend_d2(self):
-        lo = abs(weighted_integral(sp.SPolyParams(1, 2, 10, 2), lambda xs: xs[:, 0], 80))
-        hi = abs(weighted_integral(sp.SPolyParams(1, 2, 100, 2), lambda xs: xs[:, 0], 80))
+        lo = abs(weighted_integral(1, 2, 10, 2, lambda xs: xs[:, 0], 80))
+        hi = abs(weighted_integral(1, 2, 100, 2, lambda xs: xs[:, 0], 80))
         assert hi < lo
