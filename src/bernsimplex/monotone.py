@@ -64,8 +64,9 @@ class MonotoneInstance:
     its first d coordinates (full adds x_{d+1}), checked by simplex's rules.
 
     corrupt=True flips the sign of g's x-exponent: a non-CM g that exists only
-    so scan harnesses can prove they reject bad input.  coefs (M, gamma_i...)
-    and log_x (signed ln x_i) cover the active coordinates (gamma_i > 0)."""
+    so scan harnesses can prove they reject bad input.  coefs is the weight
+    rule's row (M, gamma_1, ...), zero weights included, and log_x the signed
+    ln x_i of every coordinate of full."""
 
     gamma: tuple
     x: tuple
@@ -76,21 +77,15 @@ class MonotoneInstance:
     log_x: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        M, *gamma = _weight_rows([self.gamma])[0].tolist()
-        full = tuple(_simplex_rows([self.x], len(gamma) - 1)[0].tolist())
+        coefs = tuple(_weight_rows([self.gamma])[0].tolist())
+        full = tuple(_simplex_rows([self.x], len(coefs) - 2)[0].tolist())
         if min(full) <= 0.0:
             raise ValueError("point must be strictly interior")
-        for name, value in (("gamma", tuple(gamma)), ("x", full[:-1]), ("M", M), ("full", full)):
-            object.__setattr__(self, name, value)
-        active = self.active_terms()
         sign = -1.0 if self.corrupt else 1.0
-        object.__setattr__(self, "coefs", (M,) + tuple(g for g, _ in active))
-        object.__setattr__(self, "log_x", tuple(sign * math.log(x) for _, x in active))
-
-    def active_terms(self):
-        """(gamma_i, x_i) pairs with gamma_i > 0; zero-weight coordinates are
-        deleted before evaluation (their Gamma(1) factors contribute nothing)."""
-        return [(g, x) for g, x in zip(self.gamma, self.full) if g > 0.0]
+        for name, value in (("gamma", coefs[1:]), ("x", full[:-1]), ("M", coefs[0]),
+                            ("full", full), ("coefs", coefs),
+                            ("log_x", tuple(sign * math.log(v) for v in full))):
+            object.__setattr__(self, name, value)
 
 
 def _check_a(a) -> None:
@@ -103,17 +98,16 @@ def _block(inst, a):
     (B, K) term coefficients [M, g_1, ...], zero-padded to the longest
     instance, and the shared a as a read-only (B, *a.shape) view."""
     insts = (inst,) if isinstance(inst, MonotoneInstance) else tuple(inst)
-    width = max(len(i.coefs) for i in insts)
-    coefs = np.array([i.coefs + (0.0,) * (width - len(i.coefs)) for i in insts])
+    coefs = _padded([i.coefs for i in insts], 0.0)
     return insts, coefs, np.broadcast_to(a, (len(insts),) + np.shape(a))
 
 
-def _padded(coefs, values, a):
-    """One per-instance Python value per term, in row order, -0.0 on padding
-    (which _row_sum adds as nothing): (B, K, 1, ...), to broadcast against a."""
-    out = np.full(coefs.shape, -0.0)
-    out[coefs > 0.0] = values
-    return out.reshape(coefs.shape + (1,) * np.ndim(a))
+def _padded(rows, fill: float, a=0.0):
+    """The per-instance tuples rows, filled with fill to the longest: (B, K, 1, ...)
+    to broadcast against a ((B, K) for a scalar a).  _row_sum adds -0.0 as nothing."""
+    width = max(map(len, rows))
+    out = np.array([row + (fill,) * (width - len(row)) for row in rows])
+    return out.reshape(out.shape + (1,) * np.ndim(a))
 
 
 def _unblock(inst, out):
@@ -129,7 +123,7 @@ def log_g_eval(inst, a):
     insts, coefs, rows = _block(inst, a)
     lg = _coef_stack(log_gamma, coefs, rows)
     lg[:, 1:] *= -1.0  # x - y is x + (-y), bit for bit
-    lx = _padded(coefs, [v for i in insts for v in (0.0, *i.log_x)], a)
+    lx = _padded([(0.0, *i.log_x) for i in insts], -0.0, a)
     return _unblock(inst, _row_sum(lg, np.multiply.outer(coefs, a) * lx))
 
 
@@ -145,19 +139,18 @@ def g_eval(inst, a):
 def _h_terms(inst, a, n: int):
     """The signed terms whose left-to-right sum is h^{(n)}(a), per instance:
     (psi, kl).  psi (B, K, *a.shape) holds -M^n psi^{(n-1)}(aM+1), then
-    g^n psi^{(n-1)}(ag+1) per active coordinate; for n = 1, kl follows each
+    g^n psi^{(n-1)}(ag+1) per coordinate; for n = 1, kl follows each
     coordinate's term with -g ln x (+g ln x for a corrupt instance), and is
     None for n > 1.  One polygamma call on the stacked arguments
     a * [M, g_1, ...] + 1; the powers are Python's float ** int, whose bits
     numpy's power does not always match."""
     insts, coefs, rows = _block(inst, a)
     psi = _coef_stack(lambda z: polygamma(n - 1, z), coefs, rows)
-    psi *= _padded(coefs, [v for i in insts for v in (-(i.coefs[0] ** n),
-                                                       *(g**n for g in i.coefs[1:]))], a)
+    psi *= _padded([(-(i.M**n), *(g**n for g in i.gamma)) for i in insts], -0.0, a)
     if n > 1:
         return psi, None
-    kl = [v for i in insts for v in (0.0, *(-g * lx for g, lx in zip(i.coefs[1:], i.log_x)))]
-    return psi, _padded(coefs, kl, a)
+    return psi, _padded([(0.0, *(-g * lx for g, lx in zip(i.gamma, i.log_x))) for i in insts],
+                        -0.0, a)
 
 
 def h_derivative(inst, a, n: int):
@@ -176,15 +169,11 @@ def _h_derivative_scale(inst, a, n: int):
     return _unblock(inst, out if kl is None else np.maximum(out, np.max(np.abs(kl), axis=1)))
 
 
-def j_eval(u, y: float) -> float:
-    """J_u(y) = 1/(y-1) - sum_i 1/(y^{1/u_i} - 1) for y > 1; strictly
-    positive whenever the u_i are positive and sum to 1.  Exponents are
-    handled in log scale so tiny u_i cannot overflow y^{1/u_i}."""
-    u = [float(v) for v in u]
-    if not all(0.0 < v < math.inf for v in u):
-        raise ValueError("all u_i must be finite and positive")
-    if abs(sum(u) - 1.0) > 1e-12:
-        raise ValueError(f"u must sum to 1, got {sum(u)}")
+def j_eval(gamma, y: float) -> float:
+    """J_u(y) = 1/(y-1) - sum_i 1/(y^{1/u_i} - 1) for y > 1 and u = gamma/M, by
+    simplex's weight rule: > 0 for two or more positive weights, 0 for one (a
+    zero weight adds nothing).  Exponents in log scale: no y^{1/u_i} overflows."""
+    M, *gamma = _weight_rows([gamma])[0].tolist()
     if not (math.isfinite(y) and y > 1.0):
         raise ValueError(f"need y > 1, got {y!r}")
     ly = math.log(y)
@@ -194,8 +183,9 @@ def j_eval(u, y: float) -> float:
         return math.exp(-t) if t > 700.0 else 1.0 / math.expm1(t)
 
     out = recip_expm1(ly)
-    for v in u:
-        out -= recip_expm1(ly / v)
+    for g in gamma:
+        if g > 0.0:
+            out -= recip_expm1(ly / (g / M))
     return out
 
 
@@ -206,9 +196,10 @@ def kl_limit(inst: MonotoneInstance) -> float:
     sum_i gamma_i ln(x_i gamma_i/M), which is negative and never clamped."""
     M = inst.M
     out = 0.0
-    for g, x in inst.active_terms():
-        p = g / M
-        out += g * math.log(p * x if inst.corrupt else p / x)
+    for g, x in zip(inst.gamma, inst.full):
+        if g > 0.0:  # 0 ln 0 = 0
+            p = g / M
+            out += g * math.log(p * x if inst.corrupt else p / x)
     return out if inst.corrupt or out < -_KL_ROUND * M else max(out, 0.0)
 
 

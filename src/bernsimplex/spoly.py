@@ -196,6 +196,7 @@ def simplex_midpoint_grid(d: int, resolution: int) -> np.ndarray:
     those at least 1/(2*resolution) from the boundary: 2||k|| + d <=
     2*resolution - 1 on the integers, C(K+d, d) nodes for K = floor(resolution
     - (d+1)/2).  The cell weight is resolution^{-d} per node."""
+    _check_ints(d=d)
     _check_ints(2, resolution=resolution)
     top = (2 * resolution - 1 - d) // 2
     if top < 0:

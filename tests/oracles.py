@@ -380,9 +380,10 @@ def duplication_residual(y: float) -> float:
 def log_g_eval(inst: MonotoneInstance, a: float) -> float:
     M = inst.M
     out = log_gamma(a * M + 1.0)
-    for g, x in inst.active_terms():
-        out -= log_gamma(a * g + 1.0)
-        out += (-1.0 if inst.corrupt else 1.0) * a * g * math.log(x)
+    for g, x in zip(inst.gamma, inst.full):
+        if g > 0.0:  # log_gamma(1.0) is 3.55e-15 here, not 0
+            out -= log_gamma(a * g + 1.0)
+            out += (-1.0 if inst.corrupt else 1.0) * a * g * math.log(x)
     return out
 
 
@@ -395,7 +396,7 @@ def h_terms(inst: MonotoneInstance, a: float, n: int) -> list:
     call per term."""
     M = inst.M
     out = [-(M**n) * polygamma(n - 1, a * M + 1.0)]
-    for g, x in inst.active_terms():
+    for g, x in zip(inst.gamma, inst.full):
         out.append(g**n * polygamma(n - 1, a * g + 1.0))
         if n == 1:
             out.append((g if inst.corrupt else -g) * math.log(x))
@@ -472,8 +473,9 @@ def instance_log_g_eval(inst: MonotoneInstance, a):
     _check_a(a)
     lg = specfun.log_gamma(np.multiply.outer(inst.coefs, a) + 1.0)
     out = lg[0]
-    for g, lx, lg_i in zip(inst.coefs[1:], inst.log_x, lg[1:]):
-        out = out - lg_i + a * g * lx
+    for g, lx, lg_i in zip(inst.gamma, inst.log_x, lg[1:]):
+        if g > 0.0:  # log_gamma(1.0) is 3.55e-15, not 0
+            out = out - lg_i + a * g * lx
     return out
 
 
@@ -488,10 +490,11 @@ def instance_h_terms(inst: MonotoneInstance, a, n: int) -> list:
     M = inst.M
     psi = specfun.polygamma(n - 1, np.multiply.outer(inst.coefs, a) + 1.0)
     out = [-(M**n) * psi[0]]
-    for g, lx, p in zip(inst.coefs[1:], inst.log_x, psi[1:]):
-        out.append(g**n * p)
-        if n == 1:
-            out.append(-g * lx)
+    for g, lx, p in zip(inst.gamma, inst.log_x, psi[1:]):
+        if g > 0.0:
+            out.append(g**n * p)
+            if n == 1:
+                out.append(-g * lx)
     return out
 
 

@@ -231,7 +231,7 @@ def test_cm_scan_values_against_mpmath(name, tmp_path, monkeypatch):
             if (inst, p) not in log_g_at:
                 P = mpf(p)
                 v = mpmath.loggamma(P * mpf(inst.M) + 1)
-                for g, x in inst.active_terms():
+                for g, x in zip(inst.gamma, inst.full):
                     v += -mpmath.loggamma(P * mpf(g) + 1) + sign_x * P * mpf(g) * mpmath.log(mpf(x))
                 log_g_at[inst, p] = v
             return log_g_at[inst, p]
@@ -243,7 +243,7 @@ def test_cm_scan_values_against_mpmath(name, tmp_path, monkeypatch):
             if n > 0:
                 M = mpf(inst.M)
                 terms = [-M**n * mpmath.polygamma(n - 1, A * M + 1)]
-                for g, x in inst.active_terms():
+                for g, x in zip(inst.gamma, inst.full):
                     terms.append(mpf(g) ** n * mpmath.polygamma(n - 1, A * mpf(g) + 1))
                     if n == 1:
                         terms.append(-sign_x * mpf(g) * mpmath.log(mpf(x)))

@@ -52,7 +52,7 @@ class TestInstance:
             for inst in (mo.MonotoneInstance(gamma, x), mo.MonotoneInstance(list(gamma), tuple(x)),
                          replace(mo.MonotoneInstance(gamma, x, corrupt=True), corrupt=False)):
                 assert (inst.gamma, inst.M, inst.x, inst.full) == (w.gamma, w.M, pt.coords, pt.full)
-                assert inst.coefs == (w.M, *(g for g in w.gamma if g > 0.0))
+                assert _bits(inst.coefs) == _bits((w.M, *w.gamma))  # zero weights kept
                 assert inst == mo.MonotoneInstance(gamma, x)
 
     @pytest.mark.parametrize("gamma,x", [
@@ -77,8 +77,8 @@ class TestGEval:
             mo.g_eval(SYMMETRIC, 0.0)
 
     def test_zero_weight_reduction(self):
-        # gamma_i = 0 coordinates are deleted, exactly: g only sees the
-        # surviving (gamma_i, x_i) pairs
+        # a gamma_i = 0 coordinate is a dead kernel entry that adds nothing:
+        # ln g has the bits of the sum over the (gamma_i, x_i) pairs with gamma_i > 0
         from bernsimplex.specfun import log_gamma
 
         full = make_instance((1.5, 0.0, 2.5), (0.3, 0.2))
@@ -215,6 +215,12 @@ class TestJEval:
     def test_hand_values(self):
         assert mo.j_eval((0.5, 0.5), 4.0) == pytest.approx(0.2, rel=1e-12)
         assert mo.j_eval((1 / 3, 1 / 3, 1 / 3), 2.0) == pytest.approx(1.0 - 3.0 / 7.0, rel=1e-12)
+        # u = gamma / M by the weight rule; a zero weight adds nothing, and
+        # one positive weight gives J = 0
+        assert mo.j_eval((1.0, 0.0, 1.0), 4.0) == mo.j_eval((1.0, 1.0), 4.0)
+        assert mo.j_eval((0.0, 1.0), 2.0) == 0.0
+        assert mo.j_eval((0.5, 0.4), 2.0) == pytest.approx(mo.j_eval((5 / 9, 4 / 9), 2.0),
+                                                           rel=1e-12)
 
     def test_near_one_positive(self):
         assert mo.j_eval((0.4, 0.6), 1.0 + 1e-6) > 0.0
@@ -222,14 +228,14 @@ class TestJEval:
     def test_domain_errors(self):
         with pytest.raises(ValueError):
             mo.j_eval((0.5, 0.5), 1.0)
-        with pytest.raises(ValueError):
-            mo.j_eval((0.5, 0.4), 2.0)
+        with pytest.raises(ValueError, match="total mass M must be positive"):
+            mo.j_eval((0.0, 0.0), 2.0)
 
     @pytest.mark.parametrize("u", [(math.nan, 1.0), (0.5, math.nan), (math.inf, 0.5),
-                                   (0.5, -math.inf), (0.0, 1.0)])
+                                   (0.5, -math.inf), (-0.5, 1.5)])
     def test_u_must_be_finite_and_positive(self, u):
-        # a NaN u_i once passed both checks and gave NaN
-        with pytest.raises(ValueError, match="finite and positive"):
+        # the weight rule's: a NaN u_i once passed j_eval's own checks and gave NaN
+        with pytest.raises(ValueError, match="weights must be finite and nonnegative"):
             mo.j_eval(u, 2.0)
 
     @given(
@@ -271,7 +277,7 @@ class TestKlLimit:
         rng = np.random.Generator(np.random.PCG64(10))
         for d in (1, 3):
             inst = replace(random_instance(rng, d), corrupt=True)
-            want = sum(g * math.log(x * g / inst.M) for g, x in inst.active_terms())
+            want = sum(g * math.log(x * g / inst.M) for g, x in zip(inst.gamma, inst.full))
             assert mo.kl_limit(inst) == pytest.approx(want, rel=1e-12) and want < 0.0
             assert mo.h_derivative(inst, 1e4, 1) == pytest.approx(mo.kl_limit(inst), abs=5e-4)
         assert mo.kl_limit(replace(SYMMETRIC, corrupt=True)) == pytest.approx(-4.0 * math.log(2.0))
@@ -305,7 +311,7 @@ class TestCmScan:
         assert bad.coefs == inst.coefs and bad.log_x == tuple(-v for v in inst.log_x)
         assert bad != inst and replace(bad, corrupt=False) == inst
         a = np.array([0.3, 1.0, 4.7])
-        shift = 2.0 * a * sum(g * math.log(x) for g, x in inst.active_terms())
+        shift = 2.0 * a * sum(g * math.log(x) for g, x in zip(inst.gamma, inst.full))
         np.testing.assert_allclose(mo.log_g_eval(bad, a), mo.log_g_eval(inst, a) - shift,
                                    rtol=1e-12)
         for n in range(2, 8):
@@ -344,7 +350,7 @@ def _log_g_magnitude(inst, a):
     """|ln Gamma(aM+1)| + sum_i |ln Gamma(a g_i+1)| + sum_i a g_i |ln x_i|: the
     size of the terms whose sum is ln g(a)."""
     out = abs(oracles.log_gamma(a * inst.M + 1.0))
-    for g, x in inst.active_terms():
+    for g, x in zip(inst.gamma, inst.full):
         out += abs(oracles.log_gamma(a * g + 1.0)) + a * g * abs(math.log(x))
     return out
 
@@ -441,13 +447,14 @@ class TestBlocksAgainstInstanceScan:
 
     @pytest.mark.parametrize("per_block", [1, 2, None])
     def test_zero_weights_mix_active_counts(self, monkeypatch, per_block):
-        # 4, 2, 3, 4 and 2 terms; with room for two 4-term instances the
-        # blocks are [0, 1], [2, 3] and [4], each of mixed sizes
-        insts = [make_instance((1.5, 0.7, 2.5), (0.3, 0.2)),
-                 make_instance((1.5, 0.0, 0.0), (0.3, 0.2)),
+        # d = 3, 1, 2, 3 and 1 with zero weights: 5, 3, 4, 5 and 3 terms; with
+        # room for two 5-term instances the blocks are [0, 1], [2, 3] and [4],
+        # each of mixed widths
+        insts = [make_instance((1.5, 0.0, 0.7, 2.5), (0.3, 0.2, 0.1)),
+                 make_instance((1.5, 0.0), (0.3,)),
                  replace(make_instance((0.0, 0.7, 2.5), (0.3, 0.2)), corrupt=True),
-                 make_instance((0.2, 3.1, 0.4), (0.6, 0.1)),
-                 make_instance((0.0, 4.0, 0.0), (0.1, 0.5))]
+                 make_instance((0.2, 3.1, 0.0, 0.4), (0.6, 0.1, 0.2)),
+                 make_instance((0.0, 4.0), (0.1,))]
         self.check(monkeypatch, insts, per_block, {1: 5, 2: 3, None: 1}[per_block])
 
     @pytest.mark.parametrize("per_block", [1, 2, None])

@@ -312,6 +312,7 @@ _INT_ARGS = [
     ("s_integral_closed_form", "m", 1, lambda v: spoly.s_integral_closed_form(2, v)),
     ("asymptotic_constant", "d", 1, lambda v: spoly.asymptotic_constant(v)),
     ("gamma_ratio_residual", "m", 1, lambda v: spoly.gamma_ratio_residual(v)),
+    ("simplex_midpoint_grid", "d", 1, lambda v: spoly.simplex_midpoint_grid(v, 2)),
     ("simplex_midpoint_grid", "resolution", 2, lambda v: spoly.simplex_midpoint_grid(2, v)),
 ]
 _INT_IDS = [f"{name}-{arg}" for name, arg, _, _ in _INT_ARGS]
@@ -340,6 +341,13 @@ class TestIntegerRule:
         assert spoly.central_binomial_identity(2, 0)["equal"] == [True]
         assert spoly.composition_coefficient([np.ones(1)] * 2, 0) == 1.0
         assert spoly.simplex_midpoint_grid(1, 2).tolist() == [[0.25], [0.75]]
+
+    def test_checked_where_no_node_survives(self):
+        # d >= 2 * resolution leaves no node, so lattice_array never sees d
+        for d in (np.int64(5), 10.5):
+            message = f"^d must be an integer >= 1, got {re.escape(repr(d))}$"
+            with pytest.raises(ValueError, match=message):
+                spoly.simplex_midpoint_grid(d, 2)
 
     def test_upper_bound(self):
         with pytest.raises(ValueError, match=r"^k must be an integer in \[1, 7\], got 8$"):
@@ -549,7 +557,7 @@ class TestDirichletSampler:
 def _scan(d, instances, two_terms=False):
     rng = np.random.Generator(np.random.PCG64(40 + d))
     insts = [cli._random_instance(rng, d) for _ in range(instances)]
-    if two_terms:  # one active weight: the most rows per g_eval argument
+    if two_terms:  # one positive weight: d of the d + 2 terms are dead kernel entries
         insts = [monotone.MonotoneInstance((i.M,) + (0.0,) * d, i.x) for i in insts]
     grid = cli._grid_spec("0.1:10:0.1")
     return lambda n, out: sx._write_csv(out, "instance,a,order,value,margin",
