@@ -185,15 +185,16 @@ def _cmd_lclt_compare(args) -> int:
 def _cmd_identity_check(args) -> int:
     if args.d_max < 1 or args.m_max < 1:
         raise UsageError("d-max and m-max must be >= 1")
-    # one table per d, built by d convolutions of m_max + 1 exact coefficients
+    # d convolutions of m_max + 1 exact coefficients per d = 1..d_max: a bound
+    # on the one table's d_max cut products
     _check_capacity(args.d_max * (args.d_max + 1) // 2 * (args.m_max + 1) ** 2,
                     f"identity operations for d-max={args.d_max}, m-max={args.m_max}")
     rows = []
     ok = True
-    for d in range(1, args.d_max + 1):
-        equal = spoly.central_binomial_identity(d, args.m_max)["equal"]
+    for report in spoly.central_binomial_identity(args.d_max, args.m_max):
+        equal = report["equal"]
         ok = ok and all(equal[1:])
-        rows.extend(("central-binomial", d, m, "exact" if equal[m] else "MISMATCH")
+        rows.extend(("central-binomial", report["d"], m, "exact" if equal[m] else "MISMATCH")
                     for m in range(1, args.m_max + 1))
     # Python's float power, not np.logspace, whose values differ in the last bits
     ys = np.array([10.0 ** (-3.0 + 9.0 * i / 999.0) for i in range(1000)])

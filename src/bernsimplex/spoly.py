@@ -103,27 +103,35 @@ def composition_coefficient(series: Sequence[np.ndarray], m: int):
     return np.dot(acc, series[-1][::-1])
 
 
-def central_binomial_identity(d: int, m_max: int) -> dict:
-    """Exact-equality report for the lattice central-binomial identity
+def central_binomial_identity(d_max: int, m_max: int) -> list:
+    """Exact-equality reports for the lattice central-binomial identity
 
         sum_{||k|| <= m} prod_{i=1}^{d+1} C(2 k_i, k_i) = C(m + (d-1)/2, m) 4^m
 
-    at every m = 0..m_max, as lists indexed by m.  With k_{d+1} = m - ||k||
-    the left side runs over all compositions of m into d+1 parts, i.e. it is
-    the coefficient of z^m in (sum_j C(2j,j) z^j)^{d+1}: one table of d
-    convolutions on exact integers (cut at degree m_max) gives every m.  The
-    right side is 2^m (d+1)(d+3)...(d+2m-1) / m! in closed form.
+    one dict {"d", "lhs", "rhs", "equal"} per d = 1..d_max, each side a list
+    indexed by m = 0..m_max.  With k_{d+1} = m - ||k|| the left side runs over
+    all compositions of m into d+1 parts, i.e. it is the coefficient of z^m
+    in (sum_j C(2j,j) z^j)^{d+1}: one table of exact integers, multiplied by
+    the series once per d and cut at degree m_max (the padded correlation
+    never forms the higher degrees), gives every d and m.  The right side is
+    2^m (d+1)(d+3)...(d+2m-1) / m! in closed form, from running products.
     """
-    _check_ints(d=d)
+    _check_ints(d_max=d_max)
     _check_ints(0, m_max=m_max)
     c = np.array([math.comb(2 * j, j) for j in range(m_max + 1)], dtype=object)
+    pad = np.zeros(m_max, dtype=object)
     acc = c
-    for _ in range(d):
-        acc = np.convolve(acc, c)[: m_max + 1]
-    lhs = [int(v) for v in acc]
-    rhs = [Fraction(2**m * math.prod(range(d + 1, d + 2 * m, 2)), math.factorial(m))
-           for m in range(m_max + 1)]
-    return {"d": d, "lhs": lhs, "rhs": rhs, "equal": [a == b for a, b in zip(lhs, rhs)]}
+    reports = []
+    for d in range(1, d_max + 1):
+        acc = np.correlate(np.concatenate([pad, acc]), c[::-1], "valid")
+        lhs = acc.tolist()
+        num, factorial, rhs = 1, 1, []  # the numerator and m! at m = 0
+        for m in range(1, m_max + 2):
+            rhs.append(Fraction(num, factorial))  # at m - 1, then both step to m
+            num, factorial = num * 2 * (d + 2 * m - 1), factorial * m
+        reports.append({"d": d, "lhs": lhs, "rhs": rhs,
+                        "equal": [a == b for a, b in zip(lhs, rhs)]})
+    return reports
 
 
 def s_integral_exact(r: int, s: int, m: int, d: int) -> float:

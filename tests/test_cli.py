@@ -185,8 +185,9 @@ class TestExitCodes:
         assert dup == ["duplication,, ,max_residual=%.17g" % want]
 
     def test_identity_check_over_capacity_before_work(self, tmp_path, monkeypatch):
-        # cost d_max (d_max + 1) / 2 (m_max + 1)^2, one table per d:
-        # 10 * 3162^2 is within the cap of 10^8, 10 * 3163^2 is not
+        # cost d_max (d_max + 1) / 2 (m_max + 1)^2, a bound on the one table's
+        # d_max cut products: 10 * 3162^2 is within the cap of 10^8,
+        # 10 * 3163^2 is not
         class WorkStarted(Exception):
             pass
 
@@ -204,8 +205,8 @@ class TestExitCodes:
             main(["identity-check", "--d-max", "4", "--m-max", "3161", "--out", str(out)])
 
     def test_identity_check_counts_every_table(self, tmp_path, monkeypatch):
-        # 20 tables of d = 1..20 at m_max = 9: 210 * 10^2 = 21000 operations,
-        # over a cap of 10^4 although the largest table alone (20 * 10^2) is not
+        # d = 1..20 at m_max = 9 count 210 * 10^2 = 21000 operations, over a
+        # cap of 10^4 although the largest d alone (20 * 10^2) is not
         monkeypatch.setattr(simplex, "LATTICE_CAP", 10**4)
         out = tmp_path / "i.csv"
         assert main(["identity-check", "--d-max", "20", "--m-max", "9",
@@ -645,10 +646,12 @@ class TestFlatMemory:
 class TestNoScalarSweeps:
     def test_fuzz_workload_call_counts(self, tmp_path, monkeypatch):
         # one identity-check and one ineq-fuzz run, as the fuzz benchmark
-        # workload makes them: the duplication sweep is one array call, the
-        # fuzz trials are one block, and no trial gets a weight check of its
-        # own: the weight rule runs once, on the block's weight matrix
-        counts = dict.fromkeys(["log_gamma", "duplication_residual", "_weight_rows"], 0)
+        # workload makes them: the lattice identity is one table for every d,
+        # the duplication sweep is one array call, the fuzz trials are one
+        # block, and no trial gets a weight check of its own: the weight rule
+        # runs once, on the block's weight matrix
+        counts = dict.fromkeys(["log_gamma", "duplication_residual", "_weight_rows",
+                                "central_binomial_identity"], 0)
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
@@ -662,12 +665,15 @@ class TestNoScalarSweeps:
                 if name.startswith("bernsimplex") and getattr(module, fn.__name__, None) is fn:
                     monkeypatch.setattr(module, fn.__name__, wrapper)
         monkeypatch.setattr(ineq, "_weight_rows", counted("_weight_rows", ineq._weight_rows))
+        monkeypatch.setattr(cli.spoly, "central_binomial_identity",
+                            counted("central_binomial_identity", cli.spoly.central_binomial_identity))
         weights = []
         log_coeff = ineq.log_coeff
         monkeypatch.setattr(ineq, "log_coeff", lambda w, a: weights.append(w) or log_coeff(w, a))
         monkeypatch.chdir(tmp_path)
         assert main(["identity-check", "--d-max", "4", "--m-max", "60"]) == 0
         assert main(["ineq-fuzz", "--trials", "500"]) == 0
+        assert counts["central_binomial_identity"] == 1
         assert counts["duplication_residual"] == 1
         assert counts["log_gamma"] <= 7
         assert counts["_weight_rows"] == 1

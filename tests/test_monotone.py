@@ -164,6 +164,39 @@ class TestExactCompleteMonotonicity:
                 rows = _exact_differences(gamma, flipped, 7)
                 assert min(rows[k][0] for k in (1, 3, 5, 7)) < 0, (gamma, x)
 
+    @pytest.mark.parametrize("seed", range(3))
+    def test_float_derivative_route_agrees_in_sign(self, seed):
+        # the same instances through cm_scan at a = 1..31, order 7.  A
+        # coordinate with gamma_i = 0 and x_i = 0 (x = gamma / M) leaves g
+        # unchanged and is dropped; one left alone is g = 1, with no instance
+        grid = [float(n) for n in range(1, 32)]
+        for gamma, x in self.instances(seed):
+            kept = [(g, xi) for g, xi in zip(gamma, x) if g or xi]
+            if len(kept) < 2:
+                continue
+            gamma, x = (list(v) for v in zip(*kept))
+            inst = make_instance([float(g) for g in gamma], [float(v) for v in x[:-1]])
+            _, rows = scan(inst, grid, 7)
+            margins = [margin for _, order, _, margin in rows if order > 0]
+            assert all(v >= 0 for v in margins), (gamma, x)
+            assert margins == _derivative_margins(inst, grid, 7).T.ravel().tolist()
+            # the corrupt twin is g at 1/x: where the tolerance-free route
+            # finds a negative odd-order difference, the float route fails too
+            exact = _exact_differences(gamma, [1 / v for v in x], 7)
+            if any(v < 0 for k in (1, 3, 5, 7) for v in exact[k]):
+                twin = replace(inst, corrupt=True)
+                assert (_derivative_margins(twin, grid, 7) < 0).any(), (gamma, x)
+
+
+def _derivative_margins(inst, grid, max_order: int) -> np.ndarray:
+    """cm_scan's derivative-route margins of one instance, (max_order, P).
+    They never evaluate g, which the scan's difference route does, and which
+    overflows at large a on a corrupt instance with large weights."""
+    a = np.array(grid)
+    return np.array([(-1.0) ** (n - 1) * mo.h_derivative(inst, a, n)
+                     + mo.DERIV_FLOOR_REL * np.maximum(mo._h_derivative_scale(inst, a, n), 1.0)
+                     for n in range(1, max_order + 1)])
+
 
 class TestHDerivative:
     def test_first_derivative_hand_value(self):

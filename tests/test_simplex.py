@@ -306,7 +306,7 @@ _INT_ARGS = [
     ("phi_eval", "s", 1, lambda v: spoly.phi_eval(1, v, (0.5,))),
     ("composition_coefficient", "m", 0,
      lambda v: spoly.composition_coefficient([np.ones(1)] * 2, v)),
-    ("central_binomial_identity", "d", 1, lambda v: spoly.central_binomial_identity(v, 2)),
+    ("central_binomial_identity", "d_max", 1, lambda v: spoly.central_binomial_identity(v, 2)),
     ("central_binomial_identity", "m_max", 0, lambda v: spoly.central_binomial_identity(2, v)),
     ("s_integral_closed_form", "d", 1, lambda v: spoly.s_integral_closed_form(v, 2)),
     ("s_integral_closed_form", "m", 1, lambda v: spoly.s_integral_closed_form(2, v)),
@@ -338,7 +338,7 @@ class TestIntegerRule:
     def test_boundary_values(self):
         assert sx.lattice_array(2, 0).tolist() == [[0, 0, 0]]
         assert sx.log_factorial_table(0).shape == (1,)
-        assert spoly.central_binomial_identity(2, 0)["equal"] == [True]
+        assert [r["equal"] for r in spoly.central_binomial_identity(2, 0)] == [[True], [True]]
         assert spoly.composition_coefficient([np.ones(1)] * 2, 0) == 1.0
         assert spoly.simplex_midpoint_grid(1, 2).tolist() == [[0.25], [0.75]]
 

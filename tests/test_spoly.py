@@ -215,15 +215,15 @@ class TestPhiAndDet:
 
 class TestCentralBinomial:
     def test_hand_values(self):
-        table = sp.central_binomial_identity(1, 2)
+        table = sp.central_binomial_identity(1, 2)[-1]
         assert table["lhs"] == [1, 4, 16]
-        assert sp.central_binomial_identity(2, 1)["rhs"] == [Fraction(1), Fraction(6)]
-        assert sp.central_binomial_identity(2, 1)["equal"] == [True, True]
+        assert sp.central_binomial_identity(2, 1)[-1]["rhs"] == [Fraction(1), Fraction(6)]
+        assert sp.central_binomial_identity(2, 1)[-1]["equal"] == [True, True]
 
     def test_brute_force_oracle(self):
         # exhaustive enumeration over compositions of m into d+1 parts
         for d, m_max in [(1, 6), (2, 5), (3, 4)]:
-            lhs = sp.central_binomial_identity(d, m_max)["lhs"]
+            lhs = sp.central_binomial_identity(d, m_max)[-1]["lhs"]
             for m in range(m_max + 1):
                 brute = 0
                 for k in itertools.product(range(m + 1), repeat=d):
@@ -243,22 +243,39 @@ class TestCentralBinomial:
             sp.composition_coefficient([c], 3)
 
     def test_exact_equality_sample(self):
-        for d in range(1, 5):
-            assert all(sp.central_binomial_identity(d, 60)["equal"])
+        for report in sp.central_binomial_identity(4, 60):
+            assert all(report["equal"])
 
     @pytest.mark.parametrize("d", [1, 2, 3, 4])
     def test_table_matches_per_m_oracles(self, d):
         # every m <= 60: the table's left side against one composition_coefficient
         # call per m, its closed-form right side against the product loop
-        table = sp.central_binomial_identity(d, 60)
+        table = sp.central_binomial_identity(d, 60)[-1]
+        assert table["d"] == d
         assert len(table["lhs"]) == len(table["rhs"]) == len(table["equal"]) == 61
         for m in range(61):
             assert table["lhs"][m] == oracles.central_binomial_lhs(d, m)
             assert table["rhs"][m] == oracles.central_binomial_rhs(d, m)
 
+    def test_one_table_matches_per_m_oracles(self):
+        # every d of one d_max = 8 table against the per-(d, m) oracles, at
+        # both ends of m and between; the first d reports of a d_max call
+        # are the whole call at d
+        reports = sp.central_binomial_identity(8, 120)
+        assert [r["d"] for r in reports] == list(range(1, 9))
+        for d, table in enumerate(reports, 1):
+            assert len(table["lhs"]) == len(table["rhs"]) == len(table["equal"]) == 121
+            assert all(table["equal"])
+            for m in (0, 1, 2, 3, 17, 60, 97, 119, 120):
+                assert table["lhs"][m] == oracles.central_binomial_lhs(d, m), (d, m)
+                assert table["rhs"][m] == oracles.central_binomial_rhs(d, m), (d, m)
+            assert sp.central_binomial_identity(d, 120) == reports[:d]
+
     def test_m_max_zero_and_domain(self):
-        assert sp.central_binomial_identity(3, 0) == {
-            "d": 3, "lhs": [1], "rhs": [Fraction(1)], "equal": [True]}
+        for d_max in (1, 3):
+            assert sp.central_binomial_identity(d_max, 0) == [
+                {"d": d, "lhs": [1], "rhs": [Fraction(1)], "equal": [True]}
+                for d in range(1, d_max + 1)]
         for d, m_max in [(0, 5), (2, -1)]:
             with pytest.raises(ValueError):
                 sp.central_binomial_identity(d, m_max)
@@ -345,7 +362,7 @@ class TestIntegrals:
             integral = sp.s_integral_exact(1, 1, m, d)
             scale = math.exp(log_gamma(2 * m + d + 1.0) - 2.0 * log_gamma(m + 1.0))
             assert integral * scale == pytest.approx(
-                sp.central_binomial_identity(d, m)["lhs"][m], rel=1e-10
+                sp.central_binomial_identity(d, m)[-1]["lhs"][m], rel=1e-10
             )
 
     def test_asymptotic_constant_values(self):
