@@ -153,20 +153,19 @@ def _h_terms(inst, a, n: int):
                         -0.0, a)
 
 
-def h_derivative(inst, a, n: int):
+def h_derivative(inst, a, n: int, scale: bool = False):
     """n-th derivative of h = -log g at a, via polygamma (1 <= n <= 7).
     A corrupt instance changes only the n = 1 derivative.  For a sequence of
-    instances the result has a leading instance axis."""
+    instances the result has a leading instance axis.  scale=True returns
+    (value, largest term magnitude) from one term stack, value's bits unchanged."""
     _check_a(a)
     _check_ints(hi=MAX_H_ORDER, **{"order n": n})
-    return _unblock(inst, _row_sum(*_h_terms(inst, a, n)))
-
-
-def _h_derivative_scale(inst, a, n: int):
-    """Magnitude of the largest term in the alternating sum for h^{(n)}(a)."""
     psi, kl = _h_terms(inst, a, n)
-    out = np.max(np.abs(psi), axis=1)
-    return _unblock(inst, out if kl is None else np.maximum(out, np.max(np.abs(kl), axis=1)))
+    value = _unblock(inst, _row_sum(psi, kl))
+    if not scale:
+        return value
+    big = np.max(np.abs(psi), axis=1)
+    return value, _unblock(inst, big if kl is None else np.maximum(big, np.max(np.abs(kl), axis=1)))
 
 
 def j_eval(gamma, y: float) -> float:
@@ -267,9 +266,11 @@ def _scan_block(block, start: int, grid, report: ScanReport, max_order: int, dif
     evaluated."""
     a = np.array(grid)
     # derivative route: q_n = (-1)^{n-1} h^{(n)}(a) > 0 for n = 1..max_order
-    values = [(-1.0) ** (n - 1) * h_derivative(block, a, n) for n in range(1, max_order + 1)]
-    margins = [v + DERIV_FLOOR_REL * np.maximum(_h_derivative_scale(block, a, n), 1.0)
-               for n, v in enumerate(values, 1)]
+    values, margins = [], []
+    for n in range(1, max_order + 1):
+        value, scale = h_derivative(block, a, n, scale=True)
+        values.append((-1.0) ** (n - 1) * value)
+        margins.append(values[-1] + DERIV_FLOOR_REL * np.maximum(scale, 1.0))
     # difference route, on the (instance, grid, step) block a + j * DIFF_STEP
     gvals = np.moveaxis(g_eval(block, a[:, None] + np.arange(diff_order + 1) * DIFF_STEP), -1, 0)
     diffs = [(-1.0) ** n * _forward_difference(gvals, n) for n in range(1, diff_order + 1)]

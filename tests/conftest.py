@@ -1,6 +1,9 @@
+import math
+
+import numpy as np
 import pytest
 
-from bernsimplex import simplex
+from bernsimplex import monotone, simplex
 
 
 @pytest.fixture
@@ -13,3 +16,17 @@ def small_blocks(monkeypatch):
         monkeypatch.setattr(simplex, "BLOCK_BYTES", reserve + 8 * floats * items)
         assert simplex._block_len(floats) == items
     return patch
+
+
+@pytest.fixture
+def nan_derivative(monkeypatch):
+    """monotone.h_derivative made NaN everywhere; its scale, when asked for,
+    is the true one, so the NaN reaches every derivative margin."""
+    h_derivative = monotone.h_derivative
+
+    def nan(inst, a, n, scale=False):
+        value, big = h_derivative(inst, a, n, scale=True)
+        value = np.full_like(value, math.nan)
+        return (value, big) if scale else value
+
+    monkeypatch.setattr(monotone, "h_derivative", nan)

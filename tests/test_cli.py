@@ -66,10 +66,7 @@ class TestExitCodes:
         assert not out.exists()
         assert tmp_leftovers(tmp_path) == []
 
-    def test_nan_derivative_fails_with_nan_violation(self, tmp_path, capsys, monkeypatch):
-        # h_derivative returns an (instance, grid) array for a block of instances
-        monkeypatch.setattr(monotone, "h_derivative",
-                            lambda insts, a, n: np.full((len(insts), *np.shape(a)), math.nan))
+    def test_nan_derivative_fails_with_nan_violation(self, tmp_path, capsys, nan_derivative):
         out = tmp_path / "cm.csv"
         assert main(["cm-scan", "--instances", "2", "--grid", "0.5:1:0.5",
                      "--out", str(out)]) == 1
@@ -708,13 +705,18 @@ class TestNoScalarSweeps:
         assert counts == {"_weight_rows": 5, "_simplex_rows": 5}
 
     def test_certify_call_counts(self, tmp_path, monkeypatch):
-        # one scan block for the three instances: per order, one polygamma
-        # call for h^{(n)} and one for its scale, then one log_gamma call for g
+        # one scan block for the three instances: per order, one term stack
+        # and its one polygamma call give h^{(n)} and its scale, then one
+        # log_gamma call for g
         counts = self.count_specfun_calls(monkeypatch)
+        stacks = []
+        h_terms = monotone._h_terms
+        monkeypatch.setattr(monotone, "_h_terms", lambda *args: stacks.append(1) or h_terms(*args))
         monkeypatch.chdir(tmp_path)
         assert main(["cm-scan", "--d", "5", "--instances", "3", "--grid", "0.1:10:0.1",
                      "--max-order", "7"]) == 0
-        assert counts == {"polygamma": 14, "log_gamma": 1}
+        assert counts == {"polygamma": 7, "log_gamma": 1}
+        assert len(stacks) == 7
 
     def test_overflowing_block(self, tmp_path, monkeypatch, capsys):
         # all five instances in one block: order 1's digamma call passes, and

@@ -193,9 +193,9 @@ def _derivative_margins(inst, grid, max_order: int) -> np.ndarray:
     They never evaluate g, which the scan's difference route does, and which
     overflows at large a on a corrupt instance with large weights."""
     a = np.array(grid)
-    return np.array([(-1.0) ** (n - 1) * mo.h_derivative(inst, a, n)
-                     + mo.DERIV_FLOOR_REL * np.maximum(mo._h_derivative_scale(inst, a, n), 1.0)
-                     for n in range(1, max_order + 1)])
+    terms = [mo.h_derivative(inst, a, n, scale=True) for n in range(1, max_order + 1)]
+    return np.array([(-1.0) ** n * value + mo.DERIV_FLOOR_REL * np.maximum(scale, 1.0)
+                     for n, (value, scale) in enumerate(terms)])
 
 
 class TestHDerivative:
@@ -427,6 +427,41 @@ def _bits(values):
     return np.array(values, dtype=float).view(np.int64).tolist()
 
 
+class TestHDerivativeScale:
+    """h_derivative(..., scale=True) against scale=False and the oracles, on
+    a block that mixes d = 1..5 (so rows are padded), zero weights and
+    corrupt instances: the value's bits are scale=False's, the scale's are
+    the per-instance array oracle's, and an instance alone or as a block of
+    one gets the block's bits."""
+
+    GRID = np.array(_grid_spec("0.1:10:0.3"))
+
+    @staticmethod
+    def block():
+        rng = np.random.Generator(np.random.PCG64(41))
+        insts = [replace(random_instance(rng, d), corrupt=d % 2 == 0) for d in range(1, 6)]
+        return insts + [make_instance((1.5, 0.0, 0.7, 2.5), (0.3, 0.2, 0.1)),
+                        replace(make_instance((0.0, 0.7, 2.5), (0.3, 0.2)), corrupt=True),
+                        make_instance((0.0, 4.0), (0.1,))]
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    @pytest.mark.parametrize("a", [GRID, 1.7])
+    def test_value_and_scale_bits(self, n, a):
+        insts = self.block()
+        value, scale = mo.h_derivative(insts, a, n, scale=True)
+        assert _bits(value) == _bits(mo.h_derivative(insts, a, n))
+        assert value.shape == scale.shape == (len(insts), *np.shape(a))
+        for inst, v, s in zip(insts, value, scale):
+            assert _bits(s) == _bits(oracles.instance_h_derivative_scale(inst, a, n))
+            one_v, one_s = mo.h_derivative(inst, a, n, scale=True)
+            assert (_bits(one_v), _bits(one_s)) == (_bits(v), _bits(s))
+            block_v, block_s = mo.h_derivative([inst], a, n, scale=True)
+            assert (_bits(block_v[0]), _bits(block_s[0])) == (_bits(v), _bits(s))
+            if np.ndim(a) == 0:  # scalar polygamma: the per-point oracle's 16 eps
+                assert s == pytest.approx(oracles._h_derivative_scale(inst, a, n),
+                                          rel=16 * np.finfo(float).eps)
+
+
 class TestBlocksAgainstInstanceScan:
     """The block route against the per-instance array scan
     (oracles.instance_cm_scan), bit for bit: every row, and the verdict of
@@ -499,11 +534,11 @@ class TestBlocksAgainstInstanceScan:
             if n == 3 and inst.M > 1.0:
                 out[np.asarray(a) > 2.0] = math.nan
 
-        def block_nan(insts, a, n):
-            out = block_h(insts, a, n)
+        def block_nan(insts, a, n, scale=False):
+            out, big = block_h(insts, a, n, scale=True)
             for inst, row in zip(insts, out):
                 poison(inst, a, n, row)
-            return out
+            return (out, big) if scale else out
 
         def instance_nan(inst, a, n):
             out = instance_h(inst, a, n)
@@ -525,7 +560,7 @@ class TestBlocksAgainstInstanceScan:
             assert _bits(mo.h_derivative(inst, a, n)) == _bits(mo.h_derivative([inst], a, n)[0])
             assert _bits(mo.h_derivative(inst, a, n)) == _bits(
                 oracles.instance_h_derivative(inst, a, n))
-            assert _bits(mo._h_derivative_scale(inst, a, n)) == _bits(
+            assert _bits(mo.h_derivative(inst, a, n, scale=True)[1]) == _bits(
                 oracles.instance_h_derivative_scale(inst, a, n))
         steps = a[:, None] + np.arange(7) * mo.DIFF_STEP
         assert _bits(mo.g_eval(inst, steps)) == _bits(oracles.instance_g_eval(inst, steps))

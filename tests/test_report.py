@@ -122,9 +122,7 @@ class TestAgainstOracleReport:
     def test_cm_scan(self, monkeypatch, corrupt):
         self._cm_scan(monkeypatch, corrupt)
 
-    def test_cm_scan_nan_derivative(self, monkeypatch):
-        monkeypatch.setattr(monotone, "h_derivative",
-                            lambda insts, a, n: np.full((len(insts), *np.shape(a)), math.nan))
+    def test_cm_scan_nan_derivative(self, monkeypatch, nan_derivative):
         self._cm_scan(monkeypatch, False)
 
     @pytest.mark.parametrize("corrupt", [False, True])

@@ -597,10 +597,10 @@ class TestBlockBudget:
     blocks'."""
 
     CASES = {
-        "cm-scan d=1": (_scan(1, 60), monotone, "_h_derivative_scale", 7),
-        "cm-scan d=3": (_scan(3, 40), monotone, "_h_derivative_scale", 7),
-        "cm-scan d=5": (_scan(5, 30), monotone, "_h_derivative_scale", 7),
-        "cm-scan two terms": (_scan(2, 100, two_terms=True), monotone, "_h_derivative_scale", 7),
+        "cm-scan d=1": (_scan(1, 60), monotone, "_h_terms", 7),
+        "cm-scan d=3": (_scan(3, 40), monotone, "_h_terms", 7),
+        "cm-scan d=5": (_scan(5, 30), monotone, "_h_terms", 7),
+        "cm-scan two terms": (_scan(2, 100, two_terms=True), monotone, "_h_terms", 7),
         "fuzz dmax=1": (_fuzz(1, 4000), ineq, "inequality_margins", 1),
         "fuzz dmax=5": (_fuzz(5, 3000), ineq, "inequality_margins", 1),
         "fuzz dmax=9": (_fuzz(9, 2500), ineq, "inequality_margins", 1),
