@@ -20,8 +20,8 @@ import numpy as np
 from . import estimate as est
 from . import ineq, monotone, spoly
 from .report import ScanReport
-from .simplex import (CapacityError, SampleSet, _check_capacity, _check_out, _coord_header,
-                      _float_format, _write_csv, sample_dirichlet)
+from .simplex import (CapacityError, SampleSet, _check_capacity, _check_ints, _check_out,
+                      _coord_header, _float_format, _write_csv, sample_dirichlet)
 from .specfun import duplication_residual
 
 __all__ = ["main"]
@@ -102,10 +102,7 @@ def _random_instance(rng, d: int, corrupt: bool = False) -> monotone.MonotoneIns
 
 
 def _cmd_cm_scan(args) -> int:
-    if args.d < 1:
-        raise UsageError(f"need d >= 1, got {args.d}")
-    if args.instances < 1:
-        raise UsageError("need at least one instance")
+    _check_ints(d=args.d, instances=args.instances)
     rng = np.random.Generator(np.random.PCG64(args.seed))
     report = ScanReport()
     # each grid point formatted once, not once per (instance, order) row
@@ -153,59 +150,59 @@ def _cmd_s_table(args) -> int:
     for m in args.m_list:
         value = m ** (d / 2.0) * spoly.s_integral_exact(r, s, m, d)
         rows.append((d, r, s, m, value, limit, m * abs(value - limit)))
-    scaled = [row[-1] for row in rows]
-    bounded = max(scaled) <= 2.0 * scaled[0] + 1e-12
-    status = "pass" if bounded else "fail"
+    scaled = np.array([row[-1] for row in rows])
+    report = ScanReport()
+    # bound - scaled >= 0 exactly where scaled <= bound; a NaN fails
+    report.record(2.0 * scaled[0] + 1e-12 - scaled)
     _write_csv(args.out, "d,r,s,m,value,limit,scaled_error", _S_ROW,
                [np.array(rows, dtype=object)],
-               lambda: f"# summary: {status}, max_scaled_error={max(scaled):.17g}")
-    print(f"s-table: {status}, scaled errors {['%.6g' % v for v in scaled]}")
-    return 0 if bounded else 1
+               lambda: f"# summary: {_status(report)}, max_scaled_error={np.max(scaled):.17g}")
+    print(f"s-table: {_status(report)}, scaled errors {['%.6g' % v for v in scaled]}")
+    return 0 if report.passed else 1
 
 
 def _cmd_lclt_compare(args) -> int:
     d, r, s = args.d, args.r, args.s
-    if min(d, r, s) < 1:
-        raise UsageError("d, r, s must be >= 1")
+    _check_ints(d=d, r=r, s=s)
     bary = [1.0 / (d + 1)] * d
     phi = spoly.phi_eval(r, s, bary)
     rows = []
     for m in args.m_list:
         value = m ** (d / 2.0) * spoly.s_eval(r, s, m, d, bary)
         rows.append((d, r, s, m, value, phi, abs(value - phi)))
-    errs = [row[-1] for row in rows]
-    decreasing = all(errs[i] > errs[i + 1] for i in range(len(errs) - 1))
-    status = "pass" if decreasing else "fail"
+    errs = np.array([row[-1] for row in rows])
+    report = ScanReport()
+    # the errors fall strictly: for floats a > b exactly where nextafter(a, -inf)
+    # >= b, so a tie fails; one m gives no margin
+    report.record(np.nextafter(errs[:-1], -np.inf) - errs[1:])
     _write_csv(args.out, "d,r,s,m,scaled_value,phi,abs_error", _S_ROW,
-               [np.array(rows, dtype=object)], lambda: f"# summary: {status}")
-    print(f"lclt-compare: {status}, errors {['%.6g' % v for v in errs]}")
-    return 0 if decreasing else 1
+               [np.array(rows, dtype=object)], lambda: f"# summary: {_status(report)}")
+    print(f"lclt-compare: {_status(report)}, errors {['%.6g' % v for v in errs]}")
+    return 0 if report.passed else 1
 
 
 def _cmd_identity_check(args) -> int:
-    if args.d_max < 1 or args.m_max < 1:
-        raise UsageError("d-max and m-max must be >= 1")
+    _check_ints(d_max=args.d_max, m_max=args.m_max)
     # d convolutions of m_max + 1 exact coefficients per d = 1..d_max: a bound
     # on the one table's d_max cut products
     _check_capacity(args.d_max * (args.d_max + 1) // 2 * (args.m_max + 1) ** 2,
                     f"identity operations for d-max={args.d_max}, m-max={args.m_max}")
     rows = []
-    ok = True
-    for report in spoly.central_binomial_identity(args.d_max, args.m_max):
-        equal = report["equal"]
-        ok = ok and all(equal[1:])
-        rows.extend(("central-binomial", report["d"], m, "exact" if equal[m] else "MISMATCH")
+    report = ScanReport()
+    for table in spoly.central_binomial_identity(args.d_max, args.m_max):
+        equal = table["equal"]
+        report.record(np.where(equal[1:], 0.0, -1.0))  # -1 per mismatch at m >= 1
+        rows.extend(("central-binomial", table["d"], m, "exact" if equal[m] else "MISMATCH")
                     for m in range(1, args.m_max + 1))
     # Python's float power, not np.logspace, whose values differ in the last bits
     ys = np.array([10.0 ** (-3.0 + 9.0 * i / 999.0) for i in range(1000)])
     worst = float(np.abs(duplication_residual(ys)).max())
-    ok = ok and worst <= 1e-12
+    report.record(1e-12 - worst)
     rows.append(("duplication", "", " ", f"max_residual={worst:.17g}"))
-    status = "pass" if ok else "fail"
     _write_csv(args.out, "kind,d,m,detail", "%s,%s,%s,%s", [np.array(rows, dtype=object)],
-               lambda: f"# summary: {status}")
-    print(f"identity-check: {status} (duplication max residual {worst:.3g})")
-    return 0 if ok else 1
+               lambda: f"# summary: {_status(report)}")
+    print(f"identity-check: {_status(report)} (duplication max residual {worst:.3g})")
+    return 0 if report.passed else 1
 
 
 def _cmd_estimate(args) -> int:

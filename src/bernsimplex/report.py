@@ -1,6 +1,8 @@
-"""The verdict of a verification sweep: a scan records its margins one block
-(an array) at a time and yields its rows, as 2-D row blocks, to its caller,
-which hands them to the CSV writer.  A margin passes iff margin + tol >= 0.  max_violation is
+"""The verdict of a verification sweep, and the one pass rule: a margin
+passes iff margin + tol >= 0, so a NaN margin fails.  Each verdict subcommand
+of the CLI records its margins in one ScanReport and exits by its passed: a
+scan records one block (an array) at a time and yields its rows, as 2-D row
+blocks, to its caller, which hands them to the CSV writer.  max_violation is
 the least failing margin + tol (0.0 if none), min_margin the least margin
 (inf if none); both are NaN from the first NaN margin on."""
 

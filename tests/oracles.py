@@ -63,6 +63,11 @@ over the simplex as an exact fraction, by the same Dirichlet reduction on
 exact integers, with the r = s = 1 closed form as a fraction: the oracles
 for ``spoly.s_integral_exact`` and ``spoly.s_integral_closed_form``.
 
+Then, the verdicts of ``s-table``, ``lclt-compare`` and ``identity-check``
+as the one-line expressions they once were in ``cli``: the oracles for the
+margins those subcommands now record in a ``report.ScanReport``, on finite
+values (Python's ``max`` skips a NaN that is not the first entry).
+
 Last, the per-value CSV field format: the oracle for the row formats the
 CLI passes to ``simplex._write_csv``; the writer that formats one row at a
 time: the oracle for ``simplex._write_csv``, which formats a whole block of
@@ -739,6 +744,22 @@ def s_integral_closed_form_rational(d: int, m: int) -> Fraction:
     """2^{-d} sqrt(pi) m! / (Gamma((d+1)/2) Gamma(m+d/2+1)), exact: of
     d + 1 and 2m + d + 2 exactly one is odd, so the sqrt(pi) cancels."""
     return Fraction(math.factorial(m)) / (2**d * _gamma_half(d + 1) * _gamma_half(2 * m + d + 2))
+
+
+def s_table_passes(scaled) -> bool:
+    """No scaled error above twice the first one, plus 1e-12."""
+    return max(scaled) <= 2.0 * scaled[0] + 1e-12
+
+
+def lclt_compare_passes(errs) -> bool:
+    """The errors fall strictly: a tie fails."""
+    return all(errs[i] > errs[i + 1] for i in range(len(errs) - 1))
+
+
+def identity_check_passes(equal_tables, worst) -> bool:
+    """Each table's sides equal at every m >= 1, and the duplication
+    residual within 1e-12."""
+    return all(all(equal[1:]) for equal in equal_tables) and worst <= 1e-12
 
 
 def csv_field(v) -> str:

@@ -9,7 +9,7 @@ import pytest
 
 import oracles
 import bernsimplex
-from bernsimplex import cli, ineq, monotone, simplex, specfun
+from bernsimplex import cli, ineq, monotone, simplex, specfun, spoly
 from bernsimplex.cli import main
 
 
@@ -145,8 +145,17 @@ class TestExitCodes:
         (["ineq-fuzz", "--dmax", "0"], "dmax"),
         (["ineq-fuzz", "--trials", "0"], "trials"),
         (["estimate", "--m", "0", "--samples", "samples.csv"], "m"),
+        (["cm-scan", "--d", "0"], "d"),
+        (["cm-scan", "--instances", "0"], "instances"),
+        (["lclt-compare", "--d", "0"], "d"),
+        (["lclt-compare", "--r", "0"], "r"),
+        (["lclt-compare", "--s", "0"], "s"),
+        (["identity-check", "--d-max", "0"], "d_max"),
+        (["identity-check", "--m-max", "0"], "m_max"),
     ], ids=["s-table-m", "s-table-d", "lclt-compare-m", "sample-gen-n", "ineq-fuzz-dmax",
-            "ineq-fuzz-trials", "estimate-m"])
+            "ineq-fuzz-trials", "estimate-m", "cm-scan-d", "cm-scan-instances",
+            "lclt-compare-d", "lclt-compare-r", "lclt-compare-s", "identity-check-d-max",
+            "identity-check-m-max"])
     def test_zero_integer_flag(self, tmp_path, monkeypatch, capsys, argv, name):
         # the library's integer rule names the value; no file, not even a temp file
         monkeypatch.chdir(tmp_path)
@@ -308,6 +317,285 @@ class TestExitCodes:
         assert main(["estimate", "--samples", str(samples), "--kind", "hypercube-cdf",
                      "--m", "5", "--grid", "10001", "--out", str(out)]) == 2
         assert not out.exists()
+
+
+def summary_word(path) -> str:
+    """The first word of a CSV's closing '# summary:' line."""
+    last = read(path).splitlines()[-1]
+    assert last.startswith("# summary: "), last
+    return last[len("# summary: "):].split(",")[0]
+
+
+def stdout_word(text: str) -> str:
+    """The status word a verdict subcommand prints after its name."""
+    return text.split()[1].rstrip(",")
+
+
+def oracle_passes(command: str, path) -> bool:
+    """The verdict that cli once wrote as one expression, on a written CSV's rows."""
+    lines = read(path).splitlines()[1:-1]
+    if command == "identity-check":
+        tables = {}
+        for line in lines[:-1]:
+            _, d, _, detail = line.split(",")
+            tables.setdefault(d, [True]).append(detail == "exact")  # m = 0 is not written
+        worst = float(lines[-1].split("=")[1])
+        return oracles.identity_check_passes(list(tables.values()), worst)
+    values = [float(line.split(",")[-1]) for line in lines]
+    return {"s-table": oracles.s_table_passes,
+            "lclt-compare": oracles.lclt_compare_passes}[command](values)
+
+
+def _times(name, factor):
+    """A patch: spoly.<name> times factor."""
+    def patch(monkeypatch):
+        fn = getattr(spoly, name)
+        monkeypatch.setattr(spoly, name, lambda *args: factor * fn(*args))
+    return patch
+
+
+def _nan_integral_at_20(monkeypatch):
+    fn = spoly.s_integral_exact
+    monkeypatch.setattr(spoly, "s_integral_exact",
+                        lambda r, s, m, d: math.nan if m == 20 else fn(r, s, m, d))
+
+
+def _error_tie(monkeypatch):
+    # phi = 0 and m^{d/2} S = 1 at d = 2: every m has error 1
+    monkeypatch.setattr(spoly, "phi_eval", lambda r, s, x: 0.0)
+    monkeypatch.setattr(spoly, "s_eval", lambda r, s, m, d, x: 1.0 / m)
+
+
+def _one_equal_flipped(monkeypatch):
+    fn = spoly.central_binomial_identity
+
+    def flipped(d_max, m_max):
+        tables = fn(d_max, m_max)
+        tables[-1]["equal"][m_max // 2] = False
+        return tables
+
+    monkeypatch.setattr(spoly, "central_binomial_identity", flipped)
+
+
+def _residual_above_tol(monkeypatch):
+    fn = cli.duplication_residual
+
+    def raised(ys):
+        out = fn(ys)
+        out[500] = 2e-12
+        return out
+
+    monkeypatch.setattr(cli, "duplication_residual", raised)
+
+
+# name: (argv, patch) of a run of s-table, lclt-compare or identity-check that fails
+# on finite values; test_nan_scaled_error_fails runs the NaN case
+FAILING = {
+    "s-table-limit-1.01": (["s-table", "--d", "1"], _times("asymptotic_constant", 1.01)),
+    "lclt-compare-tie": (["lclt-compare", "--d", "2", "--m-list", "16,64"], _error_tie),
+    "lclt-compare-phi-0.99": (["lclt-compare", "--d", "1", "--r", "1", "--s", "1"],
+                              _times("phi_eval", 0.99)),
+    "identity-check-one-mismatch": (["identity-check", "--d-max", "3", "--m-max", "20"],
+                                    _one_equal_flipped),
+    "identity-check-residual-2e-12": (["identity-check"], _residual_above_tol),
+}
+
+
+def _no_patch(monkeypatch):
+    pass
+
+
+# (argv, patch, exit code): each verdict subcommand at a passing and a failing input
+VERDICT_RUNS = {
+    "cm-scan-pass": (["cm-scan", "--instances", "2", "--grid", "0.5:3:0.5", "--seed", "1"],
+                     _no_patch, 0),
+    "cm-scan-fail": (["cm-scan", "--instances", "2", "--grid", "0.5:3:0.5", "--seed", "1",
+                      "--self-test-corrupt"], _no_patch, 1),
+    "ineq-fuzz-pass": (["ineq-fuzz", "--trials", "50", "--dmax", "3", "--seed", "7"],
+                       _no_patch, 0),
+    "ineq-fuzz-fail": (["ineq-fuzz", "--trials", "50", "--dmax", "3", "--seed", "7",
+                        "--self-test-corrupt"], _no_patch, 1),
+    "s-table-pass": (["s-table", "--m-list", "5,10,20"], _no_patch, 0),
+    # d = 4 from m = 1: the scaled error more than doubles by m = 16
+    "s-table-fail": (["s-table", "--d", "4", "--m-list", "1,2,4,8,16"], _no_patch, 1),
+    "lclt-compare-pass": (["lclt-compare", "--m-list", "8,32,128"], _no_patch, 0),
+    "lclt-compare-fail": FAILING["lclt-compare-phi-0.99"] + (1,),
+    "identity-check-pass": (["identity-check", "--d-max", "2", "--m-max", "10"], _no_patch, 0),
+    "identity-check-fail": FAILING["identity-check-one-mismatch"] + (1,),
+}
+
+
+class TestVerdicts:
+    """Every verdict subcommand takes its exit code from a ScanReport of the
+    margins it recorded, and says the same in its summary line and on stdout."""
+
+    @pytest.mark.parametrize("name", sorted(FAILING))
+    def test_fail_path(self, tmp_path, monkeypatch, capsys, name):
+        argv, patch = FAILING[name]
+        patch(monkeypatch)
+        out = tmp_path / "v.csv"
+        assert main(argv + ["--out", str(out)]) == 1
+        assert summary_word(out) == "fail"
+        assert stdout_word(capsys.readouterr().out) == "fail"
+
+    def test_nan_scaled_error_fails(self, tmp_path, monkeypatch, capsys):
+        # Python's max skips a NaN that is not first: the old expression passed this
+        _nan_integral_at_20(monkeypatch)
+        out = tmp_path / "s.csv"
+        assert main(["s-table", "--m-list", "5,10,20,40", "--out", str(out)]) == 1
+        assert read(out).splitlines()[-1] == "# summary: fail, max_scaled_error=nan"
+        stdout = capsys.readouterr().out
+        assert stdout_word(stdout) == "fail" and "'nan'" in stdout
+        assert oracles.s_table_passes([float(line.split(",")[-1])
+                                       for line in read(out).splitlines()[1:-1]])
+
+    @pytest.mark.parametrize("name", sorted(VERDICT_RUNS))
+    def test_status_summary_and_exit_code_agree(self, tmp_path, monkeypatch, capsys, name):
+        argv, patch, rc = VERDICT_RUNS[name]
+        patch(monkeypatch)
+        out = tmp_path / "v.csv"
+        assert main(argv + ["--out", str(out)]) == rc
+        want = "pass" if rc == 0 else "fail"
+        assert summary_word(out) == stdout_word(capsys.readouterr().out) == want
+
+
+# the golden runs of the three subcommands, a run of s-table at d = 2 whose
+# verdict sits on its bound at m = 1 (scaled errors m / (2 (m + 1))), and the
+# failing runs
+ORACLE_RUNS = {
+    "s-table": (["s-table"], _no_patch),
+    "s-table-d2": (["s-table", "--d", "2", "--m-list", "4,8,16"], _no_patch),
+    "s-table-d2-from-1": (["s-table", "--d", "2", "--m-list", "1,2,3,50,200"], _no_patch),
+    "s-table-d4-from-1": VERDICT_RUNS["s-table-fail"][:2],
+    "lclt-compare": (["lclt-compare"], _no_patch),
+    "lclt-compare-d2": (["lclt-compare", "--d", "2", "--r", "2", "--s", "3",
+                         "--m-list", "16,64"], _no_patch),
+    "lclt-compare-d3": (["lclt-compare", "--d", "3", "--r", "1", "--s", "2",
+                         "--m-list", "8,16,32"], _no_patch),
+    "identity-check": (["identity-check", "--d-max", "3", "--m-max", "20"], _no_patch),
+    "identity-check-4x60": (["identity-check", "--d-max", "4", "--m-max", "60"], _no_patch),
+    **FAILING,
+}
+
+
+def run_on_values(monkeypatch, tmp_path, command, values, worst=None):
+    """The exit code of command run on fakes of its numerical layer that put
+    values in its CSV bit for bit: the scaled errors of s-table or the errors
+    of lclt-compare, both at d = 2 and m = 1, 2, 4, ... (m times a float over
+    a power of two is exact), or the equal tables of identity-check with
+    worst as its duplication residual."""
+    out = tmp_path / "v.csv"
+    if command == "identity-check":
+        monkeypatch.setattr(spoly, "central_binomial_identity", lambda d_max, m_max: [
+            {"d": d, "equal": list(equal)} for d, equal in enumerate(values, 1)])
+        monkeypatch.setattr(cli, "duplication_residual", lambda ys: np.full(len(ys), worst))
+        argv = ["--d-max", str(len(values)), "--m-max", str(len(values[0]) - 1)]
+    else:
+        ms = [2**i for i in range(len(values))]
+        at = dict(zip(ms, values))
+        if command == "s-table":
+            monkeypatch.setattr(spoly, "asymptotic_constant", lambda d: 0.0)
+            monkeypatch.setattr(spoly, "s_integral_exact", lambda r, s, m, d: at[m] / m / m)
+        else:
+            monkeypatch.setattr(spoly, "phi_eval", lambda r, s, x: 0.0)
+            monkeypatch.setattr(spoly, "s_eval", lambda r, s, m, d, x: at[m] / m)
+        argv = ["--d", "2", "--m-list", ",".join(map(str, ms))]
+    rc = main([command] + argv + ["--out", str(out)])
+    if command != "identity-check":
+        assert [float(line.split(",")[-1]) for line in read(out).splitlines()[1:-1]] == values
+    return rc
+
+
+def _s_table_lists(rng):
+    """Scaled-error lists around the bound 2 s_0 + 1e-12: on it, one ulp
+    either side, ties with s_0, and random values."""
+    for _ in range(150):
+        s0 = rng.choice([0.0, 1e-13, 0.1, 0.25, 1.0 / 3.0, rng.uniform(0.0, 2.0)])
+        bound = 2.0 * s0 + 1e-12
+        pool = [s0, bound, np.nextafter(bound, np.inf), np.nextafter(bound, -np.inf),
+                rng.uniform(0.0, 3.0 * s0 + 1e-12)]
+        yield [float(s0)] + [float(rng.choice(pool)) for _ in range(rng.integers(0, 6))]
+
+
+def _lclt_lists(rng):
+    """Error lists: strictly falling, with one tie, one ulp apart, or shuffled."""
+    for _ in range(150):
+        errs = sorted(rng.uniform(0.0, 1.0, rng.integers(1, 7)), reverse=True)
+        i = rng.integers(0, len(errs))
+        kind = rng.integers(0, 4)
+        if kind == 1 and i > 0:
+            errs[i] = errs[i - 1]
+        elif kind == 2 and i > 0:
+            errs[i] = np.nextafter(errs[i - 1], -np.inf)
+        elif kind == 3:
+            rng.shuffle(errs)
+        yield [float(e) for e in errs]
+
+
+def _identity_cases(rng):
+    """Equal tables with a few mismatches (at m = 0 too, which is not
+    checked) and residuals on, near and off 1e-12."""
+    for _ in range(150):
+        d_max, m_max = rng.integers(1, 4), rng.integers(1, 6)
+        tables = [list(rng.random(m_max + 1) > 0.05) for _ in range(d_max)]
+        worst = rng.choice([0.0, 1e-12, np.nextafter(1e-12, np.inf),
+                            np.nextafter(1e-12, 0.0), rng.uniform(0.0, 2e-12)])
+        yield tables, float(worst)
+
+
+class TestVerdictOracles:
+    """On finite values each verdict's margins pass exactly where the
+    expression cli once held (oracles.*_passes) passes."""
+
+    @pytest.mark.parametrize("name", sorted(ORACLE_RUNS))
+    def test_real_runs(self, tmp_path, monkeypatch, name):
+        argv, patch = ORACLE_RUNS[name]
+        patch(monkeypatch)
+        out = tmp_path / "v.csv"
+        rc = main(argv + ["--out", str(out)])
+        assert rc in (0, 1)
+        assert (rc == 0) == oracle_passes(argv[0], out)
+
+    def test_s_table_random_and_boundary(self, tmp_path, monkeypatch):
+        verdicts = set()
+        for scaled in _s_table_lists(np.random.default_rng(11)):
+            want = oracles.s_table_passes(scaled)
+            assert (run_on_values(monkeypatch, tmp_path, "s-table", scaled) == 0) == want, scaled
+            verdicts.add(want)
+        assert verdicts == {True, False}
+
+    @pytest.mark.parametrize("s0", [0.0, 1e-13, 0.1, 0.25, 1.0 / 3.0, 1.7])
+    def test_s_table_exact_bound(self, tmp_path, monkeypatch, s0):
+        bound = 2.0 * s0 + 1e-12
+        for top, rc in ((bound, 0), (np.nextafter(bound, -np.inf), 0),
+                        (np.nextafter(bound, np.inf), 1)):
+            assert run_on_values(monkeypatch, tmp_path, "s-table", [s0, 0.0, float(top)]) == rc
+            assert oracles.s_table_passes([s0, 0.0, float(top)]) == (rc == 0)
+
+    def test_lclt_compare_random_and_ties(self, tmp_path, monkeypatch):
+        verdicts = set()
+        for errs in _lclt_lists(np.random.default_rng(12)):
+            want = oracles.lclt_compare_passes(errs)
+            assert (run_on_values(monkeypatch, tmp_path, "lclt-compare", errs) == 0) == want, errs
+            verdicts.add(want)
+        assert verdicts == {True, False}
+
+    @pytest.mark.parametrize("errs, rc", [
+        ([1.0, 1.0], 1), ([0.0, 0.0], 1), ([3.0, 2.0, 2.0, 1.0], 1), ([0.5, 0.25, 0.25], 1),
+        ([1.0, float(np.nextafter(1.0, 0.0))], 0), ([5e-324, 0.0], 0), ([0.0], 0), ([2.0], 0),
+    ])
+    def test_lclt_compare_exact_ties(self, tmp_path, monkeypatch, errs, rc):
+        assert run_on_values(monkeypatch, tmp_path, "lclt-compare", errs) == rc
+        assert oracles.lclt_compare_passes(errs) == (rc == 0)
+
+    def test_identity_check_random(self, tmp_path, monkeypatch):
+        verdicts = set()
+        for tables, worst in _identity_cases(np.random.default_rng(13)):
+            want = oracles.identity_check_passes(tables, worst)
+            rc = run_on_values(monkeypatch, tmp_path, "identity-check", tables, worst)
+            assert (rc == 0) == want, (tables, worst)
+            verdicts.add(want)
+        assert verdicts == {True, False}
 
 
 class TestSamplesWithinTolerance:
