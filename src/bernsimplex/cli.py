@@ -208,23 +208,18 @@ def _cmd_identity_check(args) -> int:
 def _cmd_estimate(args) -> int:
     if not args.samples:
         raise UsageError("estimate needs --samples FILE")
-    if args.grid < 2:
-        raise UsageError("need grid resolution >= 2")
-    kind = args.kind
-    domain = "simplex" if kind == "simplex-cdf" else "hypercube"
+    _check_ints(2, grid=args.grid)
+    name, domain = est.ESTIMATOR_KINDS[args.kind]
     samples = SampleSet.from_csv(args.samples, domain=domain)
     d = samples.d
-    if kind == "simplex-cdf":
+    if domain == "simplex":
         grid_pts = spoly.simplex_midpoint_grid(d, args.grid)
-        values = est.bernstein_cdf_simplex(samples, args.m, grid_pts)
     else:
         _check_capacity(args.grid ** d, f"query grid of {args.grid}^{d} points")
         axes = [np.linspace(0.0, 1.0, args.grid) for _ in range(d)]
         mesh = np.meshgrid(*axes, indexing="ij")
         grid_pts = np.stack([g.ravel() for g in mesh], axis=1)
-        fn = (est.bernstein_cdf_hypercube if kind == "hypercube-cdf"
-              else est.bernstein_density_hypercube)
-        values = fn(samples, args.m, grid_pts)
+    values = getattr(est, name)(samples, args.m, grid_pts)
     header = _coord_header(d) + ",value"
     _write_csv(args.out, header, _float_format(d + 1), [np.column_stack([grid_pts, values])], None)
     print(f"estimate: wrote {len(values)} grid values to {args.out}")

@@ -4,7 +4,7 @@ The empirical cdf uses the standard convention F_n(y) = (1/n) #{j : y_j <= y}
 componentwise (the source display reads the indicator the other way; as a
 cdf smoother only the standard reading makes sense, so that is what is
 implemented).  Likewise the hypercube cdf kernel uses the binomial pmf
-exponent m - k_i on (1 - x_i).  Query points follow simplex's convention.
+exponent m - k_i on (1 - x_i).  Query points go through simplex._at_points.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import numpy as np
 
 from .simplex import (
     SampleSet,
-    _block_len,
+    _at_points,
     _check_capacity,
     _check_ints,
     _cube_rows,
@@ -30,7 +30,10 @@ __all__ = [
     "bernstein_density_hypercube",
 ]
 
-ESTIMATOR_KINDS = ("simplex-cdf", "hypercube-cdf", "hypercube-density")
+# kind: (estimator name, samples' domain); by name, so a wrapper on it is called
+ESTIMATOR_KINDS = {"simplex-cdf": ("bernstein_cdf_simplex", "simplex"),
+                   "hypercube-cdf": ("bernstein_cdf_hypercube", "hypercube"),
+                   "hypercube-density": ("bernstein_density_hypercube", "hypercube")}
 
 
 def _bin_counts(samples: SampleSet, m: int) -> np.ndarray:
@@ -60,77 +63,57 @@ def _lattice_cdf_counts(samples: SampleSet, m: int) -> np.ndarray:
 
 
 def _query_points(samples: SampleSet, m: int, x, domain: str):
-    """x as rows by domain's point rule (_simplex_rows' full coordinates or
-    _cube_rows' points), and whether it was one point (np.ndim(x) <= 1); also
-    checks that samples are tagged domain and m >= 1."""
+    """simplex._at_points' evaluate at the query points x by domain's point
+    rule; checks that samples are tagged domain, then x, then m >= 1."""
     if samples.domain != domain:
         raise ValueError(f"samples must be tagged {domain}")
-    rule = _simplex_rows if domain == "simplex" else _cube_rows
-    xs = rule(np.atleast_2d(x), samples.d)
+    _, evaluate = _at_points(_simplex_rows if domain == "simplex" else _cube_rows, x, samples.d)
     _check_ints(m=m)
-    return xs, np.ndim(x) <= 1
+    return evaluate
 
 
 _contract = functools.partial(np.tensordot, axes=([0], [0]))
 
 
-def _bernstein_sum(box: np.ndarray, deg: int, xs: np.ndarray, single: bool):
-    """sum_k box[k] prod_i C(deg,k_i) x_i^{k_i} (1-x_i)^{deg-k_i} for each row
-    x of xs, box being (deg+1)^d; a float if single, else a (P,) array.
+def _bernstein_sum(box: np.ndarray, deg: int):
+    """The kernel of (P, d) rows x -> sum_k box[k] prod_i C(deg,k_i) x_i^{k_i}
+    (1-x_i)^{deg-k_i}, box being (deg+1)^d, and the floats a row holds.
 
     The weights of each axis are the d = 1 multinomial pmf (k, deg-k) at
     (x_i, 1-x_i), one kernel call per axis for each block of points.
     """
     lat = lattice_array(1, deg)
-    out = np.empty(len(xs))
-    step = _block_len((xs.shape[1] + 1) * (deg + 1) + 16)
-    for lo in range(0, len(xs), step):
-        weights = [np.exp(lattice_log_pmf(lat, np.column_stack([xi, 1.0 - xi])))
-                   for xi in xs[lo:lo + step].T]
-        out[lo:lo + step] = [float(functools.reduce(_contract, rows, box))
-                             for rows in zip(*weights)]
-        del weights  # before the next block's are built
-    return float(out[0]) if single else out
+    def kernel(xs):
+        weights = [np.exp(lattice_log_pmf(lat, np.column_stack([xi, 1.0 - xi]))) for xi in xs.T]
+        return [float(functools.reduce(_contract, rows, box)) for rows in zip(*weights)]
+    return kernel, (box.ndim + 1) * (deg + 1) + 16
 
 
 def bernstein_cdf_simplex(samples: SampleSet, m: int, x):
-    """sum_{||k|| <= m} F_n(k/m) P_{k,m}(x) on the simplex.
-
-    x is one point, its first d barycentric coordinates (returns a float), or
-    a (P, d) array of points (returns a (P,) array).  F_n on the lattice is
-    built once per call: O(n + (m+1)^d + P N), N = C(m+d, d).
-    """
-    full, single = _query_points(samples, m, x, "simplex")
-    d = samples.d
-    lat = lattice_array(d, m)
+    """sum_{||k|| <= m} F_n(k/m) P_{k,m}(x) on the simplex, x as
+    simplex._at_points takes it.  F_n on the lattice is built once per call:
+    O(n + (m+1)^d + P N), N = C(m+d, d)."""
+    evaluate = _query_points(samples, m, x, "simplex")
+    lat = lattice_array(samples.d, m)
     fn = _lattice_cdf_counts(samples, m)[tuple(lat[:, :-1].T)] / samples.n
-    out = np.empty(len(full))
-    step = _block_len(2 * (lat.shape[0] + d + 6))
-    for lo in range(0, len(full), step):
-        out[lo:lo + step] = [np.dot(fn, row)
-                             for row in np.exp(lattice_log_pmf(lat, full[lo:lo + step]))]
-    return float(out[0]) if single else out
+    return evaluate(lambda full: [np.dot(fn, row) for row in np.exp(lattice_log_pmf(lat, full))],
+                    2 * (lat.shape[0] + samples.d + 6))
 
 
 def bernstein_cdf_hypercube(samples: SampleSet, m: int, x):
-    """sum_{k in [0,m]^d} F_n(k/m) prod_i C(m,k_i) x_i^{k_i} (1-x_i)^{m-k_i}.
-
-    x is one point (returns a float) or a (P, d) array (returns a (P,) array);
-    F_n on the grid is built once per call.
-    """
-    xs, single = _query_points(samples, m, x, "hypercube")
-    return _bernstein_sum(_lattice_cdf_counts(samples, m) / samples.n, m, xs, single)
+    """sum_{k in [0,m]^d} F_n(k/m) prod_i C(m,k_i) x_i^{k_i} (1-x_i)^{m-k_i},
+    x as simplex._at_points takes it; F_n on the grid is built once per call."""
+    evaluate = _query_points(samples, m, x, "hypercube")
+    return evaluate(*_bernstein_sum(_lattice_cdf_counts(samples, m) / samples.n, m))
 
 
 def bernstein_density_hypercube(samples: SampleSet, m: int, x):
     """m^d sum_{k in [0,m-1]^d} P_n((k/m, (k+1)/m]) prod_i C(m-1,k_i) x^{k_i} (1-x)^{m-1-k_i}.
 
     Cells are half-open on the left, so points with any coordinate equal to
-    0 belong to no cell and contribute nothing.  x is one point (returns a
-    float) or a (P, d) array (returns a (P,) array); the cell counts are
-    built once per call.
-    """
-    xs, single = _query_points(samples, m, x, "hypercube")
+    0 belong to no cell and contribute nothing.  x is as simplex._at_points
+    takes it; the cell counts are built once per call."""
+    evaluate = _query_points(samples, m, x, "hypercube")
     # cell k is bin k+1 of _bin_counts
     counts = _bin_counts(samples, m)[(slice(1, None),) * samples.d] / samples.n
-    return m**samples.d * _bernstein_sum(counts, m - 1, xs, single)
+    return m**samples.d * evaluate(*_bernstein_sum(counts, m - 1))

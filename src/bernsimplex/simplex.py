@@ -5,7 +5,7 @@ sampler and the sample set it returns.  Each input type has one rule:
 _simplex_rows and _cube_rows for point rows, _weight_rows for weight rows,
 _check_ints for integers.  An API that takes a point takes its first d
 coordinates: a length-d sequence is one point (a float result), a (P, d)
-array is P points (a (P,) result).
+array is P points (a (P,) result): _at_points owns that rule and the blocks.
 All probabilities are kept in log space end-to-end; exponentiation happens
 only at accumulation points (degrees in the hundreds overflow direct
 factorials).
@@ -44,8 +44,9 @@ LATTICE_CAP = 10**8
 # term 8.0-9.6 per g argument (gives 10), an instance 0-1.5 per row (gives 2),
 # a fuzz trial 268-790 at dmax 1-12 (120 + 5 per gamma argument), a query
 # point 3N + 3..6 in S, 2N + 2d + 11..13 in the simplex cdf (N lattice rows),
-# (d + 1)(deg + 1) + 4..12 in a hypercube sum, a CSV row 7.6-8.3 per float
-# column, one more if strided (gives 10); blocks peak at 62-92%.
+# (d + 1)(deg + 1) + 4..12 in a hypercube sum, 1-2 + (d + 1)/8 in det or phi
+# (gives d + 2), a CSV row 7.6-8.3 per float column, one more if strided
+# (gives 10); blocks peak at 62-92%.
 BLOCK_BYTES = 1 << 22
 _TOL = 1e-12
 
@@ -254,6 +255,22 @@ def _check_capacity(size: int, what: str) -> None:
 def _block_len(floats_per_item: int) -> int:
     """Items per block (at least one): BLOCK_BYTES less numpy's ufunc buffers."""
     return max(1, (BLOCK_BYTES - 3 * 8 * np.getbufsize()) // (8 * floats_per_item))
+
+
+def _at_points(rule, x, d=None):
+    """x's rows by rule (_simplex_rows or _cube_rows), checked before any other
+    work, and evaluate(kernel, floats), which runs kernel on blocks of rows
+    that hold floats float64s each at their peak: a float for one point x (a
+    length-d sequence, or a scalar as d = 1), else a (P,) array.  A row's value
+    may not depend on the other rows of its block: blocks change no bits."""
+    rows = rule(np.atleast_2d(x), d)
+    def evaluate(kernel, floats):
+        out = np.empty(len(rows))
+        step = _block_len(floats)
+        for lo in range(0, len(rows), step):
+            out[lo:lo + step] = kernel(rows[lo:lo + step])
+        return float(out[0]) if np.ndim(x) <= 1 else out
+    return rows, evaluate
 
 
 def lattice_array(d: int, m: int) -> np.ndarray:

@@ -6,7 +6,8 @@ plus the Gaussian local-limit density phi_{r,s}, the exact simplex
 integral of S via the Dirichlet normalization constant, the central
 binomial lattice identity in exact arithmetic, and the Gamma-ratio
 residual used in the large-m expansion of the integral.  Ints and points
-follow simplex's rules; s_eval takes one point, s_eval_grid a (P, d) array.
+follow simplex's rules (query points through _at_points); s_eval takes one
+point, s_eval_grid (P, d) rows only.
 """
 
 from __future__ import annotations
@@ -18,9 +19,10 @@ from typing import Sequence
 import numpy as np
 
 from .simplex import (
-    _block_len,
+    _at_points,
     _check_capacity,
     _check_ints,
+    _shape_checked,
     _simplex_rows,
     lattice_array,
     lattice_log_pmf,
@@ -47,18 +49,14 @@ _SINGULAR_TOL = 1e-14
 
 def s_eval_grid(r: int, s: int, m: int, d: int, xs: np.ndarray) -> np.ndarray:
     """S_{r,s,m} at each row of xs, the first d barycentric coordinates of P
-    points.  A shape other than (P, d), or then a row off the closed simplex
-    (simplex._simplex_rows), raises ValueError."""
+    points.  A shape other than (P, d), a length-d point included, or then a
+    row off the closed simplex (simplex._simplex_rows), raises ValueError."""
     _check_ints(r=r, s=s, m=m, d=d)
-    full = _simplex_rows(xs, d)
+    _, evaluate = _at_points(_simplex_rows, _shape_checked(xs, d), d)
     lat = lattice_array(d, m)
-    out = np.empty(len(full))
-    chunk = _block_len(3 * lat.shape[0] + 8)
-    for lo in range(0, len(full), chunk):
-        sub = full[lo : lo + chunk]
-        out[lo : lo + chunk] = np.exp(lattice_log_pmf(r * lat, sub)
-                                      + lattice_log_pmf(s * lat, sub)).sum(axis=1)
-    return out
+    return evaluate(lambda full: np.exp(lattice_log_pmf(r * lat, full)
+                                        + lattice_log_pmf(s * lat, full)).sum(axis=1),
+                    3 * lat.shape[0] + 8)
 
 
 def s_eval(r: int, s: int, m: int, d: int, x) -> float:
@@ -67,25 +65,30 @@ def s_eval(r: int, s: int, m: int, d: int, x) -> float:
     return float(s_eval_grid(r, s, m, d, [x])[0])
 
 
+def _det_rows(r: int, s: int, full: np.ndarray) -> np.ndarray:
+    """det_covariance at full coordinate rows, or ValueError at a (near) zero one."""
+    if np.any(full <= _SINGULAR_TOL):
+        raise ValueError("covariance is singular: a coordinate is (near) zero")
+    return (r * s * (r + s)) ** (full.shape[1] - 1) * np.prod(full, axis=1)
+
+
 def det_covariance(r: int, s: int, x):
     """det of rs(r+s)(diag(x) - x x^T), the d x d covariance at a point x of
     the d-simplex, in closed form: (rs(r+s))^d * prod_{i=1}^{d+1} x_i.  x is
-    one point (a float result) or a (P, d) array of them (a (P,) result)."""
+    one point or (P, d) rows, as simplex._at_points takes them."""
     _check_ints(r=r, s=s)
-    full = _simplex_rows(np.atleast_2d(x))
-    if np.any(full <= _SINGULAR_TOL):
-        raise ValueError("covariance is singular: a coordinate is (near) zero")
-    out = (r * s * (r + s)) ** (full.shape[1] - 1) * np.prod(full, axis=1)
-    return float(out[0]) if np.ndim(x) <= 1 else out
+    full, evaluate = _at_points(_simplex_rows, x)
+    return evaluate(lambda sub: _det_rows(r, s, sub), full.shape[1] + 1)
 
 
 def phi_eval(r: int, s: int, x):
     """Gaussian local-limit density gcd(r,s)^d / ((2*pi)^{d/2} sqrt(det Sigma)),
     at x as det_covariance takes it."""
-    det = det_covariance(r, s, x)
-    d = np.atleast_2d(x).shape[1]
-    out = math.gcd(r, s) ** d / ((2.0 * math.pi) ** (d / 2.0) * np.sqrt(det))
-    return float(out) if np.ndim(x) <= 1 else out
+    _check_ints(r=r, s=s)
+    full, evaluate = _at_points(_simplex_rows, x)
+    d = full.shape[1] - 1
+    return evaluate(lambda sub: math.gcd(r, s) ** d
+                    / ((2.0 * math.pi) ** (d / 2.0) * np.sqrt(_det_rows(r, s, sub))), d + 2)
 
 
 def composition_coefficient(series: Sequence[np.ndarray], m: int):

@@ -164,6 +164,16 @@ class TestExitCodes:
         assert capsys.readouterr().err == f"error: {name} must be an integer >= 1, got 0\n"
         assert os.listdir(tmp_path) == ["samples.csv"]
 
+    @pytest.mark.parametrize("grid", [1, 0])
+    def test_grid_below_two(self, tmp_path, monkeypatch, capsys, grid):
+        # the integer rule names the value, as for the flags above
+        monkeypatch.chdir(tmp_path)
+        simplex.sample_dirichlet((1.0, 1.0, 1.0), 50, seed=0).to_csv("samples.csv")
+        assert main(["estimate", "--samples", "samples.csv", "--grid", str(grid),
+                     "--out", "out.csv"]) == 2
+        assert capsys.readouterr().err == f"error: grid must be an integer >= 2, got {grid}\n"
+        assert os.listdir(tmp_path) == ["samples.csv"]
+
     def test_s_table(self, tmp_path):
         out = tmp_path / "s.csv"
         assert main(["s-table", "--d", "1", "--m-list", "5,10,20",

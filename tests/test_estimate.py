@@ -183,7 +183,7 @@ class TestBinomialWeights:
         # summing the unit box e_k gives the weight of k at each query point
         xs = np.array([[0.0], [0.28], [0.5], [1.0]])
         for k in range(deg + 1):
-            got = est._bernstein_sum(np.eye(deg + 1)[k], deg, xs, single=False)
+            got = est._bernstein_sum(np.eye(deg + 1)[k], deg)[0](xs)
             want = [math.exp(multinomial_log_pmf(MultiIndex((k,), deg), SimplexPoint((x,))))
                     for x in xs[:, 0]]
             np.testing.assert_allclose(got, want, rtol=1e-15, atol=0.0)
@@ -199,7 +199,7 @@ class TestDensityVarianceIdentity:
     def _weights(m, d, xs):
         """The (m^d, P) weights bernstein_density_hypercube gives each cell,
         each row the sum over one unit box of degree m - 1."""
-        return np.array([est._bernstein_sum(np.eye(m**d)[k].reshape((m,) * d), m - 1, xs, False)
+        return np.array([est._bernstein_sum(np.eye(m**d)[k].reshape((m,) * d), m - 1)[0](xs)
                          for k in range(m**d)])
 
     @staticmethod

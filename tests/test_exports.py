@@ -105,3 +105,16 @@ def test_point_rule_has_one_owner():
                     or isinstance(node, ast.alias) and node.name == "_TOL"):
                 users.add(path.name)
     assert users == {"simplex.py"}
+
+
+def test_query_points_have_one_owner():
+    # simplex._at_points applies the one-point rule and blocks the query rows;
+    # S, det, phi and the estimators only hand it a kernel
+    uses = set()
+    for name in ("spoly.py", "estimate.py"):
+        for node in ast.walk(ast.parse((SRC / name).read_text())):
+            if (isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "np"
+                    and node.attr in ("ndim", "atleast_2d")
+                    or "_block_len" in (getattr(node, "id", None), getattr(node, "name", None))):
+                uses.add((name, ast.unparse(node)))
+    assert uses == set()

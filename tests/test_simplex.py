@@ -228,12 +228,16 @@ class TestOnePointConvention:
     ROWS = np.vstack([_dirichlet_rows(2, 30, 3), [[0.0, 0.25], [1.0 + 1e-13, -1e-13]]])
     SAMPLES = sx.sample_dirichlet((1.0, 2.0, 1.5), 200, seed=8)
 
+    # the float64s a row holds in each function's blocks: d + 2, and 2 (N + d + 6)
+    # with N = 55 lattice rows
+    FLOATS = {"det": 4, "phi": 4, "cdf": 2 * (55 + 2 + 6)}
+
     def fns(self):
         return {"det": functools.partial(spoly.det_covariance, 2, 3),
                 "phi": functools.partial(spoly.phi_eval, 1, 2),
                 "cdf": functools.partial(estimate.bernstein_cdf_simplex, self.SAMPLES, 9)}
 
-    def test_rows_match_one_point_calls(self):
+    def test_rows_match_one_point_calls(self, small_blocks):
         interior = self.ROWS[:-2]
         for name, fn in self.fns().items():
             rows = self.ROWS if name == "cdf" else interior
@@ -242,6 +246,9 @@ class TestOnePointConvention:
             assert [fn(tuple(row.tolist())) for row in rows] == single, name
             batch = fn(rows)
             assert batch.shape == (len(rows),) and _bits(batch) == _bits(single), name
+            # blocks of 7 split the 30 (32) rows 7, 7, 7, 7, 2 (4)
+            small_blocks(7, self.FLOATS[name])
+            assert _bits(fn(rows)) == _bits(single), name
         assert _bits([spoly.s_eval(2, 3, 9, 2, row) for row in self.ROWS]) == _bits(
             spoly.s_eval_grid(2, 3, 9, 2, self.ROWS))
 
@@ -253,6 +260,23 @@ class TestOnePointConvention:
                 for x in (row, np.vstack([self.ROWS[:3], row])):
                     with pytest.raises(ValueError, match="singular"):
                         fn(x)
+
+    def test_points_are_checked_before_the_lattice_or_box(self):
+        # at m = 20000 the lattice and the bin box are past LATTICE_CAP, so a
+        # size built or checked before the point would raise CapacityError
+        cube = sx.SampleSet(self.SAMPLES.points, "hypercube")
+        for fn, bad, good in [
+                (functools.partial(spoly.s_eval_grid, 1, 1, 20000, 2), [(0.9, 0.9)], [(0.2, 0.3)]),
+                (functools.partial(estimate.bernstein_cdf_simplex, self.SAMPLES, 20000),
+                 (0.9, 0.9), (0.2, 0.3)),
+                (functools.partial(estimate.bernstein_cdf_hypercube, cube, 20000),
+                 (1.5, 0.2), (0.5, 0.2)),
+                (functools.partial(estimate.bernstein_density_hypercube, cube, 20000),
+                 (1.5, 0.2), (0.5, 0.2))]:
+            with pytest.raises(ValueError, match=r"^point \[(0.9, 0.9|1.5, 0.2)\] is off the "):
+                fn(bad)
+            with pytest.raises(sx.CapacityError):
+                fn(good)
 
     def test_wrong_shapes_raise_the_shape_error(self):
         cube = sx.SampleSet(self.SAMPLES.points, "hypercube")

@@ -98,6 +98,15 @@ class TestSEval:
         with pytest.raises(ValueError, match=r"\(P, d=1\)"):
             sp.s_eval_grid(1, 1, 10, 1, np.array([(0.3, 0.7)]))
 
+    def test_grid_takes_rows_and_s_eval_one_point(self):
+        # a length-d point is s_eval's form, not s_eval_grid's: read as one
+        # point it would pass silently (S_{1,1,3}(0.5) = 0.3125); (P, d) rows
+        # are s_eval_grid's form, not s_eval's
+        with pytest.raises(ValueError, match=r"\(P, d=1\) .*got shape \(1,\)$"):
+            sp.s_eval_grid(1, 1, 3, 1, (0.5,))
+        with pytest.raises(ValueError, match=r"\(P, d=1\) .*got shape \(1, 2, 1\)$"):
+            sp.s_eval(1, 1, 3, 1, np.array([[0.5], [0.25]]))
+
     def test_grid_accepts_rounding_noise(self):
         noisy = sp.s_eval_grid(1, 1, 10, 1, np.array([(-1e-13,), (1.0 + 1e-13,), (0.3 + 1e-13,)]))
         clean = sp.s_eval_grid(1, 1, 10, 1, np.array([(0.0,), (1.0,), (0.3,)]))
