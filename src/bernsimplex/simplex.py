@@ -43,8 +43,10 @@ LATTICE_CAP = 10**8
 # by tracemalloc with a scan's row blocks written by _write_csv: a cm_scan
 # term 8.0-9.6 per g argument (gives 10), an instance 0-1.5 per row (gives 2),
 # a fuzz trial 268-790 at dmax 1-12 (120 + 5 per gamma argument), a query
-# point 3N + 3..6 in S, 2N + 2d + 11..13 in the simplex cdf (N lattice rows),
-# (d + 1)(deg + 1) + 4..12 in a hypercube sum, 1-2 + (d + 1)/8 in det or phi
+# point 3.4..3.9T at S's deviance tables and 2N + 1.3..2.6T at their gather
+# (T = (d + 1)(m + 1) table entries, N lattice rows; 2N >= T, so it gives
+# 2N + 3T + 8), 2N + 2d + 11..13 in the simplex cdf, (d + 1)(deg + 1) +
+# 4..12 in a hypercube sum, 1-2 + (d + 1)/8 in det or phi
 # (gives d + 2), a CSV row 7.6-8.3 per float column, one more if strided
 # (gives 10); blocks peak at 62-92%.
 BLOCK_BYTES = 1 << 22
@@ -136,12 +138,15 @@ def _check_ints(lo: int = 1, hi=None, **named) -> None:
             raise ValueError(f"{name} must be an integer {bound}, got {value!r}")
 
 
-def _shape_checked(xs, d) -> np.ndarray:
-    """xs as a float (P, d) array, d >= 1 (the given d if not None), else ValueError."""
-    xs = np.asarray(xs, dtype=float)
+def _shape_checked(xs, d, point=False) -> np.ndarray:
+    """xs as a float (P, d) array, d >= 1 (the given d if not None); with
+    point, also one point (a length-d sequence, or a scalar as d = 1) as one
+    row.  Another shape raises ValueError naming xs's own shape."""
+    given = np.asarray(xs, dtype=float)
+    xs = np.atleast_2d(given) if point else given
     if xs.ndim != 2 or xs.shape[1] < 1 or d not in (None, xs.shape[1]):
         want = "d" if d is None else f"d={d}"
-        raise ValueError(f"points must be a (P, {want}) array with d >= 1, got shape {xs.shape}")
+        raise ValueError(f"points must be a (P, {want}) array with d >= 1, got shape {given.shape}")
     return xs
 
 
@@ -153,14 +158,15 @@ def _clamped(xs: np.ndarray, off: np.ndarray, where: str) -> np.ndarray:
     return np.where(xs < 0.0, 0.0, np.where(xs > 1.0, 1.0, xs))
 
 
-def _simplex_rows(xs, d=None) -> np.ndarray:
+def _simplex_rows(xs, d=None, point=False) -> np.ndarray:
     """The (P, d+1) full coordinates of the (P, d) rows xs, d >= 1 (the given
-    d if not None): the one closed-simplex point rule.  Another shape, or then
-    a row with a non-finite entry, an entry below -_TOL or a sum above 1 + _TOL
-    raises ValueError; entries are then clamped to [0, 1] and x_{d+1} =
-    max(1 - ||x||, 0).  Sums run left to right, so a row's bits depend neither
-    on the other rows nor on the Python version."""
-    xs = _shape_checked(xs, d)
+    d if not None, one point as a row with point): the one closed-simplex
+    point rule.  Another shape, or then a row with a non-finite entry, an
+    entry below -_TOL or a sum above 1 + _TOL raises ValueError; entries are
+    then clamped to [0, 1] and x_{d+1} = max(1 - ||x||, 0).  Sums run left to
+    right, so a row's bits depend neither on the other rows nor on the Python
+    version."""
+    xs = _shape_checked(xs, d, point)
     with np.errstate(invalid="ignore", over="ignore"):
         off = (~np.all(np.isfinite(xs) & (xs >= -_TOL), axis=1)
                | (np.add.accumulate(xs, axis=1)[:, -1] > 1.0 + _TOL))
@@ -169,11 +175,12 @@ def _simplex_rows(xs, d=None) -> np.ndarray:
     return np.column_stack([xs, last])
 
 
-def _cube_rows(xs, d=None) -> np.ndarray:
-    """The (P, d) rows xs, d >= 1 (the given d if not None), clamped to
-    [0, 1]: the one hypercube point rule.  Another shape, or then a row with
-    a non-finite entry or one outside [-_TOL, 1 + _TOL], raises ValueError."""
-    xs = _shape_checked(xs, d)
+def _cube_rows(xs, d=None, point=False) -> np.ndarray:
+    """The (P, d) rows xs, d >= 1 (the given d if not None, one point as a row
+    with point), clamped to [0, 1]: the one hypercube point rule.  Another
+    shape, or then a row with a non-finite entry or one outside [-_TOL,
+    1 + _TOL], raises ValueError."""
+    xs = _shape_checked(xs, d, point)
     # ~(in range), not (out of range): NaN is in no range
     return _clamped(xs, ~np.all((xs >= -_TOL) & (xs <= 1.0 + _TOL), axis=1), "unit cube")
 
@@ -257,13 +264,24 @@ def _block_len(floats_per_item: int) -> int:
     return max(1, (BLOCK_BYTES - 3 * 8 * np.getbufsize()) // (8 * floats_per_item))
 
 
-def _at_points(rule, x, d=None):
+def _one_point(x, d) -> np.ndarray:
+    """x, one point (a length-d sequence, or a scalar as d = 1), as one
+    (1, d) row: with the shape rule, more than one point raises ValueError
+    naming x's own shape.  The rows are x's unclamped coordinates."""
+    row = _shape_checked(x, d, point=True)
+    if np.ndim(x) > 1:
+        raise ValueError(f"need one point, a length-{d} sequence, got shape {np.shape(x)}")
+    return row
+
+
+def _at_points(rule, x, d=None, point=True):
     """x's rows by rule (_simplex_rows or _cube_rows), checked before any other
     work, and evaluate(kernel, floats), which runs kernel on blocks of rows
     that hold floats float64s each at their peak: a float for one point x (a
-    length-d sequence, or a scalar as d = 1), else a (P,) array.  A row's value
-    may not depend on the other rows of its block: blocks change no bits."""
-    rows = rule(np.atleast_2d(x), d)
+    length-d sequence, or a scalar as d = 1; refused if not point), else a
+    (P,) array.  A row's value may not depend on the other rows of its block:
+    blocks change no bits."""
+    rows = rule(x, d, point)
     def evaluate(kernel, floats):
         out = np.empty(len(rows))
         step = _block_len(floats)

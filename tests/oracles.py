@@ -56,8 +56,10 @@ Then, both sides of the central-binomial identity at one (d, m): the left
 side as one ``composition_coefficient`` call, the right side as a product
 loop of fractions; the oracles for ``spoly.central_binomial_identity``,
 which builds every m <= m_max from one power series.  Beside them,
-S_{r,s,m} at a rational point as an exact fraction, from one
-``composition_coefficient`` call on exact integers: the oracle for
+S_{r,s,m} at a rational point as an exact fraction, peeling off one
+coordinate at a time in exact integers, and S_{r,s,m} at float points as
+the lattice sum of the shared log-pmf kernel (``s_lattice``, the kernel
+``spoly.s_eval_grid`` had before its Poisson tables): the oracles for
 ``spoly.s_eval`` and ``spoly.s_eval_grid``; and the integral of S_{r,s,m}
 over the simplex as an exact fraction, by the same Dirichlet reduction on
 exact integers, with the r = s = 1 closed form as a fraction: the oracles
@@ -89,7 +91,7 @@ from bernsimplex.ineq import FUZZ_TOL
 from bernsimplex.monotone import (DERIV_FLOOR_REL, DIFF_REL_TOL, DIFF_STEP, MAX_DIFF_ORDER,
                                   MAX_H_ORDER, MonotoneInstance)
 from bernsimplex.simplex import (SampleSet, _TOL, _check_capacity, _simplex_rows, _weight_rows,
-                                lattice_size)
+                                lattice_log_pmf, lattice_size)
 from bernsimplex.specfun import (_BERNOULLI, _HALF_LOG_TWO_PI, _STIRLING_THRESHOLD,
                                  MAX_POLY_ORDER, _check_positive)
 from bernsimplex.spoly import composition_coefficient
@@ -707,17 +709,31 @@ def s_exact(r: int, s: int, m: int, p, q: int) -> Fraction:
     """S_{r,s,m} at the rational point x_i = p_i / q of the d-simplex, exact;
     p holds its d+1 nonnegative integer numerators, summing to q.
 
-    With t = r + s and R = (rm)!(sm)!, term j of factor i is scaled to the
-    integer p_i^{tj} R / ((rj)! (sj)!), so one composition_coefficient call on
-    exact integers gives R^{d+1} q^{tm} S."""
+    With t = r + s and multinomial coefficients M, q^{tm} S =
+    sum_k M(rm; rk) M(sm; sk) prod_i p_i^{t k_i}.  Peeling off one coordinate
+    at a time, T_i(n) = sum_j C(rn, rj) C(sn, sj) p_i^{tj} T_{i+1}(n - j),
+    with T_d(n) = p_d^{tn}, gives q^{tm} S = T_0(m) in exact integers."""
     if len(p) < 2 or min(p) < 0 or sum(p) != q:
         raise ValueError(f"need two or more nonnegative numerators summing to {q}, got {p}")
     t = r + s
-    fact = math.factorial
-    R = fact(r * m) * fact(s * m)
-    series = [np.array([pi ** (t * j) * (R // (fact(r * j) * fact(s * j))) for j in range(m + 1)],
-                       dtype=object) for pi in p]
-    return Fraction(int(composition_coefficient(series, m)), R ** (len(p) - 1) * q ** (t * m))
+    level = [p[-1] ** (t * n) for n in range(m + 1)]
+    for i in range(len(p) - 2, -1, -1):
+        power = [p[i] ** (t * j) for j in range(m + 1)]
+        low = m if i == 0 else 0  # T_0 is needed at n = m only
+        level = [0] * low + [sum(math.comb(r * n, r * j) * math.comb(s * n, s * j) * power[j]
+                                 * level[n - j] for j in range(n + 1))
+                             for n in range(low, m + 1)]
+    return Fraction(level[m], q ** (t * m))
+
+
+def s_lattice(r: int, s: int, m: int, d: int, xs) -> np.ndarray:
+    """S_{r,s,m} at the (P, d) rows xs as the lattice sum of
+    exp(ln P_{rk,rm}(x) + ln P_{sk,sm}(x)), both from the shared log-pmf
+    kernel simplex.lattice_log_pmf: spoly.s_eval_grid's kernel before its
+    Poisson tables, bit for bit."""
+    full = _simplex_rows(xs, d)
+    lat = lattice_array(d, m)
+    return np.exp(lattice_log_pmf(r * lat, full) + lattice_log_pmf(s * lat, full)).sum(axis=1)
 
 
 def s_integral_rational(r: int, s: int, m: int, d: int) -> Fraction:

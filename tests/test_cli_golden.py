@@ -22,6 +22,10 @@ their stdout (verdict and min margin) did not move.
 test_fuzz_margins_against_mpmath checks the margins of all four ineq-fuzz
 cases. The identity-check-4x60 hashes were recorded with one exact per-m
 identity evaluation, before the check moved to one power-series table per d.
+The three lclt-compare CSV hashes were recorded again when S at a point moved
+from the lattice log-pmf to per-coordinate Poisson tables, which moves its
+values from 45-4717 ulps off the exact S to within 8; their stdout did not
+move. test_lclt_compare_values_against_exact checks those values.
 Values that pass through numpy's log, exp or power
 were hashed with numpy 2.4 on an x86-64 host with AVX-512; numpy picks those
 kernels by CPU, so another host may give other last bits.
@@ -29,6 +33,7 @@ kernels by CPU, so another host may give other last bits.
 
 import hashlib
 import math
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -37,6 +42,7 @@ import pytest
 import oracles
 from bernsimplex import ineq, monotone
 from bernsimplex.cli import _random_instance, main
+from bernsimplex.simplex import _simplex_rows
 
 # written before every case that reads --samples
 SAMPLES_ARGV = ["sample-gen", "--alpha", "2,1,3", "--n", "400", "--seed", "4",
@@ -86,17 +92,17 @@ CASES = {
         "9dd8bc7d96f833b502e30ddfe80dbbe5e56ec8c7c029ea413111314ea10d22bd"),
     "lclt-compare": (
         ["lclt-compare"], "lclt_compare.csv", 0,
-        "ceafa4e2158e02fd4adf17d7ba30a9cbd67b8b0d5d5f6694346a1e960e45c4b8",
+        "fc23b8f8a3b254bbfef0ec217a31ba8a591a0f300a923db844517c63267c590f",
         "4bde5a479333ee194b6bad0f839cd157f918f5f14da09af1f24ebd2e9d057601"),
     "lclt-compare-d2": (
         ["lclt-compare", "--d", "2", "--r", "2", "--s", "3", "--m-list", "16,64",
          "--out", "l.csv"], "l.csv", 0,
-        "9aca9ac653c7769a7be9153448443632700c435b9c0892b0dbd9071eb0ba27a0",
+        "41ad658fab202f729c02a6f0cc2a89b1f778b74858b621a9a517ed161bc3b749",
         "04f937c27049232ab79a1ad3a412fe4c59b6ee2d366656a8f818cb68e91826ce"),
     "lclt-compare-d3": (
         ["lclt-compare", "--d", "3", "--r", "1", "--s", "2", "--m-list", "8,16,32",
          "--out", "l.csv"], "l.csv", 0,
-        "6625e78ea7e38e5f597ac9a2b1270465db948504871d7e157ce0875a165f1562",
+        "c2b4e549e4a0a8dc8ce01ff1c399c7b638b679124ed2f8da0137a7895848a41c",
         "b7bf4d4c4467df89ca896f95948d845060b7e962de075b83221267aa2e9117ab"),
     "identity-check": (
         ["identity-check", "--d-max", "3", "--m-max", "20"], "identity_check.csv", 0,
@@ -164,6 +170,31 @@ def test_s_table_values_against_mpmath(name, tmp_path, monkeypatch):
                          / (2**d * mpmath.gamma(half_d + mpmath.mpf(1) / 2)
                             * mpmath.gamma(m + half_d + 1)))
         assert math.isclose(value, want, rel_tol=1e-12, abs_tol=0.0)
+
+
+@pytest.mark.parametrize("name", ["lclt-compare", "lclt-compare-d2", "lclt-compare-d3"])
+def test_lclt_compare_values_against_exact(name, tmp_path, monkeypatch):
+    # these three hashes were re-recorded when S at a point moved to Poisson
+    # tables; this checks every scaled value they pin against m^{d/2} times S
+    # as an exact fraction at the float barycenter (its d+1 coordinates, as
+    # the point rule forms them, sum to 1 exactly), and the error column
+    argv, out = CASES[name][:2]
+    monkeypatch.chdir(tmp_path)
+    assert main(list(argv)) == 0
+    lines = (tmp_path / out).read_text().splitlines()
+    rows = [line.split(",") for line in lines[1:] if not line.startswith("#")]
+    assert rows
+    for row in rows:
+        d, r, s, m = (int(v) for v in row[:4])
+        value, phi, err = (float(v) for v in row[4:])
+        coords = [Fraction(1.0 / (d + 1))] * d
+        coords.append(1 - sum(coords))
+        q = max(c.denominator for c in coords)
+        exact = oracles.s_exact(r, s, m, [int(c * q) for c in coords], q)
+        assert float(coords[-1]) == float(_simplex_rows(np.array([[1.0 / (d + 1)] * d]))[0, -1])
+        want = float(Fraction(m ** (d / 2.0)) * exact)
+        assert math.isclose(value, want, rel_tol=1e-14, abs_tol=0.0), (d, r, s, m)
+        assert err == abs(value - phi)
 
 
 @pytest.mark.parametrize("name", ["estimate-hypercube-cdf", "estimate-hypercube-density"])

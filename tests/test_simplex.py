@@ -629,7 +629,7 @@ class TestBlockBudget:
         "fuzz dmax=5": (_fuzz(5, 3000), ineq, "inequality_margins", 1),
         "fuzz dmax=9": (_fuzz(9, 2500), ineq, "inequality_margins", 1),
         "s_eval_grid": (_points(functools.partial(spoly.s_eval_grid, 1, 2, 100, 2),
-                                _SIMPLEX[:100, :2]), spoly, "lattice_log_pmf", 2),
+                                _SIMPLEX[:100, :2]), spoly, "_s_rows", 1),
         "simplex cdf": (_points(functools.partial(estimate.bernstein_cdf_simplex, _SAMPLES, 100),
                                 _SIMPLEX[:, :2]), estimate, "lattice_log_pmf", 1),
         "hypercube density": (_points(functools.partial(estimate.bernstein_density_hypercube,

@@ -8,6 +8,7 @@ import pytest
 
 from bernsimplex import spoly as sp
 from bernsimplex.simplex import CapacityError, lattice_array, log_factorial_table
+from bernsimplex.specfun import _stirling_tail
 import oracles
 from oracles import MultiIndex, SimplexPoint, enumerate_lattice, multinomial_log_pmf
 
@@ -53,7 +54,8 @@ class TestSEval:
             assert 0.0 <= v <= 1.0
 
     def test_brute_force_oracle(self):
-        # direct nested-loop sum of products of multinomial pmfs
+        # direct nested-loop sum of products of multinomial pmfs, against S
+        # and its lattice oracle
         x = (0.3, 0.45)
         r, s, m = 2, 3, 4
         expected = 0.0
@@ -62,6 +64,7 @@ class TestSEval:
             ls = multinomial_log_pmf(MultiIndex([s * v for v in mi.k], s * m), SimplexPoint(x))
             expected += math.exp(lr + ls)
         assert sp.s_eval(r, s, m, 2, x) == pytest.approx(expected, rel=1e-12)
+        assert oracles.s_lattice(r, s, m, 2, [x])[0] == pytest.approx(expected, rel=1e-12)
 
     def test_domination_by_unit_case(self):
         rng = np.random.Generator(np.random.PCG64(8))
@@ -79,9 +82,9 @@ class TestSEval:
         p = (2, 3, 9, 2)
         single = [sp.s_eval(*p, x) for x in xs]
         assert np.array_equal(sp.s_eval_grid(*p, xs), single)
-        # 55 lattice rows, 3 * 55 + 8 floats a point: blocks of 6 split the
-        # 41 points 6, ..., 6, 5
-        small_blocks(6, 3 * 55 + 8)
+        # 55 lattice rows and 3 tables of 10 entries, 2 * 55 + 3 * 30 + 8
+        # floats a point: blocks of 6 split the 41 points 6, ..., 6, 5
+        small_blocks(6, 2 * 55 + 3 * 30 + 8)
         assert np.array_equal(sp.s_eval_grid(*p, xs), single)
 
     @pytest.mark.parametrize("row", [(math.nan,), (math.inf,), (-0.5,), (1.4,),
@@ -101,11 +104,21 @@ class TestSEval:
     def test_grid_takes_rows_and_s_eval_one_point(self):
         # a length-d point is s_eval's form, not s_eval_grid's: read as one
         # point it would pass silently (S_{1,1,3}(0.5) = 0.3125); (P, d) rows
-        # are s_eval_grid's form, not s_eval's
+        # are s_eval_grid's form, not s_eval's.  Each error names the shape
+        # the caller passed.
         with pytest.raises(ValueError, match=r"\(P, d=1\) .*got shape \(1,\)$"):
             sp.s_eval_grid(1, 1, 3, 1, (0.5,))
-        with pytest.raises(ValueError, match=r"\(P, d=1\) .*got shape \(1, 2, 1\)$"):
+        with pytest.raises(ValueError, match=r"one point, .*got shape \(2, 1\)$"):
             sp.s_eval(1, 1, 3, 1, np.array([[0.5], [0.25]]))
+        with pytest.raises(ValueError, match=r"\(P, d=2\) .*got shape \(3,\)$"):
+            sp.s_eval(1, 1, 3, 2, (0.2, 0.3, 0.1))
+
+    def test_s_eval_takes_a_scalar_point_at_d1(self):
+        # simplex's one-point rule, the one det_covariance and phi_eval apply
+        for x in (0.3, np.float64(0.3), (0.3,), np.array([0.3])):
+            v = sp.s_eval(1, 2, 5, 1, x)
+            assert type(v) is float and v == sp.s_eval_grid(1, 2, 5, 1, [[0.3]])[0]
+        assert type(sp.det_covariance(2, 3, 0.3)) is float
 
     def test_grid_accepts_rounding_noise(self):
         noisy = sp.s_eval_grid(1, 1, 10, 1, np.array([(-1e-13,), (1.0 + 1e-13,), (0.3 + 1e-13,)]))
@@ -155,6 +168,89 @@ class TestSExact:
                 base = oracles.s_exact(1, 1, m, p, sum(p))
                 for r, s in self.PAIRS[1:]:
                     assert oracles.s_exact(r, s, m, p, sum(p)) <= base, (r, s, m, p)
+
+
+class TestSProductForm:
+    """s_eval_grid's per-coordinate Poisson tables against the lattice log-pmf
+    kernel they replaced (oracles.s_lattice) and against S as an exact
+    fraction (oracles.s_exact): d = 1..3, each (r, s) of PAIRS, m up to 1024
+    at d = 1, vertices and points with a zero coordinate included.
+
+    Tolerances, relative and set from measured errors (EPS = 2^-52):
+    - exact, at dyadic points p/8 (each float coordinate, x_{d+1} included, is
+      exact, so only the tables round): 16 EPS at every m.  Measured at most
+      8.6 EPS (d = 3, m = 12), 2.4 EPS at d = 1 up to m = 1024; it does not
+      grow with m.
+    - lattice, at Dirichlet points: (128 + 8tm) EPS, t = r + s.  The lattice
+      kernel rounds logarithms of size ~ln (tm)!: measured at most 99 EPS at
+      m = 1 (d = 3) and at most 5.3 tm EPS from m = 64 on (18,885 EPS at
+      d = 1, m = 1024)."""
+
+    PAIRS = ((1, 1), (1, 2), (2, 2), (2, 3), (3, 1))
+    MS = {1: (1, 2, 7, 64, 256, 1024), 2: (1, 5, 16, 40), 3: (1, 4, 12, 24)}
+    # numerators over 8 of x_1..x_{d+1}: vertices first, then a zero coordinate
+    DYADIC = {1: [(8, 0), (0, 8), (3, 5), (1, 7)],
+              2: [(8, 0, 0), (0, 0, 8), (0, 3, 5), (2, 0, 6), (3, 4, 1), (1, 1, 6)],
+              3: [(0, 0, 0, 8), (8, 0, 0, 0), (0, 2, 3, 3), (1, 2, 0, 5), (2, 3, 1, 2)]}
+    EPS = 2.0**-52
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_matches_exact(self, d):
+        for m in self.MS[d]:
+            # at m = 1024 one interior point: the exact sums take 0.05-0.25 s each
+            ps = self.DYADIC[d][:3] if m > 256 else self.DYADIC[d]
+            xs = np.array([[v / 8 for v in p[:-1]] for p in ps])
+            for r, s in self.PAIRS:
+                for p, got in zip(ps, sp.s_eval_grid(r, s, m, d, xs)):
+                    want = float(oracles.s_exact(r, s, m, p, 8))
+                    assert abs(got - want) <= 16 * self.EPS * want, (r, s, m, p)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_matches_lattice(self, d):
+        rng = np.random.Generator(np.random.PCG64(40 + d))
+        xs = np.vstack([rng.dirichlet(np.ones(d + 1), 20)[:, :d], np.eye(d + 1)[:, :d],
+                        [[0.0] + [1.0 / d] * (d - 1) if d > 1 else [0.0]]])
+        for m in self.MS[d]:
+            for r, s in self.PAIRS:
+                got, want = sp.s_eval_grid(r, s, m, d, xs), oracles.s_lattice(r, s, m, d, xs)
+                tol = (128 + 8 * (r + s) * m) * self.EPS
+                assert np.all(np.abs(got - want) <= tol * want), (r, s, m)
+
+    def test_tiny_coordinates(self):
+        # m x_i down to the subnormals: j/(m x_i) overflows to inf, D = inf, and
+        # the table entry is 0 as x^{tj} is, with no warning
+        xs = np.array([[5e-324], [1e-310], [1e-300], [1e-17], [1.0 - 2**-53]])
+        for r, s, m in ((1, 1, 3), (2, 3, 1000)):
+            got, want = sp.s_eval_grid(r, s, m, 1, xs), oracles.s_lattice(r, s, m, 1, xs)
+            assert np.all(np.abs(got - want) <= (128 + 8 * (r + s) * m) * self.EPS * want)
+            assert np.all(got <= 1.0)
+
+    @pytest.mark.parametrize("x, p", [((-0.0,), (0, 8)), ((-0.0, 0.5), (0, 4, 4)),
+                                      ((0.5, -0.0, 0.5), (4, 0, 4, 0))])
+    def test_signed_zero_coordinates(self, x, p):
+        # the point rule keeps -0.0 (simplex._clamped); m * -0.0 is -0.0 and
+        # D(j, -0.0) would be NaN, so the tables must read it as +0.0
+        d = len(x)
+        for r, s, m in ((1, 1, 1), (2, 3, 9), (3, 1, 40)):
+            got = sp.s_eval_grid(r, s, m, d, [x])[0]
+            want = float(oracles.s_exact(r, s, m, p, 8))
+            assert abs(got - want) <= 16 * self.EPS * want, (r, s, m)
+            lattice = oracles.s_lattice(r, s, m, d, [x])[0]
+            assert abs(got - lattice) <= (128 + 8 * (r + s) * m) * self.EPS * lattice
+            assert sp.s_eval(r, s, m, d, x) == got
+
+    def test_stirling_errors_against_mpmath(self):
+        # delta(n) = ln n! - (n + 1/2) ln n + n - ln sqrt(2 pi): the table is
+        # the 40-digit value rounded, and from n = 12 on the Stirling tail is
+        # within 2 ulps of it
+        def delta(n):
+            with mpmath.workdps(40):
+                return float(mpmath.loggamma(n + 1) - (n + mpmath.mpf(1) / 2) * mpmath.log(n)
+                             + n - mpmath.log(2 * mpmath.pi) / 2)
+        assert sp._STIRLING_ERRORS.tolist() == [delta(n) for n in range(1, 12)]
+        for n in (12, 13, 20, 100, 1000, 3072, 10**6):
+            want = delta(n)
+            assert abs(float(_stirling_tail(float(n))) - want) <= 2 * math.ulp(want), n
 
 
 class TestSIntegralRational:
