@@ -4,7 +4,9 @@ The empirical cdf uses the standard convention F_n(y) = (1/n) #{j : y_j <= y}
 componentwise (the source display reads the indicator the other way; as a
 cdf smoother only the standard reading makes sense, so that is what is
 implemented).  Likewise the hypercube cdf kernel uses the binomial pmf
-exponent m - k_i on (1 - x_i).  Query points go through simplex._at_points.
+exponent m - k_i on (1 - x_i).  Query points go through simplex._at_points,
+and the multinomial weights come from the Poisson tables S uses
+(simplex._poisson_weights at rank 1, simplex._lattice_rows).
 """
 
 from __future__ import annotations
@@ -19,9 +21,11 @@ from .simplex import (
     _check_capacity,
     _check_ints,
     _cube_rows,
+    _lattice_floats,
+    _lattice_rows,
+    _poisson_weights,
     _simplex_rows,
     lattice_array,
-    lattice_log_pmf,
 )
 
 __all__ = [
@@ -80,13 +84,16 @@ def _bernstein_sum(box: np.ndarray, deg: int):
     (1-x_i)^{deg-k_i}, box being (deg+1)^d, and the floats a row holds.
 
     The weights of each axis are the d = 1 multinomial pmf (k, deg-k) at
-    (x_i, 1-x_i), one kernel call per axis for each block of points.
+    (x_i, 1-x_i), one simplex._lattice_rows call per axis for each block of
+    points, so a block holds one axis's deviance tables at a time.
     """
     lat = lattice_array(1, deg)
+    w, scale = _poisson_weights((1,), deg)
     def kernel(xs):
-        weights = [np.exp(lattice_log_pmf(lat, np.column_stack([xi, 1.0 - xi]))) for xi in xs.T]
+        weights = [_lattice_rows(1, w, lat, np.column_stack([xi, 1.0 - xi])) * scale
+                   for xi in xs.T]
         return [float(functools.reduce(_contract, rows, box)) for rows in zip(*weights)]
-    return kernel, (box.ndim + 1) * (deg + 1) + 16
+    return kernel, box.ndim * _lattice_floats(lat, w) + 16
 
 
 def bernstein_cdf_simplex(samples: SampleSet, m: int, x):
@@ -96,8 +103,11 @@ def bernstein_cdf_simplex(samples: SampleSet, m: int, x):
     evaluate = _query_points(samples, m, x, "simplex")
     lat = lattice_array(samples.d, m)
     fn = _lattice_cdf_counts(samples, m)[tuple(lat[:, :-1].T)] / samples.n
-    return evaluate(lambda full: [np.dot(fn, row) for row in np.exp(lattice_log_pmf(lat, full))],
-                    2 * (lat.shape[0] + samples.d + 6))
+    w, scale = _poisson_weights((1,), m)
+    # a dot per row, not one (P, N) matmul: a row's bits may not depend on its block
+    return evaluate(lambda full: [np.dot(fn, row) * scale
+                                  for row in _lattice_rows(1, w, lat, full)],
+                    _lattice_floats(lat, w))
 
 
 def bernstein_cdf_hypercube(samples: SampleSet, m: int, x):

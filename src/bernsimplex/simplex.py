@@ -1,14 +1,15 @@
 """Simplex geometry and multinomial probability primitives.
 
-Multi-index lattices, the multinomial pmf in log space, a seedable Dirichlet
-sampler and the sample set it returns.  Each input type has one rule:
-_simplex_rows and _cube_rows for point rows, _weight_rows for weight rows,
-_check_ints for integers.  An API that takes a point takes its first d
-coordinates: a length-d sequence is one point (a float result), a (P, d)
+Multi-index lattices, the multinomial weights of a lattice sum, a seedable
+Dirichlet sampler and the sample set it returns.  Each input type has one
+rule: _simplex_rows and _cube_rows for point rows, _weight_rows for weight
+rows, _check_ints for integers.  An API that takes a point takes its first
+d coordinates: a length-d sequence is one point (a float result), a (P, d)
 array is P points (a (P,) result): _at_points owns that rule and the blocks.
-All probabilities are kept in log space end-to-end; exponentiation happens
-only at accumulation points (degrees in the hundreds overflow direct
-factorials).
+The weights of S and of the estimators have one kernel, per-coordinate
+Poisson tables (_poisson_weights) gathered over the lattice rows
+(_lattice_rows): no factorial (degrees in the hundreds overflow it) and no
+large logarithm is formed.
 """
 
 from __future__ import annotations
@@ -23,13 +24,12 @@ from typing import Sequence
 
 import numpy as np
 
-from .specfun import log_gamma
+from .specfun import _stirling_tail, log_gamma
 
 __all__ = [
     "SampleSet",
     "lattice_array",
     "lattice_size",
-    "lattice_log_pmf",
     "sample_dirichlet",
     "log_factorial_table",
     "CapacityError",
@@ -43,12 +43,13 @@ LATTICE_CAP = 10**8
 # by tracemalloc with a scan's row blocks written by _write_csv: a cm_scan
 # term 8.0-9.6 per g argument (gives 10), an instance 0-1.5 per row (gives 2),
 # a fuzz trial 268-790 at dmax 1-12 (120 + 5 per gamma argument), a query
-# point 3.4..3.9T at S's deviance tables and 2N + 1.3..2.6T at their gather
-# (T = (d + 1)(m + 1) table entries, N lattice rows; 2N >= T, so it gives
-# 2N + 3T + 8), 2N + 2d + 11..13 in the simplex cdf, (d + 1)(deg + 1) +
-# 4..12 in a hypercube sum, 1-2 + (d + 1)/8 in det or phi
-# (gives d + 2), a CSV row 7.6-8.3 per float column, one more if strided
-# (gives 10); blocks peak at 62-92%.
+# point of _lattice_rows (S, the simplex cdf) 3.4..3.9T at the deviance
+# tables and 2N + 1.3..2.6T at their gather (T = (d + 1)(m + 1) table
+# entries, N lattice rows; 2N >= T, so _lattice_floats gives 2N + 3T + 8),
+# 3..11 (deg + 1) in a hypercube sum, its d axes' weights and one axis's
+# gather (gives d times the d = 1 figure + 16), 1-2 + (d + 1)/8 in det or
+# phi (gives d + 2), a CSV row 7.6-8.3 per float column, one more if
+# strided (gives 10); blocks peak at 48-92%.
 BLOCK_BYTES = 1 << 22
 _TOL = 1e-12
 
@@ -338,28 +339,97 @@ def log_factorial_table(n: int) -> np.ndarray:
     return table[: n + 1]
 
 
-def lattice_log_pmf(lat: np.ndarray, xs: np.ndarray) -> np.ndarray:
-    """ln P_{k,m}(x) for each query row x of xs (P, d+1 full coordinates, as
-    _simplex_rows gives them) and each lattice row k of lat (N, d+1) summing
-    to m; returns (P, N).
+# delta(n) = ln n! - (n + 1/2) ln n + n - ln sqrt(2 pi), the error of Stirling's
+# formula, for n = 1..11 (40-digit values, rounded); from n = 12 on it is
+# specfun's Stirling tail, the series of ln Gamma(n + 1) past those terms
+_STIRLING_ERRORS = np.array([
+    0.08106146679532726, 0.0413406959554093, 0.02767792568499834, 0.020790672103765093,
+    0.016644691189821193, 0.013876128823070748, 0.01189670994589177, 0.010411265261972096,
+    0.009255462182712733, 0.00833056343336287, 0.007573675487951841])
+# 1/17, 1/15, ..., 1/3: (atanh(v) - v) / v^3 in Horner order, within 1e-17 for |v| < 0.1
+_ATANH_TAIL = tuple(1.0 / k for k in range(17, 2, -2))
 
-    Uses 0 ln 0 = 0, and -inf where k_i > 0 meets x_i = 0.  Entries are
-    accumulated coordinate by coordinate with math.log, so a row does not
-    depend on which other points share the call.
-    """
-    m = int(lat[0].sum())
-    lf = log_factorial_table(m)
-    logp = np.full((xs.shape[0], lat.shape[0]), lf[m])
-    for i in range(lat.shape[1]):
-        ki = lat[:, i]
-        logp -= lf[ki]
-        col = xs[:, i]
-        logx = np.array([math.log(v) if v > 0.0 else 0.0 for v in col])
-        logp += ki * logx[:, None]
-        zero = col <= 0.0
-        if np.any(zero):
-            logp[zero] = np.where(ki > 0, -np.inf, logp[zero])
-    return logp
+
+def _stirling_errors(n: np.ndarray) -> np.ndarray:
+    """delta(n) at the positive integers n."""
+    delta = _stirling_tail(n + 0.0)
+    small = n < 12
+    delta[small] = _STIRLING_ERRORS[n[small] - 1]
+    return delta
+
+
+def _poisson_weights(ranks: Sequence[int], m: int):
+    """(w, scale), w for j = 0..m, of the product over f in ranks of the
+    multinomial pmfs P_{fk,fm}(x) in Poisson form, t = sum(ranks):
+
+        prod_f P_{fk,fm}(x) = scale * prod_i w[k_i] e^{-t D(k_i, m x_i)},
+
+    D the Poisson deviance (_deviance).  As sum_i x_i = 1, P_{fk,fm}(x) =
+    (fm)! e^{fm} / (fm)^{fm} * prod_i Pois(f k_i; fm x_i), and by Stirling's
+    formula with its error delta, prod_f Pois(fj; fmx) = w[j] e^{-t D(j, mx)}:
+    w[0] = 1 and w[j] = e^{-sum_f delta(fj)} / prod_f sqrt(2 pi f j).  The
+    k-free factor is scale = prod_f sqrt(2 pi f m) e^{delta(fm)}, 1 at m = 0.
+    Ranks (1,) give the plain pmf, (r, s) the terms of S_{r,s,m}.  No large
+    logarithm is formed, so none is left to cancel."""
+    n = len(ranks)
+    j = np.arange(1, m + 1)
+    delta = sum(_stirling_errors(f * j) for f in ranks)
+    c = (2.0 * math.pi) ** (n / 2) * math.sqrt(math.prod(ranks))
+    w = np.concatenate([[1.0], np.exp(-delta) / (c * j ** (n / 2))])
+    return w, c * m ** (n / 2) * math.exp(delta[-1]) if m else 1.0
+
+
+def _deviance(j: np.ndarray, mu: np.ndarray) -> np.ndarray:
+    """D(j, mu) = j ln(j/mu) + mu - j >= 0, broadcast, mu >= +0.0.  Near the
+    mode, where |v| < 0.1 for v = (j - mu)/(j + mu), it is summed as
+    v (j - mu) + 2j (atanh v - v), so a small D keeps its relative accuracy;
+    D(0, mu) = mu, and D(j, mu) = inf for j > 0 where j/mu overflows (mu = 0
+    included).  Built in place, the series only where it is kept: three
+    arrays of the broadcast shape at the peak."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        dev = j / mu
+        np.log(dev, out=dev)
+        dev *= j
+        gap = j - mu
+        dev -= gap
+        v = j + mu
+        np.divide(gap, v, out=v)
+        near = (v > -0.1) & (v < 0.1)
+        v, gap = v[near], gap[near]
+        v2 = v * v
+        tail = _ATANH_TAIL[0]
+        for c in _ATANH_TAIL[1:]:
+            tail = tail * v2 + c
+        dev[near] = (gap + 2.0 * np.broadcast_to(j, dev.shape)[near] * v2 * tail) * v
+    dev[..., 0] = mu[..., 0]
+    return dev
+
+
+def _lattice_rows(t: int, w: np.ndarray, lat: np.ndarray, full: np.ndarray) -> np.ndarray:
+    """The (P, N) products prod_i w[k_i] e^{-t D(k_i, m x_i)} at the full
+    coordinate rows full (P, d+1) and the rows k of lat (N, d+1) summing to
+    m, from _poisson_weights' w and t = sum(ranks), unscaled: per row, a table
+    of m+1 entries for each coordinate, gathered over the lattice rows and
+    multiplied, one exp per table entry and none per lattice row.  np.take
+    along axis 1 returns C-order rows, so a row's bits do not depend on the
+    other rows of the call."""
+    m = len(w) - 1
+    # coordinate-major, so each coordinate's (P, m+1) table is contiguous and
+    # np.take does not copy it; + 0.0: the point rule keeps a -0.0
+    # coordinate, and D(j, -0.0) is NaN
+    table = _deviance(np.arange(m + 1.0), m * full.T[:, :, None] + 0.0)
+    table *= -t
+    np.exp(table, out=table)
+    table *= w
+    prod = np.take(table[0], lat[:, 0], axis=1)
+    for i in range(1, len(table)):
+        prod *= np.take(table[i], lat[:, i], axis=1)
+    return prod
+
+
+def _lattice_floats(lat: np.ndarray, w: np.ndarray) -> int:
+    """The float64s a row of _lattice_rows holds at its peak: 2N + 3(d + 1)(m + 1) + 8."""
+    return 2 * len(lat) + 3 * lat.shape[1] * len(w) + 8
 
 
 def sample_dirichlet(alpha: Sequence[float], n: int, seed: int) -> SampleSet:

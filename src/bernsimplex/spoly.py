@@ -4,13 +4,14 @@
                  = (rm)! (sm)! sum_k prod_i x_i^{t k_i} / ((r k_i)! (s k_i)!),
 
 t = r + s, at a point from that product form: one table of m+1 tilted
-terms per coordinate, in Poisson form (_pair_weights), gathered over the
-lattice rows; plus the Gaussian local-limit density phi_{r,s}, the exact
-simplex integral of S via the Dirichlet normalization constant, the central
-binomial lattice identity in exact arithmetic, and the Gamma-ratio
-residual used in the large-m expansion of the integral.  Ints and points
-follow simplex's rules (query points through _at_points); s_eval takes one
-point (simplex._one_point), s_eval_grid (P, d) rows only.
+terms per coordinate, in Poisson form (simplex._poisson_weights at ranks
+(r, s)), gathered over the lattice rows (simplex._lattice_rows); plus the
+Gaussian local-limit density phi_{r,s}, the exact simplex integral of S via
+the Dirichlet normalization constant, the central binomial lattice identity
+in exact arithmetic, and the Gamma-ratio residual used in the large-m
+expansion of the integral.  Ints and points follow simplex's rules (query
+points through _at_points); s_eval takes one point (simplex._one_point),
+s_eval_grid (P, d) rows only.
 """
 
 from __future__ import annotations
@@ -25,7 +26,10 @@ from .simplex import (
     _at_points,
     _check_capacity,
     _check_ints,
+    _lattice_floats,
+    _lattice_rows,
     _one_point,
+    _poisson_weights,
     _simplex_rows,
     lattice_array,
     log_factorial_table,
@@ -49,92 +53,6 @@ __all__ = [
 _SINGULAR_TOL = 1e-14
 
 
-# delta(n) = ln n! - (n + 1/2) ln n + n - ln sqrt(2 pi), the error of Stirling's
-# formula, for n = 1..11 (40-digit values, rounded); from n = 12 on it is
-# specfun's Stirling tail, the series of ln Gamma(n + 1) past those terms
-_STIRLING_ERRORS = np.array([
-    0.08106146679532726, 0.0413406959554093, 0.02767792568499834, 0.020790672103765093,
-    0.016644691189821193, 0.013876128823070748, 0.01189670994589177, 0.010411265261972096,
-    0.009255462182712733, 0.00833056343336287, 0.007573675487951841])
-# 1/17, 1/15, ..., 1/3: (atanh(v) - v) / v^3 in Horner order, within 1e-17 for |v| < 0.1
-_ATANH_TAIL = tuple(1.0 / k for k in range(17, 2, -2))
-
-
-def _stirling_errors(n: np.ndarray) -> np.ndarray:
-    """delta(n) at the positive integers n."""
-    delta = _stirling_tail(n + 0.0)
-    small = n < 12
-    delta[small] = _STIRLING_ERRORS[n[small] - 1]
-    return delta
-
-
-def _pair_weights(r: int, s: int, m: int):
-    """(w, scale), w for j = 0..m, of S_{r,s,m} in Poisson form, t = r + s:
-
-        S_{r,s,m}(x) = scale * sum_k prod_i w[k_i] e^{-t D(k_i, m x_i)},
-
-    D the Poisson deviance (_deviance).  Coordinate i's series term
-    x^{tj} / ((rj)! (sj)!) is tilted by (rm)^{rj} (sm)^{sj} e^{-tmx}, which
-    cancels over the coordinates as sum_i k_i = m and sum_i x_i = 1, into
-    Pois(rj; rmx) Pois(sj; smx) = w[j] e^{-t D(j, mx)} by Stirling's formula
-    with its error delta: w[0] = 1 and w[j] = e^{-delta(rj) - delta(sj)} /
-    (2 pi sqrt(rs) j).  The k-free factor is scale = (rm)! (sm)! e^{tm} /
-    ((rm)^{rm} (sm)^{sm}) = 2 pi m sqrt(rs) e^{delta(rm) + delta(sm)}.  No
-    large logarithm is formed, so none is left to cancel."""
-    j = np.arange(1, m + 1)
-    dr = _stirling_errors(r * j)
-    ds = dr if s == r else _stirling_errors(s * j)
-    c = 2.0 * math.pi * math.sqrt(r * s)
-    w = np.concatenate([[1.0], np.exp(-(dr + ds)) / (c * j)])
-    return w, c * m * math.exp(dr[-1] + ds[-1])
-
-
-def _deviance(j: np.ndarray, mu: np.ndarray) -> np.ndarray:
-    """D(j, mu) = j ln(j/mu) + mu - j >= 0, broadcast, mu >= +0.0.  Near the
-    mode, where |v| < 0.1 for v = (j - mu)/(j + mu), it is summed as
-    v (j - mu) + 2j (atanh v - v), so a small D keeps its relative accuracy;
-    D(0, mu) = mu, and D(j, mu) = inf for j > 0 where j/mu overflows (mu = 0
-    included).  Built in place, the series only where it is kept: three
-    arrays of the broadcast shape at the peak."""
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        dev = j / mu
-        np.log(dev, out=dev)
-        dev *= j
-        gap = j - mu
-        dev -= gap
-        v = j + mu
-        np.divide(gap, v, out=v)
-        near = (v > -0.1) & (v < 0.1)
-        v, gap = v[near], gap[near]
-        v2 = v * v
-        tail = _ATANH_TAIL[0]
-        for c in _ATANH_TAIL[1:]:
-            tail = tail * v2 + c
-        dev[near] = (gap + 2.0 * np.broadcast_to(j, dev.shape)[near] * v2 * tail) * v
-    dev[..., 0] = mu[..., 0]
-    return dev
-
-
-def _s_rows(t: int, w: np.ndarray, scale: float, lat: np.ndarray, full: np.ndarray) -> np.ndarray:
-    """S at the full coordinate rows full (P, d+1), from _pair_weights' w and
-    scale (t = r + s) and lat = lattice_array(d, m): per row, a table of
-    w[j] e^{-t D(j, m x_i)}, j = 0..m, for each coordinate, gathered over the
-    lattice rows and multiplied, and one sum.  np.take along axis 1 returns
-    C-order rows, so a row sums alike in any block."""
-    m = len(w) - 1
-    # coordinate-major, so each coordinate's (P, m+1) table is contiguous and
-    # np.take does not copy it; + 0.0: the point rule keeps a -0.0
-    # coordinate, and D(j, -0.0) is NaN
-    table = _deviance(np.arange(m + 1.0), m * full.T[:, :, None] + 0.0)
-    table *= -t
-    np.exp(table, out=table)
-    table *= w
-    prod = np.take(table[0], lat[:, 0], axis=1)
-    for i in range(1, len(table)):
-        prod *= np.take(table[i], lat[:, i], axis=1)
-    return prod.sum(axis=1) * scale
-
-
 def s_eval_grid(r: int, s: int, m: int, d: int, xs: np.ndarray) -> np.ndarray:
     """S_{r,s,m} at each row of xs, the first d barycentric coordinates of P
     points.  A shape other than (P, d), a length-d point included, or then a
@@ -142,10 +60,10 @@ def s_eval_grid(r: int, s: int, m: int, d: int, xs: np.ndarray) -> np.ndarray:
     _check_ints(r=r, s=s, m=m, d=d)
     _, evaluate = _at_points(_simplex_rows, xs, d, point=False)
     lat = lattice_array(d, m)
-    w, scale = _pair_weights(r, s, m)
-    entries = (d + 1) * (m + 1)  # of the tables
-    return evaluate(lambda full: _s_rows(r + s, w, scale, lat, full),
-                    2 * lat.shape[0] + 3 * entries + 8)
+    w, scale = _poisson_weights((r, s), m)
+    # the row sum is scaled once: scaling the products first moves S's bits
+    return evaluate(lambda full: _lattice_rows(r + s, w, lat, full).sum(axis=1) * scale,
+                    _lattice_floats(lat, w))
 
 
 def s_eval(r: int, s: int, m: int, d: int, x) -> float:

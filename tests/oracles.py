@@ -10,8 +10,11 @@ scalar routes below take them.
 
 Then, a scalar multi-index, its lexicographic lattice generator and the multinomial
 pmf one (k, x) pair at a time (oracles for ``simplex.lattice_array`` and
-``simplex.lattice_log_pmf``); the lattice array built by recursion on d, one
-block of rows per first entry (the differential oracle for
+``lattice_log_pmf``); ``lattice_log_pmf``, the log-space kernel that S and
+the estimators took their multinomial weights from before ``simplex``'s
+Poisson tables (the oracle for ``simplex._poisson_weights`` and
+``simplex._lattice_rows`` at ranks (1,)); the lattice array built by
+recursion on d, one block of rows per first entry (the differential oracle for
 ``simplex.lattice_array``, which builds it in d array steps); the empirical
 cdf by a direct (queries x samples) comparison (the oracle for the
 estimators' binned cdf); the sup distance between two tables of values on
@@ -58,7 +61,7 @@ loop of fractions; the oracles for ``spoly.central_binomial_identity``,
 which builds every m <= m_max from one power series.  Beside them,
 S_{r,s,m} at a rational point as an exact fraction, peeling off one
 coordinate at a time in exact integers, and S_{r,s,m} at float points as
-the lattice sum of the shared log-pmf kernel (``s_lattice``, the kernel
+the lattice sum of the log-pmf kernel (``s_lattice``, the kernel
 ``spoly.s_eval_grid`` had before its Poisson tables): the oracles for
 ``spoly.s_eval`` and ``spoly.s_eval_grid``; and the integral of S_{r,s,m}
 over the simplex as an exact fraction, by the same Dirichlet reduction on
@@ -91,7 +94,7 @@ from bernsimplex.ineq import FUZZ_TOL
 from bernsimplex.monotone import (DERIV_FLOOR_REL, DIFF_REL_TOL, DIFF_STEP, MAX_DIFF_ORDER,
                                   MAX_H_ORDER, MonotoneInstance)
 from bernsimplex.simplex import (SampleSet, _TOL, _check_capacity, _simplex_rows, _weight_rows,
-                                lattice_log_pmf, lattice_size)
+                                lattice_size, log_factorial_table)
 from bernsimplex.specfun import (_BERNOULLI, _HALF_LOG_TWO_PI, _STIRLING_THRESHOLD,
                                  MAX_POLY_ORDER, _check_positive)
 from bernsimplex.spoly import composition_coefficient
@@ -254,6 +257,30 @@ def multinomial_log_pmf(k: MultiIndex, x: SimplexPoint) -> float:
                 return -math.inf
             out += ki * math.log(xi)
     return out
+
+
+def lattice_log_pmf(lat: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """ln P_{k,m}(x) for each query row x of xs (P, d+1 full coordinates, as
+    _simplex_rows gives them) and each lattice row k of lat (N, d+1) summing
+    to m; returns (P, N).
+
+    Uses 0 ln 0 = 0, and -inf where k_i > 0 meets x_i = 0.  Entries are
+    accumulated coordinate by coordinate with math.log, so a row does not
+    depend on which other points share the call.
+    """
+    m = int(lat[0].sum())
+    lf = log_factorial_table(m)
+    logp = np.full((xs.shape[0], lat.shape[0]), lf[m])
+    for i in range(lat.shape[1]):
+        ki = lat[:, i]
+        logp -= lf[ki]
+        col = xs[:, i]
+        logx = np.array([math.log(v) if v > 0.0 else 0.0 for v in col])
+        logp += ki * logx[:, None]
+        zero = col <= 0.0
+        if np.any(zero):
+            logp[zero] = np.where(ki > 0, -np.inf, logp[zero])
+    return logp
 
 
 def _empirical_cdf_many(samples: SampleSet, ys: np.ndarray) -> np.ndarray:
@@ -728,9 +755,8 @@ def s_exact(r: int, s: int, m: int, p, q: int) -> Fraction:
 
 def s_lattice(r: int, s: int, m: int, d: int, xs) -> np.ndarray:
     """S_{r,s,m} at the (P, d) rows xs as the lattice sum of
-    exp(ln P_{rk,rm}(x) + ln P_{sk,sm}(x)), both from the shared log-pmf
-    kernel simplex.lattice_log_pmf: spoly.s_eval_grid's kernel before its
-    Poisson tables, bit for bit."""
+    exp(ln P_{rk,rm}(x) + ln P_{sk,sm}(x)), both from lattice_log_pmf:
+    spoly.s_eval_grid's kernel before its Poisson tables, bit for bit."""
     full = _simplex_rows(xs, d)
     lat = lattice_array(d, m)
     return np.exp(lattice_log_pmf(r * lat, full) + lattice_log_pmf(s * lat, full)).sum(axis=1)

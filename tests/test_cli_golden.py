@@ -26,12 +26,18 @@ The three lclt-compare CSV hashes were recorded again when S at a point moved
 from the lattice log-pmf to per-coordinate Poisson tables, which moves its
 values from 45-4717 ulps off the exact S to within 8; their stdout did not
 move. test_lclt_compare_values_against_exact checks those values.
+The three estimate CSV hashes were recorded again when the estimators took
+their multinomial weights from the same Poisson tables, which moves their
+values from up to 94 ulps off the exact sums to within 8; their stdout did
+not move. test_simplex_cdf_estimate_against_exact and
+test_hypercube_estimates_against_mpmath check those values.
 Values that pass through numpy's log, exp or power
 were hashed with numpy 2.4 on an x86-64 host with AVX-512; numpy picks those
 kernels by CPU, so another host may give other last bits.
 """
 
 import hashlib
+import itertools
 import math
 from fractions import Fraction
 
@@ -118,17 +124,17 @@ CASES = {
         "80cca9c54ad153637a3d393298e965b5a028d6a8db46db0281062445239cf87a"),
     "estimate-simplex-cdf": (
         ["estimate", "--samples", "samples.csv"], "estimate.csv", 0,
-        "4b496f31efbd1b68153d191658571920ecd7d97138a8c9d92e3cfd856b798a9d",
+        "91214f2c1622b1f9cc96f007e61d7a728c00e58bb3666c611519df71dd22b176",
         "f40e9efe3b0a112a05b80ff442f2300b76ec10d48c21a423b1838e84d9ef83ef"),
     "estimate-hypercube-cdf": (
         ["estimate", "--samples", "samples.csv", "--kind", "hypercube-cdf", "--m", "12",
          "--grid", "9", "--out", "e.csv"], "e.csv", 0,
-        "c33d45fb2af6ddb3f896ec6f4f3b9e7ee5ee4f73a29d5363a12a6b51804301b0",
+        "1c9e997c906f176958bf25157c9d60fb0e2c9af0ce68e0836b7e42fdab5fbd6b",
         "8a7a87f20091a61fc735f6a3ec467e4e616a721a67b09993f541ea95ca56ec4b"),
     "estimate-hypercube-density": (
         ["estimate", "--samples", "samples.csv", "--kind", "hypercube-density",
          "--m", "10", "--grid", "7", "--out", "e.csv"], "e.csv", 0,
-        "e5e0517e31fc97f738058c602e1c2462e7e50b54a398f26599e8a90a952841d1",
+        "38bcbbe7ff07b54c2b3ffbb0d9b97159c2a9e757e80a2c1f456686179a8d5a76",
         "1866f7742230259f32c21b6be2f52655cc6deed9065cf82afd94f896894c21fc"),
 }
 
@@ -200,7 +206,8 @@ def test_lclt_compare_values_against_exact(name, tmp_path, monkeypatch):
 @pytest.mark.parametrize("name", ["estimate-hypercube-cdf", "estimate-hypercube-density"])
 def test_hypercube_estimates_against_mpmath(name, tmp_path, monkeypatch):
     # these two hashes were re-recorded when the binomial weights moved to
-    # the shared log-pmf kernel (values moved by ulps); this checks every
+    # the shared log-pmf kernel, and again when they moved to the Poisson
+    # tables (values moved by ulps each time); this checks every
     # value they pin against the same Bernstein sum at 40 digits, with
     # counts taken by comparing the samples with k/m directly
     argv, out = CASES[name][:2]
@@ -232,6 +239,36 @@ def test_hypercube_estimates_against_mpmath(name, tmp_path, monkeypatch):
                 total += term
             want = float(total * (m**d if density else 1) / n)
         assert math.isclose(row[-1], want, rel_tol=1e-12, abs_tol=1e-15 if want == 0 else 0.0)
+
+
+def test_simplex_cdf_estimate_against_exact(tmp_path, monkeypatch):
+    # this hash was re-recorded when the simplex cdf took its multinomial
+    # weights from the Poisson tables; this checks every value it pins
+    # against the Bernstein sum as an exact fraction at the full coordinates
+    # the point rule forms, with counts taken by comparing the samples with
+    # k/m directly
+    argv, out = CASES["estimate-simplex-cdf"][:2]
+    monkeypatch.chdir(tmp_path)
+    assert main(SAMPLES_ARGV) == 0
+    assert main(list(argv)) == 0
+    y = np.loadtxt(tmp_path / "samples.csv", delimiter=",", skiprows=1, ndmin=2)
+    n, d = y.shape
+    m = 20  # estimate's default --m
+    lattice = [k + (m - sum(k),) for k in itertools.product(range(m + 1), repeat=d)
+               if sum(k) <= m]
+    # n F_n(k/m) times the multinomial coefficient, per lattice row
+    coef = [int(np.sum(np.all(y <= np.array(k[:-1]) / m, axis=1))) * math.factorial(m)
+            // math.prod(map(math.factorial, k)) for k in lattice]
+    rows = np.loadtxt(tmp_path / out, delimiter=",", skiprows=1, ndmin=2)
+    assert len(rows) > 0
+    for row in rows:
+        coords = [Fraction(v) for v in _simplex_rows(row[None, :-1])[0]]
+        q = max(c.denominator for c in coords)  # powers of two: a common denominator
+        powers = [[int(c * q) ** j for j in range(m + 1)] for c in coords]
+        total = sum(c * math.prod(p[j] for p, j in zip(powers, k))
+                    for c, k in zip(coef, lattice) if c)
+        want = float(Fraction(total, n * q**m))
+        assert math.isclose(row[-1], want, rel_tol=1e-12, abs_tol=0.0), row
 
 
 @pytest.mark.parametrize("name", ["cm-scan", "cm-scan-d3", "cm-scan-corrupt"])

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -6,8 +7,7 @@ import pytest
 from bernsimplex import estimate as est
 from bernsimplex import spoly
 from bernsimplex.simplex import SampleSet, sample_dirichlet
-from oracles import (MultiIndex, SimplexPoint, _empirical_cdf_many, empirical_cdf,
-                     multinomial_log_pmf, sup_error_on_grid)
+from oracles import _empirical_cdf_many, empirical_cdf, sup_error_on_grid
 
 TWO_POINTS = SampleSet(np.array([[0.1, 0.2], [0.3, 0.4]]), "simplex")
 
@@ -156,9 +156,9 @@ class TestBatchedCalls:
         assert len(grid) == 41
         single = [est.bernstein_cdf_simplex(s, 17, row) for row in grid]
         assert np.array_equal(est.bernstein_cdf_simplex(s, 17, grid), single)
-        # 171 lattice rows, 2 * (171 + 2 + 6) floats a point: blocks of 6
-        # split the 41 points 6, ..., 6, 5
-        small_blocks(6, 2 * (171 + 2 + 6))
+        # 171 lattice rows and 3 tables of 18 entries, 2 * 171 + 3 * 54 + 8
+        # floats a point: blocks of 6 split the 41 points 6, ..., 6, 5
+        small_blocks(6, 2 * 171 + 3 * 54 + 8)
         assert np.array_equal(est.bernstein_cdf_simplex(s, 17, grid), single)
 
     @pytest.mark.parametrize("fn", [est.bernstein_cdf_hypercube, est.bernstein_density_hypercube])
@@ -169,9 +169,9 @@ class TestBatchedCalls:
         grid = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
         for split in (False, True):
             if split:
-                # 3 (deg + 1) + 16 floats a point: room for 440 floats splits the 36
-                # points into blocks of 20 (cdf, m = 1), 23 (density, m = 1) and 8 (m = 12)
-                small_blocks(440, 1)
+                # 16 (deg + 1) + 32 floats a point: room for 1000 floats splits the 36
+                # points into blocks of 15 (cdf, m = 1), 20 (density, m = 1) and 4 (m = 12)
+                small_blocks(1000, 1)
             for m in (1, 12):
                 batch = fn(s, m, grid)
                 assert np.array_equal(batch, [fn(s, m, row) for row in grid])
@@ -184,9 +184,16 @@ class TestBinomialWeights:
         xs = np.array([[0.0], [0.28], [0.5], [1.0]])
         for k in range(deg + 1):
             got = est._bernstein_sum(np.eye(deg + 1)[k], deg)[0](xs)
-            want = [math.exp(multinomial_log_pmf(MultiIndex((k,), deg), SimplexPoint((x,))))
-                    for x in xs[:, 0]]
-            np.testing.assert_allclose(got, want, rtol=1e-15, atol=0.0)
+            for x, g in zip(xs[:, 0], got):
+                # exact, at the float coordinates (x, 1 - x) the kernel is given
+                want = math.comb(deg, k) * Fraction(x) ** k * Fraction(1.0 - x) ** (deg - k)
+                if want == 0:
+                    assert g == 0.0, (k, x)
+                    continue
+                # rtol 1e-15 on ln w: the Poisson form rounds D(k, m x) and
+                # m x, so a weight's relative error grows as |ln w| does
+                err = abs(math.log(Fraction(g) / want))
+                assert err <= 1e-15 * max(1.0, -math.log(want)), (k, x, g)
 
 
 class TestDensityVarianceIdentity:

@@ -118,3 +118,32 @@ def test_query_points_have_one_owner():
                     or "_block_len" in (getattr(node, "id", None), getattr(node, "name", None))):
                 uses.add((name, ast.unparse(node)))
     assert uses == set()
+
+
+def _defined_names(tree: ast.AST) -> set:
+    """The names a module's functions, classes and assignments bind."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.Assign):
+            names.update(t.id for t in node.targets if isinstance(t, ast.Name))
+    return names
+
+
+def test_lattice_weights_have_one_owner():
+    # the multinomial weights of S and of the estimators come from one kernel,
+    # simplex's Poisson tables; the log-pmf kernel they replaced is a test oracle
+    kernel = ("_deviance", "_stirling_errors", "_STIRLING_ERRORS")
+    owners, log_pmf = {}, set()
+    for path in SRC.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        defined = _defined_names(tree)
+        imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                    for alias in node.names}
+        for name in defined.intersection(kernel):
+            owners.setdefault(name, set()).add(path.name)
+        if "lattice_log_pmf" in defined | imported:
+            log_pmf.add(path.name)
+    assert owners == dict.fromkeys(kernel, {"simplex.py"})
+    assert log_pmf == set()
