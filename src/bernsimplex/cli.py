@@ -144,11 +144,11 @@ def _cmd_s_table(args) -> int:
     if (r, s) != (1, 1):
         raise UsageError("s-table knows the large-m limit only for r = s = 1; "
                          "use lclt-compare for other (r, s)")
-    # asymptotic_constant and s_integral_exact reject d < 1 and m < 1
+    integrals = spoly.s_integral_exact(r, s, args.m_list, d).tolist()  # d, m >= 1, capacity first
     limit = spoly.asymptotic_constant(d)
     rows = []
-    for m in args.m_list:
-        value = m ** (d / 2.0) * spoly.s_integral_exact(r, s, m, d)
+    for m, integral in zip(args.m_list, integrals):
+        value = m ** (d / 2.0) * integral
         rows.append((d, r, s, m, value, limit, m * abs(value - limit)))
     scaled = np.array([row[-1] for row in rows])
     report = ScanReport()
@@ -183,8 +183,7 @@ def _cmd_lclt_compare(args) -> int:
 
 def _cmd_identity_check(args) -> int:
     _check_ints(d_max=args.d_max, m_max=args.m_max)
-    # d convolutions of m_max + 1 exact coefficients per d = 1..d_max: a bound
-    # on the one table's d_max cut products
+    # (m_max + 1)(m_max + 2)/2 exact products per d, one dot per degree: within this
     _check_capacity(args.d_max * (args.d_max + 1) // 2 * (args.m_max + 1) ** 2,
                     f"identity operations for d-max={args.d_max}, m-max={args.m_max}")
     rows = []

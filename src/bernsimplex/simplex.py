@@ -314,29 +314,12 @@ def lattice_array(d: int, m: int) -> np.ndarray:
     return np.column_stack(cols + [budget])
 
 
-# ln j! for j = 0.._log_factorials.size - 1, shared by every caller in the
-# process; read-only, and replaced by a longer copy when a caller needs more
-_log_factorials = np.empty(0)
-_log_factorials.flags.writeable = False
-
-
 def log_factorial_table(n: int) -> np.ndarray:
-    """lf[j] = ln(j!) for j = 0..n, with the bits of log_gamma(j + 1.0).
-
-    A read-only prefix of one table per process, built once and extended on
-    demand: an entry depends only on j, so a caller gets the same bits
-    whichever calls came before.  Growing the table past LATTICE_CAP entries
-    raises CapacityError and leaves it as it was.
-    """
-    global _log_factorials
+    """lf[j] = ln(j!) for j = 0..n, with the bits of log_gamma(j + 1.0); more
+    than LATTICE_CAP entries raise CapacityError before any work."""
     _check_ints(0, n=n)
-    table = _log_factorials
-    if n >= table.size:
-        _check_capacity(n + 1, f"ln j! table entries for n={n}")
-        table = np.concatenate([table, log_gamma(np.arange(table.size, n + 1) + 1.0)])
-        table.flags.writeable = False
-        _log_factorials = table
-    return table[: n + 1]
+    _check_capacity(n + 1, f"ln j! table entries for n={n}")
+    return log_gamma(np.arange(n + 1) + 1.0)
 
 
 # delta(n) = ln n! - (n + 1/2) ln n + n - ln sqrt(2 pi), the error of Stirling's

@@ -9,9 +9,10 @@ terms per coordinate, in Poisson form (simplex._poisson_weights at ranks
 Gaussian local-limit density phi_{r,s}, the exact simplex integral of S via
 the Dirichlet normalization constant, the central binomial lattice identity
 in exact arithmetic, and the Gamma-ratio residual used in the large-m
-expansion of the integral.  Ints and points follow simplex's rules (query
-points through _at_points); s_eval takes one point (simplex._one_point),
-s_eval_grid (P, d) rows only.
+expansion of the integral; the integral and the identity, sums over the
+compositions of m, take all their degrees from composition_coefficient.
+Ints and points follow simplex's rules (query points through _at_points);
+s_eval takes one point (simplex._one_point), s_eval_grid (P, d) rows only.
 """
 
 from __future__ import annotations
@@ -101,19 +102,33 @@ def phi_eval(r: int, s: int, x):
                     / ((2.0 * math.pi) ** (d / 2.0) * np.sqrt(_det_rows(r, s, sub))), d + 2)
 
 
-def composition_coefficient(series: Sequence[np.ndarray], m: int):
-    """Coefficient of z^m in prod_i sum_j series[i][j] z^j, from at least two
-    factors of m+1 coefficients each: all but the last are convolved (cut at
-    degree m), then one dot product with the last reversed, so d+1 factors
-    cost O(d m^2) and two cost O(m).  Exact on dtype=object integer arrays.
-    """
-    _check_ints(0, m=m)
-    if len(series) < 2 or any(len(c) != m + 1 for c in series):
-        raise ValueError(f"need two or more factors of length {m + 1}")
-    acc = series[0]
+def _increasing(ms, least: int) -> list:
+    """ms as a non-empty, strictly increasing list of ints >= least, else ValueError naming m."""
+    ms = list(ms)
+    # simplex's int rule on the first and one of each type; the rest increase from the first
+    for m in ms[:1] + list({type(m): m for m in ms}.values()):
+        _check_ints(least, m=m)
+    if not ms or any(a >= b for a, b in zip(ms, ms[1:])):
+        raise ValueError(f"m must be a non-empty, strictly increasing list, got {ms}")
+    return ms
+
+
+def composition_coefficient(series: Sequence[np.ndarray], degrees: Sequence[int]) -> np.ndarray:
+    """Coefficient of z^m in prod_i sum_j series[i][j] z^j for each m of
+    degrees (non-empty, strictly increasing, >= 0), from two or more factors
+    of M+1 coefficients, M = max(degrees): all but the last are convolved once
+    (cut at degree M), then one dot product per degree with the last reversed,
+    so d+1 factors cost O(d M^2) and two O(m) per degree.  Exact, as an object
+    array, on dtype=object integers."""
+    degrees = _increasing(degrees, 0)
+    top = degrees[-1]
+    if len(series) < 2 or any(len(c) != top + 1 for c in series):
+        raise ValueError(f"need two or more factors of length {top + 1}")
+    acc, last = series[0], series[-1]
     for c in series[1:-1]:
-        acc = np.convolve(acc, c)[: m + 1]
-    return np.dot(acc, series[-1][::-1])
+        acc = np.convolve(acc, c)[: top + 1]
+    return np.array([np.dot(acc[: m + 1], last[m::-1]) for m in degrees],
+                    dtype=np.result_type(acc, last))
 
 
 def central_binomial_identity(d_max: int, m_max: int) -> list:
@@ -125,19 +140,18 @@ def central_binomial_identity(d_max: int, m_max: int) -> list:
     indexed by m = 0..m_max.  With k_{d+1} = m - ||k|| the left side runs over
     all compositions of m into d+1 parts, i.e. it is the coefficient of z^m
     in (sum_j C(2j,j) z^j)^{d+1}: one table of exact integers, multiplied by
-    the series once per d and cut at degree m_max (the padded correlation
-    never forms the higher degrees), gives every d and m.  The right side is
-    2^m (d+1)(d+3)...(d+2m-1) / m! in closed form, from running products.
+    the series once per d (composition_coefficient at every degree up to
+    m_max, (m_max+1)(m_max+2)/2 products), gives every d and m.  The right
+    side is 2^m (d+1)(d+3)...(d+2m-1) / m! in closed form, from running products.
     """
     _check_ints(d_max=d_max)
     _check_ints(0, m_max=m_max)
     c = np.array([math.comb(2 * j, j) for j in range(m_max + 1)], dtype=object)
-    pad = np.zeros(m_max, dtype=object)
-    acc = c
+    table = c
     reports = []
     for d in range(1, d_max + 1):
-        acc = np.correlate(np.concatenate([pad, acc]), c[::-1], "valid")
-        lhs = acc.tolist()
+        table = composition_coefficient([table, c], range(m_max + 1))
+        lhs = table.tolist()
         num, factorial, rhs = 1, 1, []  # the numerator and m! at m = 0
         for m in range(1, m_max + 2):
             rhs.append(Fraction(num, factorial))  # at m - 1, then both step to m
@@ -147,45 +161,48 @@ def central_binomial_identity(d_max: int, m_max: int) -> list:
     return reports
 
 
-def s_integral_exact(r: int, s: int, m: int, d: int) -> float:
-    """Integral of S_{r,s,m} over the simplex via the Dirichlet reduction.
+def s_integral_exact(r: int, s: int, ms: Sequence[int], d: int) -> np.ndarray:
+    """Integral of S_{r,s,m} over the simplex via the Dirichlet reduction, as
+    a float array over ms (non-empty, strictly increasing, >= 1).
 
     Each lattice term integrates in closed form:
         C_{rm,rk} C_{sm,sk} * prod_i Gamma((r+s)k_i + 1) / Gamma((r+s)m + d + 1)
     so the sum is the k-free factor times the z^m coefficient of
     (sum_j c_j z^j)^{d+1}, c_j = (tj)!/((rj)!(sj)!), t = r+s.  Tilting c_j by
     q^j, q = r^r s^s / t^t, keeps the terms O(1) and, as sum k_i = m, scales
-    the coefficient by exactly q^m.
+    the coefficient by exactly q^m.  One series, cut at the largest m, serves all.
     """
-    _check_ints(r=r, s=s, m=m, d=d)
-    t = r + s
-    cost = (d - 1) * (m + 1) ** 2 + t * m  # the convolution, then the factorial table
-    _check_capacity(cost, f"integral operations for d={d}, m={m}, r+s={t}")
-    lf = log_factorial_table(t * m + d)
+    _check_ints(r=r, s=s, d=d)
+    ms = _increasing(ms, 1)
+    t, top = r + s, ms[-1]
+    cost = (d - 1) * (top + 1) ** 2 + t * top  # the convolution, then the factorial table
+    _check_capacity(cost, f"integral operations for d={d}, m={top}, r+s={t}")
+    lf = log_factorial_table(t * top + d)
     log_q = r * math.log(r) + s * math.log(s) - t * math.log(t)
-    j = np.arange(m + 1)
+    j = np.arange(top + 1)
     tilted = np.exp(lf[t * j] - lf[r * j] - lf[s * j] + j * log_q)
-    coef = composition_coefficient([tilted] * (d + 1), m)
-    return float(coef * math.exp(lf[r * m] + lf[s * m] - lf[t * m + d] - m * log_q))
+    coefs = composition_coefficient([tilted] * (d + 1), ms)
+    return np.array([coef * math.exp(lf[r * m] + lf[s * m] - lf[t * m + d] - m * log_q)
+                     for coef, m in zip(coefs, ms)])
 
 
 def s_integral_closed_form(d: int, m: int) -> float:
     """Closed form of the r = s = 1 integral:
     2^{-d} sqrt(pi) Gamma(m+1) / (Gamma(d/2+1/2) Gamma(m+d/2+1))."""
     _check_ints(d=d, m=m)
-    return math.exp(
-        -d * math.log(2.0)
-        + 0.5 * math.log(math.pi)
-        + log_gamma(m + 1.0)
-        - log_gamma(d / 2.0 + 0.5)
-        - log_gamma(m + d / 2.0 + 1.0)
-    )
+    return asymptotic_constant(d) * math.exp(log_gamma(m + 1.0) - log_gamma(m + d / 2.0 + 1.0))
 
 
 def asymptotic_constant(d: int) -> float:
-    """Large-m limit of m^{d/2} * integral of S_{1,1,m}: 2^{-d} sqrt(pi) / Gamma(d/2+1/2)."""
+    """Large-m limit of m^{d/2} * integral of S_{1,1,m}: 2^{-d} sqrt(pi) / Gamma(d/2+1/2),
+    k!/(2k)! at d = 2k, 2^{-d} sqrt(pi)/k! at d = 2k+1; 0.0, with no factorial, past d = 279."""
     _check_ints(d=d)
-    return 2.0**-d * math.sqrt(math.pi) / math.exp(log_gamma(d / 2.0 + 0.5))
+    if 0.5 * math.log(math.pi) - d * math.log(2) - log_gamma((d + 1) / 2.0) < -1080 * math.log(2):
+        return 0.0
+    k, odd = divmod(d, 2)
+    if odd:
+        return math.sqrt(math.pi) * math.ldexp(1 / math.factorial(k), -d)
+    return math.factorial(k) / math.factorial(d)  # int / int rounds once
 
 
 def gamma_ratio_residual(m: int) -> float:

@@ -719,7 +719,7 @@ def central_binomial_lhs(d: int, m: int) -> int:
     if d < 1 or m < 0:
         raise ValueError("need d >= 1 and m >= 0")
     c = np.array([math.comb(2 * j, j) for j in range(m + 1)], dtype=object)
-    return int(composition_coefficient([c] * (d + 1), m))
+    return int(composition_coefficient([c] * (d + 1), [m])[0])
 
 
 def central_binomial_rhs(d: int, m: int) -> Fraction:
@@ -770,7 +770,7 @@ def s_integral_rational(r: int, s: int, m: int, d: int) -> Fraction:
     t = r + s
     fact = math.factorial
     c = np.array([fact(t * j) // (fact(r * j) * fact(s * j)) for j in range(m + 1)], dtype=object)
-    coef = int(composition_coefficient([c] * (d + 1), m))
+    coef = int(composition_coefficient([c] * (d + 1), [m])[0])
     return Fraction(fact(r * m) * fact(s * m) * coef, fact(t * m + d))
 
 

@@ -42,8 +42,8 @@ def test_criterion_02_exact_vs_closed_form_integral():
     t0 = time.time()
     worst = 0.0
     for d in (1, 2, 3):
-        for m in range(1, 201):
-            a = spoly.s_integral_exact(1, 1, m, d)
+        ms = range(1, 201)
+        for m, a in zip(ms, spoly.s_integral_exact(1, 1, ms, d).tolist()):
             b = spoly.s_integral_closed_form(d, m)
             worst = max(worst, abs(a - b) / abs(b))
     _report(2, "exact integral matches closed form, d<=3 m<=200",
@@ -60,8 +60,8 @@ def test_criterion_03_scaled_integral_limit():
         limit = spoly.asymptotic_constant(d)
         ok = ok and abs(limit - stated[d]) <= 5e-10
         errs = [
-            abs(m ** (d / 2.0) * spoly.s_integral_exact(1, 1, m, d) - limit)
-            for m in m_list
+            abs(m ** (d / 2.0) * integral - limit)
+            for m, integral in zip(m_list, spoly.s_integral_exact(1, 1, m_list, d).tolist())
         ]
         scaled = [m * e for m, e in zip(m_list, errs)]
         ok = ok and max(scaled) <= 2.0 * scaled[0]

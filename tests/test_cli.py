@@ -87,6 +87,17 @@ class TestExitCodes:
         assert "lclt-compare" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_s_table_capacity_before_other_work(self, tmp_path, monkeypatch, capsys):
+        # the integral's capacity check runs before the limit is formed
+        def limit(d):
+            raise AssertionError("asymptotic_constant ran before the capacity check")
+
+        monkeypatch.setattr(spoly, "asymptotic_constant", limit)
+        out = tmp_path / "s.csv"
+        assert main(["s-table", "--d", "100000000", "--m-list", "1", "--out", str(out)]) == 2
+        assert "exceeds the cap" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("cmd, m_list", [("s-table", "40,20"), ("lclt-compare", "64,16"),
                                               ("lclt-compare", "16,16")])
     def test_m_list_must_increase(self, tmp_path, cmd, m_list):
@@ -367,7 +378,7 @@ def _times(name, factor):
 def _nan_integral_at_20(monkeypatch):
     fn = spoly.s_integral_exact
     monkeypatch.setattr(spoly, "s_integral_exact",
-                        lambda r, s, m, d: math.nan if m == 20 else fn(r, s, m, d))
+                        lambda r, s, ms, d: np.where(np.equal(ms, 20), math.nan, fn(r, s, ms, d)))
 
 
 def _error_tie(monkeypatch):
@@ -505,7 +516,8 @@ def run_on_values(monkeypatch, tmp_path, command, values, worst=None):
         at = dict(zip(ms, values))
         if command == "s-table":
             monkeypatch.setattr(spoly, "asymptotic_constant", lambda d: 0.0)
-            monkeypatch.setattr(spoly, "s_integral_exact", lambda r, s, m, d: at[m] / m / m)
+            monkeypatch.setattr(spoly, "s_integral_exact",
+                                lambda r, s, ms, d: np.array([at[m] / m / m for m in ms]))
         else:
             monkeypatch.setattr(spoly, "phi_eval", lambda r, s, x: 0.0)
             monkeypatch.setattr(spoly, "s_eval", lambda r, s, m, d, x: at[m] / m)

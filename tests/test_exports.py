@@ -147,3 +147,33 @@ def test_lattice_weights_have_one_owner():
             log_pmf.add(path.name)
     assert owners == dict.fromkeys(kernel, {"simplex.py"})
     assert log_pmf == set()
+
+
+def _np_uses(tree: ast.AST, attrs) -> set:
+    """(enclosing function, attr) for each np.<attr> in attrs; '' at module level."""
+    found = set()
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = node.name
+        if (isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "np"
+                and node.attr in attrs):
+            found.add((where, node.attr))
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(tree, "")
+    return found
+
+
+def test_compositions_have_one_kernel():
+    # sums over the compositions of m go through one convolution chain,
+    # spoly.composition_coefficient; and no module keeps process-wide state
+    # behind a global statement (the ln j! cache was the last)
+    uses, globals_ = set(), set()
+    for path in SRC.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        uses.update((path.name, *use) for use in _np_uses(tree, ("convolve", "correlate")))
+        globals_.update(path.name for node in ast.walk(tree) if isinstance(node, ast.Global))
+    assert uses == {("spoly.py", "composition_coefficient", "convolve")}
+    assert globals_ == set()

@@ -321,16 +321,16 @@ _INT_ARGS = [
     ("s_eval", "s", 1, lambda v: spoly.s_eval(1, v, 1, 1, (0.5,))),
     ("s_eval", "m", 1, lambda v: spoly.s_eval(1, 1, v, 1, (0.5,))),
     ("s_eval", "d", 1, lambda v: spoly.s_eval(1, 1, 1, v, (0.5,))),
-    ("s_integral_exact", "r", 1, lambda v: spoly.s_integral_exact(v, 1, 1, 1)),
-    ("s_integral_exact", "s", 1, lambda v: spoly.s_integral_exact(1, v, 1, 1)),
-    ("s_integral_exact", "m", 1, lambda v: spoly.s_integral_exact(1, 1, v, 1)),
-    ("s_integral_exact", "d", 1, lambda v: spoly.s_integral_exact(1, 1, 1, v)),
+    ("s_integral_exact", "r", 1, lambda v: spoly.s_integral_exact(v, 1, [1], 1)),
+    ("s_integral_exact", "s", 1, lambda v: spoly.s_integral_exact(1, v, [1], 1)),
+    ("s_integral_exact", "m", 1, lambda v: spoly.s_integral_exact(1, 1, [v], 1)),
+    ("s_integral_exact", "d", 1, lambda v: spoly.s_integral_exact(1, 1, [1], v)),
     ("det_covariance", "r", 1, lambda v: spoly.det_covariance(v, 1, (0.5,))),
     ("det_covariance", "s", 1, lambda v: spoly.det_covariance(1, v, (0.5,))),
     ("phi_eval", "r", 1, lambda v: spoly.phi_eval(v, 1, (0.5,))),
     ("phi_eval", "s", 1, lambda v: spoly.phi_eval(1, v, (0.5,))),
     ("composition_coefficient", "m", 0,
-     lambda v: spoly.composition_coefficient([np.ones(1)] * 2, v)),
+     lambda v: spoly.composition_coefficient([np.ones(1)] * 2, [v])),
     ("central_binomial_identity", "d_max", 1, lambda v: spoly.central_binomial_identity(v, 2)),
     ("central_binomial_identity", "m_max", 0, lambda v: spoly.central_binomial_identity(2, v)),
     ("s_integral_closed_form", "d", 1, lambda v: spoly.s_integral_closed_form(v, 2)),
@@ -364,7 +364,7 @@ class TestIntegerRule:
         assert sx.lattice_array(2, 0).tolist() == [[0, 0, 0]]
         assert sx.log_factorial_table(0).shape == (1,)
         assert [r["equal"] for r in spoly.central_binomial_identity(2, 0)] == [[True], [True]]
-        assert spoly.composition_coefficient([np.ones(1)] * 2, 0) == 1.0
+        assert spoly.composition_coefficient([np.ones(1)] * 2, [0]).tolist() == [1.0]
         assert spoly.simplex_midpoint_grid(1, 2).tolist() == [[0.25], [0.75]]
 
     def test_checked_where_no_node_survives(self):
@@ -417,31 +417,34 @@ class TestLattice:
 
 class TestLogFactorialTable:
     def test_prefixes_match_float_log_gamma_bit_for_bit(self):
-        # grown out of order and in several steps: each call returns a prefix
-        # of one shared table.  It reaches past j = 9169 and 19142, where
-        # numpy's log and libm's differ in the last bit on x86-64 (so the
-        # entries there would move if either side took a math.log route).
+        # called out of order: an entry depends only on j.  It reaches past
+        # j = 9169 and 19142, where numpy's log and libm's differ in the last
+        # bit on x86-64 (so the entries there would move if either side took
+        # a math.log route).
         want = np.array([log_gamma(j + 1.0) for j in range(20001)])
         for n in (5, 3000, 10, 12000, 20000, 7):
             lf = sx.log_factorial_table(n)
             assert np.array_equal(lf.view(np.int64), want[: n + 1].view(np.int64))
 
-    def test_read_only_and_n_nonnegative(self):
-        lf = sx.log_factorial_table(4)
-        with pytest.raises(ValueError):
-            lf[0] = 1.0
+    def test_n_nonnegative(self):
         with pytest.raises(ValueError):
             sx.log_factorial_table(-1)
 
-    def test_capacity_checked_before_growth(self, monkeypatch):
-        sx.log_factorial_table(20)
-        size = sx._log_factorials.size
-        monkeypatch.setattr(sx, "LATTICE_CAP", size)
+    def test_capacity_checked_before_work(self, monkeypatch):
+        class WorkStarted(Exception):
+            pass
+
+        def work(*args):
+            raise WorkStarted
+
+        monkeypatch.setattr(sx, "LATTICE_CAP", 21)
+        assert sx.log_factorial_table(20).size == 21
+        monkeypatch.setattr(sx, "log_gamma", work)
+        # n + 1 = 22 entries exceed the cap before log_gamma is reached
         with pytest.raises(sx.CapacityError):
-            sx.log_factorial_table(size)
-        assert sx._log_factorials.size == size
-        # a prefix already in the table needs no growth
-        assert sx.log_factorial_table(size - 1).size == size
+            sx.log_factorial_table(21)
+        with pytest.raises(WorkStarted):
+            sx.log_factorial_table(20)
 
 
 class TestMultinomialLogPmf:

@@ -1,6 +1,7 @@
 import itertools
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -273,10 +274,10 @@ class TestSIntegralRational:
 
     @pytest.mark.parametrize("r,s", [(1, 1), (1, 2), (2, 3), (3, 3)])
     def test_float_integral_matches_exact(self, r, s):
+        ms = (1, 5, 20, 60, 200)
         for d in (1, 2, 3):
-            for m in (1, 5, 20, 60, 200):
+            for m, got in zip(ms, sp.s_integral_exact(r, s, ms, d)):
                 want = float(oracles.s_integral_rational(r, s, m, d))
-                got = sp.s_integral_exact(r, s, m, d)
                 assert abs(got - want) <= 1e-11 * want, (r, s, m, d)
 
 
@@ -343,9 +344,9 @@ class TestCentralBinomial:
     def test_kernel_rejects_short_factor(self):
         c = np.ones(4, dtype=object)
         with pytest.raises(ValueError):
-            sp.composition_coefficient([c, c[:3]], 3)
+            sp.composition_coefficient([c, c[:3]], [3])
         with pytest.raises(ValueError):
-            sp.composition_coefficient([c], 3)
+            sp.composition_coefficient([c], [3])
 
     def test_exact_equality_sample(self):
         for report in sp.central_binomial_identity(4, 60):
@@ -386,12 +387,92 @@ class TestCentralBinomial:
                 sp.central_binomial_identity(d, m_max)
 
 
+def _nested_product(series, m):
+    """z^m coefficient of a product of three series, by a loop over j + k + l = m."""
+    a, b, c = series
+    return sum(a[j] * b[k] * c[m - j - k] for j in range(m + 1) for k in range(m + 1 - j))
+
+
+# the m-lists of the s-table golden cases, each with its d
+GOLDEN_S_LISTS = [([5, 10, 20, 40, 80], 1), ([4, 8, 16], 2)]
+
+
+def _asymptotics_s_lists(monkeypatch):
+    """The (m-list, d) of every s-table call in the asymptotics plans of seeds 0-39."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    from workloads import build_plan
+
+    return [(inv.params["m_list"], inv.params["d"]) for seed in range(40)
+            for inv in build_plan("asymptotics", seed) if inv.argv[0] == "s-table"]
+
+
+class TestCompositionKernel:
+    """composition_coefficient at many degrees against its one-degree calls
+    and a nested loop; s_integral_exact on an m-list against its per-m calls."""
+
+    def test_many_degrees_match_one_degree_and_nested_loop(self):
+        rng = np.random.Generator(np.random.PCG64(3))
+        top = 25
+        series = [np.array([int(v) for v in rng.integers(-10**12, 10**12, top + 1)],
+                           dtype=object) for _ in range(3)]
+        degrees = [0, 1, 2, 7, 13, 24, 25]
+        got = sp.composition_coefficient(series, degrees)
+        assert got.dtype == object
+        for m, value in zip(degrees, got):
+            assert value == _nested_product(series, m), m
+            cut = [c[: m + 1] for c in series]
+            assert value == sp.composition_coefficient(cut, [m])[0], m
+        assert sp.composition_coefficient(series, range(top + 1)).tolist() == [
+            _nested_product(series, m) for m in range(top + 1)]
+
+    def test_degrees_must_increase(self):
+        c = np.ones(4)
+        for bad in ([], [3, 1], [1, 1, 3]):
+            with pytest.raises(ValueError, match="^m must be a non-empty, strictly increasing"):
+                sp.composition_coefficient([c, c], bad)
+        with pytest.raises(ValueError, match="^m must be an integer >= 0, got -1$"):
+            sp.composition_coefficient([c, c], [-1, 3])
+
+    def test_m_list_matches_per_m_bit_for_bit(self, monkeypatch):
+        # the golden and benchmark lists, where the per-m calls were recorded
+        for ms, d in GOLDEN_S_LISTS + _asymptotics_s_lists(monkeypatch):
+            got = sp.s_integral_exact(1, 1, ms, d)
+            want = np.array([sp.s_integral_exact(1, 1, [m], d)[0] for m in ms])
+            assert np.array_equal(got.view(np.int64), want.view(np.int64)), (ms, d)
+
+    @pytest.mark.parametrize("r,s", [(1, 1), (1, 2), (2, 2), (2, 3), (3, 1)])
+    def test_m_list_within_two_ulps_of_per_m(self, r, s):
+        # a longer chain may round a low coefficient differently: one ulp at most seen
+        ms = [1, 2, 3, 4, 5, 6, 7, 10, 13, 20, 30, 40, 60, 80, 100, 115, 120, 150, 200, 250]
+        for d in (1, 2, 3, 4):
+            got = sp.s_integral_exact(r, s, ms, d)
+            want = np.array([sp.s_integral_exact(r, s, [m], d)[0] for m in ms])
+            assert np.all(np.abs(got - want) <= 2 * 2.0**-52 * want), (r, s, d)
+
+    def test_m_list_checked_before_work(self, monkeypatch):
+        class WorkStarted(Exception):
+            pass
+
+        def work(*args):
+            raise WorkStarted
+
+        monkeypatch.setattr(sp, "log_factorial_table", work)
+        monkeypatch.setattr(sp, "composition_coefficient", work)
+        with pytest.raises(ValueError, match="^m must be an integer >= 1, got 0$"):
+            sp.s_integral_exact(1, 1, [0, 5], 1)
+        for bad in ([], [5, 3], [4, 4]):
+            with pytest.raises(ValueError, match="^m must be a non-empty, strictly increasing"):
+                sp.s_integral_exact(1, 1, bad, 1)
+        with pytest.raises(WorkStarted):
+            sp.s_integral_exact(1, 1, [3, 5], 1)
+
+
 class TestIntegrals:
     def test_exact_hand_values(self):
-        assert sp.s_integral_exact(1, 1, 1, 1) == pytest.approx(
+        assert sp.s_integral_exact(1, 1, [1], 1)[0] == pytest.approx(
             2.0 / 3.0, rel=1e-12
         )
-        assert sp.s_integral_exact(1, 1, 2, 1) == pytest.approx(
+        assert sp.s_integral_exact(1, 1, [2], 1)[0] == pytest.approx(
             8.0 / 15.0, rel=1e-12
         )
 
@@ -411,7 +492,7 @@ class TestIntegrals:
                         math.factorial(r * v) * math.factorial(s * v),
                     )
                 total += term / math.factorial(t * m + d)
-            assert sp.s_integral_exact(r, s, m, d) == pytest.approx(
+            assert sp.s_integral_exact(r, s, [m], d)[0] == pytest.approx(
                 float(total), rel=1e-12
             )
 
@@ -419,7 +500,7 @@ class TestIntegrals:
                                          (2, 2, 60, 2), (3, 1, 40, 4), (2, 5, 300, 1)])
     def test_convolution_matches_lattice(self, r, s, m, d):
         want = s_integral_lattice(r, s, m, d)
-        got = sp.s_integral_exact(r, s, m, d)
+        got = sp.s_integral_exact(r, s, [m], d)[0]
         assert abs(got - want) <= 1e-13 * want
 
     @pytest.mark.parametrize("d,m", [(1, 1000), (4, 2000), (3, 5000)])
@@ -429,7 +510,7 @@ class TestIntegrals:
         # error is about 4 eps L.  The worst seen on these cases is 0.92 eps L.
         tol = 4 * np.finfo(float).eps * math.lgamma(2 * m + d + 1)
         want = float(s_integral_mpmath(d, m))
-        got = sp.s_integral_exact(1, 1, m, d)
+        got = sp.s_integral_exact(1, 1, [m], d)[0]
         assert abs(got - want) <= tol * want
 
     def test_capacity_guard_before_work(self, monkeypatch):
@@ -444,9 +525,11 @@ class TestIntegrals:
         monkeypatch.setattr(sp, "log_factorial_table", work)
         monkeypatch.setattr(sp, "composition_coefficient", work)
         with pytest.raises(CapacityError):
-            sp.s_integral_exact(1, 1, 9999, 2)
+            sp.s_integral_exact(1, 1, [9999], 2)
+        with pytest.raises(CapacityError):
+            sp.s_integral_exact(1, 1, [5, 9999], 2)  # the cost at the largest m
         with pytest.raises(WorkStarted):
-            sp.s_integral_exact(1, 1, 9998, 2)
+            sp.s_integral_exact(1, 1, [9998], 2)
 
     def test_closed_form_hand_values(self):
         assert sp.s_integral_closed_form(1, 1) == pytest.approx(2.0 / 3.0, rel=1e-12)
@@ -455,7 +538,7 @@ class TestIntegrals:
     def test_closed_form_matches_exact(self):
         for d in (1, 2, 3):
             for m in (1, 5, 17, 60):
-                assert sp.s_integral_exact(1, 1, m, d) == pytest.approx(
+                assert sp.s_integral_exact(1, 1, [m], d)[0] == pytest.approx(
                     sp.s_integral_closed_form(d, m), rel=1e-11
                 )
 
@@ -464,11 +547,40 @@ class TestIntegrals:
         from bernsimplex.specfun import log_gamma
 
         for d, m in [(1, 10), (2, 8), (3, 6)]:
-            integral = sp.s_integral_exact(1, 1, m, d)
+            integral = sp.s_integral_exact(1, 1, [m], d)[0]
             scale = math.exp(log_gamma(2 * m + d + 1.0) - 2.0 * log_gamma(m + 1.0))
             assert integral * scale == pytest.approx(
                 sp.central_binomial_identity(d, m)[-1]["lhs"][m], rel=1e-10
             )
+
+    def test_asymptotic_constant_against_mpmath(self):
+        # 2^{-d} sqrt(pi) / Gamma(d/2 + 1/2) through exp(log_gamma) was up to
+        # 25 ulps off (s-table --d 2 printed 0.50000000000000078)
+        for d in range(1, 13):
+            with mpmath.workdps(40):
+                want = mpmath.sqrt(mpmath.pi) / (
+                    2**d * mpmath.gamma(mpmath.mpf(d) / 2 + mpmath.mpf(1) / 2))
+                err = abs(mpmath.mpf(sp.asymptotic_constant(d)) - want) / want
+            assert err <= 2 * 2.0**-52, (d, float(err))
+        assert sp.asymptotic_constant(2) == 0.5
+
+    def test_asymptotic_constant_underflow(self, monkeypatch):
+        # the 0.0 past d = 279 is what the closed form rounds to there
+        for d in range(260, 300):
+            k, odd = divmod(d, 2)
+            closed = (math.sqrt(math.pi) * math.ldexp(1 / math.factorial(k), -d) if odd
+                      else math.factorial(k) / math.factorial(d))
+            assert sp.asymptotic_constant(d) == closed, d
+        assert sp.asymptotic_constant(279) > 0.0 == sp.asymptotic_constant(280)
+
+        # far past it no factorial or product is formed: at d = 10^8 one would take hours
+        def no_product(n):
+            raise AssertionError("a factorial or product was formed")
+
+        monkeypatch.setattr(math, "factorial", no_product)
+        monkeypatch.setattr(math, "prod", no_product)
+        assert sp.asymptotic_constant(10**8) == 0.0
+        assert sp.s_integral_closed_form(10**8, 1) == 0.0
 
     def test_asymptotic_constant_values(self):
         assert sp.asymptotic_constant(1) == pytest.approx(math.sqrt(math.pi) / 2.0, rel=1e-12)
