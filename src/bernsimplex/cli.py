@@ -12,6 +12,7 @@ unknown key is a usage error.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 
@@ -271,9 +272,12 @@ _COMMANDS = {
 }
 
 
+@functools.cache
 def _build_parser(name=None) -> argparse.ArgumentParser:
     """The parser of every subcommand, or of the one named: its help, usage
-    errors and parsed values are the full parser's for that subcommand."""
+    errors and parsed values are the full parser's for that subcommand.  Built
+    once per name and process: parsing leaves a parser as it was, and every
+    default is immutable or a string its type converts afresh on each parse."""
     parser = argparse.ArgumentParser(prog="bernsimplex")
     # the usage line of an unrecognized-argument error lists every subcommand
     sub = parser.add_subparsers(dest="command", required=True,
@@ -294,7 +298,8 @@ def _build_parser(name=None) -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     # a known subcommand gets a parser of its own, about a quarter of the full
-    # one's cost; a usage or help text that lists every subcommand needs them all
+    # one's cost; a usage or help text that lists every subcommand needs them all.
+    # Each is built on its first use in a process and reused by later calls.
     parser = _build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     try:
         args = parser.parse_args(argv)

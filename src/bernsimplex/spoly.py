@@ -188,9 +188,17 @@ def s_integral_exact(r: int, s: int, ms: Sequence[int], d: int) -> np.ndarray:
 
 def s_integral_closed_form(d: int, m: int) -> float:
     """Closed form of the r = s = 1 integral:
-    2^{-d} sqrt(pi) Gamma(m+1) / (Gamma(d/2+1/2) Gamma(m+d/2+1))."""
+    2^{-d} sqrt(pi) Gamma(m+1) / (Gamma(d/2+1/2) Gamma(m+d/2+1)).
+
+    For m >= 12, Gamma(z)/Gamma(z+h) at z = m+1, h = d/2 is z^{-h} times the
+    exp of Stirling's remainder, h - (z+h-1/2) log1p(h/z) plus the tails: the
+    difference of two ~m log m sized log-gammas would lose its digits."""
     _check_ints(d=d, m=m)
-    return asymptotic_constant(d) * math.exp(log_gamma(m + 1.0) - log_gamma(m + d / 2.0 + 1.0))
+    if m < 12:
+        return asymptotic_constant(d) * math.exp(log_gamma(m + 1.0) - log_gamma(m + d / 2.0 + 1.0))
+    z, h = m + 1.0, d / 2.0
+    rest = h - (z + h - 0.5) * math.log1p(h / z) + _stirling_tail(z) - _stirling_tail(z + h)
+    return asymptotic_constant(d) * (z**-h * math.exp(rest))
 
 
 def asymptotic_constant(d: int) -> float:

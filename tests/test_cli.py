@@ -716,7 +716,8 @@ FLAG_SETS = {
     "estimate": (["--samples", "s.csv", "--kind", "hypercube-cdf"], "m = 4\ngrid = 3\n"),
     "sample-gen": (["--alpha", "1,2", "--n", "5"], "seed = 2\n"),
 }
-REAL_BUILD = cli._build_parser
+# a fresh parser per call: main's own is built once per name and reused
+REAL_BUILD = cli._build_parser.__wrapped__
 
 
 @pytest.fixture
@@ -742,8 +743,9 @@ def parse(monkeypatch, capsys):
             built.append(parser)
             return parser
 
-        monkeypatch.setattr(cli, "_build_parser", build)
-        rc = main(list(argv))
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, "_build_parser", build)
+            rc = main(list(argv))
         out, err = capsys.readouterr()
         return rc, out, err, parsed, built
 
@@ -812,6 +814,93 @@ class TestOneSubcommandParser:
         if rc == 0:
             for name in cli._COMMANDS:
                 assert f"\n    {name} " in out
+
+
+@pytest.fixture
+def cached(monkeypatch, capsys):
+    """run(argv) -> (exit code, stdout, stderr, Namespaces parsed) of main(argv)
+    on its own cached parsers, every handler replaced by a no-op."""
+    monkeypatch.setenv("COLUMNS", "80")
+    real_parse = argparse.ArgumentParser.parse_args
+
+    def run(argv):
+        parsed = []
+
+        def record(self, args=None, namespace=None):
+            ns = real_parse(self, args, namespace)
+            parsed.append(ns)
+            return argparse.Namespace(**{**vars(ns), "func": lambda _: 0})
+
+        with monkeypatch.context() as patch:
+            patch.setattr(argparse.ArgumentParser, "parse_args", record)
+            rc = main(list(argv))
+        out, err = capsys.readouterr()
+        return rc, out, err, parsed
+
+    return run
+
+
+class TestParserCache:
+    """main builds each subcommand's parser, and the full parser, once per
+    process; a reused parser gives what a fresh one gives."""
+
+    @pytest.mark.parametrize("name", list(FLAG_SETS))
+    def test_second_call_builds_no_parser(self, name, monkeypatch, tmp_path, capsys):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(1)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+        cli._build_parser.cache_clear()
+        # the --out check fails before any subcommand's work
+        argv = [name, "--out", str(tmp_path / "no_such_dir" / "x.csv")]
+        for first in (True, False):
+            del built[:]
+            assert main(argv) == 2
+            assert bool(built) == first
+        assert cli._build_parser(name) is cli._build_parser(name)
+        assert cli._build_parser(None) is cli._build_parser(None)
+        capsys.readouterr()
+
+    @pytest.mark.parametrize("name", list(FLAG_SETS))
+    def test_reused_parser_gives_the_fresh_namespace(self, cached, parse, tmp_path, name):
+        flags, config = FLAG_SETS[name]
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(config)
+        for argv in ([name], [name, "--config", str(cfg), "--out", "o.csv"] + flags,
+                     [name, "--no-such-flag"], [name, "--help"]):
+            fresh = parse(argv)
+            for _ in range(2):
+                assert cached(argv) == fresh[:4], argv
+
+    def test_parsed_lists_are_fresh(self):
+        for name, dest, spec in (("cm-scan", "grid", ["--grid", "1:3:1"]),
+                                 ("s-table", "m_list", []), ("lclt-compare", "m_list", []),
+                                 ("sample-gen", "alpha", [])):
+            parser = cli._build_parser(name)
+            first = getattr(parser.parse_args([name, *spec]), dest)
+            want = list(first)
+            first.append(0)
+            second = getattr(parser.parse_args([name, *spec]), dest)
+            assert second == want and second is not first
+            second.clear()
+            assert getattr(parser.parse_args([name, *spec]), dest) == want
+
+    @pytest.mark.parametrize("name", list(FLAG_SETS))
+    def test_help_width_follows_columns(self, name, monkeypatch, capsys):
+        cli._build_parser(name)
+        texts = []
+        for columns in ("60", "120"):
+            monkeypatch.setenv("COLUMNS", columns)
+            assert main([name, "--help"]) == 0
+            texts.append(capsys.readouterr().out)
+            with pytest.raises(SystemExit):
+                REAL_BUILD(name).parse_args([name, "--help"])
+            assert texts[-1] == capsys.readouterr().out
+        assert len(texts[0].splitlines()) > len(texts[1].splitlines())
 
 
 class TestAtomicOutput:

@@ -477,9 +477,11 @@ class TestBlocksAgainstInstanceScan:
     def check(self, monkeypatch, instances, per_block=None, blocks=None):
         """per_block instances of the first instance's size fit one block."""
         if per_block is not None:
-            # a term holds 10 floats per g_eval argument, an instance 2 per row
+            # a live term (M or a positive weight) holds 10 floats per g_eval
+            # argument, an instance 2 per row
             points, diff_order = len(self.GRID), min(self.ORDER, mo.MAX_DIFF_ORDER)
-            self.small_blocks(per_block, points * (10 * len(instances[0].coefs) * (diff_order + 1)
+            terms = 1 + sum(g > 0.0 for g in instances[0].gamma)
+            self.small_blocks(per_block, points * (10 * terms * (diff_order + 1)
                                                    + 2 * (self.ORDER + diff_order)))
         recorded = []
         record = ScanReport.record
@@ -515,9 +517,9 @@ class TestBlocksAgainstInstanceScan:
 
     @pytest.mark.parametrize("per_block", [1, 2, None])
     def test_zero_weights_mix_active_counts(self, monkeypatch, per_block):
-        # d = 3, 1, 2, 3 and 1 with zero weights: 5, 3, 4, 5 and 3 terms; with
-        # room for two 5-term instances the blocks are [0, 1], [2, 3] and [4],
-        # each of mixed widths
+        # d = 3, 1, 2, 3 and 1 with zero weights: 4, 2, 3, 4 and 2 live terms;
+        # with room for two 4-term instances the blocks are [0, 1], [2, 3] and
+        # [4], each of mixed widths
         insts = [make_instance((1.5, 0.0, 0.7, 2.5), (0.3, 0.2, 0.1)),
                  make_instance((1.5, 0.0), (0.3,)),
                  replace(make_instance((0.0, 0.7, 2.5), (0.3, 0.2)), corrupt=True),
@@ -567,3 +569,66 @@ class TestBlocksAgainstInstanceScan:
         assert mo.h_derivative(inst, 1.5, 2) == oracles.instance_h_derivative(inst, 1.5, 2)
         assert mo.h_derivative([inst, SKEWED], 1.5, 2).shape == (2,)
         assert mo.g_eval([inst, SKEWED], steps).shape == (2, *steps.shape)
+
+
+class TestZeroWeightsHaveNoTerm:
+    """A zero weight has no term in a block: its coordinate takes no slot in
+    the block's arrays and no block room, and every value has the bits of the
+    per-instance oracles, which skip it, the sign of a zero included."""
+
+    GRID = np.array(_grid_spec("0.1:10:0.3"))
+
+    @staticmethod
+    def block(corrupt):
+        rng = np.random.Generator(np.random.PCG64(57))
+        x = rng.dirichlet(np.ones(6))[:-1]
+        gammas = [(0.0, 0.0, 1.2, 0.4, 2.0, 0.9),  # zero weights first
+                  (1.2, 0.4, 0.0, 0.0, 2.0, 0.9),  # in the middle
+                  (1.2, 0.4, 2.0, 0.9, 0.0, 0.0),  # last
+                  (0.0, 0.0, 0.0, 3.5, 0.0, 0.0),  # all but one
+                  (1.2, 0.4, 2.0, 0.9, 0.7, 1.1)]  # none
+        return [mo.MonotoneInstance(g, x, corrupt=corrupt) for g in gammas]
+
+    @pytest.mark.parametrize("corrupt", [False, True])
+    @pytest.mark.parametrize("a", [GRID, 1.7])
+    def test_bits_against_the_oracles(self, corrupt, a):
+        insts = self.block(corrupt)
+        for inst, value in zip(insts, mo.log_g_eval(insts, a)):
+            assert _bits(value) == _bits(oracles.instance_log_g_eval(inst, a))
+        for n in range(1, 8):
+            value, scale = mo.h_derivative(insts, a, n, scale=True)
+            for inst, v, s in zip(insts, value, scale):
+                assert _bits(v) == _bits(oracles.instance_h_derivative(inst, a, n)), (n, inst)
+                assert _bits(s) == _bits(oracles.instance_h_derivative_scale(inst, a, n))
+
+    @pytest.mark.parametrize("corrupt", [False, True])
+    def test_signed_zero_sums(self, monkeypatch, corrupt):
+        # polygamma made +0.0 at the M argument and -0.0 at the others: each
+        # h^(n), n > 1, is -M^n (+0.0) + g^n (-0.0) + ... = -0.0, which a dead
+        # coordinate's +0.0 term would turn into +0.0; at n = 1 the x terms
+        # leave no zero, and only the oracle's bits are asked for
+        def signed_zero(n, z):
+            z = np.asarray(z)
+            return np.where(z > 3.5, 0.0, -0.0)[()]
+
+        monkeypatch.setattr(mo, "polygamma", signed_zero)
+        monkeypatch.setattr(oracles.specfun, "polygamma", signed_zero)
+        insts = [mo.MonotoneInstance(g, (0.2, 0.3), corrupt=corrupt)
+                 for g in ((0.0, 1.0, 2.0), (1.0, 0.0, 2.0), (1.0, 2.0, 0.0))]
+        for n in range(1, 4):
+            value = mo.h_derivative(insts, 1.0, n)
+            for inst, v in zip(insts, value):
+                assert _bits(v) == _bits(oracles.instance_h_derivative(inst, 1.0, n)), n
+            if n > 1:
+                assert _bits(value) == _bits([-0.0] * 3)
+
+    def test_block_room_counts_live_terms(self, small_blocks):
+        # room for two 6-term instances: four with one positive weight of
+        # six (2 live terms each) fit one block
+        rng = np.random.Generator(np.random.PCG64(8))
+        insts = [mo.MonotoneInstance(np.eye(6)[i % 6] * 2.0, rng.dirichlet(np.ones(6))[:-1])
+                 for i in range(4)]
+        points, diff_order = 4, mo.MAX_DIFF_ORDER
+        small_blocks(2, points * (10 * 6 * (diff_order + 1) + 2 * (7 + diff_order)))
+        assert [len(b) for _, b in mo._blocks(insts, 10 * points * (diff_order + 1),
+                                              2 * points * (7 + diff_order))] == [4]

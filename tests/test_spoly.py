@@ -535,6 +535,15 @@ class TestIntegrals:
         assert sp.s_integral_closed_form(1, 1) == pytest.approx(2.0 / 3.0, rel=1e-12)
         assert sp.s_integral_closed_form(2, 3) == pytest.approx(1.0 / 8.0, rel=1e-12)
 
+    def test_closed_form_against_the_exact_rational(self):
+        # from m = 12 the gamma ratio is Stirling's remainder; the difference of
+        # two log-gammas it replaced was 5.0e4 * 2^-52 off at m = 5000
+        for d in range(1, 9):
+            for m in [*range(1, 60), 80, 106, 200, 1000, 3657, 4036, 5000]:
+                want = oracles.s_integral_closed_form_rational(d, m)
+                err = abs(Fraction(sp.s_integral_closed_form(d, m)) - want) / want
+                assert err <= Fraction(8 if m >= 12 else 32, 2**52), (d, m, float(err) * 2**52)
+
     def test_closed_form_matches_exact(self):
         for d in (1, 2, 3):
             for m in (1, 5, 17, 60):
