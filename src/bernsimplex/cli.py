@@ -299,7 +299,8 @@ def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     # a known subcommand gets a parser of its own, about a quarter of the full
     # one's cost; a usage or help text that lists every subcommand needs them all.
-    # Each is built on its first use in a process and reused by later calls.
+    # Each is built on its first use in a process and reused by later calls;
+    # a single-shot run builds one, as it would without the cache.
     parser = _build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     try:
         args = parser.parse_args(argv)

@@ -66,8 +66,8 @@ class MonotoneInstance:
 
     corrupt=True flips the sign of g's x-exponent: a non-CM g that exists only
     so scan harnesses can prove they reject bad input.  coefs is the weight
-    rule's row (M, gamma_1, ...), zero weights included, and log_x the signed
-    ln x_i of every coordinate of full."""
+    rule's row (M, gamma_1, ...) and log_x the signed ln x_i of full, both
+    over the positive weights only: a zero weight has no term."""
 
     gamma: tuple
     x: tuple
@@ -78,14 +78,15 @@ class MonotoneInstance:
     log_x: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        coefs = tuple(_weight_rows([self.gamma])[0].tolist())
-        full = tuple(_simplex_rows([self.x], len(coefs) - 2)[0].tolist())
+        M, *gamma = _weight_rows([self.gamma])[0].tolist()
+        full = tuple(_simplex_rows([self.x], len(gamma) - 1)[0].tolist())
         if min(full) <= 0.0:
             raise ValueError("point must be strictly interior")
         sign = -1.0 if self.corrupt else 1.0
-        for name, value in (("gamma", coefs[1:]), ("x", full[:-1]), ("M", coefs[0]),
-                            ("full", full), ("coefs", coefs),
-                            ("log_x", tuple(sign * math.log(v) for v in full))):
+        live = [(g, sign * math.log(v)) for g, v in zip(gamma, full) if g > 0.0]
+        for name, value in (("gamma", tuple(gamma)), ("x", full[:-1]), ("M", M),
+                            ("full", full), ("coefs", (M, *(g for g, _ in live))),
+                            ("log_x", tuple(lx for _, lx in live))):
             object.__setattr__(self, name, value)
 
 
@@ -95,14 +96,12 @@ def _check_a(a) -> None:
 
 
 def _block(inst, a):
-    """The instances of inst (one MonotoneInstance is the block (inst,)), the
-    (g_i, ln x_i) pairs of each one's live coordinates (g_i > 0: a zero weight
-    has no term), their (B, K) term coefficients [M, g_1, ...], zero-padded to
-    the most live terms, and the shared a as a read-only (B, *a.shape) view."""
+    """The instances of inst (one MonotoneInstance is the block (inst,)), their
+    (B, K) term coefficients [M, g_1, ...], zero-padded to the longest
+    instance, and the shared a as a read-only (B, *a.shape) view."""
     insts = (inst,) if isinstance(inst, MonotoneInstance) else tuple(inst)
-    live = [[(g, lx) for g, lx in zip(i.gamma, i.log_x) if g > 0.0] for i in insts]
-    coefs = _padded([(i.M, *(g for g, _ in pairs)) for i, pairs in zip(insts, live)], 0.0)
-    return insts, live, coefs, np.broadcast_to(a, (len(insts),) + np.shape(a))
+    coefs = _padded([i.coefs for i in insts], 0.0)
+    return insts, coefs, np.broadcast_to(a, (len(insts),) + np.shape(a))
 
 
 def _padded(rows, fill: float, a=0.0):
@@ -123,10 +122,10 @@ def log_g_eval(inst, a):
     then ln Gamma(aM+1) - ln Gamma(a g_1+1) + a g_1 ln x_1 - ..., added left to
     right.  For a sequence of instances the result has a leading instance axis."""
     _check_a(a)
-    _, live, coefs, rows = _block(inst, a)
+    insts, coefs, rows = _block(inst, a)
     lg = _coef_stack(log_gamma, coefs, rows)
     lg[:, 1:] *= -1.0  # x - y is x + (-y), bit for bit
-    lx = _padded([(0.0, *(lx for _, lx in pairs)) for pairs in live], -0.0, a)
+    lx = _padded([(0.0, *i.log_x) for i in insts], -0.0, a)
     return _unblock(inst, _row_sum(lg, np.multiply.outer(coefs, a) * lx))
 
 
@@ -142,18 +141,18 @@ def g_eval(inst, a):
 def _h_terms(inst, a, n: int):
     """The signed terms whose left-to-right sum is h^{(n)}(a), per instance:
     (psi, kl).  psi (B, K, *a.shape) holds -M^n psi^{(n-1)}(aM+1), then
-    g^n psi^{(n-1)}(ag+1) per live coordinate; for n = 1, kl follows each
+    g^n psi^{(n-1)}(ag+1) per positive weight; for n = 1, kl follows each
     such term with -g ln x (+g ln x for a corrupt instance), and is
     None for n > 1.  One polygamma call on the stacked arguments
     a * [M, g_1, ...] + 1; the powers are Python's float ** int, whose bits
     numpy's power does not always match."""
-    insts, live, coefs, rows = _block(inst, a)
+    insts, coefs, rows = _block(inst, a)
     psi = _coef_stack(lambda z: polygamma(n - 1, z), coefs, rows)
-    psi *= _padded([(-(i.M**n), *(g**n for g, _ in pairs)) for i, pairs in zip(insts, live)],
-                   -0.0, a)
+    psi *= _padded([(-(i.M**n), *(g**n for g in i.coefs[1:])) for i in insts], -0.0, a)
     if n > 1:
         return psi, None
-    return psi, _padded([(0.0, *(-g * lx for g, lx in pairs)) for pairs in live], -0.0, a)
+    return psi, _padded([(0.0, *(-g * lx for g, lx in zip(i.coefs[1:], i.log_x))) for i in insts],
+                        -0.0, a)
 
 
 def h_derivative(inst, a, n: int, scale: bool = False):
@@ -249,12 +248,11 @@ def cm_scan(instances, grid, report: ScanReport, max_order: int = 6):
 def _blocks(instances, per_term: int, per_instance: int):
     """(index of the first, block) for consecutive runs of instances holding
     at most simplex.BLOCK_BYTES together, or one instance: per_term float64s
-    per live term (M and each positive weight) and per_instance more per
-    instance."""
+    per term and per_instance more per instance."""
     floats = _block_len(1)
     block, size, start = [], 0, 0
     for inst in instances:
-        cost = per_term * (1 + sum(g > 0.0 for g in inst.gamma)) + per_instance
+        cost = per_term * len(inst.coefs) + per_instance
         if block and size + cost > floats:
             yield start, block
             start, block, size = start + len(block), [], 0

@@ -35,7 +35,7 @@ from .simplex import (
     lattice_array,
     log_factorial_table,
 )
-from .specfun import log_gamma, _stirling_tail
+from .specfun import _STIRLING_THRESHOLD, _stirling_tail, log_gamma
 
 __all__ = [
     "s_eval",
@@ -188,17 +188,24 @@ def s_integral_exact(r: int, s: int, ms: Sequence[int], d: int) -> np.ndarray:
 
 def s_integral_closed_form(d: int, m: int) -> float:
     """Closed form of the r = s = 1 integral:
-    2^{-d} sqrt(pi) Gamma(m+1) / (Gamma(d/2+1/2) Gamma(m+d/2+1)).
-
-    For m >= 12, Gamma(z)/Gamma(z+h) at z = m+1, h = d/2 is z^{-h} times the
-    exp of Stirling's remainder, h - (z+h-1/2) log1p(h/z) plus the tails: the
-    difference of two ~m log m sized log-gammas would lose its digits."""
+    2^{-d} sqrt(pi) Gamma(m+1) / (Gamma(d/2+1/2) Gamma(m+d/2+1)), the gamma
+    ratio from _gamma_ratio(m+1, 0, d/2)."""
     _check_ints(d=d, m=m)
-    if m < 12:
-        return asymptotic_constant(d) * math.exp(log_gamma(m + 1.0) - log_gamma(m + d / 2.0 + 1.0))
-    z, h = m + 1.0, d / 2.0
-    rest = h - (z + h - 0.5) * math.log1p(h / z) + _stirling_tail(z) - _stirling_tail(z + h)
-    return asymptotic_constant(d) * (z**-h * math.exp(rest))
+    p, rest = _gamma_ratio(m + 1.0, 0.0, d / 2.0)
+    return asymptotic_constant(d) * ((m + 1.0) ** p * math.exp(rest))
+
+
+def _gamma_ratio(z: float, a: float, b: float) -> tuple:
+    """(p, rest) with Gamma(z+a)/Gamma(z+b) = z^p e^rest, for z >= 1 and
+    a, b >= 0.  From z = _STIRLING_THRESHOLD, where _stirling_tail is
+    accurate, p = a-b and rest is Stirling's remainder (z+a-1/2) log1p(a/z)
+    - (z+b-1/2) log1p(b/z) - (a-b) plus the tails: the ~z log z terms of the
+    two log-gammas cancel analytically, where their difference would lose
+    the digits.  Below it, p = 0 and rest is that difference."""
+    if z < _STIRLING_THRESHOLD:
+        return 0.0, log_gamma(z + a) - log_gamma(z + b)
+    return a - b, ((z + a - 0.5) * math.log1p(a / z) - (z + b - 0.5) * math.log1p(b / z)
+                   - (a - b) + _stirling_tail(z + a) - _stirling_tail(z + b))
 
 
 def asymptotic_constant(d: int) -> float:
@@ -214,26 +221,12 @@ def asymptotic_constant(d: int) -> float:
 
 
 def gamma_ratio_residual(m: int) -> float:
-    """m^2 * |Gamma(m+1)/(m^{1/2} Gamma(m+1/2)) - 1 - 1/(8m)|.
-
-    For m >= 12 the log ratio is assembled from the Stirling expansion
-    directly (the leading m log m terms cancel analytically); naive
-    subtraction of ~m log m sized log-gammas would lose the m^{-2} tail.
-    """
+    """m^2 * |Gamma(m+1)/(m^{1/2} Gamma(m+1/2)) - 1 - 1/(8m)|, the ratio from
+    _gamma_ratio(m, 1, 1/2): from m = 12 Stirling's remainder keeps the m^{-2}
+    tail that a difference of log-gammas would lose."""
     _check_ints(m=m)
-    if m < 12:
-        log_ratio = log_gamma(m + 1.0) - 0.5 * math.log(m) - log_gamma(m + 0.5)
-    else:
-        a = math.log1p(1.0 / m)
-        b = math.log1p(0.5 / m)
-        log_ratio = (
-            (m + 0.5) * a
-            - m * b
-            - 0.5
-            + _stirling_tail(m + 1.0)
-            - _stirling_tail(m + 0.5)
-        )
-    ratio = math.exp(log_ratio)
+    p, rest = _gamma_ratio(float(m), 1.0, 0.5)
+    ratio = math.exp(rest + (p - 0.5) * math.log(m))
     return m * m * abs(ratio - 1.0 - 1.0 / (8.0 * m))
 
 

@@ -503,11 +503,19 @@ def _check_a(a) -> None:
         raise ValueError(f"a must be positive, got {a!r}")
 
 
+def _every_term(inst: MonotoneInstance):
+    """(M, gamma_1, ...) and the signed ln x_i over every coordinate, zero
+    weights included."""
+    sign = -1.0 if inst.corrupt else 1.0
+    return (inst.M, *inst.gamma), [sign * math.log(v) for v in inst.full]
+
+
 def instance_log_g_eval(inst: MonotoneInstance, a):
     _check_a(a)
-    lg = specfun.log_gamma(np.multiply.outer(inst.coefs, a) + 1.0)
+    coefs, log_x = _every_term(inst)
+    lg = specfun.log_gamma(np.multiply.outer(coefs, a) + 1.0)
     out = lg[0]
-    for g, lx, lg_i in zip(inst.gamma, inst.log_x, lg[1:]):
+    for g, lx, lg_i in zip(inst.gamma, log_x, lg[1:]):
         if g > 0.0:  # log_gamma(1.0) is 3.55e-15, not 0
             out = out - lg_i + a * g * lx
     return out
@@ -522,9 +530,10 @@ def instance_g_eval(inst: MonotoneInstance, a):
 
 def instance_h_terms(inst: MonotoneInstance, a, n: int) -> list:
     M = inst.M
-    psi = specfun.polygamma(n - 1, np.multiply.outer(inst.coefs, a) + 1.0)
+    coefs, log_x = _every_term(inst)
+    psi = specfun.polygamma(n - 1, np.multiply.outer(coefs, a) + 1.0)
     out = [-(M**n) * psi[0]]
-    for g, lx, p in zip(inst.gamma, inst.log_x, psi[1:]):
+    for g, lx, p in zip(inst.gamma, log_x, psi[1:]):
         if g > 0.0:
             out.append(g**n * p)
             if n == 1:

@@ -177,3 +177,20 @@ def test_compositions_have_one_kernel():
         globals_.update(path.name for node in ast.walk(tree) if isinstance(node, ast.Global))
     assert uses == {("spoly.py", "composition_coefficient", "convolve")}
     assert globals_ == set()
+
+
+def test_one_process_wide_cache():
+    # a functools cache on a function keeps state for the whole process, as a
+    # global does; the one allowed is cli's per-name parser, which parsing
+    # leaves as it was (test_cli.py's TestParserCache)
+    names, caches = ("cache", "lru_cache", "cached_property"), set()
+    for path in SRC.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.module == "functools":
+                caches.update((path.name, a.name) for a in node.names if a.name in names)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for deco in node.decorator_list:
+                    deco = deco.func if isinstance(deco, ast.Call) else deco
+                    if getattr(deco, "attr", getattr(deco, "id", None)) in names:
+                        caches.add((path.name, node.name))
+    assert caches == {("cli.py", "_build_parser")}

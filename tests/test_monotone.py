@@ -52,7 +52,9 @@ class TestInstance:
             for inst in (mo.MonotoneInstance(gamma, x), mo.MonotoneInstance(list(gamma), tuple(x)),
                          replace(mo.MonotoneInstance(gamma, x, corrupt=True), corrupt=False)):
                 assert (inst.gamma, inst.M, inst.x, inst.full) == (w.gamma, w.M, pt.coords, pt.full)
-                assert _bits(inst.coefs) == _bits((w.M, *w.gamma))  # zero weights kept
+                # a zero weight has no term
+                assert _bits(inst.coefs) == _bits((w.M, *(g for g in w.gamma if g > 0.0)))
+                assert inst.log_x == tuple(math.log(v) for g, v in zip(w.gamma, pt.full) if g > 0.0)
                 assert inst == mo.MonotoneInstance(gamma, x)
 
     @pytest.mark.parametrize("gamma,x", [
@@ -480,8 +482,7 @@ class TestBlocksAgainstInstanceScan:
             # a live term (M or a positive weight) holds 10 floats per g_eval
             # argument, an instance 2 per row
             points, diff_order = len(self.GRID), min(self.ORDER, mo.MAX_DIFF_ORDER)
-            terms = 1 + sum(g > 0.0 for g in instances[0].gamma)
-            self.small_blocks(per_block, points * (10 * terms * (diff_order + 1)
+            self.small_blocks(per_block, points * (10 * len(instances[0].coefs) * (diff_order + 1)
                                                    + 2 * (self.ORDER + diff_order)))
         recorded = []
         record = ScanReport.record

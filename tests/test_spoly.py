@@ -9,7 +9,7 @@ import pytest
 
 from bernsimplex import spoly as sp
 from bernsimplex.simplex import _STIRLING_ERRORS, CapacityError, lattice_array, log_factorial_table
-from bernsimplex.specfun import _stirling_tail
+from bernsimplex.specfun import _STIRLING_THRESHOLD, _stirling_tail
 import oracles
 from oracles import MultiIndex, SimplexPoint, enumerate_lattice, multinomial_log_pmf
 
@@ -543,6 +543,19 @@ class TestIntegrals:
                 want = oracles.s_integral_closed_form_rational(d, m)
                 err = abs(Fraction(sp.s_integral_closed_form(d, m)) - want) / want
                 assert err <= Fraction(8 if m >= 12 else 32, 2**52), (d, m, float(err) * 2**52)
+
+    def test_gamma_ratio_against_mpmath(self):
+        # Gamma(z+a)/Gamma(z+b) = z^p e^rest, Stirling's remainder (p = a-b)
+        # from _STIRLING_THRESHOLD on, a log-gamma difference (p = 0) below
+        for z in (1.0, 5.5, 11.0, 11.5, 12.0, 12.5, 50.0, 1001.0, 1e5):
+            for a, b in ((0.0, 0.5), (0.0, 2.5), (0.0, 4.0), (1.0, 0.5)):
+                p, rest = sp._gamma_ratio(z, a, b)
+                stirling = z >= _STIRLING_THRESHOLD
+                assert p == (a - b if stirling else 0.0)
+                with mpmath.workdps(40):
+                    want = mpmath.gamma(z + a) / mpmath.gamma(z + b)
+                    err = float(abs(z**p * math.exp(rest) - want) / want)
+                assert err <= (8 if stirling else 32) * 2.0**-52, (z, a, b, err * 2**52)
 
     def test_closed_form_matches_exact(self):
         for d in (1, 2, 3):
