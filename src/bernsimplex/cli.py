@@ -184,9 +184,6 @@ def _cmd_lclt_compare(args) -> int:
 
 def _cmd_identity_check(args) -> int:
     _check_ints(d_max=args.d_max, m_max=args.m_max)
-    # (m_max + 1)(m_max + 2)/2 exact products per d, one dot per degree: within this
-    _check_capacity(args.d_max * (args.d_max + 1) // 2 * (args.m_max + 1) ** 2,
-                    f"identity operations for d-max={args.d_max}, m-max={args.m_max}")
     rows = []
     report = ScanReport()
     for table in spoly.central_binomial_identity(args.d_max, args.m_max):

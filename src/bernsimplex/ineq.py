@@ -9,7 +9,7 @@ huge coefficients.
 
 Everything works on blocks of trials.  log_coeff takes a zero-padded (T, D)
 weight matrix and a (T, K) array of a, and evaluates the whole block in one
-array log_gamma call (_coef_stack) and one left-to-right sum (_row_sum): the
+array log_gamma call (_coef_stack) and one left fold (simplex's _row_sum): the
 kernel pair behind every ln C, ln g and h^{(n)}, monotone's included.
 inequality_margins validates T trials, forms all their nodes and gives
 their (T, 3) margins from one log_coeff call.  The fuzzer draws a block from
@@ -24,7 +24,7 @@ import math
 import numpy as np
 
 from .report import ScanReport
-from .simplex import _block_len, _check_capacity, _check_ints, _weight_rows
+from .simplex import _block_len, _check_capacity, _check_ints, _row_sum, _weight_rows
 from .specfun import log_gamma
 
 __all__ = [
@@ -70,19 +70,6 @@ def _coef_stack(fn, coefs, a) -> np.ndarray:
     live = (a > 0.0) & (coefs > 0.0)  # not arg > 0: a c may underflow to 0
     arg[live] = fn(arg[live] + 1.0)
     return arg
-
-
-def _row_sum(terms: np.ndarray, extra=None) -> np.ndarray:
-    """terms[:, 0] + terms[:, 1] + extra[:, 1] + terms[:, 2] + ..., added left
-    to right in place (extra None: no extra terms).  Padding needs no mask:
-    adding -0.0 leaves a partial sum's bits unchanged, inf and NaN included,
-    and so does +0.0 unless the partial sum is -0.0."""
-    out = terms[:, 0].copy()
-    for j in range(1, terms.shape[1]):
-        out += terms[:, j]
-        if extra is not None:
-            out += extra[:, j]
-    return out
 
 
 def inequality_margins(gamma, a, lam, a123) -> np.ndarray:

@@ -11,10 +11,10 @@ MonotoneInstance or a sequence of them (the result then has a leading
 instance axis): one special-function call on the stacked arguments of every
 instance, then each instance's terms added left to right in coordinate
 order, a zero weight adding none, so an instance gets the same bits alone as
-in any block.  Both steps are ineq's kernel pair (_coef_stack, _row_sum),
-which ineq.log_coeff runs on.  A scan takes an iterable of instances,
-evaluates a block of them over the whole grid at once and returns an
-iterator over row blocks, one per instance.  A MonotoneInstance is built
+in any block.  Both steps are the kernel pair that ineq.log_coeff runs on,
+ineq's _coef_stack and simplex's _row_sum.  A scan takes an iterable of
+instances, evaluates a block of them over the whole grid at once and returns
+an iterator over row blocks, one per instance.  A MonotoneInstance is built
 from plain sequences, gamma and the first d coordinates of x, by simplex's
 weight and point rules; all of the above read it alone, including its
 self-test flag that flips g's x-exponent.
@@ -28,9 +28,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ineq import _coef_stack, _row_sum
+from .ineq import _coef_stack
 from .report import ScanReport
-from .simplex import _block_len, _check_ints, _simplex_rows, _weight_rows
+from .simplex import _block_len, _check_ints, _row_sum, _simplex_rows, _weight_rows
 from .specfun import log_gamma, polygamma
 
 __all__ = [

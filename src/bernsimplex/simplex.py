@@ -3,13 +3,14 @@
 Multi-index lattices, the multinomial weights of a lattice sum, a seedable
 Dirichlet sampler and the sample set it returns.  Each input type has one
 rule: _simplex_rows and _cube_rows for point rows, _weight_rows for weight
-rows, _check_ints for integers.  An API that takes a point takes its first
-d coordinates: a length-d sequence is one point (a float result), a (P, d)
-array is P points (a (P,) result): _at_points owns that rule and the blocks.
-The weights of S and of the estimators have one kernel, per-coordinate
-Poisson tables (_poisson_weights) gathered over the lattice rows
-(_lattice_rows): no factorial (degrees in the hundreds overflow it) and no
-large logarithm is formed.
+rows, _check_ints for integers, and the left fold _row_sum for every row
+total (||x||, M, and ineq's and monotone's ln C, ln g and h^{(n)}), on every
+Python version.  An API that takes a point takes its first d coordinates: a
+length-d sequence is one point (a float result), a (P, d) array is P points
+(a (P,) result): _at_points owns that rule and the blocks.  The weights of S
+and of the estimators have one kernel, per-coordinate Poisson tables
+(_poisson_weights) gathered over the lattice rows (_lattice_rows): no
+factorial (degrees in the hundreds overflow it) and no large logarithm is formed.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .specfun import _stirling_tail, log_gamma
+from .specfun import _STIRLING_THRESHOLD, _stirling_tail, log_gamma
 
 __all__ = [
     "SampleSet",
@@ -159,20 +160,31 @@ def _clamped(xs: np.ndarray, off: np.ndarray, where: str) -> np.ndarray:
     return np.where(xs < 0.0, 0.0, np.where(xs > 1.0, 1.0, xs))
 
 
+def _row_sum(terms: np.ndarray, extra=None) -> np.ndarray:
+    """terms[:, 0] + terms[:, 1] + extra[:, 1] + terms[:, 2] + ..., added left
+    to right in place (extra None: no extra terms).  Padding needs no mask:
+    adding -0.0 leaves a partial sum's bits unchanged, inf and NaN included,
+    and so does +0.0 unless the partial sum is -0.0."""
+    out = terms[:, 0].copy()
+    for j in range(1, terms.shape[1]):
+        out += terms[:, j]
+        if extra is not None:
+            out += extra[:, j]
+    return out
+
+
 def _simplex_rows(xs, d=None, point=False) -> np.ndarray:
     """The (P, d+1) full coordinates of the (P, d) rows xs, d >= 1 (the given
     d if not None, one point as a row with point): the one closed-simplex
     point rule.  Another shape, or then a row with a non-finite entry, an
     entry below -_TOL or a sum above 1 + _TOL raises ValueError; entries are
-    then clamped to [0, 1] and x_{d+1} = max(1 - ||x||, 0).  Sums run left to
-    right, so a row's bits depend neither on the other rows nor on the Python
-    version."""
+    then clamped to [0, 1] and x_{d+1} = max(1 - ||x||, 0).  _row_sum takes
+    both sums: a row's bits depend on no other row and no Python version."""
     xs = _shape_checked(xs, d, point)
     with np.errstate(invalid="ignore", over="ignore"):
-        off = (~np.all(np.isfinite(xs) & (xs >= -_TOL), axis=1)
-               | (np.add.accumulate(xs, axis=1)[:, -1] > 1.0 + _TOL))
+        off = ~np.all(np.isfinite(xs) & (xs >= -_TOL), axis=1) | (_row_sum(xs) > 1.0 + _TOL)
     xs = _clamped(xs, off, "closed simplex")
-    last = np.maximum(1.0 - np.add.accumulate(xs, axis=1)[:, -1], 0.0)
+    last = np.maximum(1.0 - _row_sum(xs), 0.0)
     return np.column_stack([xs, last])
 
 
@@ -189,13 +201,13 @@ def _cube_rows(xs, d=None, point=False) -> np.ndarray:
 def _weight_rows(gamma) -> np.ndarray:
     """[M | gamma] of a (T, D) weight matrix, D >= 2: the one weight rule.  A row
     with a non-finite or negative weight or M <= 0 raises ValueError.  M is the
-    row's built-in sum (compensated from Python 3.12 on): zero padding keeps it."""
+    row's _row_sum, on every Python version: zero padding keeps it."""
     gamma = np.asarray(gamma, dtype=float)
     if gamma.ndim != 2 or gamma.shape[1] < 2:
         raise ValueError(f"need a (T, D) weight matrix with D >= 2, got shape {gamma.shape}")
     if not np.all(np.isfinite(gamma) & (gamma >= 0.0)):
         raise ValueError("weights must be finite and nonnegative")
-    M = np.array(list(map(sum, gamma.tolist())), dtype=float)
+    M = _row_sum(gamma)
     if not np.all(M > 0.0):
         raise ValueError("total mass M must be positive")
     return np.column_stack([M, gamma])
@@ -323,8 +335,8 @@ def log_factorial_table(n: int) -> np.ndarray:
 
 
 # delta(n) = ln n! - (n + 1/2) ln n + n - ln sqrt(2 pi), the error of Stirling's
-# formula, for n = 1..11 (40-digit values, rounded); from n = 12 on it is
-# specfun's Stirling tail, the series of ln Gamma(n + 1) past those terms
+# formula, for n below _STIRLING_THRESHOLD (40-digit values, rounded); from
+# there on it is specfun's Stirling tail, the series of ln Gamma(n + 1) past those terms
 _STIRLING_ERRORS = np.array([
     0.08106146679532726, 0.0413406959554093, 0.02767792568499834, 0.020790672103765093,
     0.016644691189821193, 0.013876128823070748, 0.01189670994589177, 0.010411265261972096,
@@ -336,7 +348,7 @@ _ATANH_TAIL = tuple(1.0 / k for k in range(17, 2, -2))
 def _stirling_errors(n: np.ndarray) -> np.ndarray:
     """delta(n) at the positive integers n."""
     delta = _stirling_tail(n + 0.0)
-    small = n < 12
+    small = n < _STIRLING_THRESHOLD
     delta[small] = _STIRLING_ERRORS[n[small] - 1]
     return delta
 

@@ -10,9 +10,10 @@ Gaussian local-limit density phi_{r,s}, the exact simplex integral of S via
 the Dirichlet normalization constant, the central binomial lattice identity
 in exact arithmetic, and the Gamma-ratio residual used in the large-m
 expansion of the integral; the integral and the identity, sums over the
-compositions of m, take all their degrees from composition_coefficient.
-Ints and points follow simplex's rules (query points through _at_points);
-s_eval takes one point (simplex._one_point), s_eval_grid (P, d) rows only.
+compositions of m, take all their degrees from composition_coefficient, and
+each counts its own operations against LATTICE_CAP before any work.  Ints
+and points follow simplex's rules (query points through _at_points); s_eval
+takes one point (simplex._one_point), s_eval_grid (P, d) rows only.
 """
 
 from __future__ import annotations
@@ -146,6 +147,9 @@ def central_binomial_identity(d_max: int, m_max: int) -> list:
     """
     _check_ints(d_max=d_max)
     _check_ints(0, m_max=m_max)
+    # (m_max + 1)(m_max + 2)/2 exact products per d, one dot per degree: within this
+    _check_capacity(d_max * (d_max + 1) // 2 * (m_max + 1) ** 2,
+                    f"identity operations for d-max={d_max}, m-max={m_max}")
     c = np.array([math.comb(2 * j, j) for j in range(m_max + 1)], dtype=object)
     table = c
     reports = []

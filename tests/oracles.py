@@ -40,7 +40,7 @@ term list and one log_gamma call per instance (``instance_*``): the
 bit-for-bit oracle for ``monotone``'s block route, which stacks the
 arguments of a whole block of instances into one call per order on the
 kernel pair that ``ineq.log_coeff`` shares (``ineq._coef_stack`` and
-``ineq._row_sum``).
+``simplex._row_sum``).
 
 Then, ln C(a) of one WeightVector at one a, and the three inequality
 margins of one trial, on the scalar log-gamma above: the oracles for
@@ -53,7 +53,7 @@ raw variates and yields the rows of a block.
 Then, at integer weights and integer a, the exact multinomial coefficient
 and the exact rational g(n), with the log of a long rational: the
 differential oracles for the kernel pair (``ineq._coef_stack`` and
-``ineq._row_sum``) under ``ineq.log_coeff`` and ``monotone.log_g_eval``.
+``simplex._row_sum``) under ``ineq.log_coeff`` and ``monotone.log_g_eval``.
 
 Then, both sides of the central-binomial identity at one (d, m): the left
 side as one ``composition_coefficient`` call, the right side as a product

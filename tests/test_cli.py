@@ -214,14 +214,15 @@ class TestExitCodes:
     def test_identity_check_over_capacity_before_work(self, tmp_path, monkeypatch):
         # cost d_max (d_max + 1) / 2 (m_max + 1)^2, a bound on the one table's
         # d_max cut products: 10 * 3162^2 is within the cap of 10^8,
-        # 10 * 3163^2 is not
+        # 10 * 3163^2 is not; central_binomial_identity counts it before its
+        # first work, the comb table
         class WorkStarted(Exception):
             pass
 
         def work(*args):
             raise WorkStarted
 
-        monkeypatch.setattr(cli.spoly, "central_binomial_identity", work)
+        monkeypatch.setattr(spoly.math, "comb", work)
         monkeypatch.setattr(cli, "duplication_residual", work)
         out = tmp_path / "i.csv"
         assert main(["identity-check", "--d-max", "4", "--m-max", "3162",

@@ -149,6 +149,24 @@ def test_lattice_weights_have_one_owner():
     assert log_pmf == set()
 
 
+def test_row_totals_have_one_rule():
+    # every row total (||x||, M, ln C, ln g, h^{(n)}) is simplex._row_sum's
+    # left fold: no other fold, no np.add.accumulate and no built-in sum over
+    # rows, which Python 3.12+ compensates
+    owners, forks = set(), set()
+    for path in SRC.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        if "_row_sum" in _defined_names(tree):
+            owners.add(path.name)
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and ast.unparse(node) == "np.add.accumulate"
+                    or isinstance(node, ast.Call) and ast.unparse(node.func) == "map"
+                    and node.args and ast.unparse(node.args[0]) == "sum"):
+                forks.add((path.name, ast.unparse(node)))
+    assert owners == {"simplex.py"}
+    assert forks == set()
+
+
 def _np_uses(tree: ast.AST, attrs) -> set:
     """(enclosing function, attr) for each np.<attr> in attrs; '' at module level."""
     found = set()

@@ -133,15 +133,15 @@ class TestLogCoeffBlock:
 
     @pytest.mark.parametrize("seed", range(5))
     def test_m_column_is_weightvector_m(self, seed):
-        # M is the built-in sum, which Python 3.12+ compensates, in the weight
-        # rule and so in WeightVector: rows of many weights of mixed size,
-        # where the order of adding shows
+        # M is a left fold (simplex._row_sum) on every Python version, in the
+        # weight rule and so in WeightVector: rows of many weights of mixed
+        # size, where the order of adding shows
         rng = np.random.Generator(np.random.PCG64(seed))
         gamma = rng.standard_exponential((300, 12)) * np.exp(rng.uniform(-30.0, 30.0, (300, 12)))
         gamma[:, 7:][rng.random((300, 5)) < 0.5] = 0.0
         blocks = [gamma, ineq._draw_trials(rng, 200, 9)[2]]
         for g in blocks:
-            want = [sum(row) for row in g.tolist()]
+            want = [TestKernelPair.fold(row) for row in g.tolist()]
             assert _bits(_weight_rows(g)[:, 0]) == _bits(want)
             assert _bits([WeightVector(row).M for row in g.tolist()]) == _bits(want)
 

@@ -53,6 +53,13 @@ class TestTypes:
         with pytest.raises(ValueError):
             WeightVector((0.0, 0.0))
 
+    def test_weight_total_is_a_left_fold(self, monkeypatch):
+        # M is _row_sum's left fold, whatever the built-in sum does: math.fsum,
+        # compensated like sum from Python 3.12 on, rounds 1 + 2e-16 up to
+        # 1 + 2^-52, while adding each 1e-16 to 1.0 keeps 1.0
+        monkeypatch.setattr(sx, "sum", math.fsum, raising=False)
+        assert sx._weight_rows([[1.0, 1e-16, 1e-16]])[0, 0] == 1.0
+
 
 _NAN, _INF = math.nan, math.inf
 # rows at the edges of the point rule: signed zero, an entry of exactly

@@ -253,6 +253,11 @@ class TestSProductForm:
             want = delta(n)
             assert abs(float(_stirling_tail(float(n))) - want) <= 2 * math.ulp(want), n
 
+    def test_stirling_table_ends_at_the_threshold(self):
+        # _stirling_errors switches to the tail at specfun's one threshold, so
+        # the table holds delta(n) for every n below it and no more
+        assert len(_STIRLING_ERRORS) == int(_STIRLING_THRESHOLD) - 1
+
 
 class TestSIntegralRational:
     """Criterion 02 with no tolerance: the Dirichlet-reduced integral of
@@ -385,6 +390,23 @@ class TestCentralBinomial:
         for d, m_max in [(0, 5), (2, -1)]:
             with pytest.raises(ValueError):
                 sp.central_binomial_identity(d, m_max)
+
+    def test_capacity_guard_before_work(self, monkeypatch):
+        # cost d_max (d_max + 1) / 2 (m_max + 1)^2, a bound on the one table's
+        # d_max cut products: 10 * 3162^2 is within the cap of 10^8,
+        # 10 * 3163^2 is not; the comb table is the first work
+        class WorkStarted(Exception):
+            pass
+
+        def work(*args):
+            raise WorkStarted
+
+        monkeypatch.setattr(sp.math, "comb", work)
+        monkeypatch.setattr(sp, "composition_coefficient", work)
+        with pytest.raises(CapacityError, match="d-max=4, m-max=3162"):
+            sp.central_binomial_identity(4, 3162)
+        with pytest.raises(WorkStarted):
+            sp.central_binomial_identity(4, 3161)
 
 
 def _nested_product(series, m):
